@@ -27,37 +27,52 @@ def bits_to_int(bits: np.ndarray) -> int:
 def pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack each row of a (rows, width) bit matrix into one integer.
 
-    Rows wider than 64 bits fall back to an object array of Python ints.
+    Each row is right-aligned in whole bytes of one contiguous buffer and
+    packed with a single np.packbits call. Rows of up to 64 bits come back
+    as uint64; wider rows as an object array of Python ints.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 2:
         raise ValueError("pack_rows expects a 2-d bit matrix")
     rows, width = bits.shape
+    n_bytes = (width + 7) // 8
+    aligned = np.zeros((rows, 8 * n_bytes), dtype=np.uint8)
+    aligned[:, 8 * n_bytes - width :] = bits
+    packed = np.packbits(aligned.reshape(-1)).reshape(rows, n_bytes)
     if width <= 64:
-        vals = np.zeros(rows, dtype=np.uint64)
-        one = np.uint64(1)
-        for i in range(width):
-            vals = (vals << one) | bits[:, i].astype(np.uint64)
-        return vals
-    vals = np.zeros(rows, dtype=object)
-    for i in range(width):
-        vals = (vals << 1) | bits[:, i].astype(object)
+        words = np.zeros((rows, 8), dtype=np.uint8)
+        words[:, 8 - n_bytes :] = packed
+        return words.view(">u8").reshape(rows).astype(np.uint64)
+    data = packed.tobytes()
+    vals = np.empty(rows, dtype=object)
+    vals[:] = [
+        int.from_bytes(data[i : i + n_bytes], "big")
+        for i in range(0, rows * n_bytes, n_bytes)
+    ]
     return vals
 
 
 def unpack_rows(vals: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of pack_rows: (n,) integers to an (n, width) bit matrix."""
-    vals = np.asarray(vals)
-    out = np.empty((vals.size, width), dtype=np.uint8)
-    if vals.dtype == object:
-        for i in range(width):
-            out[:, i] = ((vals >> (width - 1 - i)) & 1).astype(np.uint8)
-        return out
-    vals = vals.astype(np.uint64)
-    one = np.uint64(1)
-    for i in range(width):
-        out[:, i] = ((vals >> np.uint64(width - 1 - i)) & one).astype(np.uint8)
-    return out
+    """Inverse of pack_rows: (n,) integers to an (n, width) bit matrix.
+
+    Bits above width are dropped. Values of up to 64 bits go through one
+    big-endian uint64 view; wider ones through int.to_bytes per value.
+    """
+    vals = np.asarray(vals).reshape(-1)
+    n_bytes = (width + 7) // 8
+    if width <= 64:
+        if vals.dtype == object:
+            vals = vals & ((1 << width) - 1)
+        words = vals.astype(">u8").reshape(-1, 1).view(np.uint8)
+        packed = np.ascontiguousarray(words[:, 8 - n_bytes :])
+    else:
+        if vals.dtype != object:
+            vals = vals.astype(np.uint64)
+        mask = (1 << width) - 1
+        data = b"".join((int(v) & mask).to_bytes(n_bytes, "big") for v in vals.tolist())
+        packed = np.frombuffer(data, dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(-1)).reshape(vals.size, 8 * n_bytes)
+    return bits[:, 8 * n_bytes - width :]
 
 
 def bits_to_bytes(bits: np.ndarray) -> bytes:

@@ -219,6 +219,18 @@ def _mul_table(message: int, msg_len_bits: int) -> list[int]:
     return table
 
 
+def _limbs(values: np.ndarray, width: int) -> list[np.ndarray]:
+    """Split width-bit integers into uint64 limbs, least significant first.
+
+    A fixed-width integer array already fits in one limb; an object array
+    of Python ints is cut into ceil(width / 64) limbs.
+    """
+    if values.dtype != object:
+        return [values.astype(np.uint64)]
+    word = (1 << 64) - 1
+    return [((values >> shift) & word).astype(np.uint64) for shift in range(0, width, 64)]
+
+
 def tags_of_arrays(
     multipliers: np.ndarray,
     offsets: np.ndarray,
@@ -226,21 +238,29 @@ def tags_of_arrays(
     msg_len_bits: int,
     tag_len_bits: int,
 ) -> np.ndarray:
-    """Vectorized make_tag over parallel multiplier/offset arrays."""
+    """Vectorized make_tag over parallel multiplier/offset arrays.
+
+    Only the low t bits of the field product survive, and masking commutes
+    with XOR, so for t <= 64 the product table is masked to t bits first
+    and the tags accumulate in uint64 whatever the field width a: the
+    multipliers are read 64 bits at a time. Tags wider than 64 bits come
+    back as an object array of Python ints.
+    """
     a, t = msg_len_bits, tag_len_bits
     _check_width("message", message, a)
     if not 1 <= t <= a:
         raise ValueError(f"tag_len_bits must be in [1, msg_len_bits], got {t}")
     table = _mul_table(message, a)
-    if a <= 64 and t <= 64:
-        mults = np.asarray(multipliers, dtype=np.uint64)
-        offs = np.asarray(offsets, dtype=np.uint64)
+    if t <= 64:
+        mask = (1 << t) - 1
+        mults = np.asarray(multipliers)
         acc = np.zeros(mults.shape, dtype=np.uint64)
         one = np.uint64(1)
-        for j in range(a):
-            bit = (mults >> np.uint64(j)) & one
-            acc ^= np.uint64(table[j]) * bit
-        return (acc & np.uint64((1 << t) - 1)) ^ offs
+        for base, limb in zip(range(0, a, 64), _limbs(mults, a)):
+            for j in range(min(64, a - base)):
+                bit = (limb >> np.uint64(j)) & one
+                acc ^= np.uint64(table[base + j] & mask) * bit
+        return acc ^ np.asarray(offsets, dtype=np.uint64)
     mults = np.asarray(multipliers, dtype=object)
     offs = np.asarray(offsets, dtype=object)
     acc = np.zeros(mults.shape, dtype=object)

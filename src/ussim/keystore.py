@@ -12,6 +12,13 @@ two runs with the same seed and the same operation sequence observe
 identical streams. Consumption is counted once per pool position, however
 many endpoints read it, because the position corresponds to one shared
 secret bit.
+
+A one-time-padded transfer spends the same positions on both endpoints,
+and the two pads cancel except where the noisy side's view flipped. So
+otp_transfer hashes no pool bits at all: it draws only the noisy side's
+flip mask at the shared cursor (and nothing on a noiseless link), and
+requires the two cursors to agree, since a desynced link would XOR
+unrelated pads into the payload.
 """
 from __future__ import annotations
 
@@ -49,8 +56,8 @@ class LinkKeyStore:
     """Shared key pool between two users.
 
     Endpoints are identified by user index. draw_shared hands out the next
-    n bits as seen from one endpoint; otp_transfer spends pad bits on both
-    endpoints to move a payload across.
+    n bits as seen from one endpoint; otp_transfer spends pad positions on
+    both endpoints to move a payload across.
     """
 
     def __init__(
@@ -124,15 +131,31 @@ class LinkKeyStore:
     def otp_transfer(self, payload: np.ndarray, from_side: int) -> np.ndarray:
         """One-time-pad a payload across the link.
 
-        Both endpoints spend len(payload) fresh pad bits. The delivered
-        payload picks up exactly the pad disagreement, so it is exact on a
-        noiseless link.
+        Both endpoints spend len(payload) pad positions from the same
+        cursor. Their pads are equal except where the noisy side's view
+        flipped, so the delivered payload is the sent one XOR that side's
+        flip mask at the shared cursor: exact on a noiseless link. Neither
+        pad is drawn; only the flip mask is, when the link is noisy.
+        Raises ValueError if the two cursors disagree.
         """
+        if from_side not in self._cursor:
+            raise ValueError(f"user {from_side} is not an endpoint of link {self.users}")
         payload = np.asarray(payload, dtype=np.uint8)
-        to_side = self.user_a if from_side == self.user_b else self.user_b
-        pad_out = self.draw_shared(payload.size, from_side)
-        pad_in = self.draw_shared(payload.size, to_side)
-        return payload ^ pad_out ^ pad_in
+        start = self._cursor[self.user_a]
+        if self._cursor[self.user_b] != start:
+            raise ValueError(
+                f"link {self.users} is out of sync: user {self.user_a} is at bit "
+                f"{start}, user {self.user_b} at bit {self._cursor[self.user_b]}"
+            )
+        n_bits = payload.size
+        if self.flip_prob > 0 and n_bits:
+            delivered = payload ^ self._flip_mask(start, n_bits).astype(np.uint8)
+        else:
+            delivered = payload.copy()
+        end = start + n_bits
+        self._cursor[self.user_a] = self._cursor[self.user_b] = end
+        self._highwater = max(self._highwater, end)
+        return delivered
 
     def consumed_bits(self) -> int:
         """Pool positions handed out so far (counted once per position)."""

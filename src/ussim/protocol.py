@@ -92,6 +92,12 @@ class Signature:
             raise ValueError(
                 f"tags must have shape {(n, n * k)}, got {self.tags.shape}"
             )
+        n_bits = a + n * n * k * t
+        if (n_bits + 7) // 8 > 0xFFFFFFFF:
+            raise ValueError(
+                f"signature payload of {n_bits} bits does not fit the header's "
+                f"uint32 byte count"
+            )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Signature):

@@ -309,6 +309,8 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
             f"floor(d_r * n) = {allowed}; pass enforce_collusion_bound=False "
             f"to simulate outside the model"
         )
+    # the bound's range checks (t <= 64) must fail before any trial runs
+    bound = p_forge(n, params.d_r, uniform_guess_pass_prob(k, t, params.s_levels[level]))
     known = sorted({spec.forger, *spec.colluders})
     unknown = [g for g in range(n) if g not in known]
     net_rng = np.random.default_rng([spec.seed, _FORGE_NET_STREAM])
@@ -345,7 +347,6 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
             successes += verifier.verify(forged, level).accepted
         done += block
     low, high = wilson_interval(successes, spec.trials)
-    p_t = uniform_guess_pass_prob(k, t, params.s_levels[level])
     return AttackResult(
         kind=spec.kind,
         trials=spec.trials,
@@ -353,7 +354,7 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
         rate=successes / spec.trials,
         wilson_low=low,
         wilson_high=high,
-        bound=p_forge(n, params.d_r, p_t),
+        bound=bound,
         bound_level=level,
     )
 

@@ -56,3 +56,21 @@ def binom_cdf(m: int, n: int, p: float) -> float:
     for i in range(m + 1):
         total += math.comb(n, i) * p**i * (1.0 - p) ** (n - i)
     return total
+
+
+def pack_row(bits) -> int:
+    """One row of bits, most significant first, as an int."""
+    value = 0
+    for bit in bits:
+        value = value * 2 + int(bit)
+    return value
+
+
+def unpack_value(value: int, width: int) -> list[int]:
+    """The low width bits of value, most significant first."""
+    value = int(value) % (1 << width)
+    out = []
+    for _ in range(width):
+        out.append(value % 2)
+        value //= 2
+    return out[::-1]

@@ -1,0 +1,65 @@
+"""Row packing against a row-by-row integer oracle."""
+import numpy as np
+import pytest
+
+import reference
+from ussim._bitops import pack_rows, unpack_rows
+
+WIDTHS = (*range(1, 131), 200, 256)
+
+
+def _random_values(rng, rows, width):
+    return [reference.pack_row(rng.integers(0, 2, size=width)) for _ in range(rows)]
+
+
+def _oracle_bits(values, width):
+    return np.array([reference.unpack_value(v, width) for v in values],
+                    dtype=np.uint8).reshape(len(values), width)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_pack_and_unpack_match_the_oracle(width):
+    rng = np.random.default_rng(width)
+    wide = rng.integers(0, 2, size=(7, width + 13), dtype=np.uint8)
+    for bits in (wide[:, :width], wide[:, 5 : 5 + width], np.ascontiguousarray(wide[:, 13:])):
+        packed = pack_rows(bits)
+        assert packed.shape == (7,)
+        assert packed.dtype == (np.uint64 if width <= 64 else object)
+        assert [int(v) for v in packed] == [reference.pack_row(row) for row in bits]
+        unpacked = unpack_rows(packed, width)
+        assert unpacked.dtype == np.uint8
+        assert np.array_equal(unpacked, bits)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_empty_input(width):
+    packed = pack_rows(np.zeros((0, width), dtype=np.uint8))
+    assert packed.shape == (0,)
+    assert unpack_rows(packed, width).shape == (0, width)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_unpack_drops_bits_above_width(width):
+    rng = np.random.default_rng(1000 + width)
+    values = _random_values(rng, 6, width)
+    junk = [v | (reference.pack_row(rng.integers(0, 2, size=9)) << width) for v in values]
+    if width < 64:
+        # fixed-width input can only carry junk up to bit 63
+        as_uint64 = np.array([v % (1 << 64) for v in junk], dtype=np.uint64)
+        assert np.array_equal(unpack_rows(as_uint64, width), _oracle_bits(values, width))
+    got = unpack_rows(np.array(junk, dtype=object), width)
+    assert np.array_equal(got, _oracle_bits(values, width))
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_unpack_accepts_int64_and_every_row_count(width):
+    rng = np.random.default_rng(2000 + width)
+    for rows in (1, 2, 9):
+        values = [v % (1 << 63) for v in _random_values(rng, rows, width)]
+        got = unpack_rows(np.array(values, dtype=np.int64), width)
+        assert np.array_equal(got, _oracle_bits(values, width))
+
+
+def test_pack_rows_rejects_non_matrix():
+    with pytest.raises(ValueError, match="2-d"):
+        pack_rows(np.zeros(8, dtype=np.uint8))

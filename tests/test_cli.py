@@ -114,6 +114,15 @@ def test_attack_repudiation_csv():
     assert run_cli(*args).stdout == proc.stdout
 
 
+def test_attack_forge_out_of_range_tags_exit_two_at_once():
+    # at n=7, k=900 a single trial of a=128, t=96 would take seconds; the
+    # bound check must reject t > 64 before any of the 10**6 trials
+    proc = run_cli("attack", "--kind", "forge", "--a", "128", "--t", "96",
+                   "--trials", "1000000")
+    assert proc.returncode == 2
+    assert "tag_len_bits" in proc.stderr
+
+
 def test_attack_forge_csv_tracks_small_case_oracle():
     proc = run_cli(
         "attack", "--kind", "forge", "--trials", "2000", "--seed", "1",

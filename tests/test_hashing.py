@@ -132,6 +132,31 @@ def test_tags_of_arrays_object_path_wide_field():
     assert [int(v) for v in got] == want
 
 
+@pytest.mark.parametrize("a", [65, 72, 128, 200])
+@pytest.mark.parametrize("t", [1, 32, 64])
+def test_tags_of_arrays_wide_field_uint64_tags(a, t):
+    # a wide field with tags that fit in 64 bits: object multipliers,
+    # uint64 tags, checked against schoolbook field multiplication
+    rng = np.random.default_rng(a * 100 + t)
+
+    def rand(bits):
+        return int.from_bytes(rng.bytes((bits + 7) // 8), "big") % (1 << bits)
+
+    mults = [rand(a) for _ in range(16)] + [0, 1, (1 << a) - 1, 1 << (a - 1), 1 << 64]
+    offs = [rand(t) for _ in mults]
+    message = rand(a) | (1 << (a - 1))
+    got = tags_of_arrays(
+        np.array(mults, dtype=object), np.array(offs, dtype=object), message, a, t
+    )
+    assert got.dtype == np.uint64
+    modulus = find_irreducible(a)
+    want = [
+        (reference.field_mul(m, message, modulus) % (1 << t)) ^ o
+        for m, o in zip(mults, offs)
+    ]
+    assert [int(v) for v in got] == want
+
+
 def test_batch_tags_canonical_order_and_values():
     keys = [
         (KeyId(1, 0), HashKey(3, 1)),

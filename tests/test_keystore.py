@@ -106,6 +106,46 @@ def test_otp_transfer_spends_payload_length_once():
     assert store.consumed_bits() == 64
 
 
+@pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("from_side", [0, 1])
+def test_otp_transfer_matches_payload_xor_both_pads(q, from_side):
+    # the twin spends the same positions the way a pad-based transfer
+    # would: both endpoints draw, and the payload is XORed with both views
+    store = LinkKeyStore(0, 1, seed=21, flip_prob=q)
+    twin = LinkKeyStore(0, 1, seed=21, flip_prob=q)
+    for link in (store, twin):  # start both cursors past block 0
+        link.draw_shared(509, side=0)
+        link.draw_shared(509, side=1)
+    to_side = 1 - from_side
+    rng = np.random.default_rng(5)
+    for n_bits in (37, 1, 601, 0, 1023):
+        payload = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
+        want = payload ^ twin.draw_shared(n_bits, from_side) ^ twin.draw_shared(n_bits, to_side)
+        got = store.otp_transfer(payload, from_side=from_side)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+        assert store.consumed_bits() == twin.consumed_bits()
+    # the transfers left both stores at the same place in the pool
+    assert np.array_equal(store.draw_shared(64, side=1), twin.draw_shared(64, side=1))
+
+
+def test_otp_transfer_does_not_alias_the_payload():
+    payload = np.zeros(16, dtype=np.uint8)
+    delivered = LinkKeyStore(0, 1, seed=2).otp_transfer(payload, from_side=0)
+    delivered[0] = 1
+    assert payload[0] == 0
+
+
+def test_otp_transfer_rejects_desynced_link_and_strangers():
+    store = LinkKeyStore(3, 5, seed=4)
+    with pytest.raises(ValueError, match="endpoint"):
+        store.otp_transfer(np.zeros(8, dtype=np.uint8), from_side=4)
+    store.draw_shared(10, side=5)
+    with pytest.raises(ValueError, match=r"link \(3, 5\) is out of sync: user 3 .* 0, user 5 .* 10"):
+        store.otp_transfer(np.zeros(8, dtype=np.uint8), from_side=3)
+    assert store.consumed_bits() == 10
+
+
 def test_store_validation():
     with pytest.raises(ValueError, match="distinct"):
         LinkKeyStore(1, 1)

@@ -327,6 +327,23 @@ def test_signature_field_validation():
                   msg_len_bits=1, tag_len_bits=2)
 
 
+def test_signature_rejects_payload_beyond_header_byte_count():
+    # n=4, t=1, k=2**31 - 1: the tags fill 2**35 - 16 bits, so an 8-bit
+    # message makes exactly 2**32 - 1 payload bytes and a 9-bit one a
+    # byte more than the header's uint32 byte count can hold
+    def build(n, k, a, t):
+        tags = np.broadcast_to(np.uint64(0), (n, n * k))  # allocates nothing
+        return Signature(message=0, tags=tags, n_recipients=n, k=k,
+                         msg_len_bits=a, tag_len_bits=t)
+
+    k = (1 << 31) - 1
+    assert build(4, k, 8, 1).k == k
+    with pytest.raises(ValueError, match="uint32 byte count"):
+        build(4, k, 9, 1)
+    with pytest.raises(ValueError, match="uint32 byte count"):
+        build(255, 0xFFFF, 255, 255)
+
+
 def test_forward_chain_descends_one_level_per_hop():
     params = small_params()
     _, sender, recipients = distributed(params)

@@ -194,6 +194,21 @@ def test_forge_long_tags_never_pass():
     assert attack_forge(spec, params).successes == 0
 
 
+def test_forge_checks_its_bound_before_any_trial(monkeypatch):
+    # t > 64 is outside uniform_guess_pass_prob's range; that must surface
+    # before the first distribution is drawn, not after every trial
+    from ussim import simlab
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the bound was checked")
+
+    monkeypatch.setattr(simlab, "run_distribution", no_trials)
+    params = ProtocolParams.build(3, 128, 96, l_max=0, d_r=0.0, k=900)
+    spec = AttackSpec(kind=AttackKind.FORGE, trials=10**9, target=2)
+    with pytest.raises(ValueError, match="tag_len_bits"):
+        attack_forge(spec, params)
+
+
 def test_forge_collusion_bound_enforced_with_escape_hatch():
     params = ProtocolParams.build(3, 8, 8, l_max=0, d_r=0.0, k=8)
     spec = AttackSpec(
