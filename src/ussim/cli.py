@@ -13,11 +13,12 @@ back to its inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from . import __version__
-from .keystore import Network, NetworkConfig, time_to_ready
+from .keystore import NetworkConfig, time_to_ready
 from .secparams import (
     CostMode,
     ProtocolParams,
@@ -110,13 +111,7 @@ def _load_config(args, params: ProtocolParams, seed: int | None) -> NetworkConfi
         with open(args.config, "r", encoding="utf-8") as fh:
             config = NetworkConfig.from_json(fh.read())
         if seed is not None and args.seed is not None:
-            config = NetworkConfig(
-                n_users=config.n_users,
-                default_rate_bps=config.default_rate_bps,
-                default_flip_prob=config.default_flip_prob,
-                seed=seed,
-                links=config.links,
-            )
+            config = dataclasses.replace(config, seed=seed)
         return config
     return NetworkConfig(
         n_users=params.n_recipients + 1,
@@ -200,8 +195,10 @@ def _cmd_run(args) -> int:
     params, spec, mode = _resolve_params(args)
     seed = _resolve_seed(args, default=None)
     config = _load_config(args, params, seed)
+    # the bounds are priced before the run, so unpriceable parameters fail fast
+    lines = _param_lines(params, spec, mode)
     outcome = run_honest(params, config, message=args.message)
-    for line in _param_lines(params, spec, mode):
+    for line in lines:
         print(line)
     print(
         f"network: users={config.n_users} seed={config.seed} "

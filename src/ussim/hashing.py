@@ -15,59 +15,14 @@ polynomial of degree a with the smallest integer encoding.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "HashKey",
-    "KeyId",
-    "Tag",
-    "find_irreducible",
-    "gf_mul",
-    "make_tag",
-    "batch_tags",
-]
-
-# A tag is a plain int of tag_len_bits width.
-Tag = int
-
-
-class KeyId(NamedTuple):
-    """Identifies one issued key: who it was issued to, and at which slot."""
-
-    origin_recipient: int
-    slot: int
-
-
-@dataclass(frozen=True)
-class HashKey:
-    """One-time hash key: an a-bit field multiplier and a t-bit offset."""
-
-    multiplier: int
-    offset: int
-
-    def __post_init__(self) -> None:
-        if self.multiplier < 0:
-            raise ValueError("multiplier must be non-negative")
-        if self.offset < 0:
-            raise ValueError("offset must be non-negative")
+__all__ = ["find_irreducible", "tags_of_arrays"]
 
 
 def _degree(p: int) -> int:
     return p.bit_length() - 1
-
-
-def _clmul(x: int, y: int) -> int:
-    """Carry-less product of two GF(2) polynomials."""
-    out = 0
-    while y:
-        if y & 1:
-            out ^= x
-        x <<= 1
-        y >>= 1
-    return out
 
 
 def _pmod(x: int, m: int) -> int:
@@ -173,34 +128,6 @@ def _check_width(name: str, value: int, width: int) -> None:
         raise ValueError(f"{name} must fit in {width} bits, got {value}")
 
 
-def gf_mul(x: int, y: int, msg_len_bits: int) -> int:
-    """Product of two field elements of width msg_len_bits."""
-    _check_width("x", x, msg_len_bits)
-    _check_width("y", y, msg_len_bits)
-    return _pmod(_clmul(x, y), find_irreducible(msg_len_bits))
-
-
-def make_tag(key: HashKey, message: int, msg_len_bits: int, tag_len_bits: int) -> Tag:
-    """Tag one message with one key.
-
-    The tag is the low tag_len_bits of key.multiplier * message in
-    GF(2^msg_len_bits), XORed with key.offset.
-    """
-    a, t = msg_len_bits, tag_len_bits
-    if not 1 <= t <= a:
-        raise ValueError(f"tag_len_bits must be in [1, msg_len_bits], got {t}")
-    _check_width("message", message, a)
-    _check_width("key.multiplier", key.multiplier, a)
-    _check_width("key.offset", key.offset, t)
-    product = gf_mul(key.multiplier, message, a)
-    return (product & ((1 << t) - 1)) ^ key.offset
-
-
-def default_tag_len(msg_len_bits: int) -> int:
-    """Default tag width: the message width, capped at 32 bits."""
-    return min(msg_len_bits, 32)
-
-
 def _mul_table(message: int, msg_len_bits: int) -> list[int]:
     # table[j] = x^j * message in the field, so a product decomposes into
     # XORs selected by the multiplier's bits
@@ -238,7 +165,7 @@ def tags_of_arrays(
     msg_len_bits: int,
     tag_len_bits: int,
 ) -> np.ndarray:
-    """Vectorized make_tag over parallel multiplier/offset arrays.
+    """Tag one message under parallel arrays of multipliers and offsets.
 
     Only the low t bits of the field product survive, and masking commutes
     with XOR, so for t <= 64 the product table is masked to t bits first
@@ -267,29 +194,3 @@ def tags_of_arrays(
     for j in range(a):
         acc ^= ((mults >> j) & 1) * table[j]
     return (acc & ((1 << t) - 1)) ^ offs
-
-
-def batch_tags(
-    keys: Iterable[tuple[KeyId, HashKey]],
-    message: int,
-    msg_len_bits: int,
-    tag_len_bits: int,
-) -> list[tuple[KeyId, Tag]]:
-    """Tag one message under many keys, in canonical KeyId order.
-
-    Canonical order is origin_recipient major, slot minor. Duplicate KeyIds
-    are rejected.
-    """
-    entries = sorted(keys, key=lambda kv: kv[0])
-    for (ida, _), (idb, _) in zip(entries, entries[1:]):
-        if ida == idb:
-            raise ValueError(f"duplicate KeyId {ida}")
-    if not entries:
-        return []
-    mults = np.array([key.multiplier for _, key in entries], dtype=object)
-    offs = np.array([key.offset for _, key in entries], dtype=object)
-    for _, key in entries:
-        _check_width("key.multiplier", key.multiplier, msg_len_bits)
-        _check_width("key.offset", key.offset, tag_len_bits)
-    tags = tags_of_arrays(mults, offs, message, msg_len_bits, tag_len_bits)
-    return [(kid, int(tag)) for (kid, _), tag in zip(entries, tags)]

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.stats import binom
-
 __all__ = [
     "TailMode",
     "CostMode",
@@ -199,11 +197,37 @@ def _log_nontransfer(l: int, n: int, d_r: float, k: int, s_levels: dict[int, flo
     return math.log(prefactor) + _log_tail(l, k, s_levels, mode)
 
 
+def _lower_tail(k: int, m: int, log2_p: float, log2_q: float) -> float:
+    """P(Bin(k, p) <= m) for m at or below the mode, where q = 1 - p.
+
+    The terms grow with i up to m, so they are summed downward from the
+    largest one, relative to it, until a term no longer moves the total.
+    Logs are base 2, so powers of two such as 2^-t stay exact.
+    """
+    if k <= 1024:
+        # exact and cheap here; lgamma is off by ~1e-14 even for small k,
+        # which would move exactly representable results off by ulps
+        log2_comb = math.log2(math.comb(k, m))
+    else:
+        log_comb = math.lgamma(k + 1) - math.lgamma(m + 1) - math.lgamma(k - m + 1)
+        log2_comb = log_comb / math.log(2)
+    odds = 2.0 ** (log2_q - log2_p)
+    total = term = 1.0
+    for i in range(m, 0, -1):
+        term *= i / (k - i + 1) * odds
+        total += term
+        if term < 1e-17 * total:
+            break
+    return 2.0 ** (log2_comb + m * log2_p + (k - m) * log2_q) * total
+
+
 def uniform_guess_pass_prob(k: int, tag_len_bits: int, s: float) -> float:
     """Probability that k uniformly guessed tags pass a threshold-s test.
 
     Each guess independently matches the true tag with probability 2^-t;
     the test passes when strictly fewer than s*k of the k tags mismatch.
+    The binomial tail is summed in log space, so 2^-t does not round away
+    at large t, and the work depends on s and t rather than on k.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive int, got {k}")
@@ -216,7 +240,11 @@ def uniform_guess_pass_prob(k: int, tag_len_bits: int, s: float) -> float:
         worst -= 1
     if worst < 0:
         return 0.0
-    return float(binom.cdf(worst, k, 1 - 2.0 ** -tag_len_bits))
+    log2_mismatch = math.log1p(-(2.0 ** -tag_len_bits)) / math.log(2)
+    if worst <= (k + 1) * (1 - 2.0 ** -tag_len_bits):
+        return _lower_tail(k, worst, log2_mismatch, -tag_len_bits)
+    # past the mode: one minus the other tail, which is below its own mode
+    return 1.0 - _lower_tail(k, k - worst - 1, -tag_len_bits, log2_mismatch)
 
 
 @dataclass(frozen=True)
@@ -349,9 +377,10 @@ def solve_k(
 ) -> int:
     """Smallest k whose worst-level non-transfer bound meets p_target.
 
-    The bound decreases monotonically in k, so a doubling search brackets
-    the answer; the exact boundary is then re-verified by a local scan.
-    Raises if no k up to 2^32 suffices.
+    The worst-level log bound is a max of terms that fall linearly in k, so
+    it decreases strictly in k: a doubling search brackets the answer and
+    bisection returns the smallest k that meets p_target. Raises if no k
+    up to 2^32 suffices.
     """
     if not 0 < p_target < 1:
         raise ValueError(f"p_target must be in (0, 1), got {p_target}")
@@ -377,12 +406,6 @@ def solve_k(
             hi = mid
         else:
             lo = mid + 1
-    # boundary re-verified by scan: lo works, lo - 1 must not
-    for k in range(max(1, lo - 2), lo):
-        if worst(k) <= log_target:
-            raise AssertionError("solve_k bracketing failed below the boundary")
-    if worst(lo) > log_target:
-        raise AssertionError("solve_k bracketing failed at the boundary")
     return lo
 
 

@@ -58,6 +58,27 @@ def binom_cdf(m: int, n: int, p: float) -> float:
     return total
 
 
+def guess_pass_prob_exact(k: int, t: int, worst: int) -> float:
+    """P(at most worst of k uniformly guessed t-bit tags mismatch).
+
+    The sum of C(k, i) (2^t - 1)^i over i <= worst counts the passing
+    guess vectors out of 2^(t*k); dividing the two ints rounds correctly.
+    """
+    if worst < 0:
+        return 0.0
+    term = count = 1  # the i = 0 term
+    for i in range(min(worst, k)):
+        # C(k, i+1) (2^t-1)^(i+1) from the previous term; the division is exact
+        term = term * (k - i) // (i + 1) * (2**t - 1)
+        count += term
+    return count / (1 << (t * k))
+
+
+def make_tag(multiplier: int, offset: int, message: int, modulus: int, t: int) -> int:
+    """Low t bits of multiplier * message in GF(2^deg(modulus)), XOR offset."""
+    return (field_mul(multiplier, message, modulus) % (1 << t)) ^ offset
+
+
 def pack_row(bits) -> int:
     """One row of bits, most significant first, as an int."""
     value = 0

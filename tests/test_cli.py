@@ -1,8 +1,10 @@
-"""End-to-end CLI checks through a real subprocess."""
+"""End-to-end CLI checks, through a real subprocess unless noted."""
 import json
 import os
 import subprocess
 import sys
+
+from ussim import cli
 
 SMALLEST = ["--n", "2", "--a", "1", "--t", "1", "--k", "1"]
 
@@ -121,6 +123,29 @@ def test_attack_forge_out_of_range_tags_exit_two_at_once():
                    "--trials", "1000000")
     assert proc.returncode == 2
     assert "tag_len_bits" in proc.stderr
+
+
+def test_run_out_of_range_tags_exit_two_before_the_run(monkeypatch, capsys):
+    # in-process: the bounds printed ahead of the run must be priced first
+    def never(*args, **kwargs):
+        raise AssertionError("run_honest called")
+
+    monkeypatch.setattr(cli, "run_honest", never)
+    assert cli.main(["run", "--n", "3", "--a", "72", "--t", "72", "--k", "4"]) == 2
+    captured = capsys.readouterr()
+    assert "tag_len_bits" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, ussim.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_attack_forge_csv_tracks_small_case_oracle():

@@ -5,16 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from ussim.hashing import (
-    HashKey,
-    KeyId,
-    batch_tags,
-    default_tag_len,
-    find_irreducible,
-    gf_mul,
-    make_tag,
-    tags_of_arrays,
-)
+from ussim.hashing import find_irreducible, tags_of_arrays
 
 # Smallest-encoding irreducible polynomial per degree, frozen after
 # cross-checking against trial division below.
@@ -49,12 +40,17 @@ def test_find_irreducible_validation():
             find_irreducible(bad)
 
 
+def field_product(x: int, y: int, a: int) -> int:
+    """x * y in GF(2^a), read off tags_of_arrays as a full-width tag with a zero offset."""
+    return int(tags_of_arrays(np.array([x], dtype=object), np.array([0]), y, a, a)[0])
+
+
 @given(
     st.integers(min_value=0, max_value=255),
     st.integers(min_value=0, max_value=255),
 )
 def test_gf_mul_matches_reference_width8(x, y):
-    assert gf_mul(x, y, 8) == reference.field_mul(x, y, KNOWN_MODULI[8])
+    assert field_product(x, y, 8) == reference.field_mul(x, y, KNOWN_MODULI[8])
 
 
 @given(
@@ -64,40 +60,44 @@ def test_gf_mul_matches_reference_width8(x, y):
 )
 @settings(max_examples=60)
 def test_gf_mul_ring_axioms_width16(x, y, z):
-    assert gf_mul(x, y, 16) == gf_mul(y, x, 16)
-    assert gf_mul(gf_mul(x, y, 16), z, 16) == gf_mul(x, gf_mul(y, z, 16), 16)
-    assert gf_mul(x, y ^ z, 16) == gf_mul(x, y, 16) ^ gf_mul(x, z, 16)
-    assert gf_mul(x, 1, 16) == x
+    # the multiplier and the message take different routes through
+    # tags_of_arrays, so commutativity is not automatic
+    def mul(u, v):
+        return field_product(u, v, 16)
+
+    assert mul(x, y) == mul(y, x)
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, y ^ z) == mul(x, y) ^ mul(x, z)
+    assert mul(x, 1) == x
 
 
 def test_gf_mul_rejects_oversized_operands():
-    with pytest.raises(ValueError, match="x"):
-        gf_mul(256, 1, 8)
-    with pytest.raises(ValueError, match="y"):
-        gf_mul(1, -1, 8)
+    # the message is the one scalar operand, and it is width-checked
+    with pytest.raises(ValueError, match="message"):
+        field_product(1, 256, 8)
+    with pytest.raises(ValueError, match="message"):
+        field_product(1, -1, 8)
 
 
 def test_make_tag_offset_is_xor_linear():
-    key = HashKey(multiplier=0x53, offset=0)
-    base = make_tag(key, 0x9C, 8, 4)
-    for offset in range(16):
-        shifted = HashKey(multiplier=0x53, offset=offset)
-        assert make_tag(shifted, 0x9C, 8, 4) == base ^ offset
+    offsets = np.arange(16)
+    tags = tags_of_arrays(np.full(16, 0x53), offsets, 0x9C, 8, 4)
+    assert [int(v) for v in tags] == [int(tags[0]) ^ o for o in range(16)]
 
 
 def test_make_tag_is_low_bits_of_product():
-    key = HashKey(multiplier=0xA7, offset=0b101)
-    tag = make_tag(key, 0x3D, 8, 3)
-    assert tag == (gf_mul(0xA7, 0x3D, 8) & 0b111) ^ 0b101
+    tag = tags_of_arrays(np.array([0xA7]), np.array([0b101]), 0x3D, 8, 3)[0]
+    assert int(tag) == (reference.field_mul(0xA7, 0x3D, KNOWN_MODULI[8]) & 0b111) ^ 0b101
 
 
 def test_make_tag_validation():
+    one, zero = np.array([1]), np.array([0])
     with pytest.raises(ValueError, match="tag_len_bits"):
-        make_tag(HashKey(1, 0), 1, 8, 9)
+        tags_of_arrays(one, zero, 1, 8, 9)
+    with pytest.raises(ValueError, match="tag_len_bits"):
+        tags_of_arrays(one, zero, 1, 8, 0)
     with pytest.raises(ValueError, match="message"):
-        make_tag(HashKey(1, 0), 256, 8, 4)
-    with pytest.raises(ValueError, match="key.offset"):
-        make_tag(HashKey(1, 0b1000), 1, 8, 3)
+        tags_of_arrays(one, zero, 256, 8, 4)
 
 
 @given(st.data())
@@ -114,7 +114,8 @@ def test_tags_of_arrays_matches_make_tag(data):
         st.lists(st.integers(0, (1 << t) - 1), min_size=n, max_size=n)
     )
     got = tags_of_arrays(np.array(mults), np.array(offs), message, a, t)
-    want = [make_tag(HashKey(m, o), message, a, t) for m, o in zip(mults, offs)]
+    modulus = find_irreducible(a)
+    want = [reference.make_tag(m, o, message, modulus, t) for m, o in zip(mults, offs)]
     assert [int(v) for v in got] == want
 
 
@@ -125,10 +126,8 @@ def test_tags_of_arrays_object_path_wide_field():
     offs = np.array([1, (1 << 70) - 2], dtype=object)
     message = (1 << 77) | 0x1F
     got = tags_of_arrays(mults, offs, message, a, 72)
-    want = [
-        make_tag(HashKey(int(m), int(o)), message, a, 72)
-        for m, o in zip(mults, offs)
-    ]
+    modulus = find_irreducible(a)
+    want = [reference.make_tag(int(m), int(o), message, modulus, 72) for m, o in zip(mults, offs)]
     assert [int(v) for v in got] == want
 
 
@@ -150,47 +149,6 @@ def test_tags_of_arrays_wide_field_uint64_tags(a, t):
     )
     assert got.dtype == np.uint64
     modulus = find_irreducible(a)
-    want = [
-        (reference.field_mul(m, message, modulus) % (1 << t)) ^ o
-        for m, o in zip(mults, offs)
-    ]
+    want = [reference.make_tag(m, o, message, modulus, t) for m, o in zip(mults, offs)]
     assert [int(v) for v in got] == want
 
-
-def test_batch_tags_canonical_order_and_values():
-    keys = [
-        (KeyId(1, 0), HashKey(3, 1)),
-        (KeyId(0, 2), HashKey(7, 0)),
-        (KeyId(0, 1), HashKey(1, 1)),
-    ]
-    out = batch_tags(keys, 0b1010, 4, 2)
-    assert [kid for kid, _ in out] == [KeyId(0, 1), KeyId(0, 2), KeyId(1, 0)]
-    for kid, tag in out:
-        key = dict(keys)[kid]
-        assert tag == make_tag(key, 0b1010, 4, 2)
-
-
-def test_batch_tags_order_independent_of_input_order():
-    keys = [(KeyId(i % 3, i), HashKey(i + 1, i % 4)) for i in range(9)]
-    forward = batch_tags(keys, 0x55, 8, 2)
-    backward = batch_tags(list(reversed(keys)), 0x55, 8, 2)
-    assert forward == backward
-
-
-def test_batch_tags_rejects_duplicates_and_handles_empty():
-    dup = [(KeyId(0, 0), HashKey(1, 0)), (KeyId(0, 0), HashKey(2, 0))]
-    with pytest.raises(ValueError, match="duplicate"):
-        batch_tags(dup, 0, 4, 2)
-    assert batch_tags([], 0, 4, 2) == []
-
-
-def test_default_tag_len():
-    assert default_tag_len(8) == 8
-    assert default_tag_len(128) == 32
-
-
-def test_hash_key_validation():
-    with pytest.raises(ValueError, match="multiplier"):
-        HashKey(-1, 0)
-    with pytest.raises(ValueError, match="offset"):
-        HashKey(0, -2)

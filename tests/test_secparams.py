@@ -1,5 +1,6 @@
 """Security-parameter calculus: levels, thresholds, bounds, costs."""
 import math
+import time
 
 import pytest
 
@@ -132,6 +133,35 @@ def test_uniform_guess_pass_prob_matches_reference():
             worst -= 1
         want = reference.binom_cdf(worst, k, 1 - 2.0**-t)
         assert uniform_guess_pass_prob(k, t, s) == pytest.approx(want, rel=1e-9)
+
+
+def _worst_mismatches(k: int, s: float) -> int:
+    worst = math.floor(s * k)
+    return worst - 1 if worst / k >= s else worst
+
+
+@pytest.mark.parametrize("s", [0.005, 0.1, 0.252, 0.499])
+@pytest.mark.parametrize("t", [1, 2, 8, 32, 53, 54, 60, 64])
+def test_uniform_guess_pass_prob_matches_exact_count(t, s):
+    # t >= 54 used to read 0: 1 - 2^-t rounds to 1.0 in a double
+    for k in (1, 2, 4, 10, 100, 906, 2270):
+        want = reference.guess_pass_prob_exact(k, t, _worst_mismatches(k, s))
+        got = uniform_guess_pass_prob(k, t, s)
+        assert math.isclose(got, want, rel_tol=1e-11, abs_tol=0.0), (k, got, want)
+
+
+def test_uniform_guess_pass_prob_above_half_threshold():
+    # thresholds past the mode take the complementary tail
+    for k, t, s in ((4, 1, 0.9), (100, 1, 0.6), (906, 2, 0.8), (2270, 8, 0.9999)):
+        want = reference.guess_pass_prob_exact(k, t, _worst_mismatches(k, s))
+        assert math.isclose(uniform_guess_pass_prob(k, t, s), want, rel_tol=1e-11)
+
+
+def test_uniform_guess_pass_prob_cost_does_not_grow_with_k():
+    start = time.perf_counter()
+    p = uniform_guess_pass_prob(2**31, 1, 0.499)
+    assert time.perf_counter() - start < 0.25
+    assert 0.0 <= p < 1e-300
 
 
 def _direct_worst_bound(k: int, n: int = 7, l_max: int = 1) -> float:
