@@ -146,16 +146,18 @@ def _mul_table(message: int, msg_len_bits: int) -> list[int]:
     return table
 
 
-def _limbs(values: np.ndarray, width: int) -> list[np.ndarray]:
-    """Split width-bit integers into uint64 limbs, least significant first.
+def _limbs(values: np.ndarray, width: int) -> np.ndarray:
+    """1-d width-bit integers as (rows, limbs) little-endian uint64, low limb first.
 
-    A fixed-width integer array already fits in one limb; an object array
-    of Python ints is cut into ceil(width / 64) limbs.
+    Fixed-width input is one limb, not copied when already native uint64;
+    an object array of Python ints is cut into ceil(width / 64) limbs.
     """
     if values.dtype != object:
-        return [values.astype(np.uint64)]
+        return values.astype("<u8", copy=False)[:, None]
     word = (1 << 64) - 1
-    return [((values >> shift) & word).astype(np.uint64) for shift in range(0, width, 64)]
+    return np.stack(
+        [((values >> shift) & word).astype("<u8") for shift in range(0, width, 64)], axis=1
+    )
 
 
 def tags_of_arrays(
@@ -167,30 +169,35 @@ def tags_of_arrays(
 ) -> np.ndarray:
     """Tag one message under parallel arrays of multipliers and offsets.
 
-    Only the low t bits of the field product survive, and masking commutes
-    with XOR, so for t <= 64 the product table is masked to t bits first
-    and the tags accumulate in uint64 whatever the field width a: the
-    multipliers are read 64 bits at a time. Tags wider than 64 bits come
-    back as an object array of Python ints.
+    The product with the fixed message is GF(2)-linear in the multiplier,
+    so it is the XOR over the multiplier's bytes of one 256-entry table per
+    byte position (Shoup's byte-sliced method, as in GCM software): one
+    lookup and one XOR per byte over all rows. The tables hold products
+    masked to t bits, uint64 for t <= 64 and Python ints (object tags)
+    above. Multiplier bits at or above a are ignored; tags take the
+    multipliers' shape.
     """
     a, t = msg_len_bits, tag_len_bits
     _check_width("message", message, a)
     if not 1 <= t <= a:
         raise ValueError(f"tag_len_bits must be in [1, msg_len_bits], got {t}")
-    table = _mul_table(message, a)
-    if t <= 64:
-        mask = (1 << t) - 1
-        mults = np.asarray(multipliers)
-        acc = np.zeros(mults.shape, dtype=np.uint64)
-        one = np.uint64(1)
-        for base, limb in zip(range(0, a, 64), _limbs(mults, a)):
-            for j in range(min(64, a - base)):
-                bit = (limb >> np.uint64(j)) & one
-                acc ^= np.uint64(table[base + j] & mask) * bit
-        return acc ^ np.asarray(offsets, dtype=np.uint64)
-    mults = np.asarray(multipliers, dtype=object)
-    offs = np.asarray(offsets, dtype=object)
-    acc = np.zeros(mults.shape, dtype=object)
-    for j in range(a):
-        acc ^= ((mults >> j) & 1) * table[j]
-    return (acc & ((1 << t) - 1)) ^ offs
+    dtype = np.uint64 if t <= 64 else object
+    mask = (1 << t) - 1
+    n_bytes = (a + 7) // 8
+    # col[p, j] = x^(8p+j) * message; zero past bit a, so high bits drop out
+    col = np.zeros((n_bytes, 8), dtype=dtype)
+    col.reshape(-1)[:a] = [v & mask for v in _mul_table(message, a)]
+    # tables[p, v] = (v * x^(8p)) * message, built by doubling over v's bits
+    tables = np.zeros((n_bytes, 256), dtype=dtype)
+    for j in range(8):
+        tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ col[:, j : j + 1]
+    mults = np.asarray(multipliers)
+    # bytes of each multiplier, least significant first
+    octets = np.ascontiguousarray(_limbs(mults.reshape(-1), a)).view(np.uint8)
+    acc = np.zeros(len(octets), dtype=dtype)
+    tmp = np.empty_like(acc)
+    for p in range(min(n_bytes, octets.shape[1])):
+        # indices are bytes, always in range; "clip" lets take skip its buffer
+        np.take(tables[p], octets[:, p], out=tmp, mode="clip")
+        acc ^= tmp
+    return acc.reshape(mults.shape) ^ np.asarray(offsets, dtype=dtype)

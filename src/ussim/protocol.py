@@ -391,14 +391,17 @@ class Recipient:
         s = p.s_levels[level]
         delta = compute_delta(level, p.d_r)
         n, k = p.n_recipients, p.k
+        held = [self._held[origin] for origin in range(n)]
+        # one call over all n*k held keys; group origin is rows origin*k onward
+        expected_all = tags_of_arrays(
+            np.concatenate([h.multipliers for h in held]),
+            np.concatenate([h.offsets for h in held]),
+            signature.message, p.msg_len_bits, p.tag_len_bits,
+        )
         counts = []
         for origin in range(n):
-            held = self._held[origin]
-            expected = tags_of_arrays(
-                held.multipliers, held.offsets, signature.message,
-                p.msg_len_bits, p.tag_len_bits,
-            )
-            slots = held.slots
+            expected = expected_all[origin * k : (origin + 1) * k]
+            slots = held[origin].slots
             valid = (slots >= 0) & (slots < n * k)
             bad = int(np.count_nonzero(~valid))
             published = signature.tags[origin][slots[valid]]

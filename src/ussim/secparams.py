@@ -197,6 +197,60 @@ def _log_nontransfer(l: int, n: int, d_r: float, k: int, s_levels: dict[int, flo
     return math.log(prefactor) + _log_tail(l, k, s_levels, mode)
 
 
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n), the error of Stirling's formula."""
+    if n <= 15:
+        # the direct difference cancels only O(n log n), so it stays ~1e-15
+        return math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2 * math.pi)
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
+
+
+def _bd0(x: int, mean: float) -> float:
+    """x log(x / mean) + mean - x without cancellation (Loader's deviance)."""
+    if abs(x - mean) < 0.1 * (x + mean):
+        v = (x - mean) / (x + mean)
+        total = (x - mean) * v
+        term = 2 * x * v
+        v *= v
+        j = 1
+        while True:
+            term *= v
+            step = total + term / (2 * j + 1)
+            if step == total:
+                return total
+            total = step
+            j += 1
+    return x * math.log(x / mean) + mean - x
+
+
+def _binom_term(k: int, m: int, log2_p: float, log2_q: float) -> float:
+    """C(k, m) p^m q^(k-m), where q = 1 - p.
+
+    Up to k = 1024 the binomial coefficient is exact and cheap, which keeps
+    exactly representable results exact. Above it, Loader's saddle-point
+    form ("Fast and accurate computation of binomial probabilities", 2000;
+    R's dbinom_raw) holds the relative error near 1e-15, where three
+    cancelling lgamma values lost up to ~1e-10.
+    """
+    if k <= 1024 or m in (0, k):
+        log2_comb = math.log2(math.comb(k, m))
+        return 2.0 ** (log2_comb + m * log2_p + (k - m) * log2_q)
+    # one probability is 2^-t, exact; the other is 1 minus it, also exact
+    # below t = 54, rather than 2^log2 with its rounding
+    p, q = 2.0**log2_p, 2.0**log2_q
+    if p < q:
+        q = 1.0 - p
+    else:
+        p = 1.0 - q
+    log_term = (
+        _stirlerr(k) - _stirlerr(m) - _stirlerr(k - m)
+        - _bd0(m, k * p) - _bd0(k - m, k * q)
+        - 0.5 * (math.log(2 * math.pi) + math.log(m) + math.log1p(-m / k))
+    )
+    return math.exp(log_term)
+
+
 def _lower_tail(k: int, m: int, log2_p: float, log2_q: float) -> float:
     """P(Bin(k, p) <= m) for m at or below the mode, where q = 1 - p.
 
@@ -204,13 +258,6 @@ def _lower_tail(k: int, m: int, log2_p: float, log2_q: float) -> float:
     largest one, relative to it, until a term no longer moves the total.
     Logs are base 2, so powers of two such as 2^-t stay exact.
     """
-    if k <= 1024:
-        # exact and cheap here; lgamma is off by ~1e-14 even for small k,
-        # which would move exactly representable results off by ulps
-        log2_comb = math.log2(math.comb(k, m))
-    else:
-        log_comb = math.lgamma(k + 1) - math.lgamma(m + 1) - math.lgamma(k - m + 1)
-        log2_comb = log_comb / math.log(2)
     odds = 2.0 ** (log2_q - log2_p)
     total = term = 1.0
     for i in range(m, 0, -1):
@@ -218,7 +265,7 @@ def _lower_tail(k: int, m: int, log2_p: float, log2_q: float) -> float:
         total += term
         if term < 1e-17 * total:
             break
-    return 2.0 ** (log2_comb + m * log2_p + (k - m) * log2_q) * total
+    return _binom_term(k, m, log2_p, log2_q) * total
 
 
 def uniform_guess_pass_prob(k: int, tag_len_bits: int, s: float) -> float:

@@ -43,6 +43,9 @@ def _message(a: int) -> int:
         # tags wider than 64 bits
         (3, 72, 72, 20, 7,
          "6c66172ecec58ebea72636931a167ecfc9231ac92a92a8e23663dd9f2eae4482"),
+        # three multiplier limbs, tags wider than 64 bits
+        (3, 130, 100, 12, 13,
+         "4f00e881d94f536ff90747a98e276d083cc3863432617d3b13b7f5f0f5a94751"),
     ],
 )
 def test_signature_bytes(n, a, t, k, seed, digest):

@@ -152,3 +152,69 @@ def test_tags_of_arrays_wide_field_uint64_tags(a, t):
     want = [reference.make_tag(m, o, message, modulus, t) for m, o in zip(mults, offs)]
     assert [int(v) for v in got] == want
 
+
+
+def _random_ints(rng, count, bits):
+    return [int.from_bytes(rng.bytes((bits + 7) // 8), "big") % (1 << bits) for _ in range(count)]
+
+
+@pytest.mark.parametrize("a", [1, 7, 8, 9, 63, 64, 65, 72, 127, 128, 129, 200])
+def test_tags_of_arrays_every_byte_boundary(a):
+    # widths on both sides of each byte and limb edge, tags from 1 bit to a
+    rng = np.random.default_rng(a)
+    modulus = find_irreducible(a)
+    mults = _random_ints(rng, 24, a) + [0, 1, (1 << a) - 1, 1 << (a - 1)]
+    message = _random_ints(rng, 1, a)[0] | (1 << (a - 1))
+    for t in sorted({1, min(a, 8), min(a, 64), a}):
+        offs = _random_ints(rng, len(mults), t)
+        got = tags_of_arrays(
+            np.array(mults, dtype=object), np.array(offs, dtype=object), message, a, t
+        )
+        assert got.dtype == (np.uint64 if t <= 64 else object)
+        want = [reference.make_tag(m, o, message, modulus, t) for m, o in zip(mults, offs)]
+        assert [int(v) for v in got] == want, (a, t)
+
+
+@pytest.mark.parametrize("a", [7, 8, 9, 63, 64, 65, 128])
+def test_tags_of_arrays_multiplier_dtypes_agree(a):
+    # the same values as uint64, int64, big-endian uint64 and Python ints
+    rng = np.random.default_rng(1000 + a)
+    width = min(a, 63)
+    mults = _random_ints(rng, 32, width) + [0, 1, (1 << width) - 1]
+    t = min(a, 8)
+    offs = np.array(_random_ints(rng, len(mults), t), dtype=np.uint64)
+    message = _random_ints(rng, 1, a)[0]
+    want = tags_of_arrays(np.array(mults, dtype=object), offs, message, a, t)
+    for dtype in (np.uint64, np.int64, ">u8"):
+        got = tags_of_arrays(np.array(mults, dtype=dtype), offs, message, a, t)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want), dtype
+
+
+@pytest.mark.parametrize("a, t", [(8, 8), (64, 32), (128, 32), (130, 100)])
+def test_tags_of_arrays_keeps_2d_shape(a, t):
+    rng = np.random.default_rng(a + t)
+    mults = np.array(_random_ints(rng, 12, a), dtype=object)
+    offs = np.array(_random_ints(rng, 12, t), dtype=object)
+    message = _random_ints(rng, 1, a)[0]
+    flat = tags_of_arrays(mults, offs, message, a, t)
+    grid = tags_of_arrays(mults.reshape(3, 4), offs.reshape(3, 4), message, a, t)
+    assert grid.shape == (3, 4)
+    assert [int(v) for v in grid.ravel()] == [int(v) for v in flat]
+
+
+@pytest.mark.parametrize("a, t", [(5, 5), (8, 8), (9, 4), (63, 32), (72, 72), (130, 100)])
+def test_tags_of_arrays_ignores_multiplier_bits_above_a(a, t):
+    rng = np.random.default_rng(7 * a + t)
+    mults = _random_ints(rng, 16, a)
+    high = [m | (_random_ints(rng, 1, 64)[0] << a) for m in mults]
+    offs = np.array(_random_ints(rng, 16, t), dtype=object)
+    message = _random_ints(rng, 1, a)[0]
+    want = tags_of_arrays(np.array(mults, dtype=object), offs, message, a, t)
+    got = tags_of_arrays(np.array(high, dtype=object), offs, message, a, t)
+    assert [int(v) for v in got] == [int(v) for v in want]
+    if a < 64:
+        # fixed-width input: the bits between a and 64 are dropped too
+        word = np.array([h & ((1 << 64) - 1) for h in high], dtype=np.uint64)
+        got = tags_of_arrays(word, offs, message, a, t)
+        assert [int(v) for v in got] == [int(v) for v in want]

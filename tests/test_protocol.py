@@ -1,8 +1,11 @@
 """Distribution, signing, verification, forwarding, serialization."""
+import itertools
+
 import numpy as np
 import pytest
 
 import reference
+from ussim import protocol
 from ussim.keystore import LinkKeyStore, Network, NetworkConfig
 from ussim.protocol import (
     Recipient,
@@ -12,6 +15,7 @@ from ussim.protocol import (
     run_distribution,
 )
 from ussim.secparams import ProtocolParams
+from ussim.simlab import run_honest
 
 
 def small_params(n=5, k=40, a=8, t=8):
@@ -400,3 +404,40 @@ def test_smallest_instance_consumes_fourteen_bits():
     consumed = network.total_consumed()
     assert consumed == {(0, 1): 4, (0, 2): 4, (1, 2): 6}
     assert sum(consumed.values()) == 14
+
+
+@pytest.mark.parametrize("a, t", [(8, 8), (128, 32)])
+def test_run_honest_tag_call_shape(monkeypatch, a, t):
+    # sign tags one batch per call; each verify tags all its held keys in
+    # one 1-d call, so the number of tags computed per run is unchanged
+    n, k = 4, 30
+    params = ProtocolParams.build(n, a, t, k=k)
+    entered, stage, calls = itertools.count(), [], []
+    real_tags = protocol.tags_of_arrays
+
+    def counted_tags(mults, offs, *args):
+        out = real_tags(mults, offs, *args)
+        calls.append((stage[-1], np.ndim(mults), np.ndim(offs), len(out)))
+        return out
+
+    def staged(name, method):
+        def run(self, *args):
+            stage.append((name, next(entered)))
+            try:
+                return method(self, *args)
+            finally:
+                stage.pop()
+        return run
+
+    monkeypatch.setattr(protocol, "tags_of_arrays", counted_tags)
+    monkeypatch.setattr(Sender, "sign", staged("sign", Sender.sign))
+    monkeypatch.setattr(Recipient, "verify", staged("verify", Recipient.verify))
+    outcome = run_honest(params, seed=3)
+    chain_len = min(params.l_max + 1, n)
+    assert len(outcome.chain_results) == chain_len
+    assert all(r.accepted for r in (*outcome.verify_results, *outcome.chain_results))
+    verifies = range(1, n + chain_len + 1)
+    assert calls == [(("sign", 0), 1, 1, n * k)] * n + [
+        (("verify", i), 1, 1, n * k) for i in verifies
+    ]
+    assert sum(c[-1] for c in calls) == (n + n + chain_len) * n * k

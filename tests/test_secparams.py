@@ -150,6 +150,26 @@ def test_uniform_guess_pass_prob_matches_exact_count(t, s):
         assert math.isclose(got, want, rel_tol=1e-11, abs_tol=0.0), (k, got, want)
 
 
+@pytest.mark.parametrize("k", [1025, 5000, 20000, 50000])
+@pytest.mark.parametrize("t, s", [(1, 0.1), (1, 0.499), (8, 0.1), (8, 0.499)])
+def test_uniform_guess_pass_prob_exact_count_large_k(k, t, s):
+    # above k = 1024 the binomial coefficient comes from Loader's saddle
+    # point; three cancelling lgamma values were off by up to 5.5e-11 here
+    want = reference.guess_pass_prob_exact(k, t, _worst_mismatches(k, s))
+    got = uniform_guess_pass_prob(k, t, s)
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (got, want)
+
+
+@pytest.mark.parametrize("k", [1025, 5000, 20000])
+def test_uniform_guess_pass_prob_near_mode_large_k(k):
+    # t = 8 tails at s = 0.1 and 0.499 underflow to 0; just below the
+    # mismatch mode (1 - 2^-8) they do not
+    want = reference.guess_pass_prob_exact(k, 8, _worst_mismatches(k, 0.995))
+    assert want > 1e-3
+    got = uniform_guess_pass_prob(k, 8, 0.995)
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (got, want)
+
+
 def test_uniform_guess_pass_prob_above_half_threshold():
     # thresholds past the mode take the complementary tail
     for k, t, s in ((4, 1, 0.9), (100, 1, 0.6), (906, 2, 0.8), (2270, 8, 0.9999)):
