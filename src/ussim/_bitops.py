@@ -1,8 +1,9 @@
 """Bit-vector plumbing shared by the key stores and the protocol.
 
 A bit string is a numpy uint8 array holding one bit per element, most
-significant bit first. Packed integers follow the same big-endian
-convention.
+significant bit first. A packed value of up to 64 bits is a uint64; a wider
+one is its ceil(width / 8) big-endian bytes as one void (V<bytes>) element,
+so 1-d arrays of both kinds index, concatenate and compare with == alike.
 """
 from __future__ import annotations
 
@@ -24,12 +25,33 @@ def bits_to_int(bits: np.ndarray) -> int:
     return out
 
 
+def octets(values: np.ndarray) -> np.ndarray:
+    """1-d packed values as (rows, bytes) uint8 views, least significant first."""
+    values = np.ascontiguousarray(values)
+    if values.dtype.kind == "V":
+        return values.view(np.uint8).reshape(values.size, values.dtype.itemsize)[:, ::-1]
+    return values.astype("<u8", copy=False).reshape(-1, 1).view(np.uint8)
+
+
+def as_packed(values, width: int) -> np.ndarray:
+    """Pack an array of Python ints as width-bit values; others pass through."""
+    values = np.asarray(values)
+    if values.dtype != object:
+        return values
+    masked = [int(v) % (1 << width) for v in values.flat]
+    if width <= 64:
+        return np.array(masked, dtype=np.uint64).reshape(values.shape)
+    n_bytes = (width + 7) // 8
+    data = b"".join(v.to_bytes(n_bytes, "big") for v in masked)
+    return np.frombuffer(data, dtype=f"V{n_bytes}").reshape(values.shape)
+
+
 def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack each row of a (rows, width) bit matrix into one integer.
+    """Pack each row of a (rows, width) bit matrix into one value.
 
     Each row is right-aligned in whole bytes of one contiguous buffer and
     packed with a single np.packbits call. Rows of up to 64 bits come back
-    as uint64; wider rows as an object array of Python ints.
+    as uint64; wider rows as those packed bytes viewed as void rows.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 2:
@@ -39,39 +61,23 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     aligned = np.zeros((rows, 8 * n_bytes), dtype=np.uint8)
     aligned[:, 8 * n_bytes - width :] = bits
     packed = np.packbits(aligned.reshape(-1)).reshape(rows, n_bytes)
-    if width <= 64:
-        words = np.zeros((rows, 8), dtype=np.uint8)
-        words[:, 8 - n_bytes :] = packed
-        return words.view(">u8").reshape(rows).astype(np.uint64)
-    data = packed.tobytes()
-    vals = np.empty(rows, dtype=object)
-    vals[:] = [
-        int.from_bytes(data[i : i + n_bytes], "big")
-        for i in range(0, rows * n_bytes, n_bytes)
-    ]
-    return vals
+    if width > 64:
+        return packed.view(f"V{n_bytes}").reshape(rows)
+    words = np.zeros((rows, 8), dtype=np.uint8)
+    words[:, 8 - n_bytes :] = packed
+    return words.view(">u8").reshape(rows).astype(np.uint64)
 
 
 def unpack_rows(vals: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of pack_rows: (n,) integers to an (n, width) bit matrix.
+    """Inverse of pack_rows: (n,) packed values to an (n, width) bit matrix.
 
-    Bits above width are dropped. Values of up to 64 bits go through one
-    big-endian uint64 view; wider ones through int.to_bytes per value.
+    Bits above width are dropped; high bytes missing from the input read as 0.
     """
-    vals = np.asarray(vals).reshape(-1)
+    low_first = octets(np.asarray(vals).reshape(-1))
     n_bytes = (width + 7) // 8
-    if width <= 64:
-        if vals.dtype == object:
-            vals = vals & ((1 << width) - 1)
-        words = vals.astype(">u8").reshape(-1, 1).view(np.uint8)
-        packed = np.ascontiguousarray(words[:, 8 - n_bytes :])
-    else:
-        if vals.dtype != object:
-            vals = vals.astype(np.uint64)
-        mask = (1 << width) - 1
-        data = b"".join((int(v) & mask).to_bytes(n_bytes, "big") for v in vals.tolist())
-        packed = np.frombuffer(data, dtype=np.uint8)
-    bits = np.unpackbits(packed.reshape(-1)).reshape(vals.size, 8 * n_bytes)
+    packed = np.zeros((len(low_first), n_bytes), dtype=np.uint8)
+    packed[:, ::-1][:, : low_first.shape[1]] = low_first[:, :n_bytes]
+    bits = np.unpackbits(packed.reshape(-1)).reshape(len(low_first), 8 * n_bytes)
     return bits[:, 8 * n_bytes - width :]
 
 

@@ -18,6 +18,8 @@ import functools
 
 import numpy as np
 
+from ._bitops import as_packed, octets
+
 __all__ = ["find_irreducible", "tags_of_arrays"]
 
 
@@ -146,20 +148,6 @@ def _mul_table(message: int, msg_len_bits: int) -> list[int]:
     return table
 
 
-def _limbs(values: np.ndarray, width: int) -> np.ndarray:
-    """1-d width-bit integers as (rows, limbs) little-endian uint64, low limb first.
-
-    Fixed-width input is one limb, not copied when already native uint64;
-    an object array of Python ints is cut into ceil(width / 64) limbs.
-    """
-    if values.dtype != object:
-        return values.astype("<u8", copy=False)[:, None]
-    word = (1 << 64) - 1
-    return np.stack(
-        [((values >> shift) & word).astype("<u8") for shift in range(0, width, 64)], axis=1
-    )
-
-
 def tags_of_arrays(
     multipliers: np.ndarray,
     offsets: np.ndarray,
@@ -172,32 +160,37 @@ def tags_of_arrays(
     The product with the fixed message is GF(2)-linear in the multiplier,
     so it is the XOR over the multiplier's bytes of one 256-entry table per
     byte position (Shoup's byte-sliced method, as in GCM software): one
-    lookup and one XOR per byte over all rows. The tables hold products
-    masked to t bits, uint64 for t <= 64 and Python ints (object tags)
-    above. Multiplier bits at or above a are ignored; tags take the
-    multipliers' shape.
+    lookup and one XOR per byte over all rows. Values are packed as in
+    _bitops, uint64 up to 64 bits and void byte rows above; for t > 64 the
+    tables hold products as bytes. Multiplier bits at or above a are
+    ignored; tags take the multipliers' shape.
     """
     a, t = msg_len_bits, tag_len_bits
     _check_width("message", message, a)
     if not 1 <= t <= a:
         raise ValueError(f"tag_len_bits must be in [1, msg_len_bits], got {t}")
-    dtype = np.uint64 if t <= 64 else object
-    mask = (1 << t) - 1
     n_bytes = (a + 7) // 8
-    # col[p, j] = x^(8p+j) * message; zero past bit a, so high bits drop out
-    col = np.zeros((n_bytes, 8), dtype=dtype)
-    col.reshape(-1)[:a] = [v & mask for v in _mul_table(message, a)]
+    # low t bits of x^j * message as uint64, or past 64 bits as bytes least
+    # significant first; col is zero past bit a, so high multiplier bits drop out
+    products = as_packed(np.array(_mul_table(message, a), dtype=object), t)
+    products = products if t <= 64 else octets(products)
+    col = np.zeros((8 * n_bytes, *products.shape[1:]), dtype=products.dtype)
+    col[:a] = products
     # tables[p, v] = (v * x^(8p)) * message, built by doubling over v's bits
-    tables = np.zeros((n_bytes, 256), dtype=dtype)
+    tables = np.zeros((n_bytes, 256, *col.shape[1:]), dtype=col.dtype)
     for j in range(8):
-        tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ col[:, j : j + 1]
-    mults = np.asarray(multipliers)
-    # bytes of each multiplier, least significant first
-    octets = np.ascontiguousarray(_limbs(mults.reshape(-1), a)).view(np.uint8)
-    acc = np.zeros(len(octets), dtype=dtype)
+        tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ col[j::8, None]
+    mults = as_packed(multipliers, a)
+    low_first = octets(mults.reshape(-1))
+    acc = np.zeros((len(low_first), *col.shape[1:]), dtype=col.dtype)
     tmp = np.empty_like(acc)
-    for p in range(min(n_bytes, octets.shape[1])):
+    axis = 0 if t > 64 else None  # a flat take is faster on 1-d tables
+    for p in range(min(n_bytes, low_first.shape[1])):
         # indices are bytes, always in range; "clip" lets take skip its buffer
-        np.take(tables[p], octets[:, p], out=tmp, mode="clip")
+        np.take(tables[p], low_first[:, p], axis=axis, out=tmp, mode="clip")
         acc ^= tmp
-    return acc.reshape(mults.shape) ^ np.asarray(offsets, dtype=dtype)
+    offs = as_packed(offsets, t)
+    if t <= 64:
+        return acc.reshape(mults.shape) ^ np.asarray(offs, dtype=np.uint64)
+    acc ^= octets(offs.reshape(-1))
+    return np.ascontiguousarray(acc[:, ::-1]).view(f"V{acc.shape[1]}").reshape(mults.shape)

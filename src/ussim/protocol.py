@@ -49,7 +49,11 @@ _HEADER = struct.Struct(">4sBHBHII")  # magic, version, a, t, n, k, payload byte
 
 
 class OriginKeys(NamedTuple):
-    """One recipient's k-key share of the batch issued through one recipient."""
+    """One recipient's k-key share of the batch issued through one recipient.
+
+    slots are int64; multipliers (a bits) and offsets (t bits) are packed
+    as in _bitops: uint64 up to 64 bits, big-endian void byte rows above.
+    """
 
     slots: np.ndarray
     multipliers: np.ndarray
@@ -62,7 +66,8 @@ class Signature:
 
     tags has shape (n_recipients, n_recipients * k); tags[i, s]
     authenticates the message under slot s of the batch issued through
-    recipient i. The wire layout is a fixed 18-byte header (magic
+    recipient i. Tags are packed as in _bitops: uint64 for t <= 64,
+    big-endian void byte rows (V<ceil(t/8)>) above. The wire layout is a fixed 18-byte header (magic
     b"USS1", version, message bits, tag bits, recipient count, keys per
     chunk, payload byte count) followed by the message and then the tags
     in batch-major slot order, all MSB first and zero-padded to a whole

@@ -278,8 +278,8 @@ def uniform_guess_pass_prob(k: int, tag_len_bits: int, s: float) -> float:
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive int, got {k}")
-    if not 1 <= tag_len_bits <= 64:
-        raise ValueError(f"tag_len_bits must be in [1, 64], got {tag_len_bits}")
+    if tag_len_bits < 1:
+        raise ValueError(f"tag_len_bits must be >= 1, got {tag_len_bits}")
     if not 0 < s < 1:
         raise ValueError(f"s must be in (0, 1), got {s}")
     worst = math.floor(s * k)
@@ -315,11 +315,12 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         _check_n(self.n_recipients)
-        if self.msg_len_bits < 1:
-            raise ValueError(f"msg_len_bits must be >= 1, got {self.msg_len_bits}")
-        if not 1 <= self.tag_len_bits <= self.msg_len_bits:
+        # 4096 bounds the field modulus search; 255 the wire header's tag field
+        if not 1 <= self.msg_len_bits <= 4096:
+            raise ValueError(f"msg_len_bits must be in [1, 4096], got {self.msg_len_bits}")
+        if not 1 <= self.tag_len_bits <= min(self.msg_len_bits, 255):
             raise ValueError(
-                f"tag_len_bits must be in [1, msg_len_bits], got {self.tag_len_bits}"
+                f"tag_len_bits must be in [1, min(msg_len_bits, 255)], got {self.tag_len_bits}"
             )
         if self.l_max < 0:
             raise ValueError(f"l_max must be >= 0, got {self.l_max}")

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._bitops import bits_to_int
+from ._bitops import bits_to_int, pack_rows, unpack_rows
 from .hashing import tags_of_arrays
 from .keystore import Network, NetworkConfig
 from .protocol import Signature, VerifyResult, forward_chain, run_distribution
@@ -265,12 +265,10 @@ def attack_repudiation(
 def _uniform_tags(rng: np.random.Generator, size: int, tag_len_bits: int) -> np.ndarray:
     if tag_len_bits <= 63:
         return rng.integers(0, 1 << tag_len_bits, size=size, dtype=np.uint64)
-    out = np.empty(size, dtype=object)
+    # one draw per tag, whole bytes each; unpacking drops the bits above t
     n_bytes = (tag_len_bits + 7) // 8
-    mask = (1 << tag_len_bits) - 1
-    for i in range(size):
-        out[i] = int.from_bytes(rng.bytes(n_bytes), "big") & mask
-    return out
+    data = b"".join(rng.bytes(n_bytes) for _ in range(size))
+    return pack_rows(unpack_rows(np.frombuffer(data, dtype=f"V{n_bytes}"), tag_len_bits))
 
 
 def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
@@ -309,7 +307,7 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
             f"floor(d_r * n) = {allowed}; pass enforce_collusion_bound=False "
             f"to simulate outside the model"
         )
-    # the bound's range checks (t <= 64) must fail before any trial runs
+    # priced before the trials, so a bound that cannot be computed costs no trial
     bound = p_forge(n, params.d_r, uniform_guess_pass_prob(k, t, params.s_levels[level]))
     known = sorted({spec.forger, *spec.colluders})
     unknown = [g for g in range(n) if g not in known]

@@ -7,6 +7,8 @@ evidence rather than tautology.
 """
 import math
 
+import numpy as np
+
 
 def poly_degree(p: int) -> int:
     return p.bit_length() - 1
@@ -95,3 +97,17 @@ def unpack_value(value: int, width: int) -> list[int]:
         out.append(value % 2)
         value //= 2
     return out[::-1]
+
+
+def row_ints(values) -> list[int]:
+    """Packed values as ints: integers as they are, void rows read big-endian."""
+    return [
+        int.from_bytes(v.tobytes(), "big") if isinstance(v, np.void) else int(v)
+        for v in np.asarray(values).ravel()
+    ]
+
+
+def void_rows(values, n_bytes: int) -> np.ndarray:
+    """Ints as void rows of n_bytes big-endian bytes each."""
+    data = b"".join(int(v).to_bytes(n_bytes, "big") for v in values)
+    return np.frombuffer(data, dtype=f"V{n_bytes}")

@@ -1,16 +1,25 @@
 """End-to-end CLI checks, through a real subprocess unless noted."""
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 from ussim import cli
 
 SMALLEST = ["--n", "2", "--a", "1", "--t", "1", "--k", "1"]
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env():
+    # subprocesses import this checkout's package, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
+    env = child_env()
     env.pop("USS_SEED", None)
     if env_extra:
         env.update(env_extra)
@@ -117,24 +126,44 @@ def test_attack_repudiation_csv():
 
 
 def test_attack_forge_out_of_range_tags_exit_two_at_once():
-    # at n=7, k=900 a single trial of a=128, t=96 would take seconds; the
-    # bound check must reject t > 64 before any of the 10**6 trials
-    proc = run_cli("attack", "--kind", "forge", "--a", "128", "--t", "96",
+    # t = 256 does not fit the wire header's tag field; the parameters must
+    # be rejected before any of the 10**6 trials
+    proc = run_cli("attack", "--kind", "forge", "--a", "300", "--t", "256",
                    "--trials", "1000000")
     assert proc.returncode == 2
     assert "tag_len_bits" in proc.stderr
 
 
-def test_run_out_of_range_tags_exit_two_before_the_run(monkeypatch, capsys):
-    # in-process: the bounds printed ahead of the run must be priced first
+def _run_rejected_before_the_run(monkeypatch, capsys, args, field):
+    # in-process: out-of-range parameters must fail before run_honest
     def never(*args, **kwargs):
         raise AssertionError("run_honest called")
 
     monkeypatch.setattr(cli, "run_honest", never)
-    assert cli.main(["run", "--n", "3", "--a", "72", "--t", "72", "--k", "4"]) == 2
+    assert cli.main(["run", *args]) == 2
     captured = capsys.readouterr()
-    assert "tag_len_bits" in captured.err
+    assert field in captured.err
     assert captured.out == ""
+
+
+def test_run_out_of_range_tags_exit_two_before_the_run(monkeypatch, capsys):
+    args = ["--n", "3", "--a", "300", "--t", "256", "--k", "4", "--lmax", "0"]
+    _run_rejected_before_the_run(monkeypatch, capsys, args, "tag_len_bits")
+
+
+def test_run_oversized_message_exits_two_before_the_run(monkeypatch, capsys):
+    # 5000 bits is past find_irreducible's 4096; it used to fail at the
+    # first tag call, after the whole distribution had run
+    args = ["--n", "2", "--a", "5000", "--t", "8", "--k", "1", "--lmax", "0"]
+    _run_rejected_before_the_run(monkeypatch, capsys, args, "msg_len_bits")
+
+
+def test_wide_tags_run_end_to_end():
+    # t > 64: the bounds are priced and forge draws packed uniform tags
+    wide = ["--n", "3", "--a", "72", "--t", "72", "--k", "4", "--lmax", "0"]
+    for command in (["params"], ["run"], ["attack", "--kind", "forge", "--trials", "50"]):
+        proc = run_cli(*command, *wide)
+        assert proc.returncode == 0, (command, proc.stderr)
 
 
 def test_cli_import_loads_no_scipy():
@@ -143,7 +172,7 @@ def test_cli_import_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=300)
+                          text=True, env=child_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

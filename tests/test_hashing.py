@@ -120,7 +120,7 @@ def test_tags_of_arrays_matches_make_tag(data):
 
 
 def test_tags_of_arrays_object_path_wide_field():
-    # widths past 64 bits leave uint64 and fall back to Python ints
+    # Python-int input past 64 bits is packed on entry; the tags are void rows
     a = 80
     mults = np.array([(1 << 79) | 5, 3], dtype=object)
     offs = np.array([1, (1 << 70) - 2], dtype=object)
@@ -128,7 +128,7 @@ def test_tags_of_arrays_object_path_wide_field():
     got = tags_of_arrays(mults, offs, message, a, 72)
     modulus = find_irreducible(a)
     want = [reference.make_tag(int(m), int(o), message, modulus, 72) for m, o in zip(mults, offs)]
-    assert [int(v) for v in got] == want
+    assert reference.row_ints(got) == want
 
 
 @pytest.mark.parametrize("a", [65, 72, 128, 200])
@@ -170,9 +170,9 @@ def test_tags_of_arrays_every_byte_boundary(a):
         got = tags_of_arrays(
             np.array(mults, dtype=object), np.array(offs, dtype=object), message, a, t
         )
-        assert got.dtype == (np.uint64 if t <= 64 else object)
+        assert got.dtype == (np.uint64 if t <= 64 else np.dtype(f"V{(t + 7) // 8}"))
         want = [reference.make_tag(m, o, message, modulus, t) for m, o in zip(mults, offs)]
-        assert [int(v) for v in got] == want, (a, t)
+        assert reference.row_ints(got) == want, (a, t)
 
 
 @pytest.mark.parametrize("a", [7, 8, 9, 63, 64, 65, 128])
@@ -200,7 +200,7 @@ def test_tags_of_arrays_keeps_2d_shape(a, t):
     flat = tags_of_arrays(mults, offs, message, a, t)
     grid = tags_of_arrays(mults.reshape(3, 4), offs.reshape(3, 4), message, a, t)
     assert grid.shape == (3, 4)
-    assert [int(v) for v in grid.ravel()] == [int(v) for v in flat]
+    assert reference.row_ints(grid) == reference.row_ints(flat)
 
 
 @pytest.mark.parametrize("a, t", [(5, 5), (8, 8), (9, 4), (63, 32), (72, 72), (130, 100)])
@@ -212,9 +212,36 @@ def test_tags_of_arrays_ignores_multiplier_bits_above_a(a, t):
     message = _random_ints(rng, 1, a)[0]
     want = tags_of_arrays(np.array(mults, dtype=object), offs, message, a, t)
     got = tags_of_arrays(np.array(high, dtype=object), offs, message, a, t)
-    assert [int(v) for v in got] == [int(v) for v in want]
+    assert reference.row_ints(got) == reference.row_ints(want)
     if a < 64:
         # fixed-width input: the bits between a and 64 are dropped too
         word = np.array([h & ((1 << 64) - 1) for h in high], dtype=np.uint64)
         got = tags_of_arrays(word, offs, message, a, t)
-        assert [int(v) for v in got] == [int(v) for v in want]
+        assert reference.row_ints(got) == reference.row_ints(want)
+
+
+@pytest.mark.parametrize("a", [65, 72, 128, 129, 200])
+@pytest.mark.parametrize("t", [1, 32, 64, 255])
+def test_tags_of_arrays_void_rows_match_python_ints(a, t):
+    # the packed form the protocol carries gives the tags of the same values
+    # as Python ints; bits above a, up to a whole extra byte, are ignored
+    t = min(a, t)
+    rng = np.random.default_rng(3000 + 7 * a + t)
+    n_bytes = (a + 7) // 8
+    mults = _random_ints(rng, 24, a) + [0, 1, (1 << a) - 1, 1 << (a - 1)]
+    offs = _random_ints(rng, len(mults), t)
+    message = _random_ints(rng, 1, a)[0] | (1 << (a - 1))
+    want = tags_of_arrays(
+        np.array(mults, dtype=object), np.array(offs, dtype=object), message, a, t
+    )
+    modulus = find_irreducible(a)
+    assert reference.row_ints(want) == [
+        reference.make_tag(m, o, message, modulus, t) for m, o in zip(mults, offs)
+    ]
+    packed_offs = (np.array(offs, dtype=np.uint64) if t <= 64
+                   else reference.void_rows(offs, (t + 7) // 8))
+    junk = [m | (_random_ints(rng, 1, 8 * n_bytes + 8 - a)[0] << a) for m in mults]
+    for rows in (reference.void_rows(mults, n_bytes), reference.void_rows(junk, n_bytes + 1)):
+        got = tags_of_arrays(rows, packed_offs, message, a, t)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

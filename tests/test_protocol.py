@@ -441,3 +441,38 @@ def test_run_honest_tag_call_shape(monkeypatch, a, t):
         (("verify", i), 1, 1, n * k) for i in verifies
     ]
     assert sum(c[-1] for c in calls) == (n + n + chain_len) * n * k
+
+
+@pytest.mark.parametrize("a, t", [(128, 32), (130, 100)])
+def test_run_honest_keeps_wide_values_packed(monkeypatch, a, t):
+    # values past 64 bits stay void byte rows from key draw to tag: no
+    # stage holds an array of Python ints
+    from ussim import simlab
+
+    seen = {}
+    real_distribution, real_sign = simlab.run_distribution, Sender.sign
+
+    def keep_parties(*args):
+        seen["parties"] = real_distribution(*args)
+        return seen["parties"]
+
+    def keep_signature(self, message):
+        seen["signature"] = real_sign(self, message)
+        return seen["signature"]
+
+    monkeypatch.setattr(simlab, "run_distribution", keep_parties)
+    monkeypatch.setattr(Sender, "sign", keep_signature)
+    n = 3
+    params = ProtocolParams.build(n, a, t, k=12)
+    assert run_honest(params, seed=4).all_accepted
+    sender, recipients = seen["parties"]
+    mult_dtype = np.dtype(f"V{(a + 7) // 8}")
+    tag_dtype = np.dtype(np.uint64) if t <= 64 else np.dtype(f"V{(t + 7) // 8}")
+    keys = [sender.issued_group(g) for g in range(n)]
+    keys += [r.batch_view() for r in recipients]
+    for r in recipients:
+        held = [r.held_group(g) for g in range(n)]
+        assert all(h.slots.dtype == np.int64 for h in held)
+        keys += [(h.multipliers, h.offsets) for h in held]
+    assert all(m.dtype == mult_dtype and o.dtype == tag_dtype for m, o in keys)
+    assert seen["signature"].tags.dtype == tag_dtype

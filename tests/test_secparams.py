@@ -170,6 +170,20 @@ def test_uniform_guess_pass_prob_near_mode_large_k(k):
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (got, want)
 
 
+@pytest.mark.parametrize("t", [65, 72, 128, 255])
+def test_uniform_guess_pass_prob_exact_count_wide_tags(t):
+    # every tag width ProtocolParams accepts is priced; at small k the
+    # probabilities stay normal doubles down to 2^-1020
+    nonzero = 0
+    for k in (1, 2, 3, 4, 6):
+        for s in (0.1, 0.499, 0.9):
+            want = reference.guess_pass_prob_exact(k, t, _worst_mismatches(k, s))
+            got = uniform_guess_pass_prob(k, t, s)
+            assert math.isclose(got, want, rel_tol=1e-11, abs_tol=0.0), (k, s, got, want)
+            nonzero += want > 0
+    assert nonzero >= 10
+
+
 def test_uniform_guess_pass_prob_above_half_threshold():
     # thresholds past the mode take the complementary tail
     for k, t, s in ((4, 1, 0.9), (100, 1, 0.6), (906, 2, 0.8), (2270, 8, 0.9999)):
@@ -352,6 +366,16 @@ def test_params_validation_messages():
             s_levels={0: 0.005, -1: 0.499},
             k=10,
         )
+
+
+def test_build_rejects_widths_past_the_field_and_header():
+    # a > 4096 has no modulus from find_irreducible and t > 255 does not fit
+    # the signature header; both used to fail only partway through a run
+    with pytest.raises(ValueError, match="msg_len_bits"):
+        ProtocolParams.build(2, 5000, 8, k=1, l_max=0)
+    with pytest.raises(ValueError, match="tag_len_bits"):
+        ProtocolParams.build(3, 300, 260, k=2, l_max=0)
+    assert ProtocolParams.build(2, 4096, 255, k=1, l_max=0).tag_len_bits == 255
 
 
 def test_literal_mode_needs_smaller_k():

@@ -195,18 +195,36 @@ def test_forge_long_tags_never_pass():
 
 
 def test_forge_checks_its_bound_before_any_trial(monkeypatch):
-    # t > 64 is outside uniform_guess_pass_prob's range; that must surface
-    # before the first distribution is drawn, not after every trial
+    # a bound that cannot be priced must surface before the first
+    # distribution is drawn, not after every trial
     from ussim import simlab
 
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran before the bound was checked")
 
+    def no_bound(*args, **kwargs):
+        raise ValueError("tag_len_bits cannot be priced")
+
     monkeypatch.setattr(simlab, "run_distribution", no_trials)
+    monkeypatch.setattr(simlab, "uniform_guess_pass_prob", no_bound)
     params = ProtocolParams.build(3, 128, 96, l_max=0, d_r=0.0, k=900)
     spec = AttackSpec(kind=AttackKind.FORGE, trials=10**9, target=2)
     with pytest.raises(ValueError, match="tag_len_bits"):
         attack_forge(spec, params)
+
+
+@pytest.mark.parametrize("t", [64, 65, 72, 100, 255])
+def test_uniform_tags_past_63_bits_draw_whole_bytes_per_tag(t):
+    # one rng.bytes call per tag, its bits above t dropped: the forge's
+    # guess stream, now packed as uint64 or void rows
+    from ussim.simlab import _uniform_tags
+
+    got = _uniform_tags(np.random.default_rng(t), 9, t)
+    rng = np.random.default_rng(t)
+    n_bytes = (t + 7) // 8
+    want = [int.from_bytes(rng.bytes(n_bytes), "big") % (1 << t) for _ in range(9)]
+    assert got.dtype == (np.uint64 if t <= 64 else np.dtype(f"V{n_bytes}"))
+    assert reference.row_ints(got) == want
 
 
 def test_forge_collusion_bound_enforced_with_escape_hatch():
