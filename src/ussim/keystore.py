@@ -84,6 +84,8 @@ class LinkKeyStore:
         self.flip_prob = float(flip_prob)
         self.noisy_side = self.user_b  # flips land on the receiving side's view
         self._key = _stream_key(seed, self.user_a, self.user_b)
+        # keyed once; each block hashes its counter into a copy of this state
+        self._hasher = hashlib.blake2b(key=self._key, digest_size=64)
         self._cursor = {self.user_a: 0, self.user_b: 0}
         self._highwater = 0
 
@@ -96,9 +98,8 @@ class LinkKeyStore:
         last = (start + n_bits - 1) // _BLOCK_BITS if n_bits else first
         chunks = []
         for block in range(first, last + 1):
-            h = hashlib.blake2b(
-                block.to_bytes(8, "big"), key=self._key, digest_size=64
-            )
+            h = self._hasher.copy()
+            h.update(block.to_bytes(8, "big"))
             chunks.append(h.digest())
         bits = bytes_to_bits(b"".join(chunks), (last - first + 1) * _BLOCK_BITS)
         off = start - first * _BLOCK_BITS

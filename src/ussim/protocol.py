@@ -262,13 +262,16 @@ class Sender:
             raise RuntimeError("prepare() must run before signing")
         p = self.params
         _check_message(message, p.msg_len_bits)
-        rows = [
-            tags_of_arrays(mult, off, message, p.msg_len_bits, p.tag_len_bits)
-            for mult, off in (self._issued[r] for r in range(p.n_recipients))
-        ]
+        issued = [self._issued[r] for r in range(p.n_recipients)]
+        # one call over all n batches, in batch-major slot order
+        tags = tags_of_arrays(
+            np.concatenate([mult for mult, _ in issued]),
+            np.concatenate([off for _, off in issued]),
+            message, p.msg_len_bits, p.tag_len_bits,
+        )
         return Signature(
             message=message,
-            tags=np.stack(rows),
+            tags=tags.reshape(p.n_recipients, p.n_recipients * p.k),
             n_recipients=p.n_recipients,
             k=p.k,
             msg_len_bits=p.msg_len_bits,
@@ -426,24 +429,41 @@ class Recipient:
         )
 
 
-def run_distribution(network: Network, params: ProtocolParams) -> tuple[Sender, list[Recipient]]:
+def run_distribution(
+    network: Network, params: ProtocolParams, holder: int | None = None
+) -> tuple[Sender, list[Recipient]]:
     """Run preparation and sharing; return the sender and all recipients.
 
-    Draw order is fixed (batches in recipient order, then transfers in
-    source-major order), so one network seed always reproduces the same
-    distribution outcome.
+    Batches are drawn in recipient order and partitioned, then shares move
+    link by link: for each pair of recipients lo < hi, lo sends to hi from
+    the link's cursor 0 and then hi sends to lo. A transfer's flips depend
+    only on its link and cursor, never on other links, so one network seed
+    always reproduces the same distribution outcome.
+
+    With holder=h, only the transfers over h's links run: 2(n-1) instead
+    of n(n-1). Recipient h ends up with exactly the keys a full run gives
+    it, since every batch is still received and partitioned; the other
+    recipients stay incomplete and cannot verify.
     """
+    n = params.n_recipients
+    if holder is not None and (
+        not isinstance(holder, (int, np.integer))
+        or isinstance(holder, bool)
+        or not 0 <= holder < n
+    ):
+        raise ValueError(f"holder must be an int in [0, {n}), got {holder!r}")
     sender = Sender(network, params)
-    recipients = [Recipient(network, params, i) for i in range(params.n_recipients)]
+    recipients = [Recipient(network, params, i) for i in range(n)]
     sender.prepare()
     for r in recipients:
         r.receive_batch()
     for r in recipients:
         r.make_partition()
-    for src in recipients:
-        for dst in recipients:
-            if dst.index != src.index:
-                src.send_share(dst)
+    for lo in recipients:
+        for hi in recipients[lo.index + 1 :]:
+            if holder is None or holder in (lo.index, hi.index):
+                lo.send_share(hi)
+                hi.send_share(lo)
     return sender, recipients
 
 

@@ -172,8 +172,8 @@ class AttackSpec:
     enforce_collusion_bound: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ValueError(f"trials must be a positive int, got {self.trials}")
+        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
+            raise ValueError(f"trials must be a positive int, got {self.trials!r}")
         if not isinstance(self.redraw_every, int) or self.redraw_every < 1:
             raise ValueError(f"redraw_every must be a positive int, got {self.redraw_every}")
         if not isinstance(self.seed, int) or self.seed < 0:
@@ -279,7 +279,8 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
     other tag is a uniform guess. The batches the target contributed and
     holds shares of stay unknown because partition chunks never overlap.
     The target runs the real acceptance test at the requested level over
-    a noiseless network.
+    a noiseless network. Only the target verifies, so each distribution
+    runs just the share transfers over the target's links.
 
     The distribution stage is redrawn every spec.redraw_every trials.
     Reuse between redraws is statistically free here: with q=0 the known
@@ -321,7 +322,7 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
             n_users=n + 1,
             seed=int(net_rng.integers(0, _SEED_SPAN)),
         )
-        _, recipients = run_distribution(Network(config), params)
+        _, recipients = run_distribution(Network(config), params, holder=target)
         message = _random_message(net_rng, a)
         known_rows = {}
         for g in known:
@@ -502,14 +503,21 @@ def sweep_error_tolerance(
     is re-pinned to the expected mismatch fraction plus margin, the level
     ladder is rebuilt evenly, k is re-solved and the stage re-priced.
 
+    Only recipient 0 verifies, so each trial runs just the share
+    transfers over recipient 0's links; its keys are the ones a full
+    distribution would give it.
+
     Rejects a q whose adjusted threshold would reach the first interior
-    level of the unadjusted ladder.
+    level of the unadjusted ladder, and bad trials or seed before any
+    work.
     """
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ValueError(f"trials must be a positive int, got {trials!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     q_values = [float(q) for q in q_values]
     if not q_values:
         raise ValueError("sweep needs at least one q value")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
     n, k = params.n_recipients, params.k
     a, t = params.msg_len_bits, params.tag_len_bits
     eps2 = 0.5 - params.s_levels[-1]
@@ -559,7 +567,7 @@ def sweep_error_tolerance(
                 seed=_derived_seed(seed, _SWEEP_MC_STREAM, index, trial),
             )
             network = Network(config)
-            sender, recipients = run_distribution(network, params)
+            sender, recipients = run_distribution(network, params, holder=0)
             rng = np.random.default_rng([config.seed, _MESSAGE_STREAM])
             message = _random_message(rng, a)
             signature = sender.sign(message)

@@ -5,7 +5,9 @@ correct algorithm available (trial division, schoolbook polynomial
 arithmetic, explicit binomial sums), so agreement with the package is
 evidence rather than tautology.
 """
+import hashlib
 import math
+import struct
 
 import numpy as np
 
@@ -111,3 +113,23 @@ def void_rows(values, n_bytes: int) -> np.ndarray:
     """Ints as void rows of n_bytes big-endian bytes each."""
     data = b"".join(int(v).to_bytes(n_bytes, "big") for v in values)
     return np.frombuffer(data, dtype=f"V{n_bytes}")
+
+
+def pool_bits(seed: int, user_a: int, user_b: int, start: int, n_bits: int) -> list[int]:
+    """Noiseless pool bits start .. start + n_bits of link (user_a, user_b).
+
+    Block j of the pool is the 512-bit blake2b digest of j as 8 big-endian
+    bytes, keyed by the link's stream key and keyed afresh for every
+    block; bits are read most significant first.
+    """
+    lo, hi = sorted((user_a, user_b))
+    key = hashlib.blake2b(
+        b"ussim-link" + struct.pack(">qqq", seed, lo, hi), digest_size=32
+    ).digest()
+    out = []
+    for pos in range(start, start + n_bits):
+        block = hashlib.blake2b(
+            (pos // 512).to_bytes(8, "big"), key=key, digest_size=64
+        ).digest()
+        out.append((block[pos % 512 // 8] >> (7 - pos % 8)) & 1)
+    return out

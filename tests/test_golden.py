@@ -94,3 +94,17 @@ def test_forge_attack_result():
     assert _sha256(repr(result).encode()) == (
         "48767f8f06869a507de841c1cd84b65c88e66a0ea8d524c724c7bc5558749ca7"
     )
+
+
+def test_forge_attack_result_target_not_last():
+    # only the target's links carry shares, so a target at index 0 pins
+    # the link-by-link transfer order from the low end
+    params = ProtocolParams.build(4, 8, 1, k=3)
+    spec = AttackSpec(
+        kind=AttackKind.FORGE, trials=600, seed=9, redraw_every=200, forger=2, target=0
+    )
+    result = attack_forge(spec, params)
+    assert result.successes == 27
+    assert _sha256(repr(result).encode()) == (
+        "e71386b08e38c06b381ec9dfdc6903ca9f57c844f902a4b200dc63c12048a4b0"
+    )

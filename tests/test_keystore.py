@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from ussim.keystore import (
     LinkKeyStore,
     LinkSettings,
@@ -42,6 +43,18 @@ def test_draw_crosses_block_boundaries_consistently():
     store = LinkKeyStore(0, 1, seed=5)
     pieces = [store.draw_shared(n, side=0) for n in (1, 511, 512, 700, 276)]
     assert np.array_equal(long_read, np.concatenate(pieces))
+
+
+@pytest.mark.parametrize("start", [0, 511, 512, 1000])
+@pytest.mark.parametrize("n_bits", [0, 1, 513, 2000])
+def test_pool_bits_match_freshly_keyed_reference(start, n_bits):
+    # the store hashes every block from one pre-keyed state; the oracle
+    # keys blake2b anew for each block
+    want = reference.pool_bits(11, 2, 5, start, n_bits)
+    for side in (2, 5):
+        store = LinkKeyStore(2, 5, seed=11)
+        store.draw_shared(start, side=side)
+        assert store.draw_shared(n_bits, side=side).tolist() == want
 
 
 def test_all_bits_flip_at_probability_one():

@@ -6,7 +6,7 @@ import pytest
 
 import reference
 from ussim import protocol
-from ussim.keystore import LinkKeyStore, Network, NetworkConfig
+from ussim.keystore import LinkKeyStore, LinkSettings, Network, NetworkConfig
 from ussim.protocol import (
     Recipient,
     Sender,
@@ -398,6 +398,76 @@ def test_distribution_consumes_exact_accounting_per_link():
             assert consumed[(r1, r2)] == 2 * k * (key_bits + ib)
 
 
+def _noisy_network(n, seed):
+    # one recipient link (users 1 and 2) flips far more than the rest
+    config = NetworkConfig(
+        n_users=n + 1,
+        default_flip_prob=0.02,
+        seed=seed,
+        links={(1, 2): LinkSettings(flip_prob=0.2)},
+    )
+    return Network(config)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_holder_gets_the_keys_of_a_full_run(n):
+    params = small_params(n=n, k=12)
+    full_net = _noisy_network(n, seed=21)
+    _, full = run_distribution(full_net, params)
+    for h in (*range(n), np.int64(n - 1)):
+        network = _noisy_network(n, seed=21)
+        sender, recipients = run_distribution(network, params, holder=h)
+        signature = sender.sign(1)
+        assert recipients[h].distribution_complete
+        for origin in range(n):
+            got, want = recipients[h].held_group(origin), full[h].held_group(origin)
+            assert np.array_equal(got.slots, want.slots)
+            assert np.array_equal(got.multipliers, want.multipliers)
+            assert np.array_equal(got.offsets, want.offsets)
+        for u in range(n + 1):
+            if u != h + 1:
+                assert network.link(h + 1, u).consumed_bits() == (
+                    full_net.link(h + 1, u).consumed_bits()
+                )
+        for other in recipients:
+            if other.index != h:
+                assert not other.distribution_complete
+                with pytest.raises(RuntimeError, match="incomplete"):
+                    other.verify(signature, params.l_max)
+
+
+def test_holder_transfers_only_over_its_links(monkeypatch):
+    params = small_params(n=5, k=4)
+    sends = []
+    real_send = Recipient.send_share
+
+    def counted(self, other):
+        sends.append((self.index, other.index))
+        return real_send(self, other)
+
+    monkeypatch.setattr(Recipient, "send_share", counted)
+    run_distribution(_noisy_network(5, seed=2), params, holder=3)
+    assert sends == [
+        pair for d in range(5) if d != 3
+        for pair in ((min(d, 3), max(d, 3)), (max(d, 3), min(d, 3)))
+    ]
+    sends.clear()
+    run_distribution(_noisy_network(5, seed=2), params)
+    assert sends == [
+        pair for lo in range(5) for hi in range(lo + 1, 5)
+        for pair in ((lo, hi), (hi, lo))
+    ]
+
+
+@pytest.mark.parametrize("holder", [-1, 3, True, np.bool_(True), 1.0])
+def test_holder_out_of_range_is_rejected_before_any_draw(holder):
+    params = small_params(n=3, k=4)
+    network = Network(NetworkConfig(n_users=4, seed=1))
+    with pytest.raises(ValueError, match="holder"):
+        run_distribution(network, params, holder=holder)
+    assert set(network.total_consumed().values()) == {0}
+
+
 def test_smallest_instance_consumes_fourteen_bits():
     params = ProtocolParams.build(2, 1, 1, l_max=0, k=1)
     network, _, _ = distributed(params)
@@ -408,8 +478,9 @@ def test_smallest_instance_consumes_fourteen_bits():
 
 @pytest.mark.parametrize("a, t", [(8, 8), (128, 32)])
 def test_run_honest_tag_call_shape(monkeypatch, a, t):
-    # sign tags one batch per call; each verify tags all its held keys in
-    # one 1-d call, so the number of tags computed per run is unchanged
+    # sign tags all n batches in one 1-d call; each verify tags all its
+    # held keys in one 1-d call, so the number of tags computed per run is
+    # unchanged
     n, k = 4, 30
     params = ProtocolParams.build(n, a, t, k=k)
     entered, stage, calls = itertools.count(), [], []
@@ -437,7 +508,7 @@ def test_run_honest_tag_call_shape(monkeypatch, a, t):
     assert len(outcome.chain_results) == chain_len
     assert all(r.accepted for r in (*outcome.verify_results, *outcome.chain_results))
     verifies = range(1, n + chain_len + 1)
-    assert calls == [(("sign", 0), 1, 1, n * k)] * n + [
+    assert calls == [(("sign", 0), 1, 1, n * n * k)] + [
         (("verify", i), 1, 1, n * k) for i in verifies
     ]
     assert sum(c[-1] for c in calls) == (n + n + chain_len) * n * k

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
+from ussim import simlab
 from ussim.keystore import Network, NetworkConfig
 from ussim.protocol import Signature, run_distribution
 from ussim.secparams import CostMode, ProtocolParams, consumption
@@ -171,6 +172,8 @@ def test_attack_spec_validation():
         AttackSpec(kind=AttackKind.FORGE, trials=1, redraw_every=0)
     with pytest.raises(ValueError, match="seed"):
         AttackSpec(kind=AttackKind.FORGE, trials=1, seed=-1)
+    with pytest.raises(ValueError, match="trials"):
+        AttackSpec(kind=AttackKind.FORGE, trials=True)
 
 
 def test_forge_rate_matches_exact_binomial_small_case():
@@ -369,6 +372,28 @@ def test_sweep_error_tolerance_rejects_unabsorbable_noise():
         sweep_error_tolerance([0.0], params, trials=0)
     with pytest.raises(ValueError, match="at least one"):
         sweep_error_tolerance([], params)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"trials": 2.5}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"trials": 0}, "trials"),
+        ({"trials": -3}, "trials"),
+        ({"seed": 1.0}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": -1}, "seed"),
+    ],
+)
+def test_sweep_error_tolerance_rejects_bad_arguments_before_solving_k(monkeypatch, kwargs, name):
+    def no_solve(*args, **kw):
+        raise AssertionError("k was solved before the arguments were checked")
+
+    monkeypatch.setattr(simlab, "solve_k", no_solve)
+    params = ProtocolParams.build(3, 8, 8, k=60)
+    with pytest.raises(ValueError, match=name):
+        sweep_error_tolerance([1e-4], params, **kwargs)
 
 
 def test_sweep_error_tolerance_is_deterministic():
