@@ -79,11 +79,10 @@ def _resolve_mode(args) -> TailMode:
 def _resolve_params(args) -> tuple[ProtocolParams, SLevelSpec, TailMode]:
     spec = SLevelSpec(eps1=args.eps1, eps2=args.eps2)
     mode = _resolve_mode(args)
-    t = args.t if args.t is not None else min(args.a, 8)
     params = ProtocolParams.build(
         args.n,
         args.a,
-        t,
+        args.t,
         p_target=args.p_target,
         spec=spec,
         l_max=args.lmax,

@@ -10,7 +10,9 @@ under every multiplier.
 
 Polynomials over GF(2) are encoded as integers, bit i holding the
 coefficient of x^i. The field modulus for width a is the irreducible
-polynomial of degree a with the smallest integer encoding.
+polynomial of degree a with the smallest integer encoding, found by scanning
+candidates with Ben-Or's irreducibility test (Ben-Or, "Probabilistic
+algorithms in finite fields", FOCS 1981).
 """
 from __future__ import annotations
 
@@ -41,67 +43,27 @@ def _pgcd(x: int, y: int) -> int:
 
 
 def _square_mod(p: int, m: int) -> int:
-    # Squaring over GF(2) just spreads the coefficients to even positions.
-    sq = 0
-    i = 0
-    while p:
-        if p & 1:
-            sq |= 1 << (2 * i)
-        p >>= 1
-        i += 1
-    return _pmod(sq, m)
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _small_irreducibles(max_degree: int = 9) -> tuple[int, ...]:
-    # Sieve by integer encoding; candidates appear in increasing degree, so
-    # every proper factor of degree <= d/2 has already been collected.
-    found: list[int] = []
-    for f in range(2, 1 << (max_degree + 1)):
-        d = _degree(f)
-        if all(_pmod(f, g) != 0 for g in found if _degree(g) <= d // 2):
-            found.append(f)
-    return tuple(found)
+    # Squaring over GF(2) spreads the coefficients to even positions: the
+    # binary digits of p read in base 4 put bit i at bit 2i.
+    return _pmod(int(bin(p)[2:], 4), m)
 
 
 def _is_irreducible(f: int) -> bool:
-    """Deterministic irreducibility test for a GF(2) polynomial."""
+    """Ben-Or's test: f of degree d is irreducible iff gcd(x^(2^i) - x, f) = 1
+    for every i in [1, d/2].
+
+    The gcd at step i picks up every factor of degree dividing i, so a
+    candidate with a factor of degree j is rejected at step j.
+    """
     d = _degree(f)
-    if d <= 0:
+    if d < 1:
         return False
-    if d == 1:
-        return True
-    if f & 1 == 0:  # divisible by x
-        return False
-    for g in _small_irreducibles():
-        dg = _degree(g)
-        if dg > d // 2:
-            break
-        if _pmod(f, g) == 0:
-            return False
-    # f is irreducible iff x^(2^d) == x (mod f) and x^(2^(d/p)) - x is
-    # coprime to f for every prime p dividing d.
-    checkpoints = {d // p for p in _prime_factors(d)}
     h = 2  # the polynomial x
-    for i in range(1, d + 1):
+    for _ in range(d // 2):
         h = _square_mod(h, f)
-        if i in checkpoints and _pgcd(h ^ 2, f) != 1:
+        if _pgcd(h ^ 2, f) != 1:
             return False
-    return _pmod(h ^ 2, f) == 0
+    return True
 
 
 @functools.lru_cache(maxsize=None)

@@ -315,6 +315,10 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         _check_n(self.n_recipients)
+        for name in ("msg_len_bits", "tag_len_bits", "l_max", "k"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         # 4096 bounds the field modulus search; 255 the wire header's tag field
         if not 1 <= self.msg_len_bits <= 4096:
             raise ValueError(f"msg_len_bits must be in [1, 4096], got {self.msg_len_bits}")
@@ -330,7 +334,7 @@ class ProtocolParams:
             raise ValueError(
                 f"(l_max + 1) * d_r = {(self.l_max + 1) * self.d_r} must be below 1/2"
             )
-        if not isinstance(self.k, int) or self.k < 1:
+        if self.k < 1:
             raise ValueError(f"k must be a positive int, got {self.k}")
         if not 0 < self.p_target < 1:
             raise ValueError(f"p_target must be in (0, 1), got {self.p_target}")
@@ -366,7 +370,7 @@ class ProtocolParams:
         if d_r is None:
             d_r = compute_dr(l_max, n_recipients)
         if tag_len_bits is None:
-            tag_len_bits = min(msg_len_bits, 32)
+            tag_len_bits = min(msg_len_bits, 8)
         if k is None:
             k = solve_k(p_target, n_recipients, l_max, spec, mode, d_r=d_r)
         return cls(

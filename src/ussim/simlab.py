@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -57,6 +58,10 @@ _FORGE_GUESS_STREAM = 0x46475353
 _SWEEP_MC_STREAM = 0x53574D43
 
 _SEED_SPAN = 1 << 62
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -152,7 +157,7 @@ class AttackSpec:
     """Adversary strategy plus trial budget.
 
     REPUDIATION uses gamma: the fraction of tags the dishonest sender
-    corrupts inside each batch, either one float for all batches or one
+    corrupts inside each batch, either one number for all batches or one
     per batch. FORGE uses forger, colluders, target and level: the forger
     and colluders pool full knowledge of their own batches and guess every
     other tag uniformly, aiming at the target's acceptance test at the
@@ -172,12 +177,12 @@ class AttackSpec:
     enforce_collusion_bound: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be a positive int, got {self.trials!r}")
-        if not isinstance(self.redraw_every, int) or self.redraw_every < 1:
-            raise ValueError(f"redraw_every must be a positive int, got {self.redraw_every}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative int, got {self.seed}")
+        if not _is_int(self.redraw_every) or self.redraw_every < 1:
+            raise ValueError(f"redraw_every must be a positive int, got {self.redraw_every!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -194,14 +199,19 @@ class AttackResult:
 
 def _gammas(spec: AttackSpec, n: int) -> tuple[float, ...]:
     if spec.gamma is None:
-        raise ValueError("repudiation needs gamma (one float, or one per batch)")
-    gam = (spec.gamma,) * n if isinstance(spec.gamma, float) else tuple(spec.gamma)
+        raise ValueError("repudiation needs gamma (one number, or one per batch)")
+    try:
+        gam = (spec.gamma,) * n if isinstance(spec.gamma, numbers.Real) else tuple(spec.gamma)
+    except TypeError:
+        raise ValueError(f"gamma must be a real number or one per batch, got {spec.gamma!r}") from None
     if len(gam) != n:
         raise ValueError(f"gamma must give {n} per-batch fractions, got {len(gam)}")
     for g in gam:
+        if not isinstance(g, numbers.Real) or isinstance(g, bool):
+            raise ValueError(f"gamma entries must be real numbers, got {g!r}")
         if not 0 <= g <= 1:
             raise ValueError(f"gamma entries must be in [0, 1], got {g}")
-    return gam
+    return tuple(float(g) for g in gam)
 
 
 def attack_repudiation(
@@ -297,8 +307,8 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
         raise ValueError(f"level must be in [-1, {params.l_max}], got {level}")
     members = (spec.forger, *spec.colluders, target)
     for who, name in ((spec.forger, "forger"), (target, "target"), *((c, "colluder") for c in spec.colluders)):
-        if not 0 <= who < n:
-            raise ValueError(f"{name} index must be in [0, {n}), got {who}")
+        if not isinstance(who, (int, np.integer)) or isinstance(who, bool) or not 0 <= who < n:
+            raise ValueError(f"{name} index must be an int in [0, {n}), got {who!r}")
     if len(set(members)) != len(members):
         raise ValueError("forger, colluders and target must be distinct recipients")
     allowed = math.floor(params.d_r * n + 1e-9)
@@ -511,9 +521,9 @@ def sweep_error_tolerance(
     level of the unadjusted ladder, and bad trials or seed before any
     work.
     """
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ValueError(f"trials must be a positive int, got {trials!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     q_values = [float(q) for q in q_values]
     if not q_values:

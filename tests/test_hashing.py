@@ -1,10 +1,13 @@
 """Field arithmetic and the one-time tag family."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from ussim import hashing
 from ussim.hashing import find_irreducible, tags_of_arrays
 
 # Smallest-encoding irreducible polynomial per degree, frozen after
@@ -32,6 +35,21 @@ def test_find_irreducible_16_is_minimal():
     assert reference.is_irreducible_by_trial_division(poly)
     for candidate in range((1 << 16) | 1, poly, 2):
         assert not reference.is_irreducible_by_trial_division(candidate)
+
+
+def test_is_irreducible_matches_trial_division_below_2_11():
+    for f in range(1 << 11):
+        assert hashing._is_irreducible(f) == reference.is_irreducible_by_trial_division(f), f
+
+
+def test_find_irreducible_moduli_pinned():
+    # a faster search must find the same moduli, or every tag and digest moves
+    moduli = repr([find_irreducible(a) for a in range(1, 129)]).encode()
+    assert hashlib.sha256(moduli).hexdigest() == (
+        "ba2f79cb8d9a8a554fa0e2aa1af8d58c3eaa3b37caba67ca2e8fe9b2124c637f"
+    )
+    for a, low in ((256, 0x425), (512, 0x125), (1024, 0x2CD)):
+        assert find_irreducible(a) == (1 << a) | low
 
 
 def test_find_irreducible_validation():

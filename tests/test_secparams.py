@@ -1,4 +1,5 @@
 """Security-parameter calculus: levels, thresholds, bounds, costs."""
+import dataclasses
 import math
 import time
 
@@ -331,7 +332,16 @@ def test_build_defaults():
 
 
 def test_build_wide_message_caps_tag_length():
-    assert ProtocolParams.build(7, 128, k=10).tag_len_bits == 32
+    assert ProtocolParams.build(7, 128, k=10).tag_len_bits == 8
+
+
+@pytest.mark.parametrize("field", ["msg_len_bits", "tag_len_bits", "l_max", "k"])
+def test_params_reject_non_int_fields(field):
+    # bools and floats used to pass and fail later, inside a run or a range()
+    good = ProtocolParams.build(7, 8, 8, k=10)
+    for bad in (True, float(getattr(good, field))):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(good, **{field: bad})
 
 
 def test_params_validation_messages():

@@ -94,6 +94,28 @@ def test_repudiation_gamma_endpoints_never_split():
         assert attack_repudiation(spec, params).successes == 0
 
 
+def test_repudiation_gamma_accepts_any_real_scalar():
+    params = ProtocolParams.build(3, 8, 8, k=10)
+
+    def run(gamma):
+        spec = AttackSpec(kind=AttackKind.REPUDIATION, trials=200, seed=4, gamma=gamma)
+        return attack_repudiation(spec, params)
+
+    # int 0 and 1 used to raise TypeError: only a float counted as one gamma
+    assert run(1) == run(1.0)
+    assert run(0) == run(0.0)
+    assert run(np.float64(0.4)) == run(0.4) == run((0.4, 0.4, 0.4))
+
+
+def test_repudiation_rejects_bool_and_non_numeric_gamma():
+    params = ProtocolParams.build(3, 8, 8, k=10)
+    for bad in (True, np.bool_(False), (0.5, True, 0.5), ("0.5",) * 3, object()):
+        with pytest.raises(ValueError, match="gamma"):
+            attack_repudiation(
+                AttackSpec(kind=AttackKind.REPUDIATION, trials=10, gamma=bad), params
+            )
+
+
 def test_repudiation_rate_decreases_with_k():
     rates = {}
     for k, gamma in ((10, 0.325), (20, 0.375), (30, 0.35)):
@@ -174,6 +196,13 @@ def test_attack_spec_validation():
         AttackSpec(kind=AttackKind.FORGE, trials=1, seed=-1)
     with pytest.raises(ValueError, match="trials"):
         AttackSpec(kind=AttackKind.FORGE, trials=True)
+
+
+def test_attack_spec_rejects_bool_seed_and_redraw_every():
+    with pytest.raises(ValueError, match="seed"):
+        AttackSpec(kind=AttackKind.FORGE, trials=1, seed=True)
+    with pytest.raises(ValueError, match="redraw_every"):
+        AttackSpec(kind=AttackKind.FORGE, trials=1, redraw_every=True)
 
 
 def test_forge_rate_matches_exact_binomial_small_case():
@@ -267,6 +296,21 @@ def test_forge_member_validation():
         attack_forge(
             AttackSpec(kind=AttackKind.REPUDIATION, trials=10, gamma=0.1), params
         )
+
+
+def test_forge_rejects_bool_indices():
+    # target=True used to get past this check and fail in run_distribution
+    params = ProtocolParams.build(3, 8, 8, l_max=0, d_r=0.0, k=8)
+    for fields, name in (
+        ({"target": True}, "target"),
+        ({"forger": True, "target": 0}, "forger"),
+        ({"colluders": (np.bool_(True),), "target": 0, "forger": 2}, "colluder"),
+    ):
+        spec = AttackSpec(
+            kind=AttackKind.FORGE, trials=10, enforce_collusion_bound=False, **fields
+        )
+        with pytest.raises(ValueError, match=f"{name} index"):
+            attack_forge(spec, params)
 
 
 def test_run_attack_dispatch_and_determinism():
