@@ -46,6 +46,25 @@ def as_packed(values, width: int) -> np.ndarray:
     return np.frombuffer(data, dtype=f"V{n_bytes}").reshape(values.shape)
 
 
+def value_bytes(width: int) -> int:
+    """Bytes one packed value of width bits occupies."""
+    return 8 if width <= 64 else (width + 7) // 8
+
+
+def byte_rows_to_values(rows: np.ndarray) -> np.ndarray:
+    """(n, n_bytes) big-endian uint8 rows as n packed values.
+
+    Up to 8 bytes a row comes back as uint64, wider rows as void rows.
+    """
+    rows = np.asarray(rows, dtype=np.uint8)
+    n, n_bytes = rows.shape
+    if n_bytes > 8:
+        return np.ascontiguousarray(rows).view(f"V{n_bytes}").reshape(n)
+    words = np.zeros((n, 8), dtype=np.uint8)
+    words[:, 8 - n_bytes :] = rows
+    return words.view(">u8").reshape(n).astype(np.uint64)
+
+
 def pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack each row of a (rows, width) bit matrix into one value.
 
@@ -60,12 +79,7 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     n_bytes = (width + 7) // 8
     aligned = np.zeros((rows, 8 * n_bytes), dtype=np.uint8)
     aligned[:, 8 * n_bytes - width :] = bits
-    packed = np.packbits(aligned.reshape(-1)).reshape(rows, n_bytes)
-    if width > 64:
-        return packed.view(f"V{n_bytes}").reshape(rows)
-    words = np.zeros((rows, 8), dtype=np.uint8)
-    words[:, 8 - n_bytes :] = packed
-    return words.view(">u8").reshape(rows).astype(np.uint64)
+    return byte_rows_to_values(np.packbits(aligned.reshape(-1)).reshape(rows, n_bytes))
 
 
 def unpack_rows(vals: np.ndarray, width: int) -> np.ndarray:
@@ -86,8 +100,26 @@ def bits_to_bytes(bits: np.ndarray) -> bytes:
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
 
 
-def bytes_to_bits(data: bytes, n_bits: int) -> np.ndarray:
-    arr = np.frombuffer(data, dtype=np.uint8)
-    if arr.size * 8 < n_bits:
-        raise ValueError(f"need {n_bits} bits, got {arr.size * 8}")
-    return np.unpackbits(arr)[:n_bits]
+def flip_bits(fields, positions: np.ndarray) -> None:
+    """Flip single bits of packed fields laid side by side, in place.
+
+    fields is a sequence of (values, width) pairs: 1-d arrays of one
+    length, each uint64 or void rows as above, and contiguous so that
+    octets views their memory. Row r of the fields side by side is the
+    first field's width bits, most significant first, then the next
+    field's, and so on, W bits in all; position p flips column p % W of
+    row p // W.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    if not positions.size:
+        return
+    rows, cols = np.divmod(positions, sum(width for _, width in fields))
+    end = 0
+    for values, width in fields:
+        end += width
+        hit = (cols >= end - width) & (cols < end)
+        low = end - 1 - cols[hit]  # bit index from the least significant end
+        view = octets(values)
+        if not np.may_share_memory(view, values):
+            raise ValueError("flip_bits needs contiguous uint64 or void rows")
+        np.bitwise_xor.at(view, (rows[hit], low >> 3), (1 << (low & 7)).astype(np.uint8))

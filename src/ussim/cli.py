@@ -19,6 +19,7 @@ import sys
 
 from . import __version__
 from .keystore import NetworkConfig, time_to_ready
+from .protocol import key_state_bytes
 from .secparams import (
     CostMode,
     ProtocolParams,
@@ -39,6 +40,10 @@ from .simlab import (
 )
 
 _MAX_SWEEP_POINTS = 10_000
+# Largest packed key state (protocol.key_state_bytes) `run` sets out to
+# build; past it the run is refused up front instead of running out of
+# memory partway through the distribution.
+MAX_KEY_STATE_BYTES = 2 << 30
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -192,6 +197,13 @@ def _cmd_params(args) -> int:
 
 def _cmd_run(args) -> int:
     params, spec, mode = _resolve_params(args)
+    state = key_state_bytes(params)
+    if state > MAX_KEY_STATE_BYTES:
+        raise ValueError(
+            f"run would hold about {state / 2**20:.0f} MiB of packed key state "
+            f"(n={params.n_recipients}, k={params.k}), past the "
+            f"{MAX_KEY_STATE_BYTES >> 20} MiB limit"
+        )
     seed = _resolve_seed(args, default=None)
     config = _load_config(args, params, seed)
     # the bounds are priced before the run, so unpriceable parameters fail fast

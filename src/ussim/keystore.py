@@ -7,18 +7,33 @@ views agree bit for bit except that one designated endpoint (the
 higher-numbered user) sees each bit flipped independently with the link's
 flip probability, which models noisy key delivery on the receiving side.
 
-Pool bits are position-addressed and derived from the network seed, so any
-two runs with the same seed and the same operation sequence observe
-identical streams. Consumption is counted once per pool position, however
-many endpoints read it, because the position corresponds to one shared
-secret bit.
+Everything is addressed by pool position and generated from a counter, so a
+read's bits do not depend on how reads were batched, and two runs with the
+same seed and the same operation sequence observe identical streams:
+
+* Pool bits: block j of a link's pool is shake_256(link key || j), read out
+  to POOL_BLOCK_BITS bits. The link key derives from the network seed, the
+  two endpoints and STREAM_VERSION.
+* Flips: flip block b covers FLIP_BLOCK_BITS positions. A Philox generator
+  keyed by (link key, flip stream) and started at a counter set by b draws
+  m ~ Binomial(FLIP_BLOCK_BITS, q) and then m distinct positions, which is
+  exactly an independent Bernoulli(q) flip per position; the work grows
+  with the number of flips, not of bits.
+
+draw_shared returns bits packed most significant bit first into
+ceil(n / 8) bytes, zero-padded, never one byte per bit. Consumption is
+counted once per pool position, however many endpoints read it, because
+the position corresponds to one shared secret bit.
 
 A one-time-padded transfer spends the same positions on both endpoints,
 and the two pads cancel except where the noisy side's view flipped. So
-otp_transfer hashes no pool bits at all: it draws only the noisy side's
-flip mask at the shared cursor (and nothing on a noiseless link), and
+otp_transfer hashes no pool bits at all: it returns only the noisy side's
+flip positions inside the transfer (none on a noiseless link), and
 requires the two cursors to agree, since a desynced link would XOR
 unrelated pads into the payload.
+
+STREAM_VERSION records the layout of these streams; it changes, and is
+mixed into every link key, whenever a change moves any seeded output.
 """
 from __future__ import annotations
 
@@ -29,10 +44,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._bitops import bytes_to_bits
 from .secparams import ProtocolParams, id_bits
 
 __all__ = [
+    "STREAM_VERSION",
     "LinkKeyStore",
     "LinkSettings",
     "NetworkConfig",
@@ -41,13 +56,15 @@ __all__ = [
     "time_to_ready",
 ]
 
-_BLOCK_BITS = 512  # one blake2b digest per block
+STREAM_VERSION = 2
+POOL_BLOCK_BITS = 1 << 15  # pool bits per shake_256 call
+FLIP_BLOCK_BITS = 1 << 20  # positions per flip generator
 _FLIP_STREAM = 0x464C4950  # stream label, distinct from pool positions
 
 
 def _stream_key(seed: int, user_a: int, user_b: int) -> bytes:
     h = hashlib.blake2b(digest_size=32)
-    h.update(b"ussim-link")
+    h.update(b"ussim-link-v%d" % STREAM_VERSION)
     h.update(struct.pack(">qqq", seed, user_a, user_b))
     return h.digest()
 
@@ -56,8 +73,8 @@ class LinkKeyStore:
     """Shared key pool between two users.
 
     Endpoints are identified by user index. draw_shared hands out the next
-    n bits as seen from one endpoint; otp_transfer spends pad positions on
-    both endpoints to move a payload across.
+    n bits as seen from one endpoint, packed; otp_transfer spends pad
+    positions on both endpoints and reports where the payload flipped.
     """
 
     def __init__(
@@ -83,9 +100,11 @@ class LinkKeyStore:
         self.rate_bps = float(rate_bps)
         self.flip_prob = float(flip_prob)
         self.noisy_side = self.user_b  # flips land on the receiving side's view
-        self._key = _stream_key(seed, self.user_a, self.user_b)
+        key = _stream_key(seed, self.user_a, self.user_b)
+        flip_key = hashlib.blake2b(key + _FLIP_STREAM.to_bytes(4, "big"), digest_size=16)
+        self._flip_key = int.from_bytes(flip_key.digest(), "big")
         # keyed once; each block hashes its counter into a copy of this state
-        self._hasher = hashlib.blake2b(key=self._key, digest_size=64)
+        self._hasher = hashlib.shake_256(key)
         self._cursor = {self.user_a: 0, self.user_b: 0}
         self._highwater = 0
 
@@ -93,70 +112,96 @@ class LinkKeyStore:
     def users(self) -> tuple[int, int]:
         return (self.user_a, self.user_b)
 
-    def _base_bits(self, start: int, n_bits: int) -> np.ndarray:
-        first = start // _BLOCK_BITS
-        last = (start + n_bits - 1) // _BLOCK_BITS if n_bits else first
-        chunks = []
+    def _pool_bytes(self, start: int, n_bits: int) -> np.ndarray:
+        """Noiseless pool bits start .. start + n_bits, packed and zero-padded."""
+        n_bytes = (n_bits + 7) // 8
+        if not n_bits:
+            return np.zeros(0, dtype=np.uint8)
+        first = start // POOL_BLOCK_BITS
+        last = (start + n_bits - 1) // POOL_BLOCK_BITS
+        blocks = []
         for block in range(first, last + 1):
             h = self._hasher.copy()
             h.update(block.to_bytes(8, "big"))
-            chunks.append(h.digest())
-        bits = bytes_to_bits(b"".join(chunks), (last - first + 1) * _BLOCK_BITS)
-        off = start - first * _BLOCK_BITS
-        return bits[off : off + n_bits].copy()
+            blocks.append(h.digest(POOL_BLOCK_BITS // 8))
+        raw = np.frombuffer(b"".join(blocks), dtype=np.uint8)
+        byte, shift = divmod(start - first * POOL_BLOCK_BITS, 8)
+        if shift:
+            out = raw[byte : byte + n_bytes] << shift
+            low = raw[byte + 1 : byte + n_bytes + 1] >> (8 - shift)
+            out[: low.size] |= low
+        else:
+            out = raw[byte : byte + n_bytes].copy()
+        if n_bits % 8:
+            out[-1] &= 0xFF << (8 - n_bits % 8) & 0xFF
+        return out
 
-    def _flip_mask(self, start: int, n_bits: int) -> np.ndarray:
-        entropy = int.from_bytes(self._key, "big")
-        rng = np.random.default_rng([entropy, _FLIP_STREAM, start])
-        return rng.random(n_bits) < self.flip_prob
+    def _flips(self, start: int, n_bits: int) -> np.ndarray:
+        """Sorted noisy-side flip positions in the range, relative to start."""
+        if self.flip_prob == 0 or not n_bits:
+            return np.zeros(0, dtype=np.int64)
+        first = start // FLIP_BLOCK_BITS
+        last = (start + n_bits - 1) // FLIP_BLOCK_BITS
+        found = []
+        for block in range(first, last + 1):
+            # counter-based: block b starts its own stream at counter b * 2**128
+            rng = np.random.Generator(np.random.Philox(key=self._flip_key, counter=block << 128))
+            m = rng.binomial(FLIP_BLOCK_BITS, self.flip_prob)
+            pos = np.sort(rng.choice(FLIP_BLOCK_BITS, size=m, replace=False, shuffle=False))
+            pos += block * FLIP_BLOCK_BITS - start
+            lo, hi = np.searchsorted(pos, (0, n_bits))
+            found.append(pos[lo:hi])
+        return np.concatenate(found)
 
-    def draw_shared(self, n_bits: int, side: int) -> np.ndarray:
-        """Next n_bits of the pool as seen from one endpoint.
-
-        Both endpoints reading the same positions get identical bits, except
-        for the noisy side's independent flips. Advances only that
-        endpoint's cursor; consumption counts each position once.
-        """
+    def _check(self, side: int, n_bits: int) -> None:
         if side not in self._cursor:
             raise ValueError(f"user {side} is not an endpoint of link {self.users}")
         if not isinstance(n_bits, int) or isinstance(n_bits, bool) or n_bits < 0:
             raise ValueError(f"n_bits must be a non-negative int, got {n_bits}")
+
+    def _advance(self, side: int, n_bits: int) -> int:
         start = self._cursor[side]
-        bits = self._base_bits(start, n_bits)
-        if side == self.noisy_side and self.flip_prob > 0 and n_bits:
-            bits ^= self._flip_mask(start, n_bits).astype(np.uint8)
         self._cursor[side] = start + n_bits
-        self._highwater = max(self._highwater, self._cursor[side])
-        return bits
+        self._highwater = max(self._highwater, start + n_bits)
+        return start
 
-    def otp_transfer(self, payload: np.ndarray, from_side: int) -> np.ndarray:
-        """One-time-pad a payload across the link.
+    def draw_shared(self, n_bits: int, side: int) -> np.ndarray:
+        """Next n_bits of the pool as seen from one endpoint.
 
-        Both endpoints spend len(payload) pad positions from the same
-        cursor. Their pads are equal except where the noisy side's view
-        flipped, so the delivered payload is the sent one XOR that side's
-        flip mask at the shared cursor: exact on a noiseless link. Neither
-        pad is drawn; only the flip mask is, when the link is noisy.
+        Returns ceil(n_bits / 8) uint8 bytes, most significant bit first
+        and zero-padded. Both endpoints reading the same positions get
+        identical bits, except for the noisy side's flips, which depend
+        only on pool position. Advances only that endpoint's cursor;
+        consumption counts each position once.
+        """
+        self._check(side, n_bits)
+        start = self._advance(side, n_bits)
+        out = self._pool_bytes(start, n_bits)
+        if side == self.noisy_side:
+            flips = self._flips(start, n_bits)
+            np.bitwise_xor.at(out, flips >> 3, (0x80 >> (flips & 7)).astype(np.uint8))
+        return out
+
+    def otp_transfer(self, n_bits: int, from_side: int) -> np.ndarray:
+        """One-time-pad an n_bits payload across the link.
+
+        Both endpoints spend n_bits pad positions from the same cursor.
+        Their pads are equal except where the noisy side's view flipped,
+        so the payload arrives as sent except at those positions, which
+        are returned sorted and relative to the payload's first bit: an
+        empty int64 array on a noiseless link. Neither pad is drawn.
         Raises ValueError if the two cursors disagree.
         """
-        if from_side not in self._cursor:
-            raise ValueError(f"user {from_side} is not an endpoint of link {self.users}")
-        payload = np.asarray(payload, dtype=np.uint8)
+        self._check(from_side, n_bits)
         start = self._cursor[self.user_a]
         if self._cursor[self.user_b] != start:
             raise ValueError(
                 f"link {self.users} is out of sync: user {self.user_a} is at bit "
                 f"{start}, user {self.user_b} at bit {self._cursor[self.user_b]}"
             )
-        n_bits = payload.size
-        if self.flip_prob > 0 and n_bits:
-            delivered = payload ^ self._flip_mask(start, n_bits).astype(np.uint8)
-        else:
-            delivered = payload.copy()
-        end = start + n_bits
-        self._cursor[self.user_a] = self._cursor[self.user_b] = end
-        self._highwater = max(self._highwater, end)
-        return delivered
+        self._advance(self.user_a, n_bits)
+        self._advance(self.user_b, n_bits)
+        return self._flips(start, n_bits)
 
     def consumed_bits(self) -> int:
         """Pool positions handed out so far (counted once per position)."""

@@ -26,7 +26,16 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._bitops import bits_to_bytes, bits_to_int, int_to_bits, pack_rows, unpack_rows
+from ._bitops import (
+    bits_to_bytes,
+    bits_to_int,
+    byte_rows_to_values,
+    flip_bits,
+    int_to_bits,
+    pack_rows,
+    unpack_rows,
+    value_bytes,
+)
 from .hashing import tags_of_arrays
 from .keystore import Network
 from .secparams import ProtocolParams, compute_delta, id_bits
@@ -39,6 +48,7 @@ __all__ = [
     "Recipient",
     "run_distribution",
     "forward_chain",
+    "key_state_bytes",
 ]
 
 PARTITION_STREAM = 0x50415254  # seed-sequence tag for partition draws
@@ -212,10 +222,26 @@ def _check_signature_match(signature: Signature, params: ProtocolParams) -> None
             raise ValueError(f"signature {name} is {got}, protocol expects {want}")
 
 
-def _decode_keys(bits: np.ndarray, params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+def _decode_keys(packed: np.ndarray, params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """Multipliers and offsets of a batch drawn as packed key-store bytes."""
     a, t = params.msg_len_bits, params.tag_len_bits
-    rows = bits.reshape(-1, a + t)
+    if a % 8 == 0 and t % 8 == 0:
+        rows = packed.reshape(-1, (a + t) // 8)
+        return byte_rows_to_values(rows[:, : a // 8]), byte_rows_to_values(rows[:, a // 8 :])
+    n_bits = params.n_recipients * params.k * (a + t)
+    rows = np.unpackbits(packed, count=n_bits).reshape(-1, a + t)
     return pack_rows(rows[:, :a]), pack_rows(rows[:, a:])
+
+
+def key_state_bytes(params: ProtocolParams) -> int:
+    """Bytes of packed keys a full distribution leaves in memory.
+
+    The sender keeps all n*n*k issued keys; each recipient keeps its n*k
+    batch and the n*k keys it holds, each of those with an int64 slot id.
+    """
+    n, k = params.n_recipients, params.k
+    key = value_bytes(params.msg_len_bits) + value_bytes(params.tag_len_bits)
+    return n * n * k * (3 * key + 8)
 
 
 class Sender:
@@ -245,8 +271,8 @@ class Sender:
         key_len = p.msg_len_bits + p.tag_len_bits
         for r in range(p.n_recipients):
             link = self.network.link(self.user, r + 1)
-            bits = link.draw_shared(p.n_recipients * p.k * key_len, side=self.user)
-            self._issued[r] = _decode_keys(bits, p)
+            packed = link.draw_shared(p.n_recipients * p.k * key_len, side=self.user)
+            self._issued[r] = _decode_keys(packed, p)
 
     def issued_group(self, origin: int) -> tuple[np.ndarray, np.ndarray]:
         """Multipliers and offsets of the batch issued through one recipient."""
@@ -303,8 +329,8 @@ class Recipient:
         p = self.params
         key_len = p.msg_len_bits + p.tag_len_bits
         link = self.network.link(0, self.user)
-        bits = link.draw_shared(p.n_recipients * p.k * key_len, side=self.user)
-        self._batch = _decode_keys(bits, p)
+        packed = link.draw_shared(p.n_recipients * p.k * key_len, side=self.user)
+        self._batch = _decode_keys(packed, p)
 
     def make_partition(self) -> None:
         """Split the batch into n uniformly random chunks of k keys each.
@@ -329,7 +355,8 @@ class Recipient:
         """One-time-pad chunk other.index of this batch to that recipient.
 
         Each key travels as slot id plus multiplier plus offset, costing
-        k * (id_bits + a + t) pad bits on the connecting link.
+        k * (id_bits + a + t) pad bits on the connecting link. The share
+        moves as packed copies; the receiver applies the link's flips.
         """
         if self._chunks is None:
             raise RuntimeError("make_partition() must run before sharing")
@@ -338,29 +365,22 @@ class Recipient:
         p = self.params
         chunk = self._chunks[other.index]
         mult, off = self._batch
-        ib = id_bits(p.n_recipients, p.k)
-        rows = np.concatenate(
-            [
-                unpack_rows(chunk, ib),
-                unpack_rows(mult[chunk], p.msg_len_bits),
-                unpack_rows(off[chunk], p.tag_len_bits),
-            ],
-            axis=1,
-        )
+        width = id_bits(p.n_recipients, p.k) + p.msg_len_bits + p.tag_len_bits
         link = self.network.link(self.user, other.user)
-        delivered = link.otp_transfer(rows.ravel(), from_side=self.user)
-        other._receive_share(self.index, delivered)
+        flips = link.otp_transfer(p.k * width, from_side=self.user)
+        share = OriginKeys(chunk.astype(np.uint64), mult[chunk], off[chunk])
+        other._receive_share(self.index, share, flips)
 
-    def _receive_share(self, origin: int, payload: np.ndarray) -> None:
+    def _receive_share(self, origin: int, share: OriginKeys, flips: np.ndarray) -> None:
         if origin in self._held:
             raise RuntimeError(f"share from origin {origin} already received")
         p = self.params
         ib = id_bits(p.n_recipients, p.k)
-        rows = payload.reshape(p.k, ib + p.msg_len_bits + p.tag_len_bits)
-        slots = pack_rows(rows[:, :ib]).astype(np.int64)
-        mult = pack_rows(rows[:, ib : ib + p.msg_len_bits])
-        off = pack_rows(rows[:, ib + p.msg_len_bits :])
-        self._held[origin] = OriginKeys(slots, mult, off)
+        flip_bits(
+            [(share.slots, ib), (share.multipliers, p.msg_len_bits), (share.offsets, p.tag_len_bits)],
+            flips,
+        )
+        self._held[origin] = share._replace(slots=share.slots.astype(np.int64))
 
     @property
     def distribution_complete(self) -> bool:

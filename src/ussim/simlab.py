@@ -66,10 +66,10 @@ def _is_int(value) -> bool:
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (default 95%)."""
-    if not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be a positive int, got {trials}")
-    if not 0 <= successes <= trials:
-        raise ValueError(f"successes must be in [0, {trials}], got {successes}")
+    if not _is_int(trials) or trials < 1:
+        raise ValueError(f"trials must be a positive int, got {trials!r}")
+    if not _is_int(successes) or not 0 <= successes <= trials:
+        raise ValueError(f"successes must be an int in [0, {trials}], got {successes!r}")
     p = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials

@@ -118,18 +118,18 @@ def void_rows(values, n_bytes: int) -> np.ndarray:
 def pool_bits(seed: int, user_a: int, user_b: int, start: int, n_bits: int) -> list[int]:
     """Noiseless pool bits start .. start + n_bits of link (user_a, user_b).
 
-    Block j of the pool is the 512-bit blake2b digest of j as 8 big-endian
-    bytes, keyed by the link's stream key and keyed afresh for every
-    block; bits are read most significant first.
+    The link key is the 32-byte blake2b digest of the stream-version-2
+    label and the seed and sorted endpoints. Block j of the pool is the
+    first 4096 bytes of shake_256 over the key and then j as 8 big-endian
+    bytes, hashed afresh for every block; bits are read most significant
+    first.
     """
     lo, hi = sorted((user_a, user_b))
     key = hashlib.blake2b(
-        b"ussim-link" + struct.pack(">qqq", seed, lo, hi), digest_size=32
+        b"ussim-link-v2" + struct.pack(">qqq", seed, lo, hi), digest_size=32
     ).digest()
     out = []
     for pos in range(start, start + n_bits):
-        block = hashlib.blake2b(
-            (pos // 512).to_bytes(8, "big"), key=key, digest_size=64
-        ).digest()
-        out.append((block[pos % 512 // 8] >> (7 - pos % 8)) & 1)
+        block = hashlib.shake_256(key + (pos // 32768).to_bytes(8, "big")).digest(4096)
+        out.append((block[pos % 32768 // 8] >> (7 - pos % 8)) & 1)
     return out

@@ -1,9 +1,9 @@
-"""Row packing against a row-by-row integer oracle."""
+"""Row packing and bit flipping against row-by-row integer oracles."""
 import numpy as np
 import pytest
 
 import reference
-from ussim._bitops import pack_rows, unpack_rows
+from ussim._bitops import byte_rows_to_values, flip_bits, pack_rows, unpack_rows
 
 WIDTHS = (*range(1, 131), 200, 256)
 
@@ -64,3 +64,45 @@ def test_unpack_accepts_int64_and_every_row_count(width):
 def test_pack_rows_rejects_non_matrix():
     with pytest.raises(ValueError, match="2-d"):
         pack_rows(np.zeros(8, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("n_bytes", range(0, 18))
+def test_byte_rows_to_values_reads_big_endian_rows(n_bytes):
+    rng = np.random.default_rng(3000 + n_bytes)
+    rows = rng.integers(0, 256, size=(5, n_bytes + 1), dtype=np.uint8)[:, 1:]  # not contiguous
+    got = byte_rows_to_values(rows)
+    assert got.dtype == (np.uint64 if n_bytes <= 8 else np.dtype(f"V{n_bytes}"))
+    assert reference.row_ints(got) == [int.from_bytes(r.tobytes(), "big") for r in rows]
+
+
+def _as_packed(values, width):
+    if width <= 64:
+        return np.array(values, dtype=np.uint64)
+    return reference.void_rows(values, (width + 7) // 8).copy()
+
+
+@pytest.mark.parametrize(
+    "widths", [(5, 8, 8), (10, 64, 32), (1, 72, 16), (12, 130, 100), (3, 1, 1)]
+)
+def test_flip_bits_matches_a_bitwise_oracle(widths):
+    # each row is the fields side by side, first field's top bit first
+    rng = np.random.default_rng(sum(widths))
+    rows, total = 9, sum(widths)
+    values = [_random_values(rng, rows, w) for w in widths]
+    fields = [(_as_packed(v, w), w) for v, w in zip(values, widths)]
+    positions = np.sort(rng.choice(rows * total, size=rows * total // 3, replace=False))
+    flip_bits(fields, positions)
+    want = np.concatenate([_oracle_bits(v, w) for v, w in zip(values, widths)], axis=1)
+    want.reshape(-1)[positions] ^= 1
+    start = 0
+    for (packed, width), in_rows in zip(fields, values):
+        assert packed.dtype == _as_packed(in_rows, width).dtype
+        assert np.array_equal(_oracle_bits(reference.row_ints(packed), width),
+                              want[:, start : start + width])
+        start += width
+
+
+def test_flip_bits_refuses_arrays_it_cannot_write_through():
+    flip_bits([(np.zeros(3, dtype=np.int64), 8)], np.array([], dtype=np.int64))
+    with pytest.raises(ValueError, match="contiguous"):
+        flip_bits([(np.zeros(3, dtype=np.int64), 8)], np.array([1]))

@@ -158,6 +158,23 @@ def test_run_oversized_message_exits_two_before_the_run(monkeypatch, capsys):
     _run_rejected_before_the_run(monkeypatch, capsys, args, "msg_len_bits")
 
 
+def test_run_oversized_key_state_exits_two_at_once(monkeypatch, capsys):
+    # n=50, k=10**6 would hold about 130 GiB of keys; it used to reach
+    # MemoryError partway through the distribution
+    def never(*args, **kwargs):
+        raise AssertionError("run_honest called")
+
+    monkeypatch.setattr(cli, "run_honest", never)
+    assert cli.main(["run", "--n", "50", "--k", "1000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "about 133514 MiB of packed key state (n=50, k=1000000)" in captured.err
+    assert f"past the {cli.MAX_KEY_STATE_BYTES >> 20} MiB limit" in captured.err
+    # the subprocess exits at once, before any bound is priced
+    proc = run_cli("run", "--n", "50", "--k", "1000000")
+    assert proc.returncode == 2 and "packed key state" in proc.stderr
+
+
 def test_wide_tags_run_end_to_end():
     # t > 64: the bounds are priced and forge draws packed uniform tags
     wide = ["--n", "3", "--a", "72", "--t", "72", "--k", "4", "--lmax", "0"]

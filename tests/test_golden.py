@@ -4,8 +4,10 @@ Each case below runs a small, fully seeded piece of the simulator and
 hashes its canonical output bytes. The digests pin behaviour, not just
 properties: any change to a random stream, to the bit layout of keys and
 tags, or to the acceptance arithmetic moves one of them. A change that
-alters a digest on purpose must say so as a declared stream change; an
-optimisation must leave all of them as they are.
+alters a digest on purpose must say so as a declared stream change (and
+bump keystore.STREAM_VERSION when the key streams move); an optimisation
+must leave all of them as they are. Case ids name the parameters only, so
+a recomputed digest keeps each test's name.
 """
 import hashlib
 
@@ -35,17 +37,21 @@ def _message(a: int) -> int:
     "n, a, t, k, seed, digest",
     [
         # the paper's size
-        (7, 8, 8, 906, 3,
-         "290848d236f71f5a685490ab202bdb14406f08eaf246123710b06939b9a48e9f"),
+        pytest.param(7, 8, 8, 906, 3,
+                     "70c7f0c224216d87d0d34ab174941e53254ee02df5b05d738539fb0500763ab2",
+                     id="7-8-8-906-3"),
         # a wide field with tags that fit in 64 bits
-        (3, 128, 32, 40, 5,
-         "277cdae6c433b797389da9f617fe15610364a404f5536f0182cd7589df820b80"),
+        pytest.param(3, 128, 32, 40, 5,
+                     "70a22fc816db672893518823fa4926596ec87a214d623de10cf21ad5c13f8060",
+                     id="3-128-32-40-5"),
         # tags wider than 64 bits
-        (3, 72, 72, 20, 7,
-         "6c66172ecec58ebea72636931a167ecfc9231ac92a92a8e23663dd9f2eae4482"),
+        pytest.param(3, 72, 72, 20, 7,
+                     "e5f6e60751e820ed773ec2a4bf0d5702121e8b173891d7112e89c04c143979c5",
+                     id="3-72-72-20-7"),
         # three multiplier limbs, tags wider than 64 bits
-        (3, 130, 100, 12, 13,
-         "4f00e881d94f536ff90747a98e276d083cc3863432617d3b13b7f5f0f5a94751"),
+        pytest.param(3, 130, 100, 12, 13,
+                     "0563e030968a3a4bfd13e4bac04c67d9eae221cbeeba3f56611e1f4ff1c5f91c",
+                     id="3-130-100-12-13"),
     ],
 )
 def test_signature_bytes(n, a, t, k, seed, digest):
@@ -60,10 +66,12 @@ def test_signature_bytes(n, a, t, k, seed, digest):
 @pytest.mark.parametrize(
     "n, a, t, k, seed, digest",
     [
-        (5, 8, 8, 100, 11,
-         "980c87ee133c72c78393f3b71221d95b44778b1ec8b120f24d2ef03181a1c3ca"),
-        (3, 72, 16, 30, 12,
-         "176ec3e5e9535721468a8efe68c6f76757263f6f0023f6e3b948484ecac2ce91"),
+        pytest.param(5, 8, 8, 100, 11,
+                     "06d2cb0bbc62d52b091936503f355c2298aa7fa00ecfcccea56abfdad87fa072",
+                     id="5-8-8-100-11"),
+        pytest.param(3, 72, 16, 30, 12,
+                     "79781005178ac6343830b1627f58c664d756e5f7e4e882437fe5f3eaefcc9552",
+                     id="3-72-16-30-12"),
     ],
 )
 def test_noisy_run_mismatch_counts(n, a, t, k, seed, digest):
@@ -82,7 +90,7 @@ def test_error_tolerance_sweep_csv():
     params = ProtocolParams.build(3, 8, 8, k=60)
     csv = sweep_error_tolerance([1e-4, 1e-3], params, margin=0.005, trials=12, seed=4).to_csv()
     assert _sha256(csv.encode()) == (
-        "8baa6b1996122e1cfae613e3e30f1915a6164203bb76f2a24acbb01c19ee8d6f"
+        "2f95c81f36abc443fe25686a1eba9b1275c63478df75e9a18b0cede9e1ca9c84"
     )
 
 
@@ -92,7 +100,7 @@ def test_forge_attack_result():
     result = attack_forge(spec, params)
     assert result.successes > 0
     assert _sha256(repr(result).encode()) == (
-        "48767f8f06869a507de841c1cd84b65c88e66a0ea8d524c724c7bc5558749ca7"
+        "3c1abdfc29f1767c120338357b10678e8457b23e97e66ba212d1f21629aaf3a8"
     )
 
 

@@ -16,9 +16,18 @@ from ussim.keystore import (
 from ussim.secparams import ProtocolParams
 
 
+def _bits(packed, n_bits):
+    """A packed draw as one bit per element; its padding must be zero."""
+    assert packed.dtype == np.uint8 and packed.size == (n_bits + 7) // 8
+    bits = np.unpackbits(packed)
+    assert not bits[n_bits:].any()
+    return bits[:n_bits]
+
+
 def test_draws_are_deterministic_across_instances():
     first = LinkKeyStore(0, 1, seed=7).draw_shared(1000, side=0)
     second = LinkKeyStore(0, 1, seed=7).draw_shared(1000, side=0)
+    assert first.dtype == np.uint8 and first.size == 125
     assert np.array_equal(first, second)
 
 
@@ -38,29 +47,50 @@ def test_sides_agree_on_noiseless_link():
 
 
 def test_draw_crosses_block_boundaries_consistently():
-    # one long draw equals the concatenation of many short ones
-    long_read = LinkKeyStore(0, 1, seed=5).draw_shared(2000, side=0)
+    # one long draw equals the concatenation of many short ones, including
+    # draws that start off a byte boundary and cross a pool block
+    sizes = (1, 511, 512, 700, 276, 32768 - 2000 - 3, 10, 40000)
+    long_read = LinkKeyStore(0, 1, seed=5).draw_shared(sum(sizes), side=0)
     store = LinkKeyStore(0, 1, seed=5)
-    pieces = [store.draw_shared(n, side=0) for n in (1, 511, 512, 700, 276)]
-    assert np.array_equal(long_read, np.concatenate(pieces))
+    pieces = [_bits(store.draw_shared(n, side=0), n) for n in sizes]
+    assert np.array_equal(_bits(long_read, sum(sizes)), np.concatenate(pieces))
 
 
-@pytest.mark.parametrize("start", [0, 511, 512, 1000])
+@pytest.mark.parametrize("start", [0, 511, 512, 1000, 32767, 32768])
 @pytest.mark.parametrize("n_bits", [0, 1, 513, 2000])
 def test_pool_bits_match_freshly_keyed_reference(start, n_bits):
     # the store hashes every block from one pre-keyed state; the oracle
-    # keys blake2b anew for each block
+    # hashes each block, and each bit, afresh
     want = reference.pool_bits(11, 2, 5, start, n_bits)
     for side in (2, 5):
         store = LinkKeyStore(2, 5, seed=11)
         store.draw_shared(start, side=side)
-        assert store.draw_shared(n_bits, side=side).tolist() == want
+        assert _bits(store.draw_shared(n_bits, side=side), n_bits).tolist() == want
+
+
+@pytest.mark.parametrize("q", [0.01, 0.3])
+@pytest.mark.parametrize("start", [0, (1 << 20) - 3001])
+def test_noisy_reads_do_not_depend_on_batching(q, start):
+    # flips are keyed by pool position, so [start, start + N) read as one
+    # draw or as several gives identical bits; the second start crosses a
+    # flip block
+    sizes = (1, 7, 3000, 509, 4096, 5, 2382)
+    whole = LinkKeyStore(0, 1, seed=13, flip_prob=q)
+    pieces = LinkKeyStore(0, 1, seed=13, flip_prob=q)
+    for store in (whole, pieces):
+        store.draw_shared(start, side=1)
+    one = whole.draw_shared(sum(sizes), side=1)
+    several = np.concatenate([_bits(pieces.draw_shared(n, side=1), n) for n in sizes])
+    assert np.array_equal(_bits(one, sum(sizes)), several)
+    clean = LinkKeyStore(0, 1, seed=13).draw_shared(start + sum(sizes), side=0)
+    flipped = _bits(clean, start + sum(sizes))[start:] ^ several
+    assert flipped.any()
 
 
 def test_all_bits_flip_at_probability_one():
     store = LinkKeyStore(0, 1, seed=3, flip_prob=1.0)
-    clean = store.draw_shared(512, side=0)
-    noisy = store.draw_shared(512, side=1)
+    clean = _bits(store.draw_shared(509, side=0), 509)
+    noisy = _bits(store.draw_shared(509, side=1), 509)
     assert np.array_equal(noisy, clean ^ 1)
 
 
@@ -70,7 +100,7 @@ def test_flip_fraction_near_rate():
     store = LinkKeyStore(0, 1, seed=11, flip_prob=q)
     clean = store.draw_shared(n, side=0)
     noisy = store.draw_shared(n, side=1)
-    flips = int((clean ^ noisy).sum())
+    flips = int(np.unpackbits(clean ^ noisy).sum())
     sigma = math.sqrt(n * q * (1 - q))
     assert abs(flips - n * q) <= 3 * sigma
 
@@ -87,20 +117,21 @@ def test_endpoint_order_does_not_matter():
 
 
 def test_otp_transfer_roundtrip_noiseless():
+    # a noiseless link delivers the payload exactly: no flip positions
     store = LinkKeyStore(0, 1, seed=9)
-    payload = np.random.default_rng(1).integers(0, 2, size=333, dtype=np.uint8)
-    assert np.array_equal(store.otp_transfer(payload, from_side=0), payload)
+    flips = store.otp_transfer(333, from_side=0)
+    assert flips.dtype == np.int64 and flips.size == 0
+    assert store.consumed_bits() == 333
 
 
 def test_otp_transfer_error_rate_on_noisy_link():
     q = 0.02
     n = 50_000
     store = LinkKeyStore(0, 1, seed=9, flip_prob=q)
-    payload = np.zeros(n, dtype=np.uint8)
-    delivered = store.otp_transfer(payload, from_side=0)
-    errors = int(delivered.sum())
+    flips = store.otp_transfer(n, from_side=0)
+    assert np.all(np.diff(flips) > 0) and 0 <= flips[0] and flips[-1] < n
     sigma = math.sqrt(n * q * (1 - q))
-    assert abs(errors - n * q) <= 3 * sigma
+    assert abs(flips.size - n * q) <= 3 * sigma
 
 
 def test_consumption_counts_positions_once():
@@ -115,7 +146,7 @@ def test_consumption_counts_positions_once():
 
 def test_otp_transfer_spends_payload_length_once():
     store = LinkKeyStore(0, 1, seed=0)
-    store.otp_transfer(np.ones(64, dtype=np.uint8), from_side=1)
+    store.otp_transfer(64, from_side=1)
     assert store.consumed_bits() == 64
 
 
@@ -123,39 +154,37 @@ def test_otp_transfer_spends_payload_length_once():
 @pytest.mark.parametrize("from_side", [0, 1])
 def test_otp_transfer_matches_payload_xor_both_pads(q, from_side):
     # the twin spends the same positions the way a pad-based transfer
-    # would: both endpoints draw, and the payload is XORed with both views
+    # would: both endpoints draw, and the payload is XORed with both views;
+    # the flips are exactly where those two views differ
     store = LinkKeyStore(0, 1, seed=21, flip_prob=q)
     twin = LinkKeyStore(0, 1, seed=21, flip_prob=q)
-    for link in (store, twin):  # start both cursors past block 0
+    for link in (store, twin):  # start both cursors off a byte boundary
         link.draw_shared(509, side=0)
         link.draw_shared(509, side=1)
     to_side = 1 - from_side
     rng = np.random.default_rng(5)
     for n_bits in (37, 1, 601, 0, 1023):
         payload = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
-        want = payload ^ twin.draw_shared(n_bits, from_side) ^ twin.draw_shared(n_bits, to_side)
-        got = store.otp_transfer(payload, from_side=from_side)
-        assert got.dtype == np.uint8
-        assert np.array_equal(got, want)
+        pad_from = _bits(twin.draw_shared(n_bits, from_side), n_bits)
+        pad_to = _bits(twin.draw_shared(n_bits, to_side), n_bits)
+        flips = store.otp_transfer(n_bits, from_side=from_side)
+        assert flips.dtype == np.int64
+        assert np.array_equal(flips, np.flatnonzero(pad_from ^ pad_to))
+        delivered = payload.copy()
+        delivered[flips] ^= 1
+        assert np.array_equal(delivered, payload ^ pad_from ^ pad_to)
         assert store.consumed_bits() == twin.consumed_bits()
     # the transfers left both stores at the same place in the pool
     assert np.array_equal(store.draw_shared(64, side=1), twin.draw_shared(64, side=1))
 
 
-def test_otp_transfer_does_not_alias_the_payload():
-    payload = np.zeros(16, dtype=np.uint8)
-    delivered = LinkKeyStore(0, 1, seed=2).otp_transfer(payload, from_side=0)
-    delivered[0] = 1
-    assert payload[0] == 0
-
-
 def test_otp_transfer_rejects_desynced_link_and_strangers():
     store = LinkKeyStore(3, 5, seed=4)
     with pytest.raises(ValueError, match="endpoint"):
-        store.otp_transfer(np.zeros(8, dtype=np.uint8), from_side=4)
+        store.otp_transfer(8, from_side=4)
     store.draw_shared(10, side=5)
     with pytest.raises(ValueError, match=r"link \(3, 5\) is out of sync: user 3 .* 0, user 5 .* 10"):
-        store.otp_transfer(np.zeros(8, dtype=np.uint8), from_side=3)
+        store.otp_transfer(8, from_side=3)
     assert store.consumed_bits() == 10
 
 
@@ -173,8 +202,12 @@ def test_store_validation():
     store = LinkKeyStore(0, 1)
     with pytest.raises(ValueError, match="endpoint"):
         store.draw_shared(8, side=2)
-    with pytest.raises(ValueError, match="n_bits"):
-        store.draw_shared(-1, side=0)
+    for bad in (-1, True, 8.0):
+        with pytest.raises(ValueError, match="n_bits"):
+            store.draw_shared(bad, side=0)
+        with pytest.raises(ValueError, match="n_bits"):
+            store.otp_transfer(bad, from_side=0)
+    assert store.consumed_bits() == 0
 
 
 def test_network_config_from_json_with_overrides():

@@ -80,6 +80,92 @@ def test_held_keys_match_sender_issue_noiseless():
             assert np.array_equal(held.offsets, off[held.slots])
 
 
+def _distribute_by_hand(params, network):
+    """Run the distribution stage by stage; return the parties and the
+    batches as every recipient saw them before any share moved."""
+    sender = Sender(network, params)
+    recipients = [Recipient(network, params, i) for i in range(params.n_recipients)]
+    sender.prepare()
+    for r in recipients:
+        r.receive_batch()
+        r.make_partition()
+    batches = [tuple(v.copy() for v in r.batch_view()) for r in recipients]
+    for lo in recipients:
+        for hi in recipients[lo.index + 1 :]:
+            lo.send_share(hi)
+            hi.send_share(lo)
+    return sender, recipients, batches
+
+
+def test_share_does_not_alias_the_senders_batch():
+    # at q = 1 every transferred bit flips; the flips land on the
+    # receiver's copy and never on the batch the share was cut from
+    params = small_params(n=3, k=6)
+    network = Network(NetworkConfig(n_users=4, seed=8, default_flip_prob=1.0))
+    _, recipients, batches = _distribute_by_hand(params, network)
+    for r, (mult, off) in zip(recipients, batches):
+        assert np.array_equal(r.batch_view()[0], mult)
+        assert np.array_equal(r.batch_view()[1], off)
+        own = r.held_group(r.index)
+        assert np.array_equal(own.multipliers, mult[own.slots])
+    relayed = recipients[1].held_group(0)
+    mult, _ = batches[0]
+    chunk = recipients[0]._chunks[1]
+    assert np.array_equal(relayed.multipliers, mult[chunk] ^ np.uint64(0xFF))
+
+
+@pytest.mark.parametrize("a, t", [(8, 8), (72, 16), (9, 4)])
+def test_noisy_shares_carry_exactly_the_links_flips(a, t):
+    # a twin link replays each pair's two transfers; the held keys are the
+    # origin's chunk as id + multiplier + offset bit rows, XOR those flips
+    n, k, seed, q = 3, 7, 31, 0.05
+    params = ProtocolParams.build(n, a, t, k=k)
+    network = Network(NetworkConfig(n_users=n + 1, seed=seed, default_flip_prob=q))
+    _, recipients, batches = _distribute_by_hand(params, network)
+    ib = protocol.id_bits(n, k)
+    widths = (ib, a, t)
+    flipped_any = False
+    for lo in recipients:
+        for hi in recipients[lo.index + 1 :]:
+            twin = LinkKeyStore(lo.user, hi.user, seed=seed, flip_prob=q)
+            for src, dst in ((lo, hi), (hi, lo)):
+                flips = twin.otp_transfer(k * sum(widths), from_side=src.user)
+                flipped_any |= flips.size > 0
+                chunk = src._chunks[dst.index]
+                mult, off = batches[src.index]
+                fields = (chunk, reference.row_ints(mult[chunk]), reference.row_ints(off[chunk]))
+                bits = np.concatenate(
+                    [[reference.unpack_value(v, w) for v in f] for f, w in zip(fields, widths)],
+                    axis=1,
+                ).astype(np.uint8)
+                bits.reshape(-1)[flips] ^= 1
+                held = dst.held_group(src.index)
+                got = (held.slots, held.multipliers, held.offsets)
+                start = 0
+                for values, width in zip(got, widths):
+                    want = [reference.pack_row(row) for row in bits[:, start : start + width]]
+                    assert reference.row_ints(values) == want
+                    start += width
+                assert held.slots.dtype == np.int64
+    assert flipped_any
+
+
+@pytest.mark.parametrize("a, t", [(8, 8), (128, 32), (72, 16)])
+def test_distribution_never_unpacks_byte_aligned_keys(monkeypatch, a, t):
+    # keys stay packed from the key store to the held shares; only the
+    # wire format still packs and unpacks bit rows
+    def never(*args):
+        raise AssertionError("bit rows built during distribution")
+
+    monkeypatch.setattr(protocol, "pack_rows", never)
+    monkeypatch.setattr(protocol, "unpack_rows", never)
+    monkeypatch.setattr(protocol.np, "unpackbits", never)
+    params = ProtocolParams.build(3, a, t, k=9)
+    network = Network(NetworkConfig(n_users=4, seed=2, default_flip_prob=0.01))
+    _, recipients = run_distribution(network, params)
+    assert all(r.distribution_complete for r in recipients)
+
+
 def test_partitions_are_private_and_distinct():
     params = small_params()
     _, sender, recipients = distributed(params)
@@ -115,7 +201,7 @@ def test_smallest_instance_tags_recomputed_from_stream():
     for message in (0, 1):
         signature = sender.sign(message)
         for r in range(2):
-            bits = LinkKeyStore(0, r + 1, seed=seed).draw_shared(4, side=0)
+            bits = reference.pool_bits(seed, 0, r + 1, 0, 4)
             expected = []
             for slot in range(2):
                 mult, off = int(bits[2 * slot]), int(bits[2 * slot + 1])

@@ -43,6 +43,13 @@ def test_wilson_interval_edges_and_validation():
         wilson_interval(0, 0)
     with pytest.raises(ValueError, match="successes"):
         wilson_interval(5, 4)
+    # bools are ints to Python but not counts
+    with pytest.raises(ValueError, match="trials"):
+        wilson_interval(1, True)
+    with pytest.raises(ValueError, match="successes"):
+        wilson_interval(True, 5)
+    with pytest.raises(ValueError, match="successes"):
+        wilson_interval(1.0, 5)
 
 
 def test_run_honest_accepts_everywhere_noiseless():
