@@ -14,11 +14,15 @@ same seed and the same operation sequence observe identical streams:
 * Pool bits: block j of a link's pool is shake_256(link key || j), read out
   to POOL_BLOCK_BITS bits. The link key derives from the network seed, the
   two endpoints and STREAM_VERSION.
-* Flips: flip block b covers FLIP_BLOCK_BITS positions. A Philox generator
-  keyed by (link key, flip stream) and started at a counter set by b draws
-  m ~ Binomial(FLIP_BLOCK_BITS, q) and then m distinct positions, which is
-  exactly an independent Bernoulli(q) flip per position; the work grows
-  with the number of flips, not of bits.
+* Flips: flip block b covers a power-of-two number of positions, sized
+  from q to hold about FLIPS_PER_BLOCK expected flips and capped at
+  MAX_FLIP_BLOCK_BITS. A Philox generator keyed by (link key, flip stream)
+  and started at a counter set by b draws m ~ Binomial(block size, q) and
+  then m distinct positions, which is exactly an independent Bernoulli(q)
+  flip per position. A read draws each flip block it touches, except the
+  last one drawn, which is kept; its work grows with the flips in its
+  range plus at most about 2 * FLIPS_PER_BLOCK, not with the number of
+  bits.
 
 draw_shared returns bits packed most significant bit first into
 ceil(n / 8) bytes, zero-padded, never one byte per bit. Consumption is
@@ -58,8 +62,21 @@ __all__ = [
 
 STREAM_VERSION = 2
 POOL_BLOCK_BITS = 1 << 15  # pool bits per shake_256 call
-FLIP_BLOCK_BITS = 1 << 20  # positions per flip generator
+FLIPS_PER_BLOCK = 1 << 10  # expected flips a flip block is sized for
+MAX_FLIP_BLOCK_BITS = 1 << 20  # positions per flip block at low q
 _FLIP_STREAM = 0x464C4950  # stream label, distinct from pool positions
+_U64 = (1 << 64) - 1
+
+
+def _flip_block_bits(flip_prob: float) -> int:
+    """Positions per flip block on a link with flip probability flip_prob > 0.
+
+    The largest power of two holding at most FLIPS_PER_BLOCK expected
+    flips, capped at MAX_FLIP_BLOCK_BITS.
+    """
+    if flip_prob * MAX_FLIP_BLOCK_BITS <= FLIPS_PER_BLOCK:
+        return MAX_FLIP_BLOCK_BITS
+    return 1 << (int(FLIPS_PER_BLOCK / flip_prob).bit_length() - 1)
 
 
 def _stream_key(seed: int, user_a: int, user_b: int) -> bytes:
@@ -103,6 +120,9 @@ class LinkKeyStore:
         key = _stream_key(seed, self.user_a, self.user_b)
         flip_key = hashlib.blake2b(key + _FLIP_STREAM.to_bytes(4, "big"), digest_size=16)
         self._flip_key = int.from_bytes(flip_key.digest(), "big")
+        self._flip_block = _flip_block_bits(self.flip_prob) if self.flip_prob else 0
+        self._flip_rng: np.random.Generator | None = None  # built on first use
+        self._flip_cache: tuple[int, np.ndarray] = (-1, np.zeros(0, dtype=np.int64))
         # keyed once; each block hashes its counter into a copy of this state
         self._hasher = hashlib.shake_256(key)
         self._cursor = {self.user_a: 0, self.user_b: 0}
@@ -140,18 +160,44 @@ class LinkKeyStore:
         """Sorted noisy-side flip positions in the range, relative to start."""
         if self.flip_prob == 0 or not n_bits:
             return np.zeros(0, dtype=np.int64)
-        first = start // FLIP_BLOCK_BITS
-        last = (start + n_bits - 1) // FLIP_BLOCK_BITS
+        size = self._flip_block
         found = []
-        for block in range(first, last + 1):
-            # counter-based: block b starts its own stream at counter b * 2**128
-            rng = np.random.Generator(np.random.Philox(key=self._flip_key, counter=block << 128))
-            m = rng.binomial(FLIP_BLOCK_BITS, self.flip_prob)
-            pos = np.sort(rng.choice(FLIP_BLOCK_BITS, size=m, replace=False, shuffle=False))
-            pos += block * FLIP_BLOCK_BITS - start
+        for block in range(start // size, (start + n_bits - 1) // size + 1):
+            pos = self._block_flips(block) + (block * size - start)
             lo, hi = np.searchsorted(pos, (0, n_bits))
             found.append(pos[lo:hi])
         return np.concatenate(found)
+
+    def _block_flips(self, block: int) -> np.ndarray:
+        """Sorted flip positions of one flip block, relative to its start.
+
+        The last block drawn is kept, since reads move forward through the
+        pool and a run of short reads falls in the same block.
+        """
+        if self._flip_cache[0] == block:
+            return self._flip_cache[1]
+        if self._flip_rng is None:
+            self._flip_rng = np.random.Generator(np.random.Philox(key=self._flip_key))
+        rng = self._flip_rng
+        # counter-based: block b starts its own stream at counter b * 2**128,
+        # as Philox(key=..., counter=b << 128) would, without reseeding
+        key = self._flip_key
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.array([0, 0, block & _U64, block >> 64], dtype=np.uint64),
+                "key": np.array([key & _U64, key >> 64], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        size = self._flip_block
+        m = rng.binomial(size, self.flip_prob)
+        pos = np.sort(rng.choice(size, size=m, replace=False, shuffle=False))
+        self._flip_cache = (block, pos)
+        return pos
 
     def _check(self, side: int, n_bits: int) -> None:
         if side not in self._cursor:

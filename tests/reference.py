@@ -133,3 +133,34 @@ def pool_bits(seed: int, user_a: int, user_b: int, start: int, n_bits: int) -> l
         block = hashlib.shake_256(key + (pos // 32768).to_bytes(8, "big")).digest(4096)
         out.append((block[pos % 32768 // 8] >> (7 - pos % 8)) & 1)
     return out
+
+
+def flip_positions(seed: int, user_a: int, user_b: int, q: float, start: int, n_bits: int) -> list[int]:
+    """Noisy-side flip positions start .. start + n_bits of a link, relative to start.
+
+    Flip blocks hold the largest power of two of positions, at most 2^20,
+    with at most 1024 expected flips. Block b gets a fresh Philox
+    generator keyed by the first 16 bytes of blake2b(link key ||
+    0x464C4950), big-endian, with its counter at b * 2^128; it draws
+    m ~ Binomial(size, q) and then m distinct positions.
+    """
+    lo, hi = sorted((user_a, user_b))
+    key = hashlib.blake2b(
+        b"ussim-link-v2" + struct.pack(">qqq", seed, lo, hi), digest_size=32
+    ).digest()
+    flip_key = int.from_bytes(
+        hashlib.blake2b(key + bytes.fromhex("464C4950"), digest_size=16).digest(), "big"
+    )
+    size = 1 << 20
+    while size * q > 1024:
+        size //= 2
+    out = []
+    for pos in range(start, start + n_bits):
+        block, offset = divmod(pos, size)
+        if pos == start or offset == 0:
+            rng = np.random.Generator(np.random.Philox(key=flip_key, counter=block << 128))
+            m = rng.binomial(size, q)
+            flipped = set(rng.choice(size, size=m, replace=False, shuffle=False).tolist())
+        if offset in flipped:
+            out.append(pos - start)
+    return out

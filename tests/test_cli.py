@@ -165,14 +165,38 @@ def test_run_oversized_key_state_exits_two_at_once(monkeypatch, capsys):
         raise AssertionError("run_honest called")
 
     monkeypatch.setattr(cli, "run_honest", never)
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 64 << 30)
     assert cli.main(["run", "--n", "50", "--k", "1000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "about 133514 MiB of packed key state (n=50, k=1000000)" in captured.err
-    assert f"past the {cli.MAX_KEY_STATE_BYTES >> 20} MiB limit" in captured.err
-    # the subprocess exits at once, before any bound is priced
-    proc = run_cli("run", "--n", "50", "--k", "1000000")
+    assert "more than 50% of the 65536 MiB of physical memory" in captured.err
+    # the subprocess exits at once, before any bound is priced; 13 TiB of
+    # keys exceeds any machine's memory
+    proc = run_cli("run", "--n", "50", "--k", "100000000")
     assert proc.returncode == 2 and "packed key state" in proc.stderr
+
+
+def test_run_key_state_limit_follows_physical_memory(monkeypatch, capsys):
+    # n=100 at the default k (14407) holds about 7.5 GiB of keys: a run
+    # that fits in half the machine's memory goes ahead, a larger one is
+    # refused, and a machine that does not report its memory sets no limit
+    runs = []
+
+    def record(*args, **kwargs):
+        runs.append(args)
+        raise RuntimeError("stopped after the memory check")
+
+    monkeypatch.setattr(cli, "run_honest", record)
+    for memory in (16 << 30, None):
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: memory)
+        assert cli.main(["run", "--n", "100"]) == 1
+    assert len(runs) == 2 and runs[0][0].k == 14407
+    assert "packed key state" not in capsys.readouterr().err
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 8 << 30)
+    assert cli.main(["run", "--n", "100"]) == 2
+    assert "about 7694 MiB of packed key state" in capsys.readouterr().err
+    assert len(runs) == 2
 
 
 def test_wide_tags_run_end_to_end():

@@ -67,10 +67,10 @@ def test_signature_bytes(n, a, t, k, seed, digest):
     "n, a, t, k, seed, digest",
     [
         pytest.param(5, 8, 8, 100, 11,
-                     "06d2cb0bbc62d52b091936503f355c2298aa7fa00ecfcccea56abfdad87fa072",
+                     "bb606351c62fce807abca58e0ad89a77f0d2c535b527b175b43d9ca2dd9bf1f5",
                      id="5-8-8-100-11"),
         pytest.param(3, 72, 16, 30, 12,
-                     "79781005178ac6343830b1627f58c664d756e5f7e4e882437fe5f3eaefcc9552",
+                     "4847e7b9a6e40f9aa89981092f822ceae6766edb72917d2b2e1e362585e07889",
                      id="3-72-16-30-12"),
     ],
 )

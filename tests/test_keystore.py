@@ -87,6 +87,22 @@ def test_noisy_reads_do_not_depend_on_batching(q, start):
     assert flipped.any()
 
 
+@pytest.mark.parametrize("q", [1e-4, 0.01, 0.05, 0.3, 1.0])
+def test_flips_match_freshly_seeded_reference(q):
+    # flip blocks shrink with q to about 1024 expected flips; the store
+    # reuses one generator and its last block, the oracle seeds every
+    # block afresh and tests each position
+    start, n_bits = (1 << 20) - 5000, 9000
+    store = LinkKeyStore(2, 5, seed=11, flip_prob=q)
+    store.draw_shared(start, side=2)
+    store.draw_shared(start, side=5)  # the last block drawn holds start - 1
+    got = [store.otp_transfer(n, from_side=2) + offset
+           for offset, n in ((0, 3000), (3000, 1), (3001, 5999))]
+    want = reference.flip_positions(11, 2, 5, q, start, n_bits)
+    assert np.concatenate(got).tolist() == want
+    assert abs(len(want) - n_bits * q) <= 4 * math.sqrt(n_bits * q) + 1
+
+
 def test_all_bits_flip_at_probability_one():
     store = LinkKeyStore(0, 1, seed=3, flip_prob=1.0)
     clean = _bits(store.draw_shared(509, side=0), 509)
