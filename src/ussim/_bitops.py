@@ -118,6 +118,8 @@ def flip_bits(fields, positions: np.ndarray) -> None:
     for values, width in fields:
         end += width
         hit = (cols >= end - width) & (cols < end)
+        if not hit.any():
+            continue
         low = end - 1 - cols[hit]  # bit index from the least significant end
         view = octets(values)
         if not np.may_share_memory(view, values):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -350,6 +351,11 @@ def _geometric_range(start: float, stop: float, factor: float) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
+    bounds = (("--from", args.start), ("--to", args.stop), ("--step", args.step),
+              ("--factor", args.factor))
+    for name, bound in bounds:
+        if bound is not None and not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {bound}")
     params, spec, mode = _resolve_params(args)
     seed = _resolve_seed(args)
     if args.axis == "q":

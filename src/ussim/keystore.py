@@ -24,6 +24,11 @@ same seed and the same operation sequence observe identical streams:
   range plus at most about 2 * FLIPS_PER_BLOCK, not with the number of
   bits.
 
+Each pool position is hashed once for both endpoints: a link keeps the pool
+blocks of its latest read while the other endpoint's cursor is still behind
+that read's end, and the other endpoint's read of the same blocks takes
+them and drops them. A Network builds each link's store on first use.
+
 draw_shared returns bits packed most significant bit first into
 ceil(n / 8) bytes, zero-padded, never one byte per bit. Consumption is
 counted once per pool position, however many endpoints read it, because
@@ -41,8 +46,11 @@ mixed into every link key, whenever a change moves any seeded output.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import mmap
+import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -66,6 +74,22 @@ FLIPS_PER_BLOCK = 1 << 10  # expected flips a flip block is sized for
 MAX_FLIP_BLOCK_BITS = 1 << 20  # positions per flip block at low q
 _FLIP_STREAM = 0x464C4950  # stream label, distinct from pool positions
 _U64 = (1 << 64) - 1
+_MAPPED_KEEP_BYTES = 1 << 17  # kept pool blocks from this size get their own mapping
+
+
+@functools.cache
+def _flip_rng() -> np.random.Generator:
+    """The one generator every link's flip blocks draw from.
+
+    Each block sets its key and counter first. Built on first use, since
+    the first touch of numpy.random costs about 10 ms of import time.
+    """
+    return np.random.Generator(np.random.Philox(0))
+
+
+def _check_rate(rate, name: str) -> None:
+    if not isinstance(rate, numbers.Real) or isinstance(rate, bool) or not rate > 0:
+        raise ValueError(f"{name} must be a positive number, got {rate!r}")
 
 
 def _flip_block_bits(flip_prob: float) -> int:
@@ -107,8 +131,7 @@ class LinkKeyStore:
             raise ValueError("a link needs two distinct users")
         if user_a < 0 or user_b < 0:
             raise ValueError("user indices must be non-negative")
-        if rate_bps <= 0:
-            raise ValueError(f"rate_bps must be positive, got {rate_bps}")
+        _check_rate(rate_bps, "rate_bps")
         if not 0 <= flip_prob <= 1:
             raise ValueError(f"flip_prob must be in [0, 1], got {flip_prob}")
         if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 63:
@@ -121,10 +144,10 @@ class LinkKeyStore:
         flip_key = hashlib.blake2b(key + _FLIP_STREAM.to_bytes(4, "big"), digest_size=16)
         self._flip_key = int.from_bytes(flip_key.digest(), "big")
         self._flip_block = _flip_block_bits(self.flip_prob) if self.flip_prob else 0
-        self._flip_rng: np.random.Generator | None = None  # built on first use
         self._flip_cache: tuple[int, np.ndarray] = (-1, np.zeros(0, dtype=np.int64))
         # keyed once; each block hashes its counter into a copy of this state
         self._hasher = hashlib.shake_256(key)
+        self._kept_blocks: tuple[int, bytes | mmap.mmap] = (0, b"")  # first block, bytes
         self._cursor = {self.user_a: 0, self.user_b: 0}
         self._highwater = 0
 
@@ -132,19 +155,44 @@ class LinkKeyStore:
     def users(self) -> tuple[int, int]:
         return (self.user_a, self.user_b)
 
-    def _pool_bytes(self, start: int, n_bits: int) -> np.ndarray:
-        """Noiseless pool bits start .. start + n_bits, packed and zero-padded."""
+    def _pool_bytes(self, start: int, n_bits: int, side: int) -> np.ndarray:
+        """Noiseless pool bits start .. start + n_bits, packed and zero-padded.
+
+        Blocks kept from the latest read are taken instead of hashed. This
+        read's blocks are kept in turn while the other endpoint's cursor is
+        behind its end, so that endpoint's read of them hashes nothing.
+        """
         n_bytes = (n_bits + 7) // 8
         if not n_bits:
             return np.zeros(0, dtype=np.uint8)
+        size = POOL_BLOCK_BITS // 8
         first = start // POOL_BLOCK_BITS
         last = (start + n_bits - 1) // POOL_BLOCK_BITS
+        kept_first, kept = self._kept_blocks
+        kept = memoryview(kept)
         blocks = []
         for block in range(first, last + 1):
-            h = self._hasher.copy()
-            h.update(block.to_bytes(8, "big"))
-            blocks.append(h.digest(POOL_BLOCK_BITS // 8))
-        raw = np.frombuffer(b"".join(blocks), dtype=np.uint8)
+            at = (block - kept_first) * size
+            if 0 <= at < len(kept):
+                blocks.append(kept[at : at + size])
+            else:
+                h = self._hasher.copy()
+                h.update(block.to_bytes(8, "big"))
+                blocks.append(h.digest(size))
+        joined = b"".join(blocks)
+        other = self.user_b if side == self.user_a else self.user_a
+        if self._cursor[other] < start + n_bits:
+            keep = joined
+            if len(joined) >= _MAPPED_KEEP_BYTES:
+                # held until the other endpoint reads, a large heap buffer
+                # sits between long-lived key arrays and leaves a hole that
+                # raises peak RSS; a mapping of its own is returned whole
+                keep = mmap.mmap(-1, len(joined))
+                keep.write(joined)
+            self._kept_blocks = (first, keep)
+        else:
+            self._kept_blocks = (0, b"")
+        raw = np.frombuffer(joined, dtype=np.uint8)
         byte, shift = divmod(start - first * POOL_BLOCK_BITS, 8)
         if shift:
             out = raw[byte : byte + n_bytes] << shift
@@ -176,9 +224,7 @@ class LinkKeyStore:
         """
         if self._flip_cache[0] == block:
             return self._flip_cache[1]
-        if self._flip_rng is None:
-            self._flip_rng = np.random.Generator(np.random.Philox(key=self._flip_key))
-        rng = self._flip_rng
+        rng = _flip_rng()
         # counter-based: block b starts its own stream at counter b * 2**128,
         # as Philox(key=..., counter=b << 128) would, without reseeding
         key = self._flip_key
@@ -222,7 +268,7 @@ class LinkKeyStore:
         """
         self._check(side, n_bits)
         start = self._advance(side, n_bits)
-        out = self._pool_bytes(start, n_bits)
+        out = self._pool_bytes(start, n_bits, side)
         if side == self.noisy_side:
             flips = self._flips(start, n_bits)
             np.bitwise_xor.at(out, flips >> 3, (0x80 >> (flips & 7)).astype(np.uint8))
@@ -275,10 +321,7 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.n_users, int) or self.n_users < 2:
             raise ValueError(f"users must be an int >= 2, got {self.n_users}")
-        if self.default_rate_bps <= 0:
-            raise ValueError(
-                f"default_rate_bps must be positive, got {self.default_rate_bps}"
-            )
+        _check_rate(self.default_rate_bps, "default_rate_bps")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 1 << 63:
             raise ValueError(f"seed must be an int in [0, 2**63), got {self.seed}")
         if not 0 <= self.default_flip_prob <= 1:
@@ -287,6 +330,8 @@ class NetworkConfig:
             )
         normalized: dict[tuple[int, int], LinkSettings] = {}
         for pair, settings in self.links.items():
+            if not all(isinstance(u, int) and not isinstance(u, bool) for u in pair):
+                raise ValueError(f"link {pair} endpoints must be ints")
             a, b = sorted(pair)
             if a == b:
                 raise ValueError(f"link ({pair}) must join two distinct users")
@@ -294,8 +339,8 @@ class NetworkConfig:
                 raise ValueError(f"link ({a}, {b}) names a user outside [0, {self.n_users})")
             if (a, b) in normalized:
                 raise ValueError(f"link ({a}, {b}) configured twice")
-            if settings.rate_bps is not None and settings.rate_bps <= 0:
-                raise ValueError(f"rate_bps must be positive on link ({a}, {b})")
+            if settings.rate_bps is not None:
+                _check_rate(settings.rate_bps, f"rate_bps on link ({a}, {b})")
             if settings.flip_prob is not None and not 0 <= settings.flip_prob <= 1:
                 raise ValueError(f"flip_prob must be in [0, 1] on link ({a}, {b})")
             normalized[(a, b)] = settings
@@ -317,6 +362,9 @@ class NetworkConfig:
                     raise ValueError(f"unknown key {key!r} in links[{i}]")
             if "a" not in entry or "b" not in entry:
                 raise ValueError(f"links[{i}] needs both 'a' and 'b'")
+            for end in ("a", "b"):
+                if not isinstance(entry[end], int) or isinstance(entry[end], bool):
+                    raise ValueError(f"links[{i}] '{end}' must be an int, got {entry[end]!r}")
             links[(entry["a"], entry["b"])] = LinkSettings(
                 rate_bps=entry.get("rate_bps"),
                 flip_prob=entry.get("flip_prob"),
@@ -347,36 +395,42 @@ class NetworkConfig:
 
 
 class Network:
-    """Live key stores for every unordered pair of users."""
+    """Key stores for every unordered pair of users, each built on first use."""
 
     def __init__(self, config: NetworkConfig) -> None:
         self.config = config
         self.seed = config.seed
         self._stores: dict[tuple[int, int], LinkKeyStore] = {}
-        for a in range(config.n_users):
-            for b in range(a + 1, config.n_users):
-                self._stores[(a, b)] = LinkKeyStore(
-                    a,
-                    b,
-                    seed=config.seed,
-                    rate_bps=config.rate(a, b),
-                    flip_prob=config.flip_prob(a, b),
-                )
 
     @property
     def n_users(self) -> int:
         return self.config.n_users
 
     def link(self, user_a: int, user_b: int) -> LinkKeyStore:
-        pair = tuple(sorted((user_a, user_b)))
-        store = self._stores.get(pair)
+        a, b = sorted((user_a, user_b))
+        store = self._stores.get((a, b))
         if store is None:
-            raise ValueError(f"no link between users {user_a} and {user_b}")
+            integral = all(isinstance(u, (int, np.integer)) for u in (a, b))
+            if not (integral and 0 <= a < b < self.n_users):
+                raise ValueError(f"no link between users {user_a} and {user_b}")
+            a, b = int(a), int(b)
+            store = self._stores[(a, b)] = LinkKeyStore(
+                a,
+                b,
+                seed=self.seed,
+                rate_bps=self.config.rate(a, b),
+                flip_prob=self.config.flip_prob(a, b),
+            )
         return store
 
     def total_consumed(self) -> dict[tuple[int, int], int]:
-        """Bits consumed per link since construction."""
-        return {pair: store.consumed_bits() for pair, store in self._stores.items()}
+        """Bits consumed per link since construction; 0 for links never used."""
+        n = self.n_users
+        return {
+            (a, b): self._stores[(a, b)].consumed_bits() if (a, b) in self._stores else 0
+            for a in range(n)
+            for b in range(a + 1, n)
+        }
 
 
 @dataclass(frozen=True)

@@ -346,9 +346,11 @@ class Recipient:
         p = self.params
         rng = np.random.default_rng([self.network.seed, PARTITION_STREAM, self.index])
         perm = rng.permutation(p.n_recipients * p.k)
-        self._chunks = [np.sort(perm[d * p.k : (d + 1) * p.k]) for d in range(p.n_recipients)]
+        # chunks are views of perm, sorted in place only once kept or sent
+        self._chunks = [perm[d * p.k : (d + 1) * p.k] for d in range(p.n_recipients)]
         mult, off = self._batch
         own = self._chunks[self.index]
+        own.sort()
         self._held[self.index] = OriginKeys(own.copy(), mult[own], off[own])
 
     def send_share(self, other: "Recipient") -> None:
@@ -358,18 +360,27 @@ class Recipient:
         k * (id_bits + a + t) pad bits on the connecting link. The share
         moves as packed copies; the receiver applies the link's flips.
         """
+        flips = self._spend_share_pad(other)
+        chunk = self._chunks[other.index]
+        chunk.sort()
+        mult, off = self._batch
+        share = OriginKeys(chunk.astype(np.uint64), mult[chunk], off[chunk])
+        other._receive_share(self.index, share, flips)
+
+    def _spend_share_pad(self, other: "Recipient") -> np.ndarray:
+        """Spend the pad positions of the share for other; return its flips.
+
+        Alone, this is the transfer as its link sees it: cursors and
+        consumption advance exactly as send_share's, and no share is built.
+        """
         if self._chunks is None:
             raise RuntimeError("make_partition() must run before sharing")
         if other.index == self.index:
             raise ValueError("a recipient does not share with itself")
         p = self.params
-        chunk = self._chunks[other.index]
-        mult, off = self._batch
         width = id_bits(p.n_recipients, p.k) + p.msg_len_bits + p.tag_len_bits
         link = self.network.link(self.user, other.user)
-        flips = link.otp_transfer(p.k * width, from_side=self.user)
-        share = OriginKeys(chunk.astype(np.uint64), mult[chunk], off[chunk])
-        other._receive_share(self.index, share, flips)
+        return link.otp_transfer(p.k * width, from_side=self.user)
 
     def _receive_share(self, origin: int, share: OriginKeys, flips: np.ndarray) -> None:
         if origin in self._held:
@@ -463,7 +474,9 @@ def run_distribution(
     With holder=h, only the transfers over h's links run: 2(n-1) instead
     of n(n-1). Recipient h ends up with exactly the keys a full run gives
     it, since every batch is still received and partitioned; the other
-    recipients stay incomplete and cannot verify.
+    recipients stay incomplete and cannot verify. h's own transfers only
+    spend their pad positions, so every link cursor and every consumption
+    count still equals a full run's, but no share leaves h.
     """
     n = params.n_recipients
     if holder is not None and (
@@ -482,8 +495,11 @@ def run_distribution(
     for lo in recipients:
         for hi in recipients[lo.index + 1 :]:
             if holder is None or holder in (lo.index, hi.index):
-                lo.send_share(hi)
-                hi.send_share(lo)
+                for src, dst in ((lo, hi), (hi, lo)):
+                    if src.index == holder:
+                        src._spend_share_pad(dst)
+                    else:
+                        src.send_share(dst)
     return sender, recipients
 
 

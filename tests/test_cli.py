@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from ussim import cli
 
 SMALLEST = ["--n", "2", "--a", "1", "--t", "1", "--k", "1"]
@@ -326,3 +328,49 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.startswith("uss ")
+
+
+def test_time_to_ready_nan_rate_exits_two(capsys):
+    assert cli.main(["time-to-ready", "--rate-bps", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert "default_rate_bps" in captured.err
+    assert captured.out == ""
+
+
+def test_time_to_ready_nan_link_rate_in_config_exits_two(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text('{"users": 8, "links": [{"a": 0, "b": 1, "rate_bps": NaN}]}')
+    proc = run_cli("time-to-ready", "--config", str(path))
+    assert proc.returncode == 2
+    assert "rate_bps on link (0, 1)" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("end", [1.5, True])
+def test_run_config_non_int_link_endpoint_exits_two(tmp_path, capsys, end):
+    # a fractional endpoint used to be stored under a pair no link looks up,
+    # so its flip probability silently never applied
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"users": 4, "links": [{"a": end, "b": 2, "flip_prob": 0.4}]}))
+    assert cli.main(["run", "--config", str(path), "--n", "3", "--k", "40"]) == 2
+    captured = capsys.readouterr()
+    assert "links[0]" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--axis", "q", "--from", "nan", "--to", "0.001", "--step", "0.001"], "--from"),
+    (["--axis", "q", "--from", "0", "--to", "nan", "--step", "0.001"], "--to"),
+    (["--axis", "q", "--from", "0", "--to", "inf", "--step", "0.001"], "--to"),
+    (["--axis", "q", "--from", "0", "--to", "0.001", "--step", "nan"], "--step"),
+    (["--axis", "p_target", "--from", "nan", "--to", "1e-12"], "--from"),
+    (["--axis", "p_target", "--from", "1e-4", "--to", "1e-12", "--factor", "nan"], "--factor"),
+    (["--axis", "n", "--from", "nan", "--to", "5"], "--from"),
+    (["--axis", "msg_len", "--from", "8", "--to=-inf"], "--to"),
+], ids=["q-from", "q-to", "q-to-inf", "q-step", "p_target-from", "p_target-factor",
+        "n-from", "msg_len-to"])
+def test_sweep_non_finite_bounds_exit_two_naming_the_flag(capsys, args, flag):
+    assert cli.main(["sweep", *args]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} must be finite" in captured.err
+    assert captured.out == ""

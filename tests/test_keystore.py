@@ -56,6 +56,19 @@ def test_draw_crosses_block_boundaries_consistently():
     assert np.array_equal(_bits(long_read, sum(sizes)), np.concatenate(pieces))
 
 
+@pytest.mark.parametrize("sizes", [(4096,), (1000, 70000, 3), (1 << 21,)])
+def test_other_endpoint_reads_the_kept_blocks_unchanged(sizes):
+    # the second endpoint takes the blocks the first one's reads kept
+    # (the largest case in a mapping of its own), and then drops them
+    store = LinkKeyStore(0, 1, seed=9)
+    first = np.concatenate([_bits(store.draw_shared(n, side=0), n) for n in sizes])
+    second = _bits(store.draw_shared(sum(sizes), side=1), sum(sizes))
+    alone = LinkKeyStore(0, 1, seed=9).draw_shared(sum(sizes), side=1)
+    assert np.array_equal(first, second)
+    assert np.array_equal(second, _bits(alone, sum(sizes)))
+    assert not store._kept_blocks[1]
+
+
 @pytest.mark.parametrize("start", [0, 511, 512, 1000, 32767, 32768])
 @pytest.mark.parametrize("n_bits", [0, 1, 513, 2000])
 def test_pool_bits_match_freshly_keyed_reference(start, n_bits):
@@ -276,6 +289,25 @@ def test_network_config_structural_validation():
         NetworkConfig(n_users=3, links={(1, 1): LinkSettings()})
     with pytest.raises(ValueError, match="seed"):
         NetworkConfig(n_users=3, seed=-5)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), 0.0, -1.0, True, "fast"])
+def test_non_positive_or_nan_rates_are_rejected_by_name(rate):
+    with pytest.raises(ValueError, match="default_rate_bps"):
+        NetworkConfig(n_users=3, default_rate_bps=rate)
+    with pytest.raises(ValueError, match=r"rate_bps on link \(0, 1\)"):
+        NetworkConfig(n_users=3, links={(0, 1): LinkSettings(rate_bps=rate)})
+    with pytest.raises(ValueError, match="rate_bps"):
+        LinkKeyStore(0, 1, rate_bps=rate)
+
+
+@pytest.mark.parametrize("end", [1.5, True])
+def test_non_int_link_endpoints_are_rejected(end):
+    raw = {"users": 4, "links": [{"a": 0, "b": 1}, {"a": end, "b": 2, "flip_prob": 0.4}]}
+    with pytest.raises(ValueError, match=r"links\[1\]"):
+        NetworkConfig.from_dict(raw)
+    with pytest.raises(ValueError, match="must be ints"):
+        NetworkConfig(n_users=4, links={(end, 2): LinkSettings(flip_prob=0.4)})
 
 
 def test_network_builds_every_pair():

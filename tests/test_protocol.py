@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference
-from ussim import protocol
+from ussim import keystore, protocol
 from ussim.keystore import LinkKeyStore, LinkSettings, Network, NetworkConfig
 from ussim.protocol import (
     Recipient,
@@ -495,14 +495,23 @@ def _noisy_network(n, seed):
     return Network(config)
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_holder_gets_the_keys_of_a_full_run(n):
+@pytest.mark.parametrize("n, noisy", [
+    pytest.param(3, True, id="3"),
+    pytest.param(5, True, id="5"),
+    pytest.param(2, False, id="2-noiseless"),
+])
+def test_holder_gets_the_keys_of_a_full_run(n, noisy):
+    def network():
+        if noisy:
+            return _noisy_network(n, seed=21)
+        return Network(NetworkConfig(n_users=n + 1, seed=21))
+
     params = small_params(n=n, k=12)
-    full_net = _noisy_network(n, seed=21)
+    full_net = network()
     _, full = run_distribution(full_net, params)
     for h in (*range(n), np.int64(n - 1)):
-        network = _noisy_network(n, seed=21)
-        sender, recipients = run_distribution(network, params, holder=h)
+        net = network()
+        sender, recipients = run_distribution(net, params, holder=h)
         signature = sender.sign(1)
         assert recipients[h].distribution_complete
         for origin in range(n):
@@ -512,9 +521,10 @@ def test_holder_gets_the_keys_of_a_full_run(n):
             assert np.array_equal(got.offsets, want.offsets)
         for u in range(n + 1):
             if u != h + 1:
-                assert network.link(h + 1, u).consumed_bits() == (
+                assert net.link(h + 1, u).consumed_bits() == (
                     full_net.link(h + 1, u).consumed_bits()
                 )
+        # no share leaves h, so even at n = 2 the other recipient lacks one
         for other in recipients:
             if other.index != h:
                 assert not other.distribution_complete
@@ -523,25 +533,99 @@ def test_holder_gets_the_keys_of_a_full_run(n):
 
 
 def test_holder_transfers_only_over_its_links(monkeypatch):
+    # both directions of each of h's links spend their pads; only the
+    # shares into h are built and sent
     params = small_params(n=5, k=4)
-    sends = []
-    real_send = Recipient.send_share
+    pads, sends = [], []
+    real_otp, real_send = LinkKeyStore.otp_transfer, Recipient.send_share
 
-    def counted(self, other):
+    def counted_otp(self, n_bits, from_side):
+        pads.append((self.users, from_side))
+        return real_otp(self, n_bits, from_side)
+
+    def counted_send(self, other):
         sends.append((self.index, other.index))
         return real_send(self, other)
 
-    monkeypatch.setattr(Recipient, "send_share", counted)
+    monkeypatch.setattr(LinkKeyStore, "otp_transfer", counted_otp)
+    monkeypatch.setattr(Recipient, "send_share", counted_send)
     run_distribution(_noisy_network(5, seed=2), params, holder=3)
-    assert sends == [
-        pair for d in range(5) if d != 3
-        for pair in ((min(d, 3), max(d, 3)), (max(d, 3), min(d, 3)))
+    h = 4  # recipient 3's user
+    assert pads == [
+        ((lo, hi), side) for u in range(1, 6) if u != h
+        for lo, hi in [sorted((u, h))] for side in (lo, hi)
     ]
+    assert sends == [(d, 3) for d in range(5) if d != 3]
+    pads.clear()
     sends.clear()
     run_distribution(_noisy_network(5, seed=2), params)
+    assert pads == [
+        ((lo, hi), side) for lo in range(1, 6) for hi in range(lo + 1, 6)
+        for side in (lo, hi)
+    ]
     assert sends == [
         pair for lo in range(5) for hi in range(lo + 1, 5)
         for pair in ((lo, hi), (hi, lo))
+    ]
+
+
+def test_holder_run_builds_only_the_links_it_uses(monkeypatch):
+    # n sender links plus h's n - 1 recipient links; every pair is still
+    # reported, and the untouched ones have consumed nothing
+    n, h = 7, 2
+    params = small_params(n=n, k=4)
+    built = []
+    real_init = LinkKeyStore.__init__
+
+    def counted(self, user_a, user_b, **kwargs):
+        built.append((user_a, user_b))
+        real_init(self, user_a, user_b, **kwargs)
+
+    monkeypatch.setattr(LinkKeyStore, "__init__", counted)
+    network = Network(NetworkConfig(n_users=n + 1, seed=4))
+    assert built == []
+    run_distribution(network, params, holder=h)
+    used = {(0, u) for u in range(1, n + 1)}
+    used |= {tuple(sorted((h + 1, u))) for u in range(1, n + 1) if u != h + 1}
+    assert len(built) == 2 * n - 1 and set(built) == used
+    consumed = network.total_consumed()
+    assert len(consumed) == n * (n + 1) // 2
+    assert {pair for pair, bits in consumed.items() if bits} == used
+
+
+def test_run_honest_hashes_each_pool_block_once(monkeypatch):
+    # the sender's read of a sender link and the recipient's read of the
+    # same positions share one hash per pool block; recipient links hash
+    # nothing, since one-time pads cancel
+    n, k, a, t = 4, 700, 8, 8
+    hashed = []
+
+    class CountedHasher:
+        def __init__(self, users, state):
+            self.users, self.state = users, state
+
+        def copy(self):
+            return CountedHasher(self.users, self.state.copy())
+
+        def update(self, data):
+            hashed.append((self.users, data))
+            self.state.update(data)
+
+        def digest(self, size):
+            return self.state.digest(size)
+
+    real_init = LinkKeyStore.__init__
+
+    def counted(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        self._hasher = CountedHasher(self.users, self._hasher)
+
+    monkeypatch.setattr(LinkKeyStore, "__init__", counted)
+    assert run_honest(ProtocolParams.build(n, a, t, k=k), seed=6).all_accepted
+    blocks = -(-n * k * (a + t) // keystore.POOL_BLOCK_BITS)
+    assert blocks == 2
+    assert sorted(hashed) == [
+        ((0, r), j.to_bytes(8, "big")) for r in range(1, n + 1) for j in range(blocks)
     ]
 
 
