@@ -49,7 +49,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import mmap
+import math
 import numbers
 import struct
 from dataclasses import dataclass, field
@@ -74,7 +74,6 @@ FLIPS_PER_BLOCK = 1 << 10  # expected flips a flip block is sized for
 MAX_FLIP_BLOCK_BITS = 1 << 20  # positions per flip block at low q
 _FLIP_STREAM = 0x464C4950  # stream label, distinct from pool positions
 _U64 = (1 << 64) - 1
-_MAPPED_KEEP_BYTES = 1 << 17  # kept pool blocks from this size get their own mapping
 
 
 @functools.cache
@@ -88,8 +87,12 @@ def _flip_rng() -> np.random.Generator:
 
 
 def _check_rate(rate, name: str) -> None:
-    if not isinstance(rate, numbers.Real) or isinstance(rate, bool) or not rate > 0:
-        raise ValueError(f"{name} must be a positive number, got {rate!r}")
+    if (
+        not isinstance(rate, numbers.Real)
+        or isinstance(rate, bool)
+        or not (rate > 0 and math.isfinite(rate))
+    ):
+        raise ValueError(f"{name} must be a positive finite number, got {rate!r}")
 
 
 def _flip_block_bits(flip_prob: float) -> int:
@@ -147,7 +150,7 @@ class LinkKeyStore:
         self._flip_cache: tuple[int, np.ndarray] = (-1, np.zeros(0, dtype=np.int64))
         # keyed once; each block hashes its counter into a copy of this state
         self._hasher = hashlib.shake_256(key)
-        self._kept_blocks: tuple[int, bytes | mmap.mmap] = (0, b"")  # first block, bytes
+        self._kept_blocks: tuple[int, bytes] = (0, b"")  # first block, bytes
         self._cursor = {self.user_a: 0, self.user_b: 0}
         self._highwater = 0
 
@@ -182,14 +185,7 @@ class LinkKeyStore:
         joined = b"".join(blocks)
         other = self.user_b if side == self.user_a else self.user_a
         if self._cursor[other] < start + n_bits:
-            keep = joined
-            if len(joined) >= _MAPPED_KEEP_BYTES:
-                # held until the other endpoint reads, a large heap buffer
-                # sits between long-lived key arrays and leaves a hole that
-                # raises peak RSS; a mapping of its own is returned whole
-                keep = mmap.mmap(-1, len(joined))
-                keep.write(joined)
-            self._kept_blocks = (first, keep)
+            self._kept_blocks = (first, joined)
         else:
             self._kept_blocks = (0, b"")
         raw = np.frombuffer(joined, dtype=np.uint8)
@@ -407,13 +403,15 @@ class Network:
         return self.config.n_users
 
     def link(self, user_a: int, user_b: int) -> LinkKeyStore:
-        a, b = sorted((user_a, user_b))
+        # checked before the lookup: 1.0 and True hash and compare like 1
+        for u in (user_a, user_b):
+            if not isinstance(u, (int, np.integer)) or isinstance(u, bool):
+                raise ValueError(f"no link between users {user_a!r} and {user_b!r}")
+        a, b = sorted((int(user_a), int(user_b)))
         store = self._stores.get((a, b))
         if store is None:
-            integral = all(isinstance(u, (int, np.integer)) for u in (a, b))
-            if not (integral and 0 <= a < b < self.n_users):
+            if not 0 <= a < b < self.n_users:
                 raise ValueError(f"no link between users {user_a} and {user_b}")
-            a, b = int(a), int(b)
             store = self._stores[(a, b)] = LinkKeyStore(
                 a,
                 b,

@@ -331,10 +331,11 @@ def test_version_flag():
 
 
 def test_time_to_ready_nan_rate_exits_two(capsys):
-    assert cli.main(["time-to-ready", "--rate-bps", "nan"]) == 2
-    captured = capsys.readouterr()
-    assert "default_rate_bps" in captured.err
-    assert captured.out == ""
+    for rate in ("nan", "inf"):
+        assert cli.main(["time-to-ready", "--rate-bps", rate]) == 2
+        captured = capsys.readouterr()
+        assert "default_rate_bps" in captured.err
+        assert captured.out == ""
 
 
 def test_time_to_ready_nan_link_rate_in_config_exits_two(tmp_path):

@@ -58,8 +58,8 @@ def test_draw_crosses_block_boundaries_consistently():
 
 @pytest.mark.parametrize("sizes", [(4096,), (1000, 70000, 3), (1 << 21,)])
 def test_other_endpoint_reads_the_kept_blocks_unchanged(sizes):
-    # the second endpoint takes the blocks the first one's reads kept
-    # (the largest case in a mapping of its own), and then drops them
+    # the second endpoint takes the blocks the first one's reads kept,
+    # and then drops them
     store = LinkKeyStore(0, 1, seed=9)
     first = np.concatenate([_bits(store.draw_shared(n, side=0), n) for n in sizes])
     second = _bits(store.draw_shared(sum(sizes), side=1), sum(sizes))
@@ -291,7 +291,7 @@ def test_network_config_structural_validation():
         NetworkConfig(n_users=3, seed=-5)
 
 
-@pytest.mark.parametrize("rate", [float("nan"), 0.0, -1.0, True, "fast"])
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0, True, "fast"])
 def test_non_positive_or_nan_rates_are_rejected_by_name(rate):
     with pytest.raises(ValueError, match="default_rate_bps"):
         NetworkConfig(n_users=3, default_rate_bps=rate)
@@ -312,13 +312,21 @@ def test_non_int_link_endpoints_are_rejected(end):
 
 def test_network_builds_every_pair():
     net = Network(NetworkConfig(n_users=4, seed=1))
+    # 1.0 and True hash and compare like 1, so a lookup alone would find
+    # the (0, 1) store once it is built
+    non_int = [(0, 1.0), (1.0, 0), (False, True), (0, True)]
+    for ends in non_int:
+        with pytest.raises(ValueError, match="no link"):
+            net.link(*ends)
     for a in range(4):
         for b in range(4):
             if a != b:
                 assert net.link(a, b) is net.link(b, a)
+    assert net.link(np.int64(0), np.int64(1)) is net.link(0, 1)
     assert all(v == 0 for v in net.total_consumed().values())
-    with pytest.raises(ValueError, match="no link"):
-        net.link(0, 0)
+    for ends in non_int + [(0, 0)]:
+        with pytest.raises(ValueError, match="no link"):
+            net.link(*ends)
 
 
 def test_network_applies_per_link_settings():
