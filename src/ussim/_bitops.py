@@ -1,28 +1,14 @@
 """Bit-vector plumbing shared by the key stores and the protocol.
 
-A bit string is a numpy uint8 array holding one bit per element, most
-significant bit first. A packed value of up to 64 bits is a uint64; a wider
-one is its ceil(width / 8) big-endian bytes as one void (V<bytes>) element,
-so 1-d arrays of both kinds index, concatenate and compare with == alike.
+A bit string is a numpy uint8 array of packed bits, most significant first
+and zero-padded to a whole byte. A packed value of up to 64 bits is a uint64;
+a wider one is its ceil(width / 8) big-endian bytes as one void (V<bytes>)
+element, so 1-d arrays of both kinds index, concatenate and compare with ==
+alike. pack_rows and unpack_rows move fixed-width fields between the two.
 """
 from __future__ import annotations
 
 import numpy as np
-
-
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    if width < 0:
-        raise ValueError("width must be non-negative")
-    if value < 0 or value.bit_length() > width:
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
-
-
-def bits_to_int(bits: np.ndarray) -> int:
-    out = 0
-    for b in np.asarray(bits, dtype=np.uint8):
-        out = (out << 1) | int(b)
-    return out
 
 
 def octets(values: np.ndarray) -> np.ndarray:
@@ -46,58 +32,73 @@ def as_packed(values, width: int) -> np.ndarray:
     return np.frombuffer(data, dtype=f"V{n_bytes}").reshape(values.shape)
 
 
-def value_bytes(width: int) -> int:
-    """Bytes one packed value of width bits occupies."""
-    return 8 if width <= 64 else (width + 7) // 8
+def packed_dtype(width: int) -> np.dtype:
+    """The dtype of one packed value of width bits."""
+    return np.dtype(np.uint64) if width <= 64 else np.dtype(f"V{(width + 7) // 8}")
 
 
-def byte_rows_to_values(rows: np.ndarray) -> np.ndarray:
-    """(n, n_bytes) big-endian uint8 rows as n packed values.
+def pack_rows(values, width: int, start: int = 0) -> np.ndarray:
+    """A new bit string holding width-bit values end to end from bit start.
 
-    Up to 8 bytes a row comes back as uint64, wider rows as void rows.
+    Every other bit is zero. values are packed values or integers, read as
+    uint64; a value with a bit set at or above width raises ValueError.
     """
-    rows = np.asarray(rows, dtype=np.uint8)
-    n, n_bytes = rows.shape
-    if n_bytes > 8:
-        return np.ascontiguousarray(rows).view(f"V{n_bytes}").reshape(n)
-    words = np.zeros((n, 8), dtype=np.uint8)
+    values = np.asarray(values).reshape(-1)
+    low_first = octets(values)
+    n_bytes = (width + 7) // 8
+    rows = np.zeros((len(values), n_bytes), dtype=np.uint8)  # big-endian
+    rows[:, ::-1][:, : low_first.shape[1]] = low_first[:, :n_bytes]
+    if values.dtype.kind != "V":
+        too_wide = values.size and int(values.astype(np.uint64, copy=False).max()) >> width
+    else:
+        too_wide = low_first[:, n_bytes:].any() or (
+            width % 8 and (rows[:, 0] >> (width % 8)).any()
+        )
+    if too_wide:
+        raise ValueError(f"a value has bits set at or above bit {width}")
+    out = np.zeros((start + len(values) * width + 7) // 8, dtype=np.uint8)
+    if start % 8 == 0 and width % 8 == 0:
+        out[start // 8 :] = rows.reshape(-1)
+    else:
+        bits = np.zeros(start % 8 + len(values) * width, dtype=np.uint8)
+        bits[start % 8 :] = np.unpackbits(rows, axis=1)[:, 8 * n_bytes - width :].reshape(-1)
+        out[start // 8 :] = np.packbits(bits)
+    return out
+
+
+def unpack_rows(
+    data: np.ndarray, width: int, count: int, start: int = 0, stride: int | None = None
+) -> np.ndarray:
+    """count width-bit fields of the bit string data (contiguous) as packed values.
+
+    Field i starts at bit start + i * stride; stride defaults to width, so
+    that the fields lie end to end. Bits outside the fields are ignored.
+    """
+    stride = width if stride is None else stride
+    end = start + (count - 1) * stride + width
+    if width < 1 or stride < 1 or start < 0 or (count and end > 8 * len(data)):
+        raise ValueError(
+            f"{count} fields of {width} bits, {stride} apart from bit {start}, "
+            f"do not fit in {8 * len(data)} bits"
+        )
+    n_bytes = (width + 7) // 8
+    if not count:
+        rows = np.zeros((0, n_bytes), dtype=np.uint8)
+    elif start % 8 == 0 and stride % 8 == 0 and width % 8 == 0:
+        # a strided view of the bytes, read-only if data is
+        rows = np.ndarray((count, n_bytes), np.uint8, data, start // 8, (stride // 8, 1))
+    else:
+        bits = np.unpackbits(data[start // 8 : (end + 7) // 8])
+        rows = np.zeros((count, 8 * n_bytes), dtype=np.uint8)
+        rows[:, 8 * n_bytes - width :] = np.ndarray(
+            (count, width), np.uint8, bits, start % 8, (stride, 1)
+        )
+        rows = np.packbits(rows, axis=1)
+    if width > 64:
+        return rows.copy().view(f"V{n_bytes}").reshape(count)
+    words = np.zeros((count, 8), dtype=np.uint8)
     words[:, 8 - n_bytes :] = rows
-    return words.view(">u8").reshape(n).astype(np.uint64)
-
-
-def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack each row of a (rows, width) bit matrix into one value.
-
-    Each row is right-aligned in whole bytes of one contiguous buffer and
-    packed with a single np.packbits call. Rows of up to 64 bits come back
-    as uint64; wider rows as those packed bytes viewed as void rows.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim != 2:
-        raise ValueError("pack_rows expects a 2-d bit matrix")
-    rows, width = bits.shape
-    n_bytes = (width + 7) // 8
-    aligned = np.zeros((rows, 8 * n_bytes), dtype=np.uint8)
-    aligned[:, 8 * n_bytes - width :] = bits
-    return byte_rows_to_values(np.packbits(aligned.reshape(-1)).reshape(rows, n_bytes))
-
-
-def unpack_rows(vals: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of pack_rows: (n,) packed values to an (n, width) bit matrix.
-
-    Bits above width are dropped; high bytes missing from the input read as 0.
-    """
-    low_first = octets(np.asarray(vals).reshape(-1))
-    n_bytes = (width + 7) // 8
-    packed = np.zeros((len(low_first), n_bytes), dtype=np.uint8)
-    packed[:, ::-1][:, : low_first.shape[1]] = low_first[:, :n_bytes]
-    bits = np.unpackbits(packed.reshape(-1)).reshape(len(low_first), 8 * n_bytes)
-    return bits[:, 8 * n_bytes - width :]
-
-
-def bits_to_bytes(bits: np.ndarray) -> bytes:
-    """Pack a bit string into bytes, zero-padded at the end."""
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
+    return words.view(">u8").reshape(count).astype(np.uint64)
 
 
 def flip_bits(fields, positions: np.ndarray) -> None:

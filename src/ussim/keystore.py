@@ -127,20 +127,17 @@ class LinkKeyStore:
         user_b: int,
         *,
         seed: int = 0,
-        rate_bps: float = 1000.0,
         flip_prob: float = 0.0,
     ) -> None:
         if user_a == user_b:
             raise ValueError("a link needs two distinct users")
         if user_a < 0 or user_b < 0:
             raise ValueError("user indices must be non-negative")
-        _check_rate(rate_bps, "rate_bps")
         if not 0 <= flip_prob <= 1:
             raise ValueError(f"flip_prob must be in [0, 1], got {flip_prob}")
         if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 63:
             raise ValueError(f"seed must be an int in [0, 2**63), got {seed}")
         self.user_a, self.user_b = sorted((user_a, user_b))
-        self.rate_bps = float(rate_bps)
         self.flip_prob = float(flip_prob)
         self.noisy_side = self.user_b  # flips land on the receiving side's view
         key = _stream_key(seed, self.user_a, self.user_b)
@@ -416,7 +413,6 @@ class Network:
                 a,
                 b,
                 seed=self.seed,
-                rate_bps=self.config.rate(a, b),
                 flip_prob=self.config.flip_prob(a, b),
             )
         return store

@@ -26,16 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._bitops import (
-    bits_to_bytes,
-    bits_to_int,
-    byte_rows_to_values,
-    flip_bits,
-    int_to_bits,
-    pack_rows,
-    unpack_rows,
-    value_bytes,
-)
+from ._bitops import flip_bits, pack_rows, packed_dtype, unpack_rows
 from .hashing import tags_of_arrays
 from .keystore import Network
 from .secparams import ProtocolParams, compute_delta, id_bits
@@ -76,7 +67,7 @@ class Signature:
 
     tags has shape (n_recipients, n_recipients * k); tags[i, s]
     authenticates the message under slot s of the batch issued through
-    recipient i. Tags are packed as in _bitops: uint64 for t <= 64,
+    recipient i. Tags must be packed as in _bitops: uint64 for t <= 64,
     big-endian void byte rows (V<ceil(t/8)>) above. The wire layout is a fixed 18-byte header (magic
     b"USS1", version, message bits, tag bits, recipient count, keys per
     chunk, payload byte count) followed by the message and then the tags
@@ -93,16 +84,8 @@ class Signature:
 
     def __post_init__(self) -> None:
         a, t, n, k = self.msg_len_bits, self.tag_len_bits, self.n_recipients, self.k
-        if not 1 <= a <= 0xFFFF:
-            raise ValueError(f"msg_len_bits must be in [1, 65535], got {a}")
-        if not 1 <= t <= min(a, 0xFF):
-            raise ValueError(f"tag_len_bits must be in [1, min(msg_len_bits, 255)], got {t}")
-        if not 2 <= n <= 0xFFFF:
-            raise ValueError(f"n_recipients must be in [2, 65535], got {n}")
-        if not 1 <= k <= 0xFFFFFFFF:
-            raise ValueError(f"k must be in [1, 2**32 - 1], got {k}")
-        if not 0 <= self.message < (1 << a):
-            raise ValueError(f"message must fit in {a} bits")
+        _check_header_fields(a, t, n, k)
+        _check_message(self.message, a)
         if self.tags.shape != (n, n * k):
             raise ValueError(
                 f"tags must have shape {(n, n * k)}, got {self.tags.shape}"
@@ -112,6 +95,10 @@ class Signature:
             raise ValueError(
                 f"signature payload of {n_bits} bits does not fit the header's "
                 f"uint32 byte count"
+            )
+        if self.tags.dtype != packed_dtype(t):
+            raise ValueError(
+                f"{t}-bit tags must be packed as {packed_dtype(t)}, got {self.tags.dtype}"
             )
 
     def __eq__(self, other: object) -> bool:
@@ -127,19 +114,20 @@ class Signature:
         )
 
     def to_bytes(self) -> bytes:
-        tag_bits = unpack_rows(self.tags.ravel(), self.tag_len_bits).ravel()
-        bits = np.concatenate([int_to_bits(self.message, self.msg_len_bits), tag_bits])
-        payload = bits_to_bytes(bits)
+        a = self.msg_len_bits
+        payload = pack_rows(self.tags, self.tag_len_bits, start=a)
+        message = (self.message << (-a % 8)).to_bytes((a + 7) // 8, "big")
+        payload[: len(message)] |= np.frombuffer(message, dtype=np.uint8)
         header = _HEADER.pack(
             _MAGIC,
             _VERSION,
-            self.msg_len_bits,
+            a,
             self.tag_len_bits,
             self.n_recipients,
             self.k,
             len(payload),
         )
-        return header + payload
+        return header + payload.tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Signature":
@@ -153,8 +141,8 @@ class Signature:
             raise ValueError(f"bad magic {magic!r}")
         if version != _VERSION:
             raise ValueError(f"unsupported signature version {version}")
-        n_tags = n * n * k
-        n_bits = a + n_tags * t
+        _check_header_fields(a, t, n, k)  # before the payload is read as t-bit fields
+        n_bits = a + n * n * k * t
         if payload_len != (n_bits + 7) // 8:
             raise ValueError(
                 f"payload length says {payload_len} bytes but the header fields "
@@ -164,20 +152,30 @@ class Signature:
         if len(data) != expected:
             raise ValueError(f"signature blob is {len(data)} bytes, expected {expected}")
         payload = np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size)
-        all_bits = np.unpackbits(payload)
-        if all_bits[n_bits:].any():
+        # the payload ends inside its last byte, so only that byte pads
+        if np.any(payload[-1:] & ((1 << (8 * payload_len - n_bits)) - 1)):
             raise ValueError("nonzero padding bits after the tag stream")
-        bits = all_bits[:n_bits]
-        message = bits_to_int(bits[:a])
-        tags = pack_rows(bits[a:].reshape(n_tags, t)).reshape(n, n * k)
+        message = int.from_bytes(payload[: (a + 7) // 8].tobytes(), "big") >> (-a % 8)
+        tags = unpack_rows(payload, t, n * n * k, start=a)
         return cls(
             message=message,
-            tags=tags,
+            tags=tags.reshape(n, n * k),
             n_recipients=n,
             k=k,
             msg_len_bits=a,
             tag_len_bits=t,
         )
+
+
+def _check_header_fields(a: int, t: int, n: int, k: int) -> None:
+    if not 1 <= a <= 0xFFFF:
+        raise ValueError(f"msg_len_bits must be in [1, 65535], got {a}")
+    if not 1 <= t <= min(a, 0xFF):
+        raise ValueError(f"tag_len_bits must be in [1, min(msg_len_bits, 255)], got {t}")
+    if not 2 <= n <= 0xFFFF:
+        raise ValueError(f"n_recipients must be in [2, 65535], got {n}")
+    if not 1 <= k <= 0xFFFFFFFF:
+        raise ValueError(f"k must be in [1, 2**32 - 1], got {k}")
 
 
 @dataclass(frozen=True)
@@ -225,12 +223,11 @@ def _check_signature_match(signature: Signature, params: ProtocolParams) -> None
 def _decode_keys(packed: np.ndarray, params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     """Multipliers and offsets of a batch drawn as packed key-store bytes."""
     a, t = params.msg_len_bits, params.tag_len_bits
-    if a % 8 == 0 and t % 8 == 0:
-        rows = packed.reshape(-1, (a + t) // 8)
-        return byte_rows_to_values(rows[:, : a // 8]), byte_rows_to_values(rows[:, a // 8 :])
-    n_bits = params.n_recipients * params.k * (a + t)
-    rows = np.unpackbits(packed, count=n_bits).reshape(-1, a + t)
-    return pack_rows(rows[:, :a]), pack_rows(rows[:, a:])
+    count = params.n_recipients * params.k
+    return (
+        unpack_rows(packed, a, count, stride=a + t),
+        unpack_rows(packed, t, count, start=a, stride=a + t),
+    )
 
 
 def key_state_bytes(params: ProtocolParams) -> int:
@@ -240,7 +237,7 @@ def key_state_bytes(params: ProtocolParams) -> int:
     batch and the n*k keys it holds, each of those with an int64 slot id.
     """
     n, k = params.n_recipients, params.k
-    key = value_bytes(params.msg_len_bits) + value_bytes(params.tag_len_bits)
+    key = sum(packed_dtype(w).itemsize for w in (params.msg_len_bits, params.tag_len_bits))
     return n * n * k * (3 * key + 8)
 
 

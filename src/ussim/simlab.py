@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._bitops import bits_to_int, pack_rows, unpack_rows
+from ._bitops import pack_rows, packed_dtype, unpack_rows
 from .hashing import tags_of_arrays
 from .keystore import Network, NetworkConfig
 from .protocol import Signature, VerifyResult, forward_chain, run_distribution
@@ -81,7 +81,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 
 def _random_message(rng: np.random.Generator, msg_len_bits: int) -> int:
-    return bits_to_int(rng.integers(0, 2, size=msg_len_bits, dtype=np.uint8))
+    bits = pack_rows(rng.integers(0, 2, size=msg_len_bits, dtype=np.uint8), 1)
+    return int.from_bytes(bits.tobytes(), "big") >> (-msg_len_bits % 8)
 
 
 def _derived_seed(*entropy: int) -> int:
@@ -275,10 +276,10 @@ def attack_repudiation(
 def _uniform_tags(rng: np.random.Generator, size: int, tag_len_bits: int) -> np.ndarray:
     if tag_len_bits <= 63:
         return rng.integers(0, 1 << tag_len_bits, size=size, dtype=np.uint64)
-    # one draw per tag, whole bytes each; unpacking drops the bits above t
+    # one draw per tag, whole bytes each; each field skips the bits above t
     n_bytes = (tag_len_bits + 7) // 8
-    data = b"".join(rng.bytes(n_bytes) for _ in range(size))
-    return pack_rows(unpack_rows(np.frombuffer(data, dtype=f"V{n_bytes}"), tag_len_bits))
+    data = np.frombuffer(b"".join(rng.bytes(n_bytes) for _ in range(size)), dtype=np.uint8)
+    return unpack_rows(data, tag_len_bits, size, start=-tag_len_bits % 8, stride=8 * n_bytes)
 
 
 def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
@@ -340,7 +341,7 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
             known_rows[g] = tags_of_arrays(mult, off, message, a, t)
         verifier = recipients[target]
         for _ in range(block):
-            tags = np.empty((n, n * k), dtype=known_rows[known[0]].dtype if known else np.uint64)
+            tags = np.empty((n, n * k), dtype=packed_dtype(t))
             for g in known:
                 tags[g] = known_rows[g]
             for g in unknown:

@@ -220,8 +220,6 @@ def test_otp_transfer_rejects_desynced_link_and_strangers():
 def test_store_validation():
     with pytest.raises(ValueError, match="distinct"):
         LinkKeyStore(1, 1)
-    with pytest.raises(ValueError, match="rate_bps"):
-        LinkKeyStore(0, 1, rate_bps=0)
     with pytest.raises(ValueError, match="flip_prob"):
         LinkKeyStore(0, 1, flip_prob=1.5)
     with pytest.raises(ValueError, match="seed"):
@@ -297,8 +295,6 @@ def test_non_positive_or_nan_rates_are_rejected_by_name(rate):
         NetworkConfig(n_users=3, default_rate_bps=rate)
     with pytest.raises(ValueError, match=r"rate_bps on link \(0, 1\)"):
         NetworkConfig(n_users=3, links={(0, 1): LinkSettings(rate_bps=rate)})
-    with pytest.raises(ValueError, match="rate_bps"):
-        LinkKeyStore(0, 1, rate_bps=rate)
 
 
 @pytest.mark.parametrize("end", [1.5, True])

@@ -152,14 +152,13 @@ def test_noisy_shares_carry_exactly_the_links_flips(a, t):
 
 @pytest.mark.parametrize("a, t", [(8, 8), (128, 32), (72, 16)])
 def test_distribution_never_unpacks_byte_aligned_keys(monkeypatch, a, t):
-    # keys stay packed from the key store to the held shares; only the
-    # wire format still packs and unpacks bit rows
-    def never(*args):
+    # keys stay packed from the key store to the held shares: byte-aligned
+    # fields are read as byte views and never become rows of bits
+    def never(*args, **kwargs):
         raise AssertionError("bit rows built during distribution")
 
-    monkeypatch.setattr(protocol, "pack_rows", never)
-    monkeypatch.setattr(protocol, "unpack_rows", never)
     monkeypatch.setattr(protocol.np, "unpackbits", never)
+    monkeypatch.setattr(protocol.np, "packbits", never)
     params = ProtocolParams.build(3, a, t, k=9)
     network = Network(NetworkConfig(n_users=4, seed=2, default_flip_prob=0.01))
     _, recipients = run_distribution(network, params)
@@ -397,6 +396,11 @@ def test_serialization_rejects_malformed_blobs():
         Signature.from_bytes(blob + b"\x00")
     with pytest.raises(ValueError, match="expected"):
         Signature.from_bytes(blob[:-1])
+    # a header whose fields are out of range is rejected before the payload
+    # is read; with t = 0 the payload holds the message alone
+    zero_t = blob[:7] + b"\x00" + blob[8:14] + (1).to_bytes(4, "big") + blob[18:19]
+    with pytest.raises(ValueError, match="tag_len_bits"):
+        Signature.from_bytes(zero_t)
     # 2 recipients, k=1, 1-bit tags: 5 payload bits, 3 of padding
     corrupt = bytearray(blob)
     corrupt[-1] |= 1
@@ -415,6 +419,40 @@ def test_signature_field_validation():
     with pytest.raises(ValueError, match="tag_len_bits"):
         Signature(message=0, tags=tags, n_recipients=2, k=1,
                   msg_len_bits=1, tag_len_bits=2)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["uint64-tag-of-256", "int64-tag-of-minus-one", "V3-tags-at-t72", "bool-message",
+     "float-message"],
+)
+def test_signature_rejects_what_the_wire_format_cannot_carry(case):
+    # each of these once round-tripped as a different signature or crashed
+    def build(tags, message=0, t=8):
+        return Signature(message=message, tags=tags, n_recipients=2, k=1,
+                         msg_len_bits=t, tag_len_bits=t)
+
+    if case == "uint64-tag-of-256":
+        with pytest.raises(ValueError, match="at or above bit 8"):
+            build(np.array([[0, 256], [1, 2]], dtype=np.uint64)).to_bytes()
+    elif case == "int64-tag-of-minus-one":
+        with pytest.raises(ValueError, match="packed as uint64, got int64"):
+            build(np.array([[0, -1], [1, 2]], dtype=np.int64))
+    elif case == "V3-tags-at-t72":
+        with pytest.raises(ValueError, match=r"packed as \|V9, got \|V3"):
+            build(np.zeros((2, 2), dtype="V3"), t=72)
+    else:
+        message = True if case == "bool-message" else 1.0
+        with pytest.raises(ValueError, match="message must be an int"):
+            build(np.zeros((2, 2), dtype=np.uint64), message=message)
+
+
+def test_signature_wire_format_carries_every_tag_bit_at_t64():
+    # the widest uint64 tag: every one of its 64 bits is a tag bit
+    tags = np.array([[0, (1 << 64) - 1], [1 << 63, 5]], dtype=np.uint64)
+    signature = Signature(message=(1 << 64) - 1, tags=tags, n_recipients=2, k=1,
+                          msg_len_bits=64, tag_len_bits=64)
+    assert Signature.from_bytes(signature.to_bytes()) == signature
 
 
 def test_signature_rejects_payload_beyond_header_byte_count():
