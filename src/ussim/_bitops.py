@@ -1,9 +1,10 @@
 """Bit-vector plumbing shared by the key stores and the protocol.
 
 A bit string is a numpy uint8 array of packed bits, most significant first
-and zero-padded to a whole byte. A packed value of up to 64 bits is a uint64;
+and zero-padded to a whole byte. A packed value of up to 64 bits is the
+smallest of uint8, uint16, uint32 and uint64 that holds it (packed_dtype);
 a wider one is its ceil(width / 8) big-endian bytes as one void (V<bytes>)
-element, so 1-d arrays of both kinds index, concatenate and compare with ==
+element, so 1-d arrays of every kind index, concatenate and compare with ==
 alike. pack_rows and unpack_rows move fixed-width fields between the two.
 """
 from __future__ import annotations
@@ -12,11 +13,19 @@ import numpy as np
 
 
 def octets(values: np.ndarray) -> np.ndarray:
-    """1-d packed values as (rows, bytes) uint8 views, least significant first."""
+    """1-d packed values as (rows, bytes) uint8 views, least significant first.
+
+    Void rows and little-endian unsigned values are viewed in place; signed
+    or big-endian integers go through a little-endian unsigned copy of the
+    same width.
+    """
     values = np.ascontiguousarray(values)
     if values.dtype.kind == "V":
         return values.view(np.uint8).reshape(values.size, values.dtype.itemsize)[:, ::-1]
-    return values.astype("<u8", copy=False).reshape(-1, 1).view(np.uint8)
+    unsigned = np.dtype(f"<u{values.dtype.itemsize}")
+    if values.dtype != unsigned:
+        values = values.astype(unsigned)
+    return values.reshape(-1, 1).view(np.uint8)
 
 
 def as_packed(values, width: int) -> np.ndarray:
@@ -26,22 +35,28 @@ def as_packed(values, width: int) -> np.ndarray:
         return values
     masked = [int(v) % (1 << width) for v in values.flat]
     if width <= 64:
-        return np.array(masked, dtype=np.uint64).reshape(values.shape)
+        return np.array(masked, dtype=packed_dtype(width)).reshape(values.shape)
     n_bytes = (width + 7) // 8
     data = b"".join(v.to_bytes(n_bytes, "big") for v in masked)
     return np.frombuffer(data, dtype=f"V{n_bytes}").reshape(values.shape)
 
 
 def packed_dtype(width: int) -> np.dtype:
-    """The dtype of one packed value of width bits."""
-    return np.dtype(np.uint64) if width <= 64 else np.dtype(f"V{(width + 7) // 8}")
+    """The dtype of one packed value of width bits.
+
+    The smallest of uint8, uint16, uint32 and uint64 that holds width bits,
+    or V<ceil(width / 8)> above 64 bits.
+    """
+    if width <= 64:
+        return np.min_scalar_type((1 << width) - 1)
+    return np.dtype(f"V{(width + 7) // 8}")
 
 
 def pack_rows(values, width: int, start: int = 0) -> np.ndarray:
     """A new bit string holding width-bit values end to end from bit start.
 
-    Every other bit is zero. values are packed values or integers, read as
-    uint64; a value with a bit set at or above width raises ValueError.
+    Every other bit is zero. values are packed values or integers; a
+    negative value or one with a bit set at or above width raises ValueError.
     """
     values = np.asarray(values).reshape(-1)
     low_first = octets(values)
@@ -49,7 +64,7 @@ def pack_rows(values, width: int, start: int = 0) -> np.ndarray:
     rows = np.zeros((len(values), n_bytes), dtype=np.uint8)  # big-endian
     rows[:, ::-1][:, : low_first.shape[1]] = low_first[:, :n_bytes]
     if values.dtype.kind != "V":
-        too_wide = values.size and int(values.astype(np.uint64, copy=False).max()) >> width
+        too_wide = values.size and (int(values.min()) < 0 or int(values.max()) >> width)
     else:
         too_wide = low_first[:, n_bytes:].any() or (
             width % 8 and (rows[:, 0] >> (width % 8)).any()
@@ -96,20 +111,24 @@ def unpack_rows(
         rows = np.packbits(rows, axis=1)
     if width > 64:
         return rows.copy().view(f"V{n_bytes}").reshape(count)
-    words = np.zeros((count, 8), dtype=np.uint8)
-    words[:, 8 - n_bytes :] = rows
-    return words.view(">u8").reshape(count).astype(np.uint64)
+    dtype = packed_dtype(width)
+    if n_bytes < dtype.itemsize:
+        words = np.zeros((count, dtype.itemsize), dtype=np.uint8)
+        words[:, dtype.itemsize - n_bytes :] = rows
+        rows = words
+    # astype copies, so the values never alias data
+    return np.ascontiguousarray(rows).view(dtype.newbyteorder(">")).reshape(count).astype(dtype)
 
 
 def flip_bits(fields, positions: np.ndarray) -> None:
     """Flip single bits of packed fields laid side by side, in place.
 
     fields is a sequence of (values, width) pairs: 1-d arrays of one
-    length, each uint64 or void rows as above, and contiguous so that
-    octets views their memory. Row r of the fields side by side is the
-    first field's width bits, most significant first, then the next
-    field's, and so on, W bits in all; position p flips column p % W of
-    row p // W.
+    length, each little-endian unsigned values or void rows as above, and
+    contiguous so that octets views their memory. Row r of the fields side
+    by side is the first field's width bits, most significant first, then
+    the next field's, and so on, W bits in all; position p flips column
+    p % W of row p // W.
     """
     positions = np.asarray(positions, dtype=np.int64)
     if not positions.size:
@@ -124,5 +143,5 @@ def flip_bits(fields, positions: np.ndarray) -> None:
         low = end - 1 - cols[hit]  # bit index from the least significant end
         view = octets(values)
         if not np.may_share_memory(view, values):
-            raise ValueError("flip_bits needs contiguous uint64 or void rows")
+            raise ValueError("flip_bits needs contiguous unsigned or void rows")
         np.bitwise_xor.at(view, (rows[hit], low >> 3), (1 << (low & 7)).astype(np.uint8))

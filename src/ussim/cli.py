@@ -42,11 +42,14 @@ from .simlab import (
 
 _MAX_SWEEP_POINTS = 10_000
 # Largest share of physical memory the packed key state of a `run`
-# (protocol.key_state_bytes) may take. Peak RSS measured about 1.9 times
-# that estimate (1751 MiB against 922 MiB at n=50 a=64 t=32 k=6906), so a
-# larger run would run out of memory partway through the distribution and
-# is refused up front instead.
-KEY_STATE_MEMORY_FRACTION = 0.5
+# (protocol.key_state_bytes) may take. Peak RSS measured 8.57 times that
+# estimate at n=20 a=t=8 k=2270 (59 MiB against 6.9 MiB; 33 MiB is the
+# interpreter and numpy), 3.03 times at n=20 a=64 t=32 k=2270 (100 against 33 MiB)
+# and 1.96 times at n=50 a=64 t=32 k=6906 (1291 against 659 MiB). At the
+# largest ratio, an admitted run peaks within 0.11 * 8.57 = 94% of memory;
+# a larger run would run out of memory partway through the distribution
+# and is refused up front instead.
+KEY_STATE_MEMORY_FRACTION = 0.11
 
 
 def _physical_memory_bytes() -> int | None:

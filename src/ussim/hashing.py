@@ -123,17 +123,19 @@ def tags_of_arrays(
     so it is the XOR over the multiplier's bytes of one 256-entry table per
     byte position (Shoup's byte-sliced method, as in GCM software): one
     lookup and one XOR per byte over all rows. Values are packed as in
-    _bitops, uint64 up to 64 bits and void byte rows above; for t > 64 the
-    tables hold products as bytes. Multiplier bits at or above a are
-    ignored; tags take the multipliers' shape.
+    _bitops; tables, accumulator and tags are packed_dtype(t), the smallest
+    unsigned type holding t bits up to 64 and void byte rows above, where
+    the tables hold products as bytes. Multipliers and offsets may be any
+    integer array; multiplier bits at or above a are ignored, and tags take
+    the multipliers' shape.
     """
     a, t = msg_len_bits, tag_len_bits
     _check_width("message", message, a)
     if not 1 <= t <= a:
         raise ValueError(f"tag_len_bits must be in [1, msg_len_bits], got {t}")
     n_bytes = (a + 7) // 8
-    # low t bits of x^j * message as uint64, or past 64 bits as bytes least
-    # significant first; col is zero past bit a, so high multiplier bits drop out
+    # low t bits of x^j * message as packed_dtype(t), or past 64 bits as bytes
+    # least significant first; col is zero past bit a, so high multiplier bits drop out
     products = as_packed(np.array(_mul_table(message, a), dtype=object), t)
     products = products if t <= 64 else octets(products)
     col = np.zeros((8 * n_bytes, *products.shape[1:]), dtype=products.dtype)
@@ -153,6 +155,8 @@ def tags_of_arrays(
         acc ^= tmp
     offs = as_packed(offsets, t)
     if t <= 64:
-        return acc.reshape(mults.shape) ^ np.asarray(offs, dtype=np.uint64)
+        tags = acc.reshape(mults.shape)
+        tags ^= offs.astype(tags.dtype, copy=False)
+        return tags
     acc ^= octets(offs.reshape(-1))
     return np.ascontiguousarray(acc[:, ::-1]).view(f"V{acc.shape[1]}").reshape(mults.shape)

@@ -95,6 +95,15 @@ def _check_rate(rate, name: str) -> None:
         raise ValueError(f"{name} must be a positive finite number, got {rate!r}")
 
 
+def _check_flip_prob(value, name: str) -> None:
+    if (
+        not isinstance(value, numbers.Real)
+        or isinstance(value, bool)
+        or not 0 <= value <= 1  # False for NaN
+    ):
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+
+
 def _flip_block_bits(flip_prob: float) -> int:
     """Positions per flip block on a link with flip probability flip_prob > 0.
 
@@ -133,8 +142,7 @@ class LinkKeyStore:
             raise ValueError("a link needs two distinct users")
         if user_a < 0 or user_b < 0:
             raise ValueError("user indices must be non-negative")
-        if not 0 <= flip_prob <= 1:
-            raise ValueError(f"flip_prob must be in [0, 1], got {flip_prob}")
+        _check_flip_prob(flip_prob, "flip_prob")
         if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 63:
             raise ValueError(f"seed must be an int in [0, 2**63), got {seed}")
         self.user_a, self.user_b = sorted((user_a, user_b))
@@ -317,10 +325,7 @@ class NetworkConfig:
         _check_rate(self.default_rate_bps, "default_rate_bps")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 1 << 63:
             raise ValueError(f"seed must be an int in [0, 2**63), got {self.seed}")
-        if not 0 <= self.default_flip_prob <= 1:
-            raise ValueError(
-                f"default_flip_prob must be in [0, 1], got {self.default_flip_prob}"
-            )
+        _check_flip_prob(self.default_flip_prob, "default_flip_prob")
         normalized: dict[tuple[int, int], LinkSettings] = {}
         for pair, settings in self.links.items():
             if not all(isinstance(u, int) and not isinstance(u, bool) for u in pair):
@@ -334,8 +339,8 @@ class NetworkConfig:
                 raise ValueError(f"link ({a}, {b}) configured twice")
             if settings.rate_bps is not None:
                 _check_rate(settings.rate_bps, f"rate_bps on link ({a}, {b})")
-            if settings.flip_prob is not None and not 0 <= settings.flip_prob <= 1:
-                raise ValueError(f"flip_prob must be in [0, 1] on link ({a}, {b})")
+            if settings.flip_prob is not None:
+                _check_flip_prob(settings.flip_prob, f"flip_prob on link ({a}, {b})")
             normalized[(a, b)] = settings
         object.__setattr__(self, "links", normalized)
 

@@ -52,8 +52,10 @@ _HEADER = struct.Struct(">4sBHBHII")  # magic, version, a, t, n, k, payload byte
 class OriginKeys(NamedTuple):
     """One recipient's k-key share of the batch issued through one recipient.
 
-    slots are int64; multipliers (a bits) and offsets (t bits) are packed
-    as in _bitops: uint64 up to 64 bits, big-endian void byte rows above.
+    slots (id_bits), multipliers (a bits) and offsets (t bits) are each
+    packed as in _bitops, at packed_dtype of their width: the smallest of
+    uint8, uint16, uint32 and uint64 up to 64 bits, big-endian void byte
+    rows above.
     """
 
     slots: np.ndarray
@@ -67,11 +69,12 @@ class Signature:
 
     tags has shape (n_recipients, n_recipients * k); tags[i, s]
     authenticates the message under slot s of the batch issued through
-    recipient i. Tags must be packed as in _bitops: uint64 for t <= 64,
-    big-endian void byte rows (V<ceil(t/8)>) above. The wire layout is a fixed 18-byte header (magic
-    b"USS1", version, message bits, tag bits, recipient count, keys per
-    chunk, payload byte count) followed by the message and then the tags
-    in batch-major slot order, all MSB first and zero-padded to a whole
+    recipient i. Tags must be packed as in _bitops, as packed_dtype(t): the
+    smallest of uint8, uint16, uint32 and uint64 for t <= 64, big-endian
+    void byte rows (V<ceil(t/8)>) above. The wire layout is a fixed 18-byte
+    header (magic b"USS1", version, message bits, tag bits, recipient count,
+    keys per chunk, payload byte count) followed by the message and then the
+    tags in batch-major slot order, all MSB first and zero-padded to a whole
     byte.
     """
 
@@ -234,11 +237,13 @@ def key_state_bytes(params: ProtocolParams) -> int:
     """Bytes of packed keys a full distribution leaves in memory.
 
     The sender keeps all n*n*k issued keys; each recipient keeps its n*k
-    batch and the n*k keys it holds, each of those with an int64 slot id.
+    batch and the n*k keys it holds, each of those with a slot id. Every
+    field takes the itemsize of its packed_dtype.
     """
     n, k = params.n_recipients, params.k
     key = sum(packed_dtype(w).itemsize for w in (params.msg_len_bits, params.tag_len_bits))
-    return n * n * k * (3 * key + 8)
+    slot = packed_dtype(id_bits(n, k)).itemsize
+    return n * n * k * (3 * key + slot)
 
 
 class Sender:
@@ -318,6 +323,8 @@ class Recipient:
         self._batch: tuple[np.ndarray, np.ndarray] | None = None
         self._chunks: list[np.ndarray] | None = None
         self._held: dict[int, OriginKeys] = {}
+        self._id_bits = id_bits(params.n_recipients, params.k)
+        self._slot_dtype = packed_dtype(self._id_bits)
 
     def receive_batch(self) -> None:
         """Read this recipient's (possibly noisy) view of its issued batch."""
@@ -348,7 +355,7 @@ class Recipient:
         mult, off = self._batch
         own = self._chunks[self.index]
         own.sort()
-        self._held[self.index] = OriginKeys(own.copy(), mult[own], off[own])
+        self._held[self.index] = OriginKeys(own.astype(self._slot_dtype), mult[own], off[own])
 
     def send_share(self, other: "Recipient") -> None:
         """One-time-pad chunk other.index of this batch to that recipient.
@@ -361,7 +368,7 @@ class Recipient:
         chunk = self._chunks[other.index]
         chunk.sort()
         mult, off = self._batch
-        share = OriginKeys(chunk.astype(np.uint64), mult[chunk], off[chunk])
+        share = OriginKeys(chunk.astype(self._slot_dtype), mult[chunk], off[chunk])
         other._receive_share(self.index, share, flips)
 
     def _spend_share_pad(self, other: "Recipient") -> np.ndarray:
@@ -375,7 +382,7 @@ class Recipient:
         if other.index == self.index:
             raise ValueError("a recipient does not share with itself")
         p = self.params
-        width = id_bits(p.n_recipients, p.k) + p.msg_len_bits + p.tag_len_bits
+        width = self._id_bits + p.msg_len_bits + p.tag_len_bits
         link = self.network.link(self.user, other.user)
         return link.otp_transfer(p.k * width, from_side=self.user)
 
@@ -383,12 +390,13 @@ class Recipient:
         if origin in self._held:
             raise RuntimeError(f"share from origin {origin} already received")
         p = self.params
-        ib = id_bits(p.n_recipients, p.k)
-        flip_bits(
-            [(share.slots, ib), (share.multipliers, p.msg_len_bits), (share.offsets, p.tag_len_bits)],
-            flips,
-        )
-        self._held[origin] = share._replace(slots=share.slots.astype(np.int64))
+        fields = [
+            (share.slots, self._id_bits),
+            (share.multipliers, p.msg_len_bits),
+            (share.offsets, p.tag_len_bits),
+        ]
+        flip_bits(fields, flips)
+        self._held[origin] = share
 
     @property
     def distribution_complete(self) -> bool:
@@ -428,21 +436,18 @@ class Recipient:
         delta = compute_delta(level, p.d_r)
         n, k = p.n_recipients, p.k
         held = [self._held[origin] for origin in range(n)]
-        # one call over all n*k held keys; group origin is rows origin*k onward
-        expected_all = tags_of_arrays(
+        # one call over all n*k held keys; row origin holds that group's k tags
+        expected = tags_of_arrays(
             np.concatenate([h.multipliers for h in held]),
             np.concatenate([h.offsets for h in held]),
             signature.message, p.msg_len_bits, p.tag_len_bits,
-        )
-        counts = []
-        for origin in range(n):
-            expected = expected_all[origin * k : (origin + 1) * k]
-            slots = held[origin].slots
-            valid = (slots >= 0) & (slots < n * k)
-            bad = int(np.count_nonzero(~valid))
-            published = signature.tags[origin][slots[valid]]
-            bad += int(np.count_nonzero(published != expected[valid]))
-            counts.append(bad)
+        ).reshape(n, k)
+        slots = np.stack([h.slots for h in held], dtype=np.intp)
+        # slot s of group origin is flat tag origin * n*k + s; "clip" keeps the
+        # read of a slot past n*k inside the list, and it counts as a mismatch
+        flat = slots + np.arange(0, n * n * k, n * k)[:, None]
+        published = signature.tags.reshape(-1).take(flat, mode="clip")
+        counts = np.count_nonzero((slots >= n * k) | (published != expected), axis=1).tolist()
         passed = sum(1 for c in counts if c / k < s)
         accepted = passed / n > delta
         return VerifyResult(

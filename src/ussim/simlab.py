@@ -275,7 +275,9 @@ def attack_repudiation(
 
 def _uniform_tags(rng: np.random.Generator, size: int, tag_len_bits: int) -> np.ndarray:
     if tag_len_bits <= 63:
-        return rng.integers(0, 1 << tag_len_bits, size=size, dtype=np.uint64)
+        # drawn as uint64 whatever t is: a narrower dtype changes the stream
+        draw = rng.integers(0, 1 << tag_len_bits, size=size, dtype=np.uint64)
+        return draw.astype(packed_dtype(tag_len_bits))
     # one draw per tag, whole bytes each; each field skips the bits above t
     n_bytes = (tag_len_bits + 7) // 8
     data = np.frombuffer(b"".join(rng.bytes(n_bytes) for _ in range(size)), dtype=np.uint8)

@@ -129,8 +129,31 @@ def test_byte_rows_to_values_reads_big_endian_rows(n_bytes):
             unpack_rows(rows.reshape(-1), 0, 5, start=8, stride=8)
         return
     got = unpack_rows(rows.reshape(-1), 8 * n_bytes, 5, start=8, stride=8 * (n_bytes + 1))
-    assert got.dtype == (np.uint64 if n_bytes <= 8 else np.dtype(f"V{n_bytes}"))
+    assert got.dtype == packed_dtype(8 * n_bytes)
     assert reference.row_ints(got) == [int.from_bytes(r[1:].tobytes(), "big") for r in rows]
+
+
+@pytest.mark.parametrize(
+    "width, dtype",
+    [(1, "u1"), (8, "u1"), (9, "u2"), (16, "u2"), (17, "u4"), (32, "u4"),
+     (33, "u8"), (64, "u8"), (65, "V9")],
+)
+def test_packed_dtype_is_the_smallest_that_holds_the_width(width, dtype):
+    assert packed_dtype(width) == np.dtype(dtype)
+
+
+@pytest.mark.parametrize("width", range(1, 65))
+def test_narrow_values_round_trip_at_their_own_width(width):
+    # values held at packed_dtype(width) go out and come back at that dtype
+    rng = np.random.default_rng(4000 + width)
+    values = _random_values(rng, 11, width)
+    packed = np.array(values, dtype=packed_dtype(width))
+    for start in (0, 5):
+        got = pack_rows(packed, width, start)
+        assert got.tobytes() == _oracle_string(values, width, start)
+        back = unpack_rows(got, width, len(values), start)
+        assert back.dtype == packed_dtype(width)
+        assert reference.row_ints(back) == values
 
 
 @pytest.mark.parametrize(
@@ -178,7 +201,28 @@ def test_flip_bits_matches_a_bitwise_oracle(widths):
         start += width
 
 
+def test_flip_bits_flips_narrow_fields_in_place():
+    # uint8, uint16 and uint32 fields are written through, not copied
+    rng = np.random.default_rng(5)
+    widths = (3, 8, 13, 16, 30)
+    values = [_random_values(rng, 6, w) for w in widths]
+    fields = [(np.array(v, dtype=packed_dtype(w)), w) for v, w in zip(values, widths)]
+    assert {f.dtype for f, _ in fields} == {np.dtype(d) for d in ("u1", "u2", "u4")}
+    positions = np.sort(rng.choice(6 * sum(widths), size=40, replace=False))
+    flip_bits(fields, positions)
+    want = np.concatenate([_oracle_bits(v, w) for v, w in zip(values, widths)], axis=1)
+    want.reshape(-1)[positions] ^= 1
+    start = 0
+    for packed, width in fields:
+        assert packed.dtype == packed_dtype(width)
+        assert np.array_equal(_oracle_bits(reference.row_ints(packed), width),
+                              want[:, start : start + width])
+        start += width
+
+
 def test_flip_bits_refuses_arrays_it_cannot_write_through():
     flip_bits([(np.zeros(3, dtype=np.int64), 8)], np.array([], dtype=np.int64))
-    with pytest.raises(ValueError, match="contiguous"):
-        flip_bits([(np.zeros(3, dtype=np.int64), 8)], np.array([1]))
+    # signed and big-endian values are read through a copy
+    for dtype in (np.int64, np.int8, ">u2"):
+        with pytest.raises(ValueError, match="contiguous"):
+            flip_bits([(np.zeros(3, dtype=dtype), 8)], np.array([1]))

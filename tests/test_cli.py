@@ -161,7 +161,7 @@ def test_run_oversized_message_exits_two_before_the_run(monkeypatch, capsys):
 
 
 def test_run_oversized_key_state_exits_two_at_once(monkeypatch, capsys):
-    # n=50, k=10**6 would hold about 130 GiB of keys; it used to reach
+    # n=50, k=10**6 would hold about 23 GiB of keys; it used to reach
     # MemoryError partway through the distribution
     def never(*args, **kwargs):
         raise AssertionError("run_honest called")
@@ -171,17 +171,17 @@ def test_run_oversized_key_state_exits_two_at_once(monkeypatch, capsys):
     assert cli.main(["run", "--n", "50", "--k", "1000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "about 133514 MiB of packed key state (n=50, k=1000000)" in captured.err
-    assert "more than 50% of the 65536 MiB of physical memory" in captured.err
-    # the subprocess exits at once, before any bound is priced; 13 TiB of
+    assert "about 23842 MiB of packed key state (n=50, k=1000000)" in captured.err
+    assert "more than 11% of the 65536 MiB of physical memory" in captured.err
+    # the subprocess exits at once, before any bound is priced; 3 TiB of
     # keys exceeds any machine's memory
     proc = run_cli("run", "--n", "50", "--k", "100000000")
     assert proc.returncode == 2 and "packed key state" in proc.stderr
 
 
 def test_run_key_state_limit_follows_physical_memory(monkeypatch, capsys):
-    # n=100 at the default k (14407) holds about 7.5 GiB of keys: a run
-    # that fits in half the machine's memory goes ahead, a larger one is
+    # n=100 at the default k (14407) holds about 1.3 GiB of keys: a run
+    # that fits in 11% of the machine's memory goes ahead, a larger one is
     # refused, and a machine that does not report its memory sets no limit
     runs = []
 
@@ -197,7 +197,7 @@ def test_run_key_state_limit_follows_physical_memory(monkeypatch, capsys):
     assert "packed key state" not in capsys.readouterr().err
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 8 << 30)
     assert cli.main(["run", "--n", "100"]) == 2
-    assert "about 7694 MiB of packed key state" in capsys.readouterr().err
+    assert "about 1374 MiB of packed key state" in capsys.readouterr().err
     assert len(runs) == 2
 
 
@@ -345,6 +345,23 @@ def test_time_to_ready_nan_link_rate_in_config_exits_two(tmp_path):
     assert proc.returncode == 2
     assert "rate_bps on link (0, 1)" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("value", ['"0.01"', "true", "NaN", "Infinity"])
+@pytest.mark.parametrize("where", ["default", "link"])
+def test_run_config_bad_flip_prob_exits_two_naming_the_key(tmp_path, capsys, value, where):
+    # a string used to exit 1 with a TypeError, and true ran as q = 1
+    path = tmp_path / "net.json"
+    if where == "default":
+        path.write_text(f'{{"users": 4, "default_flip_prob": {value}}}')
+        key = "default_flip_prob"
+    else:
+        path.write_text(f'{{"users": 4, "links": [{{"a": 0, "b": 1, "flip_prob": {value}}}]}}')
+        key = "flip_prob on link (0, 1)"
+    assert cli.main(["run", "--config", str(path), "--n", "3", "--k", "40"]) == 2
+    captured = capsys.readouterr()
+    assert f"{key} must be a number in [0, 1]" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("end", [1.5, True])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from ussim import hashing
+from ussim._bitops import packed_dtype
 from ussim.hashing import find_irreducible, tags_of_arrays
 
 # Smallest-encoding irreducible polynomial per degree, frozen after
@@ -153,7 +154,7 @@ def test_tags_of_arrays_object_path_wide_field():
 @pytest.mark.parametrize("t", [1, 32, 64])
 def test_tags_of_arrays_wide_field_uint64_tags(a, t):
     # a wide field with tags that fit in 64 bits: object multipliers,
-    # uint64 tags, checked against schoolbook field multiplication
+    # packed_dtype(t) tags, checked against schoolbook field multiplication
     rng = np.random.default_rng(a * 100 + t)
 
     def rand(bits):
@@ -165,7 +166,7 @@ def test_tags_of_arrays_wide_field_uint64_tags(a, t):
     got = tags_of_arrays(
         np.array(mults, dtype=object), np.array(offs, dtype=object), message, a, t
     )
-    assert got.dtype == np.uint64
+    assert got.dtype == packed_dtype(t)
     modulus = find_irreducible(a)
     want = [reference.make_tag(m, o, message, modulus, t) for m, o in zip(mults, offs)]
     assert [int(v) for v in got] == want
@@ -188,7 +189,7 @@ def test_tags_of_arrays_every_byte_boundary(a):
         got = tags_of_arrays(
             np.array(mults, dtype=object), np.array(offs, dtype=object), message, a, t
         )
-        assert got.dtype == (np.uint64 if t <= 64 else np.dtype(f"V{(t + 7) // 8}"))
+        assert got.dtype == packed_dtype(t)
         want = [reference.make_tag(m, o, message, modulus, t) for m, o in zip(mults, offs)]
         assert reference.row_ints(got) == want, (a, t)
 
@@ -205,8 +206,29 @@ def test_tags_of_arrays_multiplier_dtypes_agree(a):
     want = tags_of_arrays(np.array(mults, dtype=object), offs, message, a, t)
     for dtype in (np.uint64, np.int64, ">u8"):
         got = tags_of_arrays(np.array(mults, dtype=dtype), offs, message, a, t)
-        assert got.dtype == np.uint64
+        assert got.dtype == packed_dtype(t)
         assert np.array_equal(got, want), dtype
+
+
+@pytest.mark.parametrize("a, t", [(5, 3), (8, 8), (12, 9), (16, 16), (24, 17), (40, 32)])
+def test_tags_of_arrays_wide_inputs_give_narrow_tags(a, t):
+    # multipliers and offsets as uint64, int64 or big-endian uint64 give
+    # the same tags, at packed_dtype(t), as inputs at their own widths
+    rng = np.random.default_rng(2000 + 97 * a + t)
+    mults = _random_ints(rng, 20, a) + [0, (1 << a) - 1]
+    offs = _random_ints(rng, len(mults), t)
+    message = _random_ints(rng, 1, a)[0]
+    modulus = find_irreducible(a)
+    want = [reference.make_tag(m, o, message, modulus, t) for m, o in zip(mults, offs)]
+    narrow = tags_of_arrays(np.array(mults, dtype=packed_dtype(a)),
+                            np.array(offs, dtype=packed_dtype(t)), message, a, t)
+    assert narrow.dtype == packed_dtype(t)
+    assert reference.row_ints(narrow) == want
+    for dtype in (np.uint64, np.int64, ">u8"):
+        got = tags_of_arrays(np.array(mults, dtype=dtype), np.array(offs, dtype=dtype),
+                             message, a, t)
+        assert got.dtype == packed_dtype(t)
+        assert reference.row_ints(got) == want, dtype
 
 
 @pytest.mark.parametrize("a, t", [(8, 8), (64, 32), (128, 32), (130, 100)])

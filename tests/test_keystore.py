@@ -297,6 +297,25 @@ def test_non_positive_or_nan_rates_are_rejected_by_name(rate):
         NetworkConfig(n_users=3, links={(0, 1): LinkSettings(rate_bps=rate)})
 
 
+@pytest.mark.parametrize("prob", ["0.01", True, False, float("nan"), float("inf"), -0.5, 1.5])
+def test_flip_probs_outside_the_unit_interval_are_rejected_by_name(prob):
+    # a string used to fail with a TypeError at the comparison, and a bool
+    # was taken as q = 0 or 1
+    with pytest.raises(ValueError, match="default_flip_prob"):
+        NetworkConfig(n_users=3, default_flip_prob=prob)
+    with pytest.raises(ValueError, match=r"flip_prob on link \(0, 1\)"):
+        NetworkConfig(n_users=3, links={(0, 1): LinkSettings(flip_prob=prob)})
+    with pytest.raises(ValueError, match="flip_prob must be a number in"):
+        LinkKeyStore(0, 1, flip_prob=prob)
+
+
+def test_link_flip_prob_null_falls_back_to_the_default():
+    raw = {"users": 3, "default_flip_prob": 0.25, "links": [{"a": 0, "b": 1, "flip_prob": None}]}
+    config = NetworkConfig.from_dict(raw)
+    assert config.flip_prob(0, 1) == 0.25
+    assert Network(config).link(0, 1).flip_prob == 0.25
+
+
 @pytest.mark.parametrize("end", [1.5, True])
 def test_non_int_link_endpoints_are_rejected(end):
     raw = {"users": 4, "links": [{"a": 0, "b": 1}, {"a": end, "b": 2, "flip_prob": 0.4}]}

@@ -6,6 +6,7 @@ import pytest
 
 import reference
 from ussim import keystore, protocol
+from ussim._bitops import packed_dtype
 from ussim.keystore import LinkKeyStore, LinkSettings, Network, NetworkConfig
 from ussim.protocol import (
     Recipient,
@@ -146,7 +147,7 @@ def test_noisy_shares_carry_exactly_the_links_flips(a, t):
                     want = [reference.pack_row(row) for row in bits[:, start : start + width]]
                     assert reference.row_ints(values) == want
                     start += width
-                assert held.slots.dtype == np.int64
+                assert held.slots.dtype == packed_dtype(ib)
     assert flipped_any
 
 
@@ -293,10 +294,22 @@ def test_out_of_range_slot_counts_as_mismatch():
     _, sender, recipients = distributed(params)
     held = recipients[1].held_group(0)
     held.slots[0] = params.n_recipients * params.k
-    held.slots[1] = -3
+    held.slots[1] = np.iinfo(held.slots.dtype).max  # the widest id a slot field holds
     result = recipients[1].verify(sender.sign(0x11), 0)
     assert result.mismatch_counts[0] == 2
     assert result.mismatch_counts[1:] == (0, 0)
+
+
+def test_out_of_range_slot_in_the_last_group_counts_as_mismatch():
+    # the last group's slots index the end of the flat tag list, so a slot
+    # past n*k there would read beyond it
+    params = ProtocolParams.build(3, 8, 8, k=5, l_max=0)
+    _, sender, recipients = distributed(params)
+    held = recipients[0].held_group(2)
+    held.slots[:3] = (params.n_recipients * params.k, params.n_recipients * params.k + 1,
+                      np.iinfo(held.slots.dtype).max)
+    result = recipients[0].verify(sender.sign(0x11), 0)
+    assert result.mismatch_counts == (0, 0, 3)
 
 
 def test_verify_level_and_signature_validation():
@@ -309,7 +322,7 @@ def test_verify_level_and_signature_validation():
         recipients[0].verify(signature, -2)
     other = Signature(
         message=0,
-        tags=np.zeros((3, 15), dtype=np.uint64),
+        tags=np.zeros((3, 15), dtype=np.uint8),
         n_recipients=3,
         k=5,
         msg_len_bits=8,
@@ -409,12 +422,12 @@ def test_serialization_rejects_malformed_blobs():
 
 
 def test_signature_field_validation():
-    tags = np.zeros((2, 2), dtype=np.uint64)
+    tags = np.zeros((2, 2), dtype=np.uint8)
     with pytest.raises(ValueError, match="message"):
         Signature(message=4, tags=tags, n_recipients=2, k=1,
                   msg_len_bits=1, tag_len_bits=1)
     with pytest.raises(ValueError, match="shape"):
-        Signature(message=0, tags=np.zeros((2, 3), dtype=np.uint64),
+        Signature(message=0, tags=np.zeros((2, 3), dtype=np.uint8),
                   n_recipients=2, k=1, msg_len_bits=1, tag_len_bits=1)
     with pytest.raises(ValueError, match="tag_len_bits"):
         Signature(message=0, tags=tags, n_recipients=2, k=1,
@@ -433,10 +446,14 @@ def test_signature_rejects_what_the_wire_format_cannot_carry(case):
                          msg_len_bits=t, tag_len_bits=t)
 
     if case == "uint64-tag-of-256":
-        with pytest.raises(ValueError, match="at or above bit 8"):
-            build(np.array([[0, 256], [1, 2]], dtype=np.uint64)).to_bytes()
+        # a uint64 tag no longer passes at t=8; a uint8 tag with a bit at or
+        # above t is what reaches to_bytes
+        with pytest.raises(ValueError, match="packed as uint8, got uint64"):
+            build(np.array([[0, 256], [1, 2]], dtype=np.uint64))
+        with pytest.raises(ValueError, match="at or above bit 7"):
+            build(np.array([[0, 128], [1, 2]], dtype=np.uint8), t=7).to_bytes()
     elif case == "int64-tag-of-minus-one":
-        with pytest.raises(ValueError, match="packed as uint64, got int64"):
+        with pytest.raises(ValueError, match="packed as uint8, got int64"):
             build(np.array([[0, -1], [1, 2]], dtype=np.int64))
     elif case == "V3-tags-at-t72":
         with pytest.raises(ValueError, match=r"packed as \|V9, got \|V3"):
@@ -444,7 +461,7 @@ def test_signature_rejects_what_the_wire_format_cannot_carry(case):
     else:
         message = True if case == "bool-message" else 1.0
         with pytest.raises(ValueError, match="message must be an int"):
-            build(np.zeros((2, 2), dtype=np.uint64), message=message)
+            build(np.zeros((2, 2), dtype=np.uint8), message=message)
 
 
 def test_signature_wire_format_carries_every_tag_bit_at_t64():
@@ -460,7 +477,7 @@ def test_signature_rejects_payload_beyond_header_byte_count():
     # message makes exactly 2**32 - 1 payload bytes and a 9-bit one a
     # byte more than the header's uint32 byte count can hold
     def build(n, k, a, t):
-        tags = np.broadcast_to(np.uint64(0), (n, n * k))  # allocates nothing
+        tags = np.broadcast_to(np.zeros(1, packed_dtype(t)), (n, n * k))  # allocates nothing
         return Signature(message=0, tags=tags, n_recipients=n, k=k,
                          msg_len_bits=a, tag_len_bits=t)
 
@@ -488,7 +505,7 @@ def test_forward_chain_stops_at_first_rejection():
     signature = sender.sign(0x3C)
     hostile = Signature(
         message=signature.message,
-        tags=signature.tags ^ np.uint64(1),
+        tags=signature.tags ^ np.uint8(1),
         n_recipients=params.n_recipients,
         k=params.k,
         msg_len_bits=params.msg_len_bits,
@@ -722,10 +739,11 @@ def test_run_honest_tag_call_shape(monkeypatch, a, t):
     assert sum(c[-1] for c in calls) == (n + n + chain_len) * n * k
 
 
-@pytest.mark.parametrize("a, t", [(128, 32), (130, 100)])
+@pytest.mark.parametrize("a, t", [(128, 32), (130, 100), (8, 8), (16, 9), (64, 32)])
 def test_run_honest_keeps_wide_values_packed(monkeypatch, a, t):
-    # values past 64 bits stay void byte rows from key draw to tag: no
-    # stage holds an array of Python ints
+    # every field stays at its packed_dtype from key draw to tag: values
+    # past 64 bits as void byte rows, narrower ones as the smallest unsigned
+    # type that holds them, slot ids included; no stage holds Python ints
     from ussim import simlab
 
     seen = {}
@@ -741,17 +759,16 @@ def test_run_honest_keeps_wide_values_packed(monkeypatch, a, t):
 
     monkeypatch.setattr(simlab, "run_distribution", keep_parties)
     monkeypatch.setattr(Sender, "sign", keep_signature)
-    n = 3
+    n = 7
     params = ProtocolParams.build(n, a, t, k=12)
     assert run_honest(params, seed=4).all_accepted
     sender, recipients = seen["parties"]
-    mult_dtype = np.dtype(f"V{(a + 7) // 8}")
-    tag_dtype = np.dtype(np.uint64) if t <= 64 else np.dtype(f"V{(t + 7) // 8}")
+    mult_dtype, tag_dtype = packed_dtype(a), packed_dtype(t)
     keys = [sender.issued_group(g) for g in range(n)]
     keys += [r.batch_view() for r in recipients]
     for r in recipients:
         held = [r.held_group(g) for g in range(n)]
-        assert all(h.slots.dtype == np.int64 for h in held)
+        assert all(h.slots.dtype == packed_dtype(protocol.id_bits(n, 12)) for h in held)
         keys += [(h.multipliers, h.offsets) for h in held]
     assert all(m.dtype == mult_dtype and o.dtype == tag_dtype for m, o in keys)
     assert seen["signature"].tags.dtype == tag_dtype

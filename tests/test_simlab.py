@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from ussim import simlab
+from ussim._bitops import packed_dtype
 from ussim.keystore import Network, NetworkConfig
 from ussim.protocol import Signature, run_distribution
 from ussim.secparams import CostMode, ProtocolParams, consumption
@@ -255,15 +256,26 @@ def test_forge_checks_its_bound_before_any_trial(monkeypatch):
 @pytest.mark.parametrize("t", [64, 65, 72, 100, 255])
 def test_uniform_tags_past_63_bits_draw_whole_bytes_per_tag(t):
     # one rng.bytes call per tag, its bits above t dropped: the forge's
-    # guess stream, now packed as uint64 or void rows
+    # guess stream, packed at packed_dtype(t)
     from ussim.simlab import _uniform_tags
 
     got = _uniform_tags(np.random.default_rng(t), 9, t)
     rng = np.random.default_rng(t)
     n_bytes = (t + 7) // 8
     want = [int.from_bytes(rng.bytes(n_bytes), "big") % (1 << t) for _ in range(9)]
-    assert got.dtype == (np.uint64 if t <= 64 else np.dtype(f"V{n_bytes}"))
+    assert got.dtype == packed_dtype(t)
     assert reference.row_ints(got) == want
+
+
+@pytest.mark.parametrize("t", [1, 7, 8, 9, 16, 17, 32, 33, 63])
+def test_uniform_tags_up_to_63_bits_keep_the_uint64_draw(t):
+    # narrowed after a dtype=np.uint64 draw, so the guess stream is unchanged
+    from ussim.simlab import _uniform_tags
+
+    got = _uniform_tags(np.random.default_rng(t), 50, t)
+    want = np.random.default_rng(t).integers(0, 1 << t, size=50, dtype=np.uint64)
+    assert got.dtype == packed_dtype(t)
+    assert got.tolist() == want.tolist()
 
 
 def test_forge_collusion_bound_enforced_with_escape_hatch():
