@@ -349,13 +349,10 @@ class Recipient:
             raise RuntimeError("partition already drawn")
         p = self.params
         rng = np.random.default_rng([self.network.seed, PARTITION_STREAM, self.index])
-        perm = rng.permutation(p.n_recipients * p.k)
+        perm = rng.permutation(p.n_recipients * p.k).astype(self._slot_dtype)
         # chunks are views of perm, sorted in place only once kept or sent
         self._chunks = [perm[d * p.k : (d + 1) * p.k] for d in range(p.n_recipients)]
-        mult, off = self._batch
-        own = self._chunks[self.index]
-        own.sort()
-        self._held[self.index] = OriginKeys(own.astype(self._slot_dtype), mult[own], off[own])
+        self._held[self.index] = self._share(self.index)
 
     def send_share(self, other: "Recipient") -> None:
         """One-time-pad chunk other.index of this batch to that recipient.
@@ -365,11 +362,18 @@ class Recipient:
         moves as packed copies; the receiver applies the link's flips.
         """
         flips = self._spend_share_pad(other)
-        chunk = self._chunks[other.index]
+        other._receive_share(self.index, self._share(other.index), flips)
+
+    def _share(self, chunk_index: int) -> OriginKeys:
+        """The keys of one chunk, its slots sorted in place and then copied.
+
+        The copy is the share's own, since a receiver flips it in place.
+        """
+        chunk = self._chunks[chunk_index]
         chunk.sort()
+        rows = chunk.astype(np.intp)  # indexing with narrow ints is slower
         mult, off = self._batch
-        share = OriginKeys(chunk.astype(self._slot_dtype), mult[chunk], off[chunk])
-        other._receive_share(self.index, share, flips)
+        return OriginKeys(chunk.copy(), mult[rows], off[rows])
 
     def _spend_share_pad(self, other: "Recipient") -> np.ndarray:
         """Spend the pad positions of the share for other; return its flips.
@@ -415,51 +419,69 @@ class Recipient:
         return self._held[origin]
 
     def verify(self, signature: Signature, level: int) -> VerifyResult:
-        """Acceptance test at one level.
+        """Acceptance test at one level, judged by level_rule.
 
-        A batch passes when strictly fewer than s_level * k of this
-        recipient's k key tests disagree with the published tags. A key
-        whose slot id was corrupted past the tag list's range counts as a
-        disagreement. The signature is accepted when the passing fraction
-        strictly exceeds the level's quorum.
+        A key whose slot id was corrupted past the tag list's range counts
+        as a disagreement.
         """
         if not self.distribution_complete:
             raise RuntimeError(
                 f"recipient {self.index} has shares from {len(self._held)} of "
                 f"{self.params.n_recipients} batches; distribution is incomplete"
             )
-        p = self.params
-        _check_signature_match(signature, p)
-        if level not in p.s_levels:
-            raise ValueError(f"level must be in [-1, {p.l_max}], got {level}")
-        s = p.s_levels[level]
-        delta = compute_delta(level, p.d_r)
-        n, k = p.n_recipients, p.k
-        held = [self._held[origin] for origin in range(n)]
-        # one call over all n*k held keys; row origin holds that group's k tags
-        expected = tags_of_arrays(
-            np.concatenate([h.multipliers for h in held]),
-            np.concatenate([h.offsets for h in held]),
-            signature.message, p.msg_len_bits, p.tag_len_bits,
-        ).reshape(n, k)
-        slots = np.stack([h.slots for h in held], dtype=np.intp)
-        # slot s of group origin is flat tag origin * n*k + s; "clip" keeps the
-        # read of a slot past n*k inside the list, and it counts as a mismatch
-        flat = slots + np.arange(0, n * n * k, n * k)[:, None]
-        published = signature.tags.reshape(-1).take(flat, mode="clip")
-        counts = np.count_nonzero((slots >= n * k) | (published != expected), axis=1).tolist()
-        passed = sum(1 for c in counts if c / k < s)
-        accepted = passed / n > delta
+        _check_signature_match(signature, self.params)
+        level, s, delta = level_thresholds(self.params, level)
+        counts = self._mismatch_counts(signature.tags, self._expected_tags(signature.message))
+        passed, accepted = level_rule(counts, self.params.k, s, delta)
         return VerifyResult(
             recipient_index=self.index,
             level=level,
-            accepted=accepted,
-            groups_passed=passed,
-            n_groups=n,
-            mismatch_counts=tuple(counts),
+            accepted=bool(accepted),
+            groups_passed=int(passed),
+            n_groups=self.params.n_recipients,
+            mismatch_counts=tuple(counts.tolist()),
             s_threshold=s,
             delta_threshold=delta,
         )
+
+    def _expected_tags(self, message: int) -> np.ndarray:
+        """Tags of message under the held keys; row origin holds that group's k."""
+        p = self.params
+        held = [self._held[origin] for origin in range(p.n_recipients)]
+        return tags_of_arrays(
+            np.concatenate([h.multipliers for h in held]),
+            np.concatenate([h.offsets for h in held]),
+            message, p.msg_len_bits, p.tag_len_bits,
+        ).reshape(p.n_recipients, p.k)
+
+    def _mismatch_counts(self, tags: np.ndarray, expected: np.ndarray) -> np.ndarray:
+        """Per group, how many held slots of an (n, n*k) tag list differ from expected."""
+        n, k = self.params.n_recipients, self.params.k
+        slots = np.stack([self._held[origin].slots for origin in range(n)], dtype=np.intp)
+        # slot s of group origin is flat tag origin * n*k + s; "clip" keeps the
+        # read of a slot past n*k inside the list, and it counts as a mismatch
+        flat = slots + np.arange(0, n * n * k, n * k)[:, None]
+        published = tags.reshape(-1).take(flat, mode="clip")
+        return np.count_nonzero((slots >= n * k) | (published != expected), axis=1)
+
+
+def level_thresholds(params: ProtocolParams, level: int) -> tuple[int, float, float]:
+    """The level as an int, with its group threshold s and quorum delta."""
+    if not isinstance(level, (int, np.integer)) or isinstance(level, bool) or level not in params.s_levels:
+        raise ValueError(f"level must be in [-1, {params.l_max}], got {level!r}")
+    level = int(level)
+    return level, params.s_levels[level], compute_delta(level, params.d_r)
+
+
+def level_rule(counts: np.ndarray, k: int, s: float, delta: float):
+    """Passing group count and verdict of mismatch counts over the last axis.
+
+    A group passes when strictly fewer than s*k of its k keys disagree;
+    the signature is accepted when the passing fraction strictly exceeds
+    delta.
+    """
+    passed = (counts / k < s).sum(axis=-1)
+    return passed, passed / counts.shape[-1] > delta
 
 
 def run_distribution(

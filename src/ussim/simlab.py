@@ -20,13 +20,12 @@ import numpy as np
 from ._bitops import pack_rows, packed_dtype, unpack_rows
 from .hashing import tags_of_arrays
 from .keystore import Network, NetworkConfig
-from .protocol import Signature, VerifyResult, forward_chain, run_distribution
+from .protocol import VerifyResult, forward_chain, level_rule, level_thresholds, run_distribution
 from .secparams import (
     CostMode,
     ProtocolParams,
     SLevelSpec,
     TailMode,
-    compute_delta,
     consumption,
     id_bits,
     p_forge,
@@ -198,6 +197,13 @@ class AttackResult:
     bound_level: int
 
 
+def _attack_result(spec: AttackSpec, successes: int, bound: float, level: int) -> AttackResult:
+    low, high = wilson_interval(successes, spec.trials)
+    return AttackResult(kind=spec.kind, trials=spec.trials, successes=successes,
+                        rate=successes / spec.trials, wilson_low=low, wilson_high=high,
+                        bound=bound, bound_level=level)
+
+
 def _gammas(spec: AttackSpec, n: int) -> tuple[float, ...]:
     if spec.gamma is None:
         raise ValueError("repudiation needs gamma (one number, or one per batch)")
@@ -240,37 +246,23 @@ def attack_repudiation(
     gammas = _gammas(spec, n)
     corrupt = [math.floor(g * n * k + 1e-9) for g in gammas]
     rng = np.random.default_rng([spec.seed, _REPUDIATION_STREAM])
+    # counts[trial, holder, g]: the holder's mismatches in batch g
     counts = np.empty((spec.trials, n, n), dtype=np.int64)
     for g in range(n):
         m = corrupt[g]
         if m == 0:
-            counts[:, g, :] = 0
+            counts[:, :, g] = 0
         elif m == n * k:
-            counts[:, g, :] = k
+            counts[:, :, g] = k
         else:
-            counts[:, g, :] = rng.multivariate_hypergeometric(
+            counts[:, :, g] = rng.multivariate_hypergeometric(
                 [k] * n, m, size=spec.trials
             )
-    frac = counts / k
-    s_zero, s_base = params.s_levels[0], params.s_levels[-1]
-    passed_zero = (frac < s_zero).sum(axis=1)
-    passed_base = (frac < s_base).sum(axis=1)
-    accept_zero = passed_zero / n > compute_delta(0, params.d_r)
-    reject_base = passed_base / n <= compute_delta(-1, params.d_r)
-    success = accept_zero.any(axis=1) & reject_base.any(axis=1)
-    successes = int(success.sum())
-    low, high = wilson_interval(successes, spec.trials)
+    _, accept_zero = level_rule(counts, k, *level_thresholds(params, 0)[1:])
+    _, accept_base = level_rule(counts, k, *level_thresholds(params, -1)[1:])
+    success = accept_zero.any(axis=1) & ~accept_base.all(axis=1)
     bound = p_nontransfer(0, params, mode).p_nontransfer
-    return AttackResult(
-        kind=spec.kind,
-        trials=spec.trials,
-        successes=successes,
-        rate=successes / spec.trials,
-        wilson_low=low,
-        wilson_high=high,
-        bound=bound,
-        bound_level=0,
-    )
+    return _attack_result(spec, int(success.sum()), bound, 0)
 
 
 def _uniform_tags(rng: np.random.Generator, size: int, tag_len_bits: int) -> np.ndarray:
@@ -278,10 +270,12 @@ def _uniform_tags(rng: np.random.Generator, size: int, tag_len_bits: int) -> np.
         # drawn as uint64 whatever t is: a narrower dtype changes the stream
         draw = rng.integers(0, 1 << tag_len_bits, size=size, dtype=np.uint64)
         return draw.astype(packed_dtype(tag_len_bits))
-    # one draw per tag, whole bytes each; each field skips the bits above t
-    n_bytes = (tag_len_bits + 7) // 8
-    data = np.frombuffer(b"".join(rng.bytes(n_bytes) for _ in range(size)), dtype=np.uint8)
-    return unpack_rows(data, tag_len_bits, size, start=-tag_len_bits % 8, stride=8 * n_bytes)
+    # one rng.bytes(ceil(t/8)) stream per tag, drawn at once: each row of
+    # little-endian words starts with those bytes; each field skips bits above t
+    words = (tag_len_bits + 31) // 32
+    data = rng.integers(0, 1 << 32, size=(size, words), dtype=np.uint32).astype("<u4")
+    return unpack_rows(data.view(np.uint8).reshape(-1), tag_len_bits, size,
+                       start=-tag_len_bits % 8, stride=32 * words)
 
 
 def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
@@ -291,13 +285,14 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
     colluder, so tags for those batches are computed honestly; every
     other tag is a uniform guess. The batches the target contributed and
     holds shares of stay unknown because partition chunks never overlap.
-    The target runs the real acceptance test at the requested level over
-    a noiseless network. Only the target verifies, so each distribution
-    runs just the share transfers over the target's links.
+    The target judges each trial's mismatch counts by the real acceptance
+    rule at the requested level over a noiseless network, and only its
+    share transfers run.
 
-    The distribution stage is redrawn every spec.redraw_every trials.
-    Reuse between redraws is statistically free here: with q=0 the known
-    batches always pass and each guessed tag matches independently with
+    The distribution, the known tags and the target's expected tags are
+    redrawn every spec.redraw_every trials; a trial redraws only the
+    guesses. Reuse is statistically free here: with q=0 the known batches
+    always pass and each guessed tag matches independently with
     probability 2^-t, whatever the distribution outcome was.
     """
     if spec.kind is not AttackKind.FORGE:
@@ -305,9 +300,7 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
     n, k = params.n_recipients, params.k
     a, t = params.msg_len_bits, params.tag_len_bits
     target = n - 1 if spec.target is None else spec.target
-    level = params.l_max if spec.level is None else spec.level
-    if level not in params.s_levels:
-        raise ValueError(f"level must be in [-1, {params.l_max}], got {level}")
+    level, s, delta = level_thresholds(params, params.l_max if spec.level is None else spec.level)
     members = (spec.forger, *spec.colluders, target)
     for who, name in ((spec.forger, "forger"), (target, "target"), *((c, "colluder") for c in spec.colluders)):
         if not isinstance(who, (int, np.integer)) or isinstance(who, bool) or not 0 <= who < n:
@@ -322,53 +315,31 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
             f"to simulate outside the model"
         )
     # priced before the trials, so a bound that cannot be computed costs no trial
-    bound = p_forge(n, params.d_r, uniform_guess_pass_prob(k, t, params.s_levels[level]))
+    bound = p_forge(n, params.d_r, uniform_guess_pass_prob(k, t, s))
     known = sorted({spec.forger, *spec.colluders})
     unknown = [g for g in range(n) if g not in known]
     net_rng = np.random.default_rng([spec.seed, _FORGE_NET_STREAM])
     guess_rng = np.random.default_rng([spec.seed, _FORGE_GUESS_STREAM])
+    tags = np.empty((n, n * k), dtype=packed_dtype(t))
     successes = 0
     done = 0
     while done < spec.trials:
         block = min(spec.redraw_every, spec.trials - done)
-        config = NetworkConfig(
-            n_users=n + 1,
-            seed=int(net_rng.integers(0, _SEED_SPAN)),
-        )
+        config = NetworkConfig(n_users=n + 1, seed=int(net_rng.integers(0, _SEED_SPAN)))
         _, recipients = run_distribution(Network(config), params, holder=target)
         message = _random_message(net_rng, a)
-        known_rows = {}
         for g in known:
-            mult, off = recipients[g].batch_view()
-            known_rows[g] = tags_of_arrays(mult, off, message, a, t)
+            tags[g] = tags_of_arrays(*recipients[g].batch_view(), message, a, t)
         verifier = recipients[target]
-        for _ in range(block):
-            tags = np.empty((n, n * k), dtype=packed_dtype(t))
-            for g in known:
-                tags[g] = known_rows[g]
+        expected = verifier._expected_tags(message)
+        counts = np.empty((block, n), dtype=np.intp)
+        for trial in range(block):
             for g in unknown:
                 tags[g] = _uniform_tags(guess_rng, n * k, t)
-            forged = Signature(
-                message=message,
-                tags=tags,
-                n_recipients=n,
-                k=k,
-                msg_len_bits=a,
-                tag_len_bits=t,
-            )
-            successes += verifier.verify(forged, level).accepted
+            counts[trial] = verifier._mismatch_counts(tags, expected)
+        successes += int(np.count_nonzero(level_rule(counts, k, s, delta)[1]))
         done += block
-    low, high = wilson_interval(successes, spec.trials)
-    return AttackResult(
-        kind=spec.kind,
-        trials=spec.trials,
-        successes=successes,
-        rate=successes / spec.trials,
-        wilson_low=low,
-        wilson_high=high,
-        bound=bound,
-        bound_level=level,
-    )
+    return _attack_result(spec, successes, bound, level)
 
 
 def run_attack(spec: AttackSpec, params: ProtocolParams) -> AttackResult:

@@ -78,6 +78,19 @@ def guess_pass_prob_exact(k: int, t: int, worst: int) -> float:
     return count / (1 << (t * k))
 
 
+def level_verdict(counts, k: int, s: float, delta: float) -> tuple[int, bool]:
+    """Groups passed and verdict of one verifier's mismatch counts, one by one.
+
+    A group passes when its mismatch fraction c/k is strictly below s; the
+    verdict is a pass fraction strictly above delta.
+    """
+    passed = 0
+    for c in counts:
+        if c / k < s:
+            passed += 1
+    return passed, passed / len(counts) > delta
+
+
 def make_tag(multiplier: int, offset: int, message: int, modulus: int, t: int) -> int:
     """Low t bits of multiplier * message in GF(2^deg(modulus)), XOR offset."""
     return (field_mul(multiplier, message, modulus) % (1 << t)) ^ offset

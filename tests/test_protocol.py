@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import reference
 from ussim import keystore, protocol
@@ -13,6 +15,7 @@ from ussim.protocol import (
     Sender,
     Signature,
     forward_chain,
+    level_rule,
     run_distribution,
 )
 from ussim.secparams import ProtocolParams
@@ -330,6 +333,41 @@ def test_verify_level_and_signature_validation():
     )
     with pytest.raises(ValueError, match="signature k"):
         recipients[0].verify(other, 0)
+
+
+@pytest.mark.parametrize("level", [True, 1.0, "0"])
+def test_verify_rejects_a_level_that_is_not_an_int(level):
+    params = small_params(n=3, k=4)
+    _, sender, recipients = distributed(params)
+    with pytest.raises(ValueError, match=r"level must be in \[-1, "):
+        recipients[0].verify(sender.sign(0x22), level)
+
+
+def test_verify_takes_a_numpy_integer_level_as_its_int():
+    params = small_params(n=3, k=4)
+    _, sender, recipients = distributed(params)
+    signature = sender.sign(0x22)
+    result = recipients[0].verify(signature, np.int64(0))
+    assert result == recipients[0].verify(signature, 0)
+    assert type(result.level) is int
+
+
+@given(st.data())
+def test_level_rule_matches_the_scalar_reference(data):
+    # both tests are strict, so s is drawn at some c/k and delta at some
+    # row's pass fraction as often as anywhere else
+    k = data.draw(st.integers(1, 40), label="k")
+    n = data.draw(st.integers(2, 8), label="n")
+    row = st.lists(st.integers(0, k), min_size=n, max_size=n)
+    counts = np.array(data.draw(st.lists(row, min_size=1, max_size=4), label="counts"))
+    s = data.draw(st.one_of(st.floats(0, 1), st.sampled_from([c / k for c in counts.ravel().tolist()])))
+    want = [reference.level_verdict(r.tolist(), k, s, 0.5) for r in counts]
+    delta = data.draw(st.one_of(st.floats(0.5, 1), st.sampled_from([p / n for p, _ in want])))
+    want = [reference.level_verdict(r.tolist(), k, s, delta) for r in counts]
+    passed, accepted = level_rule(counts, k, s, delta)
+    assert list(zip(passed.tolist(), accepted.tolist())) == want
+    for r, verdict in zip(counts, want):
+        assert tuple(level_rule(r, k, s, delta)) == verdict
 
 
 def test_verify_requires_complete_distribution():

@@ -1,4 +1,5 @@
 """Experiments: honest runs, adversary Monte Carlo, parameter sweeps."""
+import dataclasses
 import math
 
 import numpy as np
@@ -253,10 +254,63 @@ def test_forge_checks_its_bound_before_any_trial(monkeypatch):
         attack_forge(spec, params)
 
 
+@pytest.mark.parametrize("level", [np.int64(0), True, 1.0, "0"])
+def test_forge_checks_its_level_before_any_distribution(monkeypatch, level):
+    # an np.integer level runs as its int; anything else fails before the
+    # first distribution is drawn
+    drawn = []
+    real_distribution = simlab.run_distribution
+
+    def counted(*args, **kwargs):
+        drawn.append(args)
+        return real_distribution(*args, **kwargs)
+
+    monkeypatch.setattr(simlab, "run_distribution", counted)
+    params = ProtocolParams.build(3, 8, 1, l_max=1, d_r=0.0, k=4)
+    spec = AttackSpec(kind=AttackKind.FORGE, trials=300, seed=3, target=2, level=level)
+    if isinstance(level, np.integer):
+        result = attack_forge(spec, params)
+        assert type(result.bound_level) is int
+        assert result == attack_forge(dataclasses.replace(spec, level=0), params)
+        return
+    with pytest.raises(ValueError, match=r"level must be in \[-1, 1\]"):
+        attack_forge(spec, params)
+    assert drawn == []
+
+
+def test_forge_tags_once_per_redraw_and_builds_no_signature(monkeypatch):
+    # one tag call per known batch and one for the target's expected tags
+    # per redraw, whatever the trial count; no trial signs or verifies
+    from ussim import protocol
+
+    calls = []
+    for module in (simlab, protocol):
+        def counted(*args, real=module.tags_of_arrays, name=module.__name__):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, "tags_of_arrays", counted)
+
+    def no_signature(self):
+        raise AssertionError("a trial built a Signature")
+
+    monkeypatch.setattr(Signature, "__post_init__", no_signature)
+    params = ProtocolParams.build(4, 8, 4, l_max=0, d_r=0.0, k=6)
+    for trials, redraw_every in ((1, 512), (700, 512), (1000, 100)):
+        calls.clear()
+        spec = AttackSpec(
+            kind=AttackKind.FORGE, trials=trials, redraw_every=redraw_every,
+            colluders=(1,), target=3, enforce_collusion_bound=False,
+        )
+        attack_forge(spec, params)
+        redraws = -(-trials // redraw_every)
+        assert calls == ["ussim.simlab", "ussim.simlab", "ussim.protocol"] * redraws
+
+
 @pytest.mark.parametrize("t", [64, 65, 72, 100, 255])
 def test_uniform_tags_past_63_bits_draw_whole_bytes_per_tag(t):
-    # one rng.bytes call per tag, its bits above t dropped: the forge's
-    # guess stream, packed at packed_dtype(t)
+    # the stream of one rng.bytes call per tag, drawn in one call, its bits
+    # above t dropped: the forge's guess stream, packed at packed_dtype(t)
     from ussim.simlab import _uniform_tags
 
     got = _uniform_tags(np.random.default_rng(t), 9, t)
