@@ -8,6 +8,11 @@ which is the collision behaviour the signature thresholds assume. The offset
 term matters: without it the all-zero message would hash to the all-zero tag
 under every multiplier.
 
+Tagging looks products up in byte-sliced tables that depend on the message
+alone, so the signer and every verifier of one message share them: they
+are built once per message and kept, read-only, in a cache bounded to the
+last few messages.
+
 Polynomials over GF(2) are encoded as integers, bit i holding the
 coefficient of x^i. The field modulus for width a is the irreducible
 polynomial of degree a with the smallest integer encoding, found by scanning
@@ -110,6 +115,30 @@ def _mul_table(message: int, msg_len_bits: int) -> list[int]:
     return table
 
 
+# one entry at a = 4096, t = 255 is 512 * 256 * 32 bytes = 4 MiB
+@functools.lru_cache(maxsize=4)
+def _message_tables(message: int, msg_len_bits: int, tag_len_bits: int) -> np.ndarray:
+    """Read-only tables[p, v]: low t bits of (v * x^(8p)) * message.
+
+    Shape (ceil(a/8), 256) of packed_dtype(t) for t <= 64, and (ceil(a/8),
+    256, ceil(t/8)) uint8 bytes, least significant first, above.
+    """
+    a, t = msg_len_bits, tag_len_bits
+    n_bytes = (a + 7) // 8
+    # low t bits of x^j * message as packed_dtype(t), or past 64 bits as bytes
+    # least significant first; col is zero past bit a, so high multiplier bits drop out
+    products = as_packed(np.array(_mul_table(message, a), dtype=object), t)
+    products = products if t <= 64 else octets(products)
+    col = np.zeros((8 * n_bytes, *products.shape[1:]), dtype=products.dtype)
+    col[:a] = products
+    # built by doubling over v's bits
+    tables = np.zeros((n_bytes, 256, *col.shape[1:]), dtype=col.dtype)
+    for j in range(8):
+        tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ col[j::8, None]
+    tables.flags.writeable = False
+    return tables
+
+
 def tags_of_arrays(
     multipliers: np.ndarray,
     offsets: np.ndarray,
@@ -122,36 +151,27 @@ def tags_of_arrays(
     The product with the fixed message is GF(2)-linear in the multiplier,
     so it is the XOR over the multiplier's bytes of one 256-entry table per
     byte position (Shoup's byte-sliced method, as in GCM software): one
-    lookup and one XOR per byte over all rows. Values are packed as in
-    _bitops; tables, accumulator and tags are packed_dtype(t), the smallest
-    unsigned type holding t bits up to 64 and void byte rows above, where
-    the tables hold products as bytes. Multipliers and offsets may be any
-    integer array; multiplier bits at or above a are ignored, and tags take
-    the multipliers' shape.
+    lookup and one XOR per byte over all rows. The tables come from a cache
+    keyed by message, so a call does only the per-row work. Values are
+    packed as in _bitops; tables, accumulator and tags are packed_dtype(t),
+    the smallest unsigned type holding t bits up to 64 and void byte rows
+    above, where the tables hold products as bytes. Multipliers and offsets
+    may be any integer array; multiplier bits at or above a are ignored, and
+    tags take the multipliers' shape.
     """
     a, t = msg_len_bits, tag_len_bits
     _check_width("message", message, a)
     if not 1 <= t <= a:
         raise ValueError(f"tag_len_bits must be in [1, msg_len_bits], got {t}")
-    n_bytes = (a + 7) // 8
-    # low t bits of x^j * message as packed_dtype(t), or past 64 bits as bytes
-    # least significant first; col is zero past bit a, so high multiplier bits drop out
-    products = as_packed(np.array(_mul_table(message, a), dtype=object), t)
-    products = products if t <= 64 else octets(products)
-    col = np.zeros((8 * n_bytes, *products.shape[1:]), dtype=products.dtype)
-    col[:a] = products
-    # tables[p, v] = (v * x^(8p)) * message, built by doubling over v's bits
-    tables = np.zeros((n_bytes, 256, *col.shape[1:]), dtype=col.dtype)
-    for j in range(8):
-        tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ col[j::8, None]
+    tables = _message_tables(message, a, t)
     mults = as_packed(multipliers, a)
     low_first = octets(mults.reshape(-1))
-    acc = np.zeros((len(low_first), *col.shape[1:]), dtype=col.dtype)
+    acc = np.zeros((len(low_first), *tables.shape[2:]), dtype=tables.dtype)
     tmp = np.empty_like(acc)
     axis = 0 if t > 64 else None  # a flat take is faster on 1-d tables
-    for p in range(min(n_bytes, low_first.shape[1])):
+    for p in range(min(len(tables), low_first.shape[1])):
         # indices are bytes, always in range; "clip" lets take skip its buffer
-        np.take(tables[p], low_first[:, p], axis=axis, out=tmp, mode="clip")
+        tables[p].take(low_first[:, p], axis=axis, out=tmp, mode="clip")
         acc ^= tmp
     offs = as_packed(offsets, t)
     if t <= 64:

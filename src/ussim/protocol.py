@@ -223,6 +223,11 @@ def _check_signature_match(signature: Signature, params: ProtocolParams) -> None
             raise ValueError(f"signature {name} is {got}, protocol expects {want}")
 
 
+def _check_origin(origin: int, n: int) -> None:
+    if not isinstance(origin, (int, np.integer)) or isinstance(origin, bool) or not 0 <= origin < n:
+        raise ValueError(f"origin must be in [0, {n}), got {origin!r}")
+
+
 def _decode_keys(packed: np.ndarray, params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     """Multipliers and offsets of a batch drawn as packed key-store bytes."""
     a, t = params.msg_len_bits, params.tag_len_bits
@@ -254,35 +259,40 @@ class Sender:
         self.network = network
         self.params = params
         self.user = 0
-        self._issued: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # row r holds the batch issued through recipient r, once prepared
+        self._issued: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def prepared(self) -> bool:
-        return len(self._issued) == self.params.n_recipients
+        return self._issued is not None
 
     def prepare(self) -> None:
         """Issue a fresh batch of n*k keys to every recipient.
 
         Spends n*k*(a + t) bits on each sender link. The sender records
-        its own noiseless view of each batch; a recipient's view may
+        its own noiseless view of each batch, as one row of an (n, n*k)
+        block of multipliers and one of offsets; a recipient's view may
         differ where its link flips bits.
         """
-        if self._issued:
+        if self._issued is not None:
             raise RuntimeError("preparation already ran on this sender")
         p = self.params
-        key_len = p.msg_len_bits + p.tag_len_bits
-        for r in range(p.n_recipients):
+        n, key_len = p.n_recipients, p.msg_len_bits + p.tag_len_bits
+        mults = np.empty((n, n * p.k), dtype=packed_dtype(p.msg_len_bits))
+        offs = np.empty((n, n * p.k), dtype=packed_dtype(p.tag_len_bits))
+        for r in range(n):
             link = self.network.link(self.user, r + 1)
-            packed = link.draw_shared(p.n_recipients * p.k * key_len, side=self.user)
-            self._issued[r] = _decode_keys(packed, p)
+            packed = link.draw_shared(n * p.k * key_len, side=self.user)
+            mults[r], offs[r] = _decode_keys(packed, p)
+        self._issued = (mults, offs)
 
     def issued_group(self, origin: int) -> tuple[np.ndarray, np.ndarray]:
         """Multipliers and offsets of the batch issued through one recipient."""
         if not self.prepared:
             raise RuntimeError("prepare() has not run")
-        if origin not in self._issued:
-            raise ValueError(f"origin must be in [0, {self.params.n_recipients}), got {origin}")
-        return self._issued[origin]
+        _check_origin(origin, self.params.n_recipients)
+        mults, offs = self._issued
+        return mults[origin], offs[origin]
 
     def sign(self, message: int) -> Signature:
         """Tag the message under every issued key, in batch-major slot order."""
@@ -290,12 +300,10 @@ class Sender:
             raise RuntimeError("prepare() must run before signing")
         p = self.params
         _check_message(message, p.msg_len_bits)
-        issued = [self._issued[r] for r in range(p.n_recipients)]
-        # one call over all n batches, in batch-major slot order
+        mults, offs = self._issued
+        # one call over all n batches: the blocks flattened are batch-major
         tags = tags_of_arrays(
-            np.concatenate([mult for mult, _ in issued]),
-            np.concatenate([off for _, off in issued]),
-            message, p.msg_len_bits, p.tag_len_bits,
+            mults.reshape(-1), offs.reshape(-1), message, p.msg_len_bits, p.tag_len_bits
         )
         return Signature(
             message=message,
@@ -322,9 +330,16 @@ class Recipient:
         self.user = index + 1
         self._batch: tuple[np.ndarray, np.ndarray] | None = None
         self._chunks: list[np.ndarray] | None = None
-        self._held: dict[int, OriginKeys] = {}
         self._id_bits = id_bits(params.n_recipients, params.k)
         self._slot_dtype = packed_dtype(self._id_bits)
+        # row origin of each (n, k) block holds the share of that origin's batch
+        shape = (params.n_recipients, params.k)
+        self._held = OriginKeys(
+            np.empty(shape, dtype=self._slot_dtype),
+            np.empty(shape, dtype=packed_dtype(params.msg_len_bits)),
+            np.empty(shape, dtype=packed_dtype(params.tag_len_bits)),
+        )
+        self._origins: set[int] = set()  # origins whose row is filled
 
     def receive_batch(self) -> None:
         """Read this recipient's (possibly noisy) view of its issued batch."""
@@ -352,28 +367,26 @@ class Recipient:
         perm = rng.permutation(p.n_recipients * p.k).astype(self._slot_dtype)
         # chunks are views of perm, sorted in place only once kept or sent
         self._chunks = [perm[d * p.k : (d + 1) * p.k] for d in range(p.n_recipients)]
-        self._held[self.index] = self._share(self.index)
+        self._hold(self.index, self._share(self.index))
 
     def send_share(self, other: "Recipient") -> None:
         """One-time-pad chunk other.index of this batch to that recipient.
 
         Each key travels as slot id plus multiplier plus offset, costing
         k * (id_bits + a + t) pad bits on the connecting link. The share
-        moves as packed copies; the receiver applies the link's flips.
+        moves as packed values; the receiver copies them into its blocks
+        and applies the link's flips there.
         """
         flips = self._spend_share_pad(other)
         other._receive_share(self.index, self._share(other.index), flips)
 
     def _share(self, chunk_index: int) -> OriginKeys:
-        """The keys of one chunk, its slots sorted in place and then copied.
-
-        The copy is the share's own, since a receiver flips it in place.
-        """
+        """The keys of one chunk, its slots sorted in place."""
         chunk = self._chunks[chunk_index]
         chunk.sort()
         rows = chunk.astype(np.intp)  # indexing with narrow ints is slower
         mult, off = self._batch
-        return OriginKeys(chunk.copy(), mult[rows], off[rows])
+        return OriginKeys(chunk, mult[rows], off[rows])
 
     def _spend_share_pad(self, other: "Recipient") -> np.ndarray:
         """Spend the pad positions of the share for other; return its flips.
@@ -390,21 +403,23 @@ class Recipient:
         link = self.network.link(self.user, other.user)
         return link.otp_transfer(p.k * width, from_side=self.user)
 
-    def _receive_share(self, origin: int, share: OriginKeys, flips: np.ndarray) -> None:
-        if origin in self._held:
+    def _hold(self, origin: int, share: OriginKeys) -> None:
+        """Copy a share into row origin of the held blocks."""
+        if origin in self._origins:
             raise RuntimeError(f"share from origin {origin} already received")
+        for block, values in zip(self._held, share):
+            block[origin] = values
+        self._origins.add(origin)
+
+    def _receive_share(self, origin: int, share: OriginKeys, flips: np.ndarray) -> None:
+        self._hold(origin, share)
         p = self.params
-        fields = [
-            (share.slots, self._id_bits),
-            (share.multipliers, p.msg_len_bits),
-            (share.offsets, p.tag_len_bits),
-        ]
-        flip_bits(fields, flips)
-        self._held[origin] = share
+        widths = (self._id_bits, p.msg_len_bits, p.tag_len_bits)
+        flip_bits([(block[origin], w) for block, w in zip(self._held, widths)], flips)
 
     @property
     def distribution_complete(self) -> bool:
-        return len(self._held) == self.params.n_recipients
+        return len(self._origins) == self.params.n_recipients
 
     def batch_view(self) -> tuple[np.ndarray, np.ndarray]:
         """Multipliers and offsets of the full batch this recipient received."""
@@ -413,10 +428,14 @@ class Recipient:
         return self._batch
 
     def held_group(self, origin: int) -> OriginKeys:
-        """This recipient's k-key share of one batch."""
-        if origin not in self._held:
-            raise ValueError(f"no keys held from origin {origin}")
-        return self._held[origin]
+        """This recipient's k-key share of one batch, as views of its held rows.
+
+        Writing to them changes what verify reads.
+        """
+        _check_origin(origin, self.params.n_recipients)
+        if origin not in self._origins:
+            raise ValueError(f"no keys held from origin {origin!r}")
+        return OriginKeys(*(block[origin] for block in self._held))
 
     def verify(self, signature: Signature, level: int) -> VerifyResult:
         """Acceptance test at one level, judged by level_rule.
@@ -426,12 +445,14 @@ class Recipient:
         """
         if not self.distribution_complete:
             raise RuntimeError(
-                f"recipient {self.index} has shares from {len(self._held)} of "
+                f"recipient {self.index} has shares from {len(self._origins)} of "
                 f"{self.params.n_recipients} batches; distribution is incomplete"
             )
         _check_signature_match(signature, self.params)
         level, s, delta = level_thresholds(self.params, level)
-        counts = self._mismatch_counts(signature.tags, self._expected_tags(signature.message))
+        counts = self._mismatch_counts(
+            signature.tags, self._expected_tags(signature.message), self._flat_slots()
+        )
         passed, accepted = level_rule(counts, self.params.k, s, delta)
         return VerifyResult(
             recipient_index=self.index,
@@ -447,22 +468,32 @@ class Recipient:
     def _expected_tags(self, message: int) -> np.ndarray:
         """Tags of message under the held keys; row origin holds that group's k."""
         p = self.params
-        held = [self._held[origin] for origin in range(p.n_recipients)]
+        _, mults, offs = self._held
         return tags_of_arrays(
-            np.concatenate([h.multipliers for h in held]),
-            np.concatenate([h.offsets for h in held]),
-            message, p.msg_len_bits, p.tag_len_bits,
-        ).reshape(p.n_recipients, p.k)
+            mults.reshape(-1), offs.reshape(-1), message, p.msg_len_bits, p.tag_len_bits
+        ).reshape(mults.shape)
 
-    def _mismatch_counts(self, tags: np.ndarray, expected: np.ndarray) -> np.ndarray:
-        """Per group, how many held slots of an (n, n*k) tag list differ from expected."""
+    def _flat_slots(self) -> np.ndarray:
+        """(n, k) indices of the held slots into a flattened (n, n*k) tag list.
+
+        Slot s of group origin is flat tag origin * n*k + s; a slot past n*k
+        is -1.
+        """
         n, k = self.params.n_recipients, self.params.k
-        slots = np.stack([self._held[origin].slots for origin in range(n)], dtype=np.intp)
-        # slot s of group origin is flat tag origin * n*k + s; "clip" keeps the
-        # read of a slot past n*k inside the list, and it counts as a mismatch
+        slots = self._held.slots.astype(np.intp)
         flat = slots + np.arange(0, n * n * k, n * k)[:, None]
+        flat[slots >= n * k] = -1
+        return flat
+
+    @staticmethod
+    def _mismatch_counts(tags: np.ndarray, expected: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        """Per group, how many held slots of an (n, n*k) tag list differ from expected.
+
+        flat is _flat_slots(); "clip" keeps the read of a slot at -1 inside
+        the list, and it counts as a mismatch.
+        """
         published = tags.reshape(-1).take(flat, mode="clip")
-        return np.count_nonzero((slots >= n * k) | (published != expected), axis=1)
+        return np.count_nonzero((flat < 0) | (published != expected), axis=1)
 
 
 def level_thresholds(params: ProtocolParams, level: int) -> tuple[int, float, float]:

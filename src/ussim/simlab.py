@@ -289,11 +289,12 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
     rule at the requested level over a noiseless network, and only its
     share transfers run.
 
-    The distribution, the known tags and the target's expected tags are
-    redrawn every spec.redraw_every trials; a trial redraws only the
-    guesses. Reuse is statistically free here: with q=0 the known batches
-    always pass and each guessed tag matches independently with
-    probability 2^-t, whatever the distribution outcome was.
+    The distribution, the known tags, the target's expected tags and its
+    held-slot index are redrawn every spec.redraw_every trials; a trial
+    redraws only the guesses. Reuse is statistically free here: with q=0
+    the known batches always pass and each guessed tag matches
+    independently with probability 2^-t, whatever the distribution
+    outcome was.
     """
     if spec.kind is not AttackKind.FORGE:
         raise ValueError(f"spec.kind must be FORGE, got {spec.kind.name}")
@@ -331,12 +332,12 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
         for g in known:
             tags[g] = tags_of_arrays(*recipients[g].batch_view(), message, a, t)
         verifier = recipients[target]
-        expected = verifier._expected_tags(message)
+        expected, flat = verifier._expected_tags(message), verifier._flat_slots()
         counts = np.empty((block, n), dtype=np.intp)
         for trial in range(block):
             for g in unknown:
                 tags[g] = _uniform_tags(guess_rng, n * k, t)
-            counts[trial] = verifier._mismatch_counts(tags, expected)
+            counts[trial] = verifier._mismatch_counts(tags, expected, flat)
         successes += int(np.count_nonzero(level_rule(counts, k, s, delta)[1]))
         done += block
     return _attack_result(spec, successes, bound, level)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from ussim import hashing
-from ussim._bitops import packed_dtype
+from ussim._bitops import octets, packed_dtype
 from ussim.hashing import find_irreducible, tags_of_arrays
 
 # Smallest-encoding irreducible polynomial per degree, frozen after
@@ -285,3 +285,37 @@ def test_tags_of_arrays_void_rows_match_python_ints(a, t):
         got = tags_of_arrays(rows, packed_offs, message, a, t)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("a, t", [(8, 8), (72, 16), (128, 100)])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_message_table_cache_gives_the_tags_of_a_fresh_build(a, t, data):
+    # more distinct messages than the cache holds, revisited in any order,
+    # tag exactly as they do when each call builds its tables afresh
+    cache = hashing._message_tables
+    size = cache.cache_info().maxsize
+    messages = data.draw(st.lists(st.integers(0, (1 << a) - 1), min_size=size + 1,
+                                  max_size=2 * size + 1, unique=True))
+    order = data.draw(st.lists(st.sampled_from(messages), min_size=2 * len(messages),
+                               max_size=4 * len(messages)))
+    rng = np.random.default_rng(a + t)
+    mults = np.array(_random_ints(rng, 20, a), dtype=object)
+    offs = np.array(_random_ints(rng, 20, t), dtype=object)
+    want = {}
+    for m in messages:
+        cache.cache_clear()
+        want[m] = tags_of_arrays(mults, offs, m, a, t)
+    cache.cache_clear()
+    for m in order:
+        tags = tags_of_arrays(mults, offs, m, a, t)
+        assert np.array_equal(tags, want[m])
+        assert cache.cache_info().currsize <= size
+        tables = cache(m, a, t)
+        assert not tables.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tables[0, 1] = tables[0, 2]
+        assert tags.flags.writeable and not np.shares_memory(tags, tables)
+        octets(tags)[:] ^= 0xFF  # scribbling on the tags leaves the cache as it was
+    for m in messages:
+        assert np.array_equal(tags_of_arrays(mults, offs, m, a, t), want[m])

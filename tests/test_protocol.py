@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from ussim import keystore, protocol
-from ussim._bitops import packed_dtype
+from ussim import hashing, keystore, protocol
+from ussim._bitops import octets, packed_dtype
 from ussim.keystore import LinkKeyStore, LinkSettings, Network, NetworkConfig
 from ussim.protocol import (
     Recipient,
@@ -62,6 +62,17 @@ def test_distribution_cardinalities():
             held = r.held_group(origin)
             assert held.slots.shape == (k,)
             assert len(np.unique(held.slots)) == k
+
+
+@pytest.mark.parametrize("origin", [-1, 3, True, 1.0])
+def test_group_views_reject_a_bad_origin(origin):
+    # groups are rows of key blocks, so a negative index must not wrap
+    params = small_params(n=3, k=4)
+    _, sender, recipients = distributed(params)
+    with pytest.raises(ValueError, match="origin"):
+        sender.issued_group(origin)
+    with pytest.raises(ValueError, match="origin"):
+        recipients[0].held_group(origin)
 
 
 def test_shares_partition_every_batch_exactly():
@@ -167,6 +178,29 @@ def test_distribution_never_unpacks_byte_aligned_keys(monkeypatch, a, t):
     network = Network(NetworkConfig(n_users=4, seed=2, default_flip_prob=0.01))
     _, recipients = run_distribution(network, params)
     assert all(r.distribution_complete for r in recipients)
+
+
+@pytest.mark.parametrize("a, t", [(8, 8), (72, 16), (128, 32)])
+def test_sign_and_verify_read_the_key_blocks_in_place(monkeypatch, a, t):
+    # keys are held in blocks that sign and verify tag as they lie: nothing
+    # is gathered per call, and edits through held_group reach verify
+    def never(*args, **kwargs):
+        raise AssertionError("keys gathered during sign or verify")
+
+    params = ProtocolParams.build(3, a, t, k=9)
+    _, sender, recipients = distributed(params)
+    with monkeypatch.context() as patched:
+        patched.setattr(protocol.np, "concatenate", never)
+        patched.setattr(protocol.np, "stack", never)
+        signature = sender.sign(1)
+        results = [r.verify(signature, params.l_max) for r in recipients]
+    assert all(r.accepted and r.mismatch_counts == (0, 0, 0) for r in results)
+    verifier = recipients[1]
+    for g in range(params.n_recipients):
+        # the message is 1, so flipping a multiplier's lowest bit flips its tag's
+        octets(verifier.held_group(g).multipliers)[g, 0] ^= 1
+        counts = verifier.verify(signature, params.l_max).mismatch_counts
+        assert counts == tuple(int(h <= g) for h in range(params.n_recipients))
 
 
 def test_partitions_are_private_and_distinct():
@@ -775,6 +809,18 @@ def test_run_honest_tag_call_shape(monkeypatch, a, t):
         (("verify", i), 1, 1, n * k) for i in verifies
     ]
     assert sum(c[-1] for c in calls) == (n + n + chain_len) * n * k
+
+
+@pytest.mark.parametrize("a, t", [(8, 8), (128, 32)])
+def test_run_honest_builds_the_message_tables_once(a, t):
+    # sign misses the table cache once; every verify and chain hop hits it
+    n = 4
+    params = ProtocolParams.build(n, a, t, k=30)
+    hashing._message_tables.cache_clear()
+    outcome = run_honest(params, seed=3)
+    assert outcome.all_accepted
+    info = hashing._message_tables.cache_info()
+    assert (info.misses, info.hits) == (1, n + len(outcome.chain_results))
 
 
 @pytest.mark.parametrize("a, t", [(128, 32), (130, 100), (8, 8), (16, 9), (64, 32)])
