@@ -41,15 +41,16 @@ from .simlab import (
 )
 
 _MAX_SWEEP_POINTS = 10_000
-# Largest share of physical memory the packed key state of a `run`
-# (protocol.key_state_bytes) may take. Peak RSS measured 8.57 times that
-# estimate at n=20 a=t=8 k=2270 (59 MiB against 6.9 MiB; 33 MiB is the
-# interpreter and numpy), 3.03 times at n=20 a=64 t=32 k=2270 (100 against 33 MiB)
-# and 1.96 times at n=50 a=64 t=32 k=6906 (1291 against 659 MiB). At the
-# largest ratio, an admitted run peaks within 0.11 * 8.57 = 94% of memory;
-# a larger run would run out of memory partway through the distribution
-# and is refused up front instead.
-KEY_STATE_MEMORY_FRACTION = 0.11
+# Largest share of physical memory a `run` may be estimated to need: its
+# key state at the distribution's peak (protocol.key_state_bytes) plus
+# INTERPRETER_BYTES, the resident size after `import ussim.cli`. Peak RSS
+# measured 1.29 to 2.11 times that estimate at n >= 20 (1.53 at n=50 a=64
+# t=32 k=6906; 2.11 at n=100 a=t=8 k=14407, 2405 against 1140 MiB, where
+# the signature and sign's temporaries outgrow narrow keys), so an admitted
+# run peaks within 0.42 * 2.11 = 89% of memory. A larger one would run out
+# of memory partway through and is refused up front.
+KEY_STATE_MEMORY_FRACTION = 0.42
+INTERPRETER_BYTES = 33 << 20
 
 
 def _physical_memory_bytes() -> int | None:
@@ -213,12 +214,12 @@ def _cmd_run(args) -> int:
     params, spec, mode = _resolve_params(args)
     state = key_state_bytes(params)
     memory = _physical_memory_bytes()
-    if memory is not None and state > KEY_STATE_MEMORY_FRACTION * memory:
+    if memory is not None and state + INTERPRETER_BYTES > KEY_STATE_MEMORY_FRACTION * memory:
         raise ValueError(
             f"run would hold about {state / 2**20:.0f} MiB of packed key state "
-            f"(n={params.n_recipients}, k={params.k}), more than "
-            f"{KEY_STATE_MEMORY_FRACTION:.0%} of the {memory / 2**20:.0f} MiB of "
-            "physical memory"
+            f"(n={params.n_recipients}, k={params.k}) next to the interpreter's "
+            f"{INTERPRETER_BYTES >> 20} MiB, more than {KEY_STATE_MEMORY_FRACTION:.0%} "
+            f"of the {memory / 2**20:.0f} MiB of physical memory"
         )
     seed = _resolve_seed(args, default=None)
     config = _load_config(args, params, seed)

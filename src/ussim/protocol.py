@@ -6,8 +6,10 @@ first only that recipient sees its batch. In sharing, each recipient
 splits its batch into n uniformly random chunks of k keys, keeps the
 chunk matching its own index, and moves chunk d to recipient d through a
 one-time-padded transfer, labelling every key with its slot in the
-original batch. Afterwards each recipient holds k keys out of every
-batch, and no single user other than the sender knows any batch in full.
+original batch. Recipients do this in turn, in index order, each dropping
+its batch and split once its shares have moved, so a recipient link
+carries the lower index's transfer first. Afterwards each recipient holds
+k keys out of every batch, and no user but the sender knows one in full.
 
 A signature tags the message under all n*n*k issued keys. Verification
 at acceptance level l checks, batch by batch, how many of the holder's k
@@ -239,16 +241,16 @@ def _decode_keys(packed: np.ndarray, params: ProtocolParams) -> tuple[np.ndarray
 
 
 def key_state_bytes(params: ProtocolParams) -> int:
-    """Bytes of packed keys a full distribution leaves in memory.
+    """Bytes of packed keys a full distribution holds at its peak.
 
-    The sender keeps all n*n*k issued keys; each recipient keeps its n*k
-    batch and the n*k keys it holds, each of those with a slot id. Every
-    field takes the itemsize of its packed_dtype.
+    The sender's n*n*k issued keys, as many held keys with slot ids, and
+    one recipient's n*k batch with its partition, each field at the
+    itemsize of its packed_dtype.
     """
     n, k = params.n_recipients, params.k
     key = sum(packed_dtype(w).itemsize for w in (params.msg_len_bits, params.tag_len_bits))
     slot = packed_dtype(id_bits(n, k)).itemsize
-    return n * n * k * (3 * key + slot)
+    return n * k * (n * (2 * key + slot) + key + slot)
 
 
 class Sender:
@@ -328,8 +330,8 @@ class Recipient:
         self.params = params
         self.index = index
         self.user = index + 1
-        self._batch: tuple[np.ndarray, np.ndarray] | None = None
-        self._chunks: list[np.ndarray] | None = None
+        self._batch: tuple[np.ndarray, np.ndarray] | None = None  # until end_sharing
+        self._partition: np.ndarray | None = None  # (n, k): row d is chunk d's slots
         self._id_bits = id_bits(params.n_recipients, params.k)
         self._slot_dtype = packed_dtype(self._id_bits)
         # row origin of each (n, k) block holds the share of that origin's batch
@@ -343,7 +345,8 @@ class Recipient:
 
     def receive_batch(self) -> None:
         """Read this recipient's (possibly noisy) view of its issued batch."""
-        if self._batch is not None:
+        # its own chunk is held from make_partition on, after the batch is gone too
+        if self._batch is not None or self.index in self._origins:
             raise RuntimeError("batch already received")
         p = self.params
         key_len = p.msg_len_bits + p.tag_len_bits
@@ -358,15 +361,15 @@ class Recipient:
         wait for send_share. The draw is private to this recipient: the
         sender never learns which slots ended up where.
         """
+        if self.index in self._origins:
+            raise RuntimeError("partition already drawn")
         if self._batch is None:
             raise RuntimeError("receive_batch() must run before partitioning")
-        if self._chunks is not None:
-            raise RuntimeError("partition already drawn")
         p = self.params
         rng = np.random.default_rng([self.network.seed, PARTITION_STREAM, self.index])
         perm = rng.permutation(p.n_recipients * p.k).astype(self._slot_dtype)
-        # chunks are views of perm, sorted in place only once kept or sent
-        self._chunks = [perm[d * p.k : (d + 1) * p.k] for d in range(p.n_recipients)]
+        self._partition = perm.reshape(p.n_recipients, p.k)
+        self._partition.sort(axis=1)
         self._hold(self.index, self._share(self.index))
 
     def send_share(self, other: "Recipient") -> None:
@@ -380,13 +383,16 @@ class Recipient:
         flips = self._spend_share_pad(other)
         other._receive_share(self.index, self._share(other.index), flips)
 
+    def end_sharing(self) -> None:
+        """Drop batch and partition for good, once this recipient's shares moved."""
+        self._batch = self._partition = None
+
     def _share(self, chunk_index: int) -> OriginKeys:
-        """The keys of one chunk, its slots sorted in place."""
-        chunk = self._chunks[chunk_index]
-        chunk.sort()
-        rows = chunk.astype(np.intp)  # indexing with narrow ints is slower
+        """The keys of one chunk, with its sorted slots."""
+        slots = self._partition[chunk_index]
+        rows = slots.astype(np.intp)  # indexing with narrow ints is slower
         mult, off = self._batch
-        return OriginKeys(chunk, mult[rows], off[rows])
+        return OriginKeys(slots, mult[rows], off[rows])
 
     def _spend_share_pad(self, other: "Recipient") -> np.ndarray:
         """Spend the pad positions of the share for other; return its flips.
@@ -394,8 +400,8 @@ class Recipient:
         Alone, this is the transfer as its link sees it: cursors and
         consumption advance exactly as send_share's, and no share is built.
         """
-        if self._chunks is None:
-            raise RuntimeError("make_partition() must run before sharing")
+        if self._partition is None:
+            raise RuntimeError("no partition: make_partition() has not run or sharing ended")
         if other.index == self.index:
             raise ValueError("a recipient does not share with itself")
         p = self.params
@@ -420,12 +426,6 @@ class Recipient:
     @property
     def distribution_complete(self) -> bool:
         return len(self._origins) == self.params.n_recipients
-
-    def batch_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Multipliers and offsets of the full batch this recipient received."""
-        if self._batch is None:
-            raise RuntimeError("receive_batch() has not run")
-        return self._batch
 
     def held_group(self, origin: int) -> OriginKeys:
         """This recipient's k-key share of one batch, as views of its held rows.
@@ -520,18 +520,18 @@ def run_distribution(
 ) -> tuple[Sender, list[Recipient]]:
     """Run preparation and sharing; return the sender and all recipients.
 
-    Batches are drawn in recipient order and partitioned, then shares move
-    link by link: for each pair of recipients lo < hi, lo sends to hi from
-    the link's cursor 0 and then hi sends to lo. A transfer's flips depend
-    only on its link and cursor, never on other links, so one network seed
-    always reproduces the same distribution outcome.
+    Recipients take turns in index order: each receives and partitions its
+    batch, sends its shares in index order, then ends its sharing. So for
+    each pair lo < hi, lo sends to hi from the link's cursor 0 and then hi
+    sends to lo. Flips depend only on link and cursor, and a partition only
+    on its own seed, so one network seed always gives the same outcome.
 
     With holder=h, only the transfers over h's links run: 2(n-1) instead
     of n(n-1). Recipient h ends up with exactly the keys a full run gives
     it, since every batch is still received and partitioned; the other
-    recipients stay incomplete and cannot verify. h's own transfers only
-    spend their pad positions, so every link cursor and every consumption
-    count still equals a full run's, but no share leaves h.
+    recipients send only their share for h and cannot verify. h's own
+    transfers only spend their pad positions, so every link cursor and
+    every consumption count still equals a full run's.
     """
     n = params.n_recipients
     if holder is not None and (
@@ -543,18 +543,17 @@ def run_distribution(
     sender = Sender(network, params)
     recipients = [Recipient(network, params, i) for i in range(n)]
     sender.prepare()
-    for r in recipients:
-        r.receive_batch()
-    for r in recipients:
-        r.make_partition()
-    for lo in recipients:
-        for hi in recipients[lo.index + 1 :]:
-            if holder is None or holder in (lo.index, hi.index):
-                for src, dst in ((lo, hi), (hi, lo)):
-                    if src.index == holder:
-                        src._spend_share_pad(dst)
-                    else:
-                        src.send_share(dst)
+    for src in recipients:
+        src.receive_batch()
+        src.make_partition()
+        for dst in recipients:
+            if dst is src or holder not in (None, src.index, dst.index):
+                continue
+            if src.index == holder:
+                src._spend_share_pad(dst)
+            else:
+                src.send_share(dst)
+        src.end_sharing()
     return sender, recipients
 
 

@@ -400,10 +400,10 @@ class BoundReport:
 def p_nontransfer(l: int, params: ProtocolParams, mode: TailMode = TailMode.SQUARED) -> BoundReport:
     """Bound on a level-l acceptance failing to transfer to level l-1.
 
-    The bound is N_p * (N * (delta_l - d_R) + 1) * p_m, where N_p counts
-    honest verifier pairs and p_m is the per-group tail bound. The report
-    also carries the forging bound at this level, with p_t derived as the
-    uniform-guessing pass probability.
+    The bound N_p * (N * (delta_l - d_R) + 1) * p_m, where N_p counts honest
+    verifier pairs and p_m is the per-group tail bound, is clamped to [0, 1]
+    like p_forge. The report also carries the forging bound at this level,
+    with p_t derived as the uniform-guessing pass probability.
     """
     n, d_r, k = params.n_recipients, params.d_r, params.k
     log_p = _log_nontransfer(l, n, d_r, k, params.s_levels, mode)
@@ -412,7 +412,7 @@ def p_nontransfer(l: int, params: ProtocolParams, mode: TailMode = TailMode.SQUA
         level=l,
         n_p=_honest_pairs(n, d_r),
         p_m=math.exp(_log_tail(l, k, params.s_levels, mode)),
-        p_nontransfer=math.exp(log_p),
+        p_nontransfer=min(1.0, math.exp(log_p)),
         p_t=p_t,
         p_forge=p_forge(n, d_r, p_t),
     )

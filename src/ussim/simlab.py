@@ -327,10 +327,10 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
     while done < spec.trials:
         block = min(spec.redraw_every, spec.trials - done)
         config = NetworkConfig(n_users=n + 1, seed=int(net_rng.integers(0, _SEED_SPAN)))
-        _, recipients = run_distribution(Network(config), params, holder=target)
+        sender, recipients = run_distribution(Network(config), params, holder=target)
         message = _random_message(net_rng, a)
-        for g in known:
-            tags[g] = tags_of_arrays(*recipients[g].batch_view(), message, a, t)
+        for g in known:  # noiseless, so the batch g saw is the one issued
+            tags[g] = tags_of_arrays(*sender.issued_group(g), message, a, t)
         verifier = recipients[target]
         expected, flat = verifier._expected_tags(message), verifier._flat_slots()
         counts = np.empty((block, n), dtype=np.intp)

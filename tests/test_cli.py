@@ -161,18 +161,19 @@ def test_run_oversized_message_exits_two_before_the_run(monkeypatch, capsys):
 
 
 def test_run_oversized_key_state_exits_two_at_once(monkeypatch, capsys):
-    # n=50, k=10**6 would hold about 23 GiB of keys; it used to reach
+    # n=50, k=10**6 would hold about 19 GiB of keys; it used to reach
     # MemoryError partway through the distribution
     def never(*args, **kwargs):
         raise AssertionError("run_honest called")
 
     monkeypatch.setattr(cli, "run_honest", never)
-    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 64 << 30)
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 32 << 30)
     assert cli.main(["run", "--n", "50", "--k", "1000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "about 23842 MiB of packed key state (n=50, k=1000000)" in captured.err
-    assert "more than 11% of the 65536 MiB of physical memory" in captured.err
+    assert "about 19360 MiB of packed key state (n=50, k=1000000)" in captured.err
+    assert "next to the interpreter's 33 MiB" in captured.err
+    assert "more than 42% of the 32768 MiB of physical memory" in captured.err
     # the subprocess exits at once, before any bound is priced; 3 TiB of
     # keys exceeds any machine's memory
     proc = run_cli("run", "--n", "50", "--k", "100000000")
@@ -180,8 +181,9 @@ def test_run_oversized_key_state_exits_two_at_once(monkeypatch, capsys):
 
 
 def test_run_key_state_limit_follows_physical_memory(monkeypatch, capsys):
-    # n=100 at the default k (14407) holds about 1.3 GiB of keys: a run
-    # that fits in 11% of the machine's memory goes ahead, a larger one is
+    # n=100 at the default k (14407) holds about 1.1 GiB of keys at the
+    # distribution's peak: a run that fits in 42% of the machine's memory
+    # with the interpreter goes ahead, 8 GiB included, a larger one is
     # refused, and a machine that does not report its memory sets no limit
     runs = []
 
@@ -190,15 +192,25 @@ def test_run_key_state_limit_follows_physical_memory(monkeypatch, capsys):
         raise RuntimeError("stopped after the memory check")
 
     monkeypatch.setattr(cli, "run_honest", record)
-    for memory in (16 << 30, None):
+    for memory in (8 << 30, None):
         monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: memory)
         assert cli.main(["run", "--n", "100"]) == 1
     assert len(runs) == 2 and runs[0][0].k == 14407
     assert "packed key state" not in capsys.readouterr().err
-    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 8 << 30)
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2 << 30)
     assert cli.main(["run", "--n", "100"]) == 2
-    assert "about 1374 MiB of packed key state" in capsys.readouterr().err
+    assert "about 1107 MiB of packed key state" in capsys.readouterr().err
     assert len(runs) == 2
+
+
+def test_run_prints_a_vacuous_nontransfer_bound_as_one():
+    # at k=100 the union bound exceeds 1 at both levels; like p_forge it is
+    # reported clamped, never as a probability above 1
+    proc = run_cli("run", "--n", "7", "--a", "128", "--t", "32", "--k", "100", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    bounds = [l for l in proc.stdout.splitlines() if l.startswith("bound level=")]
+    assert [l.split()[1] for l in bounds] == ["level=1:", "level=0:"]
+    assert all(" p_nontransfer=1.0 " in l for l in bounds)
 
 
 def test_wide_tags_run_end_to_end():

@@ -56,8 +56,6 @@ def test_distribution_cardinalities():
         mult, off = sender.issued_group(origin)
         assert mult.shape == off.shape == (n * k,)
     for r in recipients:
-        mult, off = r.batch_view()
-        assert mult.shape == (n * k,)
         for origin in range(n):
             held = r.held_group(origin)
             assert held.slots.shape == (k,)
@@ -96,20 +94,22 @@ def test_held_keys_match_sender_issue_noiseless():
 
 
 def _distribute_by_hand(params, network):
-    """Run the distribution stage by stage; return the parties and the
-    batches as every recipient saw them before any share moved."""
+    """Run the distribution stage by stage, one recipient at a time; return
+    the parties and each recipient's batch and partition, caught while live."""
     sender = Sender(network, params)
     recipients = [Recipient(network, params, i) for i in range(params.n_recipients)]
     sender.prepare()
-    for r in recipients:
-        r.receive_batch()
-        r.make_partition()
-    batches = [tuple(v.copy() for v in r.batch_view()) for r in recipients]
-    for lo in recipients:
-        for hi in recipients[lo.index + 1 :]:
-            lo.send_share(hi)
-            hi.send_share(lo)
-    return sender, recipients, batches
+    batches, partitions = [], []
+    for src in recipients:
+        src.receive_batch()
+        src.make_partition()
+        batches.append(src._batch)
+        partitions.append(src._partition)
+        for dst in recipients:
+            if dst is not src:
+                src.send_share(dst)
+        src.end_sharing()
+    return sender, recipients, batches, partitions
 
 
 def test_share_does_not_alias_the_senders_batch():
@@ -117,15 +117,17 @@ def test_share_does_not_alias_the_senders_batch():
     # receiver's copy and never on the batch the share was cut from
     params = small_params(n=3, k=6)
     network = Network(NetworkConfig(n_users=4, seed=8, default_flip_prob=1.0))
-    _, recipients, batches = _distribute_by_hand(params, network)
+    sender, recipients, batches, partitions = _distribute_by_hand(params, network)
     for r, (mult, off) in zip(recipients, batches):
-        assert np.array_equal(r.batch_view()[0], mult)
-        assert np.array_equal(r.batch_view()[1], off)
+        # the batch as received, every sender-link bit flipped, and no more
+        issued_mult, issued_off = sender.issued_group(r.index)
+        assert np.array_equal(mult, issued_mult ^ np.uint8(0xFF))
+        assert np.array_equal(off, issued_off ^ np.uint8(0xFF))
         own = r.held_group(r.index)
         assert np.array_equal(own.multipliers, mult[own.slots])
     relayed = recipients[1].held_group(0)
     mult, _ = batches[0]
-    chunk = recipients[0]._chunks[1]
+    chunk = partitions[0][1]
     assert np.array_equal(relayed.multipliers, mult[chunk] ^ np.uint64(0xFF))
 
 
@@ -136,7 +138,7 @@ def test_noisy_shares_carry_exactly_the_links_flips(a, t):
     n, k, seed, q = 3, 7, 31, 0.05
     params = ProtocolParams.build(n, a, t, k=k)
     network = Network(NetworkConfig(n_users=n + 1, seed=seed, default_flip_prob=q))
-    _, recipients, batches = _distribute_by_hand(params, network)
+    _, recipients, batches, partitions = _distribute_by_hand(params, network)
     ib = protocol.id_bits(n, k)
     widths = (ib, a, t)
     flipped_any = False
@@ -146,7 +148,7 @@ def test_noisy_shares_carry_exactly_the_links_flips(a, t):
             for src, dst in ((lo, hi), (hi, lo)):
                 flips = twin.otp_transfer(k * sum(widths), from_side=src.user)
                 flipped_any |= flips.size > 0
-                chunk = src._chunks[dst.index]
+                chunk = partitions[src.index][dst.index]
                 mult, off = batches[src.index]
                 fields = (chunk, reference.row_ints(mult[chunk]), reference.row_ints(off[chunk]))
                 bits = np.concatenate(
@@ -206,7 +208,7 @@ def test_sign_and_verify_read_the_key_blocks_in_place(monkeypatch, a, t):
 def test_partitions_are_private_and_distinct():
     params = small_params()
     _, sender, recipients = distributed(params)
-    assert not hasattr(sender, "_chunks")
+    assert not hasattr(sender, "_partition")
     assert not np.array_equal(
         recipients[0].held_group(0).slots, recipients[1].held_group(1).slots
     )
@@ -436,9 +438,47 @@ def test_stage_ordering_is_enforced():
 
 def test_duplicate_share_is_rejected():
     params = small_params(n=3, k=4)
-    _, _, recipients = distributed(params)
+    network = Network(NetworkConfig(n_users=4, seed=1))
+    Sender(network, params).prepare()
+    src, dst = Recipient(network, params, 0), Recipient(network, params, 1)
+    src.receive_batch()
+    src.make_partition()
+    src.send_share(dst)
     with pytest.raises(RuntimeError, match="already received"):
-        recipients[0].send_share(recipients[1])
+        src.send_share(dst)
+
+
+@pytest.mark.parametrize("holder", [None, 0, 2])
+def test_no_recipient_keeps_its_batch_past_its_sharing(monkeypatch, holder):
+    # one batch at a time: when a recipient receives its batch no other one
+    # holds a batch or partition, and none is left after the distribution;
+    # a stage run again afterwards raises before it spends any key
+    params = small_params(n=4, k=5)
+    parties, received = [], []
+    real_init, real_receive = Recipient.__init__, Recipient.receive_batch
+
+    def init(self, *args):
+        real_init(self, *args)
+        parties.append(self)
+
+    def receive(self):
+        others = [r for r in parties if r is not self]
+        received.append(all(r._batch is None and r._partition is None for r in others))
+        real_receive(self)
+
+    monkeypatch.setattr(Recipient, "__init__", init)
+    monkeypatch.setattr(Recipient, "receive_batch", receive)
+    network = Network(NetworkConfig(n_users=5, seed=3, default_flip_prob=0.01))
+    _, recipients = run_distribution(network, params, holder=holder)
+    assert parties == recipients and received == [True] * 4
+    assert all(r._batch is None and r._partition is None for r in recipients)
+    consumed = network.total_consumed()
+    for r in recipients:
+        other = recipients[r.index - 1]
+        for stage in (r.receive_batch, r.make_partition, lambda: r.send_share(other)):
+            with pytest.raises(RuntimeError):
+                stage()
+    assert network.total_consumed() == consumed
 
 
 def test_network_size_must_match_params():
@@ -676,24 +716,26 @@ def test_holder_transfers_only_over_its_links(monkeypatch):
 
     monkeypatch.setattr(LinkKeyStore, "otp_transfer", counted_otp)
     monkeypatch.setattr(Recipient, "send_share", counted_send)
+    def sides_per_link():
+        # each link's own order of transfers; links interleave as they will
+        links = {}
+        for users, side in pads:
+            links.setdefault(users, []).append(side)
+        return links
+
     run_distribution(_noisy_network(5, seed=2), params, holder=3)
     h = 4  # recipient 3's user
-    assert pads == [
-        ((lo, hi), side) for u in range(1, 6) if u != h
-        for lo, hi in [sorted((u, h))] for side in (lo, hi)
-    ]
-    assert sends == [(d, 3) for d in range(5) if d != 3]
+    assert sides_per_link() == {
+        (lo, hi): [lo, hi] for u in range(1, 6) if u != h for lo, hi in [sorted((u, h))]
+    }
+    assert sorted(sends) == [(d, 3) for d in range(5) if d != 3]
     pads.clear()
     sends.clear()
     run_distribution(_noisy_network(5, seed=2), params)
-    assert pads == [
-        ((lo, hi), side) for lo in range(1, 6) for hi in range(lo + 1, 6)
-        for side in (lo, hi)
-    ]
-    assert sends == [
-        pair for lo in range(5) for hi in range(lo + 1, 5)
-        for pair in ((lo, hi), (hi, lo))
-    ]
+    assert sides_per_link() == {
+        (lo, hi): [lo, hi] for lo in range(1, 6) for hi in range(lo + 1, 6)
+    }
+    assert sorted(sends) == sorted(itertools.permutations(range(5), 2))
 
 
 def test_holder_run_builds_only_the_links_it_uses(monkeypatch):
@@ -830,8 +872,13 @@ def test_run_honest_keeps_wide_values_packed(monkeypatch, a, t):
     # type that holds them, slot ids included; no stage holds Python ints
     from ussim import simlab
 
-    seen = {}
+    seen = {"batches": []}
     real_distribution, real_sign = simlab.run_distribution, Sender.sign
+    real_end = Recipient.end_sharing
+
+    def keep_batch(self):
+        seen["batches"].append(self._batch)  # caught before it is dropped
+        real_end(self)
 
     def keep_parties(*args):
         seen["parties"] = real_distribution(*args)
@@ -843,13 +890,15 @@ def test_run_honest_keeps_wide_values_packed(monkeypatch, a, t):
 
     monkeypatch.setattr(simlab, "run_distribution", keep_parties)
     monkeypatch.setattr(Sender, "sign", keep_signature)
+    monkeypatch.setattr(Recipient, "end_sharing", keep_batch)
     n = 7
     params = ProtocolParams.build(n, a, t, k=12)
     assert run_honest(params, seed=4).all_accepted
     sender, recipients = seen["parties"]
     mult_dtype, tag_dtype = packed_dtype(a), packed_dtype(t)
     keys = [sender.issued_group(g) for g in range(n)]
-    keys += [r.batch_view() for r in recipients]
+    keys += seen["batches"]
+    assert len(seen["batches"]) == n
     for r in recipients:
         held = [r.held_group(g) for g in range(n)]
         assert all(h.slots.dtype == packed_dtype(protocol.id_bits(n, 12)) for h in held)
