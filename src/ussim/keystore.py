@@ -7,27 +7,26 @@ views agree bit for bit except that one designated endpoint (the
 higher-numbered user) sees each bit flipped independently with the link's
 flip probability, which models noisy key delivery on the receiving side.
 
-Everything is addressed by pool position and generated from a counter, so a
-read's bits do not depend on how reads were batched, and two runs with the
-same seed and the same operation sequence observe identical streams:
+Every read is a pure function of pool position, drawn from one counter-based
+Philox generator (Salmon et al., SC 2011) re-keyed per read, so a read's
+bits do not depend on how reads were batched or which endpoint read first,
+and two runs with the same seed and operation sequence observe identical
+streams. A link's key is a 32-byte blake2b digest of STREAM_VERSION, the
+network seed and the two endpoints; its first 16 bytes key the pool and
+its last 16 the flips, each read as a big-endian int.
 
-* Pool bits: block j of a link's pool is shake_256(link key || j), read out
-  to POOL_BLOCK_BITS bits. The link key derives from the network seed, the
-  two endpoints and STREAM_VERSION.
+* Pool bits: 64-bit pool word w is lane w % 4 of the first block that a
+  Philox generator started at counter w // 4 returns, read most significant
+  bit first. A read generates the words it covers, nothing is kept.
 * Flips: flip block b covers a power-of-two number of positions, sized
   from q to hold about FLIPS_PER_BLOCK expected flips and capped at
-  MAX_FLIP_BLOCK_BITS. A Philox generator keyed by (link key, flip stream)
-  and started at a counter set by b draws m ~ Binomial(block size, q) and
-  then m distinct positions, which is exactly an independent Bernoulli(q)
-  flip per position. A read draws each flip block it touches, except the
-  last one drawn, which is kept; its work grows with the flips in its
-  range plus at most about 2 * FLIPS_PER_BLOCK, not with the number of
-  bits.
-
-Each pool position is hashed once for both endpoints: a link keeps the pool
-blocks of its latest read while the other endpoint's cursor is still behind
-that read's end, and the other endpoint's read of the same blocks takes
-them and drops them. A Network builds each link's store on first use.
+  MAX_FLIP_BLOCK_BITS. Its flip positions are the partial sums, minus one,
+  of iid Geometric(q) gaps drawn by a Philox generator started at counter
+  b * 2**128, which is exactly an independent Bernoulli(q) flip per
+  position (Devroye 1986, ch. X). A read draws each flip block it touches,
+  except the last one drawn, which is kept; its work grows with the flips
+  in its range plus at most about 2 * FLIPS_PER_BLOCK, not with the number
+  of bits. A Network builds each link's store on first use.
 
 draw_shared returns bits packed most significant bit first into
 ceil(n / 8) bytes, zero-padded, never one byte per bit. Consumption is
@@ -36,8 +35,8 @@ the position corresponds to one shared secret bit.
 
 A one-time-padded transfer spends the same positions on both endpoints,
 and the two pads cancel except where the noisy side's view flipped. So
-otp_transfer hashes no pool bits at all: it returns only the noisy side's
-flip positions inside the transfer (none on a noiseless link), and
+otp_transfer generates no pool bits at all: it returns only the noisy
+side's flip positions inside the transfer (none on a noiseless link), and
 requires the two cursors to agree, since a desynced link would XOR
 unrelated pads into the payload.
 
@@ -68,22 +67,32 @@ __all__ = [
     "time_to_ready",
 ]
 
-STREAM_VERSION = 2
-POOL_BLOCK_BITS = 1 << 15  # pool bits per shake_256 call
+STREAM_VERSION = 3
 FLIPS_PER_BLOCK = 1 << 10  # expected flips a flip block is sized for
 MAX_FLIP_BLOCK_BITS = 1 << 20  # positions per flip block at low q
-_FLIP_STREAM = 0x464C4950  # stream label, distinct from pool positions
 _U64 = (1 << 64) - 1
 
 
 @functools.cache
-def _flip_rng() -> np.random.Generator:
-    """The one generator every link's flip blocks draw from.
+def _philox() -> tuple[np.random.Generator, dict]:
+    """The one generator every link's pool reads and flip blocks draw from.
 
-    Each block sets its key and counter first. Built on first use, since
-    the first touch of numpy.random costs about 10 ms of import time.
+    Returned with a state dict that _philox_at fills in place. Built on
+    first use, since the first touch of numpy.random costs about 10 ms of
+    import time.
     """
-    return np.random.Generator(np.random.Philox(0))
+    rng = np.random.Generator(np.random.Philox(0))
+    return rng, rng.bit_generator.state
+
+
+def _philox_at(key: int, counter: int) -> np.random.Generator:
+    """The shared generator in the state of Philox(key=key, counter=counter)."""
+    rng, state = _philox()
+    inner = state["state"]
+    inner["key"][:] = (key & _U64, key >> 64)
+    inner["counter"][:] = (counter & _U64, counter >> 64 & _U64, counter >> 128 & _U64, counter >> 192)
+    rng.bit_generator.state = state  # its buffer_pos of 4 empties the buffer
+    return rng
 
 
 def _check_rate(rate, name: str) -> None:
@@ -149,13 +158,10 @@ class LinkKeyStore:
         self.flip_prob = float(flip_prob)
         self.noisy_side = self.user_b  # flips land on the receiving side's view
         key = _stream_key(seed, self.user_a, self.user_b)
-        flip_key = hashlib.blake2b(key + _FLIP_STREAM.to_bytes(4, "big"), digest_size=16)
-        self._flip_key = int.from_bytes(flip_key.digest(), "big")
+        self._pool_key = int.from_bytes(key[:16], "big")
+        self._flip_key = int.from_bytes(key[16:], "big")
         self._flip_block = _flip_block_bits(self.flip_prob) if self.flip_prob else 0
         self._flip_cache: tuple[int, np.ndarray] = (-1, np.zeros(0, dtype=np.int64))
-        # keyed once; each block hashes its counter into a copy of this state
-        self._hasher = hashlib.shake_256(key)
-        self._kept_blocks: tuple[int, bytes] = (0, b"")  # first block, bytes
         self._cursor = {self.user_a: 0, self.user_b: 0}
         self._highwater = 0
 
@@ -163,44 +169,22 @@ class LinkKeyStore:
     def users(self) -> tuple[int, int]:
         return (self.user_a, self.user_b)
 
-    def _pool_bytes(self, start: int, n_bits: int, side: int) -> np.ndarray:
-        """Noiseless pool bits start .. start + n_bits, packed and zero-padded.
-
-        Blocks kept from the latest read are taken instead of hashed. This
-        read's blocks are kept in turn while the other endpoint's cursor is
-        behind its end, so that endpoint's read of them hashes nothing.
-        """
+    def _pool_bytes(self, start: int, n_bits: int) -> np.ndarray:
+        """Noiseless pool bits start .. start + n_bits, packed and zero-padded."""
         n_bytes = (n_bits + 7) // 8
         if not n_bits:
             return np.zeros(0, dtype=np.uint8)
-        size = POOL_BLOCK_BITS // 8
-        first = start // POOL_BLOCK_BITS
-        last = (start + n_bits - 1) // POOL_BLOCK_BITS
-        kept_first, kept = self._kept_blocks
-        kept = memoryview(kept)
-        blocks = []
-        for block in range(first, last + 1):
-            at = (block - kept_first) * size
-            if 0 <= at < len(kept):
-                blocks.append(kept[at : at + size])
-            else:
-                h = self._hasher.copy()
-                h.update(block.to_bytes(8, "big"))
-                blocks.append(h.digest(size))
-        joined = b"".join(blocks)
-        other = self.user_b if side == self.user_a else self.user_a
-        if self._cursor[other] < start + n_bits:
-            self._kept_blocks = (first, joined)
-        else:
-            self._kept_blocks = (0, b"")
-        raw = np.frombuffer(joined, dtype=np.uint8)
-        byte, shift = divmod(start - first * POOL_BLOCK_BITS, 8)
+        first = start // 256  # the Philox block of the first word: 4 words of 64 bits
+        words = (start + n_bits + 63) // 64 - 4 * first
+        raw = _philox_at(self._pool_key, first).bit_generator.random_raw(words)
+        raw = raw.astype(">u8").view(np.uint8)
+        byte, shift = divmod(start - 256 * first, 8)
         if shift:
             out = raw[byte : byte + n_bytes] << shift
             low = raw[byte + 1 : byte + n_bytes + 1] >> (8 - shift)
             out[: low.size] |= low
         else:
-            out = raw[byte : byte + n_bytes].copy()
+            out = raw[byte : byte + n_bytes]
         if n_bits % 8:
             out[-1] &= 0xFF << (8 - n_bits % 8) & 0xFF
         return out
@@ -212,9 +196,9 @@ class LinkKeyStore:
         size = self._flip_block
         found = []
         for block in range(start // size, (start + n_bits - 1) // size + 1):
-            pos = self._block_flips(block) + (block * size - start)
-            lo, hi = np.searchsorted(pos, (0, n_bits))
-            found.append(pos[lo:hi])
+            pos, first = self._block_flips(block), block * size
+            lo, hi = pos.searchsorted((start - first, start + n_bits - first))
+            found.append(pos[lo:hi] + (first - start))
         return np.concatenate(found)
 
     def _block_flips(self, block: int) -> np.ndarray:
@@ -225,24 +209,17 @@ class LinkKeyStore:
         """
         if self._flip_cache[0] == block:
             return self._flip_cache[1]
-        rng = _flip_rng()
-        # counter-based: block b starts its own stream at counter b * 2**128,
-        # as Philox(key=..., counter=b << 128) would, without reseeding
-        key = self._flip_key
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.array([0, 0, block & _U64, block >> 64], dtype=np.uint64),
-                "key": np.array([key & _U64, key >> 64], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        size = self._flip_block
-        m = rng.binomial(size, self.flip_prob)
-        pos = np.sort(rng.choice(size, size=m, replace=False, shuffle=False))
+        # counter-based: block b starts its own stream at counter b * 2**128
+        rng = _philox_at(self._flip_key, block << 128)
+        size, q = self._flip_block, self.flip_prob
+        chunk = int(size * q + 4 * math.sqrt(size * q)) + 8
+        found, last = [], -1
+        while last < size:
+            # clipped, so that gaps of int64 max at tiny q cannot overflow the sum
+            pos = np.minimum(rng.geometric(q, chunk), size + 1).cumsum() + last
+            found.append(pos[: pos.searchsorted(size)])
+            last = int(pos[-1])
+        pos = np.concatenate(found)
         self._flip_cache = (block, pos)
         return pos
 
@@ -269,7 +246,7 @@ class LinkKeyStore:
         """
         self._check(side, n_bits)
         start = self._advance(side, n_bits)
-        out = self._pool_bytes(start, n_bits, side)
+        out = self._pool_bytes(start, n_bits)
         if side == self.noisy_side:
             flips = self._flips(start, n_bits)
             np.bitwise_xor.at(out, flips >> 3, (0x80 >> (flips & 7)).astype(np.uint8))
@@ -445,7 +422,8 @@ def time_to_ready(config: NetworkConfig, params: ProtocolParams) -> TimeToReady:
     User 0 is the sender; user r is recipient r - 1. A sender link carries
     N*k keys of a + t bits; a recipient link carries one k-key transfer in
     each direction, each key prefixed by its identifier. Links fill in
-    parallel, so readiness is set by the slowest link.
+    parallel, so readiness is set by the slowest link. Raises ValueError
+    naming a link whose time is not finite.
     """
     n, k = params.n_recipients, params.k
     if config.n_users != n + 1:
@@ -461,6 +439,8 @@ def time_to_ready(config: NetworkConfig, params: ProtocolParams) -> TimeToReady:
         for r2 in range(r1 + 1, n + 1):
             per_link[(r1, r2)] = 2 * k * (key_len + ib) / config.rate(r1, r2)
     binding = max(per_link, key=lambda pair: (per_link[pair], -pair[0], -pair[1]))
+    if not math.isfinite(per_link[binding]):  # a subnormal rate passes _check_rate
+        raise ValueError(f"link {binding} at rate {config.rate(*binding)!r} bps takes infinitely long")
     return TimeToReady(
         seconds=per_link[binding],
         binding_link=binding,

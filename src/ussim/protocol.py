@@ -296,6 +296,17 @@ class Sender:
         mults, offs = self._issued
         return mults[origin], offs[origin]
 
+    def tags_at(self, message: int, flat: np.ndarray) -> np.ndarray:
+        """Tags of message under the issued keys at flat indices of the (n, n*k) list.
+
+        An index of -1, where Recipient._flat_slots puts a slot past the
+        list, reads the list's first tag ("clip").
+        """
+        p = self.params
+        at = flat.reshape(-1)
+        mults, offs = (keys.reshape(-1).take(at, mode="clip") for keys in self._issued)
+        return tags_of_arrays(mults, offs, message, p.msg_len_bits, p.tag_len_bits).reshape(flat.shape)
+
     def sign(self, message: int) -> Signature:
         """Tag the message under every issued key, in batch-major slot order."""
         if not self.prepared:
@@ -450,9 +461,9 @@ class Recipient:
             )
         _check_signature_match(signature, self.params)
         level, s, delta = level_thresholds(self.params, level)
-        counts = self._mismatch_counts(
-            signature.tags, self._expected_tags(signature.message), self._flat_slots()
-        )
+        flat = self._flat_slots()
+        published = signature.tags.reshape(-1).take(flat, mode="clip")
+        counts = self._mismatch_counts(published, self._expected_tags(signature.message), flat)
         passed, accepted = level_rule(counts, self.params.k, s, delta)
         return VerifyResult(
             recipient_index=self.index,
@@ -486,13 +497,12 @@ class Recipient:
         return flat
 
     @staticmethod
-    def _mismatch_counts(tags: np.ndarray, expected: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        """Per group, how many held slots of an (n, n*k) tag list differ from expected.
+    def _mismatch_counts(published: np.ndarray, expected: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        """Per group, how many held slots' published tags differ from expected.
 
-        flat is _flat_slots(); "clip" keeps the read of a slot at -1 inside
-        the list, and it counts as a mismatch.
+        published holds the tags of an (n, n*k) list read at flat, which is
+        _flat_slots() with "clip"; a slot at -1 counts as a mismatch.
         """
-        published = tags.reshape(-1).take(flat, mode="clip")
         return np.count_nonzero((flat < 0) | (published != expected), axis=1)
 
 

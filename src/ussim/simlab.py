@@ -337,7 +337,8 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
         for trial in range(block):
             for g in unknown:
                 tags[g] = _uniform_tags(guess_rng, n * k, t)
-            counts[trial] = verifier._mismatch_counts(tags, expected, flat)
+            published = tags.reshape(-1).take(flat, mode="clip")
+            counts[trial] = verifier._mismatch_counts(published, expected, flat)
         successes += int(np.count_nonzero(level_rule(counts, k, s, delta)[1]))
         done += block
     return _attack_result(spec, successes, bound, level)
@@ -489,8 +490,9 @@ def sweep_error_tolerance(
     ladder is rebuilt evenly, k is re-solved and the stage re-priced.
 
     Only recipient 0 verifies, so each trial runs just the share
-    transfers over recipient 0's links; its keys are the ones a full
-    distribution would give it.
+    transfers over recipient 0's links, and the sender tags only the
+    slots it holds; its keys, counts and verdict are the ones a full
+    distribution, sign and verify would give it.
 
     Rejects a q whose adjusted threshold would reach the first interior
     level of the unadjusted ladder, and bad trials or seed before any
@@ -521,6 +523,7 @@ def sweep_error_tolerance(
         "wilson_low",
         "wilson_high",
     )
+    _, s, delta = level_thresholds(params, params.l_max)
     rows = []
     for index, q in enumerate(q_values):
         e_q = expected_mismatch_fraction(q, a, t)
@@ -555,8 +558,13 @@ def sweep_error_tolerance(
             sender, recipients = run_distribution(network, params, holder=0)
             rng = np.random.default_rng([config.seed, _MESSAGE_STREAM])
             message = _random_message(rng, a)
-            signature = sender.sign(message)
-            passes += recipients[0].verify(signature, params.l_max).accepted
+            # as recipients[0].verify(sender.sign(message)), tagging only its slots
+            verifier = recipients[0]
+            flat = verifier._flat_slots()
+            counts = verifier._mismatch_counts(
+                sender.tags_at(message, flat), verifier._expected_tags(message), flat
+            )
+            passes += bool(level_rule(counts, k, s, delta)[1])
         low, high = wilson_interval(passes, trials)
         rows.append(
             (

@@ -128,23 +128,29 @@ def void_rows(values, n_bytes: int) -> np.ndarray:
     return np.frombuffer(data, dtype=f"V{n_bytes}")
 
 
+def _link_keys(seed: int, user_a: int, user_b: int) -> tuple[int, int]:
+    """Pool and flip keys of a link: the halves of its stream-version-3 digest."""
+    lo, hi = sorted((user_a, user_b))
+    key = hashlib.blake2b(
+        b"ussim-link-v3" + struct.pack(">qqq", seed, lo, hi), digest_size=32
+    ).digest()
+    return int.from_bytes(key[:16], "big"), int.from_bytes(key[16:], "big")
+
+
 def pool_bits(seed: int, user_a: int, user_b: int, start: int, n_bits: int) -> list[int]:
     """Noiseless pool bits start .. start + n_bits of link (user_a, user_b).
 
-    The link key is the 32-byte blake2b digest of the stream-version-2
-    label and the seed and sorted endpoints. Block j of the pool is the
-    first 4096 bytes of shake_256 over the key and then j as 8 big-endian
-    bytes, hashed afresh for every block; bits are read most significant
+    64-bit pool word w is lane w % 4 of the first four words of a fresh
+    Philox generator keyed by the link's pool key with its counter at
+    w // 4, built afresh for every bit; bits are read most significant
     first.
     """
-    lo, hi = sorted((user_a, user_b))
-    key = hashlib.blake2b(
-        b"ussim-link-v2" + struct.pack(">qqq", seed, lo, hi), digest_size=32
-    ).digest()
+    pool_key, _ = _link_keys(seed, user_a, user_b)
     out = []
     for pos in range(start, start + n_bits):
-        block = hashlib.shake_256(key + (pos // 32768).to_bytes(8, "big")).digest(4096)
-        out.append((block[pos % 32768 // 8] >> (7 - pos % 8)) & 1)
+        word = pos // 64
+        lanes = np.random.Philox(key=pool_key, counter=word // 4).random_raw(4)
+        out.append((int(lanes[word % 4]) >> (63 - pos % 64)) & 1)
     return out
 
 
@@ -153,27 +159,20 @@ def flip_positions(seed: int, user_a: int, user_b: int, q: float, start: int, n_
 
     Flip blocks hold the largest power of two of positions, at most 2^20,
     with at most 1024 expected flips. Block b gets a fresh Philox
-    generator keyed by the first 16 bytes of blake2b(link key ||
-    0x464C4950), big-endian, with its counter at b * 2^128; it draws
-    m ~ Binomial(size, q) and then m distinct positions.
+    generator keyed by the link's flip key, with its counter at b * 2^128;
+    it draws Geometric(q) gaps one at a time, and the flips lie at their
+    running sums minus one, up to the block's end.
     """
-    lo, hi = sorted((user_a, user_b))
-    key = hashlib.blake2b(
-        b"ussim-link-v2" + struct.pack(">qqq", seed, lo, hi), digest_size=32
-    ).digest()
-    flip_key = int.from_bytes(
-        hashlib.blake2b(key + bytes.fromhex("464C4950"), digest_size=16).digest(), "big"
-    )
+    _, flip_key = _link_keys(seed, user_a, user_b)
     size = 1 << 20
     while size * q > 1024:
         size //= 2
     out = []
-    for pos in range(start, start + n_bits):
-        block, offset = divmod(pos, size)
-        if pos == start or offset == 0:
-            rng = np.random.Generator(np.random.Philox(key=flip_key, counter=block << 128))
-            m = rng.binomial(size, q)
-            flipped = set(rng.choice(size, size=m, replace=False, shuffle=False).tolist())
-        if offset in flipped:
-            out.append(pos - start)
+    for block in range(start // size, (start + n_bits - 1) // size + 1 if n_bits else 0):
+        rng = np.random.Generator(np.random.Philox(key=flip_key, counter=block << 128))
+        pos = int(rng.geometric(q)) - 1  # a Python int: no overflow
+        while pos < size:
+            if start <= block * size + pos < start + n_bits:
+                out.append(block * size + pos - start)
+            pos += int(rng.geometric(q))
     return out

@@ -350,6 +350,20 @@ def test_time_to_ready_nan_rate_exits_two(capsys):
         assert captured.out == ""
 
 
+def test_time_to_ready_subnormal_rate_exits_two(capsys, tmp_path):
+    # 1e-320 is a positive finite rate, but k bits over it take inf seconds
+    assert cli.main(["time-to-ready", "--rate-bps", "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert "link (0, 1) at rate 1e-320 bps" in captured.err
+    assert captured.out == ""
+    path = tmp_path / "net.json"
+    path.write_text('{"users": 8, "links": [{"a": 2, "b": 5, "rate_bps": 1e-320}]}')
+    assert cli.main(["time-to-ready", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "link (2, 5) at rate 1e-320 bps" in captured.err
+    assert captured.out == ""
+
+
 def test_time_to_ready_nan_link_rate_in_config_exits_two(tmp_path):
     path = tmp_path / "net.json"
     path.write_text('{"users": 8, "links": [{"a": 0, "b": 1, "rate_bps": NaN}]}')

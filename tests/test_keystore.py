@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from ussim.keystore import (
@@ -56,24 +58,30 @@ def test_draw_crosses_block_boundaries_consistently():
     assert np.array_equal(_bits(long_read, sum(sizes)), np.concatenate(pieces))
 
 
-@pytest.mark.parametrize("sizes", [(4096,), (1000, 70000, 3), (1 << 21,)])
-def test_other_endpoint_reads_the_kept_blocks_unchanged(sizes):
-    # the second endpoint takes the blocks the first one's reads kept,
-    # and then drops them
-    store = LinkKeyStore(0, 1, seed=9)
-    first = np.concatenate([_bits(store.draw_shared(n, side=0), n) for n in sizes])
-    second = _bits(store.draw_shared(sum(sizes), side=1), sum(sizes))
-    alone = LinkKeyStore(0, 1, seed=9).draw_shared(sum(sizes), side=1)
-    assert np.array_equal(first, second)
-    assert np.array_equal(second, _bits(alone, sum(sizes)))
-    assert not store._kept_blocks[1]
+@given(
+    sizes=st.lists(st.integers(0, 5000), min_size=1, max_size=6),
+    other_sizes=st.lists(st.integers(0, 5000), min_size=1, max_size=6),
+    first_side=st.sampled_from([0, 1]),
+    q=st.sampled_from([0.0, 0.01]),
+)
+@settings(max_examples=40, deadline=None)
+def test_any_split_from_either_endpoint_equals_one_read(sizes, other_sizes, first_side, q):
+    # a read is a pure function of pool position: how a range is split, and
+    # whether the other endpoint read it first, change none of its bits
+    def one_read(side, n_bits):
+        return _bits(LinkKeyStore(0, 1, seed=9, flip_prob=q).draw_shared(n_bits, side), n_bits)
+
+    store = LinkKeyStore(0, 1, seed=9, flip_prob=q)
+    for side, split in ((first_side, sizes), (1 - first_side, other_sizes)):
+        got = [_bits(store.draw_shared(n, side=side), n) for n in split]
+        assert np.array_equal(np.concatenate(got), one_read(side, sum(split)))
 
 
 @pytest.mark.parametrize("start", [0, 511, 512, 1000, 32767, 32768])
 @pytest.mark.parametrize("n_bits", [0, 1, 513, 2000])
 def test_pool_bits_match_freshly_keyed_reference(start, n_bits):
-    # the store hashes every block from one pre-keyed state; the oracle
-    # hashes each block, and each bit, afresh
+    # the store re-keys one shared generator per read; the oracle builds a
+    # fresh generator for every bit
     want = reference.pool_bits(11, 2, 5, start, n_bits)
     for side in (2, 5):
         store = LinkKeyStore(2, 5, seed=11)
@@ -100,11 +108,12 @@ def test_noisy_reads_do_not_depend_on_batching(q, start):
     assert flipped.any()
 
 
-@pytest.mark.parametrize("q", [1e-4, 0.01, 0.05, 0.3, 1.0])
+@pytest.mark.parametrize("q", [5e-324, 1e-300, 1e-4, 0.01, 0.05, 0.3, 1.0])
 def test_flips_match_freshly_seeded_reference(q):
     # flip blocks shrink with q to about 1024 expected flips; the store
-    # reuses one generator and its last block, the oracle seeds every
-    # block afresh and tests each position
+    # reuses one generator and its last block and draws gaps in chunks,
+    # the oracle seeds every block afresh and draws one gap at a time; at
+    # q = 1e-300 and 5e-324 every gap is int64 max, so nothing flips
     start, n_bits = (1 << 20) - 5000, 9000
     store = LinkKeyStore(2, 5, seed=11, flip_prob=q)
     store.draw_shared(start, side=2)
@@ -114,6 +123,7 @@ def test_flips_match_freshly_seeded_reference(q):
     want = reference.flip_positions(11, 2, 5, q, start, n_bits)
     assert np.concatenate(got).tolist() == want
     assert abs(len(want) - n_bits * q) <= 4 * math.sqrt(n_bits * q) + 1
+    assert q > 1e-200 or not want
 
 
 def test_all_bits_flip_at_probability_one():

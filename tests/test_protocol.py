@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from ussim import hashing, keystore, protocol
+from ussim import hashing, protocol
 from ussim._bitops import octets, packed_dtype
 from ussim.keystore import LinkKeyStore, LinkSettings, Network, NetworkConfig
 from ussim.protocol import (
@@ -762,40 +762,20 @@ def test_holder_run_builds_only_the_links_it_uses(monkeypatch):
     assert {pair for pair, bits in consumed.items() if bits} == used
 
 
-def test_run_honest_hashes_each_pool_block_once(monkeypatch):
-    # the sender's read of a sender link and the recipient's read of the
-    # same positions share one hash per pool block; recipient links hash
-    # nothing, since one-time pads cancel
+def test_run_honest_reads_pool_bits_only_on_sender_links(monkeypatch):
+    # each endpoint of a sender link reads its batch once, as one range;
+    # recipient links read no pool bits, since one-time pads cancel
     n, k, a, t = 4, 700, 8, 8
-    hashed = []
+    reads = []
+    real_pool_bytes = LinkKeyStore._pool_bytes
 
-    class CountedHasher:
-        def __init__(self, users, state):
-            self.users, self.state = users, state
+    def counted(self, start, n_bits):
+        reads.append((self.users, start, n_bits))
+        return real_pool_bytes(self, start, n_bits)
 
-        def copy(self):
-            return CountedHasher(self.users, self.state.copy())
-
-        def update(self, data):
-            hashed.append((self.users, data))
-            self.state.update(data)
-
-        def digest(self, size):
-            return self.state.digest(size)
-
-    real_init = LinkKeyStore.__init__
-
-    def counted(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        self._hasher = CountedHasher(self.users, self._hasher)
-
-    monkeypatch.setattr(LinkKeyStore, "__init__", counted)
+    monkeypatch.setattr(LinkKeyStore, "_pool_bytes", counted)
     assert run_honest(ProtocolParams.build(n, a, t, k=k), seed=6).all_accepted
-    blocks = -(-n * k * (a + t) // keystore.POOL_BLOCK_BITS)
-    assert blocks == 2
-    assert sorted(hashed) == [
-        ((0, r), j.to_bytes(8, "big")) for r in range(1, n + 1) for j in range(blocks)
-    ]
+    assert sorted(reads) == [((0, r), 0, n * k * (a + t)) for r in range(1, n + 1) for _ in "ab"]
 
 
 @pytest.mark.parametrize("holder", [-1, 3, True, np.bool_(True), 1.0])
