@@ -58,6 +58,19 @@ def test_draw_crosses_block_boundaries_consistently():
     assert np.array_equal(_bits(long_read, sum(sizes)), np.concatenate(pieces))
 
 
+@pytest.mark.parametrize("sizes", [(4096,), (1000, 70000, 3), (1 << 21,)])
+def test_other_endpoint_reads_the_kept_blocks_unchanged(sizes):
+    # the second endpoint reads the positions the first one read, bit for
+    # bit, and consumes no further pool doing so
+    store = LinkKeyStore(0, 1, seed=9)
+    first = np.concatenate([_bits(store.draw_shared(n, side=0), n) for n in sizes])
+    second = _bits(store.draw_shared(sum(sizes), side=1), sum(sizes))
+    alone = LinkKeyStore(0, 1, seed=9).draw_shared(sum(sizes), side=1)
+    assert np.array_equal(first, second)
+    assert np.array_equal(second, _bits(alone, sum(sizes)))
+    assert store.consumed_bits() == sum(sizes)
+
+
 @given(
     sizes=st.lists(st.integers(0, 5000), min_size=1, max_size=6),
     other_sizes=st.lists(st.integers(0, 5000), min_size=1, max_size=6),
