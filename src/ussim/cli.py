@@ -5,10 +5,10 @@ end-to-end run), attack (Monte Carlo adversary experiments), sweep
 (parameter sweeps as CSV), time-to-ready (distribution-stage fill time).
 
 All randomness flows from --seed; when --seed is absent the USS_SEED
-environment variable is the fallback, then 0. Same argv and seed means
-byte-identical output. CSV files open with comment lines recording the
-tool version and every resolved parameter, so a row can always be traced
-back to its inputs.
+environment variable is the fallback, then 0. Either one overrides a
+--config file's seed. Same argv and seed means byte-identical output.
+CSV files open with comment lines recording the tool version and every
+resolved parameter, so a row can always be traced back to its inputs.
 """
 from __future__ import annotations
 
@@ -80,7 +80,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--dr", type=float, default=None,
                        help="dishonest-recipient fraction bound (default lmax/n)")
     group.add_argument("--tail-mode", choices=("squared", "literal"), default="squared",
-                       help="tail-bound convention used by the k solver (default squared)")
+                       help="tail-bound convention for k and every bound (default squared)")
 
 
 def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
@@ -92,25 +92,18 @@ def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
 
-def _resolve_mode(args) -> TailMode:
-    return TailMode.SQUARED if args.tail_mode == "squared" else TailMode.LITERAL
-
-
-def _resolve_params(args) -> tuple[ProtocolParams, SLevelSpec, TailMode]:
-    spec = SLevelSpec(eps1=args.eps1, eps2=args.eps2)
-    mode = _resolve_mode(args)
-    params = ProtocolParams.build(
+def _resolve_params(args) -> ProtocolParams:
+    return ProtocolParams.build(
         args.n,
         args.a,
         args.t,
         p_target=args.p_target,
-        spec=spec,
+        spec=SLevelSpec(eps1=args.eps1, eps2=args.eps2),
         l_max=args.lmax,
         d_r=args.dr,
         k=args.k,
-        mode=mode,
+        mode=TailMode[args.tail_mode.upper()],
     )
-    return params, spec, mode
 
 
 def _resolve_seed(args, *, default: int | None = 0) -> int | None:
@@ -129,7 +122,7 @@ def _load_config(args, params: ProtocolParams, seed: int | None) -> NetworkConfi
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = NetworkConfig.from_json(fh.read())
-        if seed is not None and args.seed is not None:
+        if seed is not None:
             config = dataclasses.replace(config, seed=seed)
         return config
     return NetworkConfig(
@@ -140,14 +133,14 @@ def _load_config(args, params: ProtocolParams, seed: int | None) -> NetworkConfi
     )
 
 
-def _param_lines(params: ProtocolParams, spec: SLevelSpec, mode: TailMode) -> list[str]:
+def _param_lines(params: ProtocolParams) -> list[str]:
     lines = [
         f"version={__version__}",
         (
             f"n={params.n_recipients} msg_len_bits={params.msg_len_bits} "
             f"tag_len_bits={params.tag_len_bits} k={params.k} l_max={params.l_max} "
-            f"p_target={params.p_target!r} eps1={spec.eps1!r} eps2={spec.eps2!r} "
-            f"tail_mode={mode.name.lower()}"
+            f"p_target={params.p_target!r} eps1={params.spec.eps1!r} eps2={params.spec.eps2!r} "
+            f"tail_mode={params.mode.name.lower()}"
         ),
         f"d_r={params.d_r!r}",
     ]
@@ -160,7 +153,7 @@ def _param_lines(params: ProtocolParams, spec: SLevelSpec, mode: TailMode) -> li
         + " ".join(f"delta[{l}]={compute_delta(l, params.d_r)!r}" for l in levels)
     )
     for level in range(params.l_max, -1, -1):
-        rep = p_nontransfer(level, params, mode)
+        rep = p_nontransfer(level, params)
         lines.append(
             f"bound level={rep.level}: n_p={rep.n_p} p_m={rep.p_m!r} "
             f"p_nontransfer={rep.p_nontransfer!r} p_t={rep.p_t!r} p_forge={rep.p_forge!r}"
@@ -175,8 +168,7 @@ def _param_lines(params: ProtocolParams, spec: SLevelSpec, mode: TailMode) -> li
     return lines
 
 
-def _param_comments(params: ProtocolParams, spec: SLevelSpec, mode: TailMode,
-                    extra: dict | None = None) -> list[str]:
+def _param_comments(params: ProtocolParams, extra: dict | None = None) -> list[str]:
     items: dict[str, object] = {
         "version": __version__,
         "n": params.n_recipients,
@@ -186,9 +178,9 @@ def _param_comments(params: ProtocolParams, spec: SLevelSpec, mode: TailMode,
         "l_max": params.l_max,
         "d_r": repr(params.d_r),
         "p_target": repr(params.p_target),
-        "eps1": repr(spec.eps1),
-        "eps2": repr(spec.eps2),
-        "tail_mode": mode.name.lower(),
+        "eps1": repr(params.spec.eps1),
+        "eps2": repr(params.spec.eps2),
+        "tail_mode": params.mode.name.lower(),
     }
     if extra:
         items.update(extra)
@@ -204,14 +196,13 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_params(args) -> int:
-    params, spec, mode = _resolve_params(args)
-    for line in _param_lines(params, spec, mode):
+    for line in _param_lines(_resolve_params(args)):
         print(line)
     return 0
 
 
 def _cmd_run(args) -> int:
-    params, spec, mode = _resolve_params(args)
+    params = _resolve_params(args)
     state = key_state_bytes(params)
     memory = _physical_memory_bytes()
     if memory is not None and state + INTERPRETER_BYTES > KEY_STATE_MEMORY_FRACTION * memory:
@@ -224,7 +215,7 @@ def _cmd_run(args) -> int:
     seed = _resolve_seed(args, default=None)
     config = _load_config(args, params, seed)
     # the bounds are priced before the run, so unpriceable parameters fail fast
-    lines = _param_lines(params, spec, mode)
+    lines = _param_lines(params)
     outcome = run_honest(params, config, message=args.message)
     for line in lines:
         print(line)
@@ -269,7 +260,7 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 
 def _cmd_attack(args) -> int:
-    params, spec, mode = _resolve_params(args)
+    params = _resolve_params(args)
     seed = _resolve_seed(args)
     kind = AttackKind(args.kind)
     attack_spec = AttackSpec(
@@ -300,7 +291,7 @@ def _cmd_attack(args) -> int:
                result.bound_level, result.trials, result.successes, result.rate,
                result.wilson_low, result.wilson_high, result.bound, result.bound_level)
     table = SweepResult(axis="attack", columns=columns, rows=(row,))
-    _emit(table.to_csv(_param_comments(params, spec, mode, extra)), args.out)
+    _emit(table.to_csv(_param_comments(params, extra)), args.out)
     return 0
 
 
@@ -360,7 +351,7 @@ def _cmd_sweep(args) -> int:
     for name, bound in bounds:
         if bound is not None and not math.isfinite(bound):
             raise ValueError(f"{name} must be finite, got {bound}")
-    params, spec, mode = _resolve_params(args)
+    params = _resolve_params(args)
     seed = _resolve_seed(args)
     if args.axis == "q":
         if args.step is None:
@@ -368,13 +359,13 @@ def _cmd_sweep(args) -> int:
         values = _float_range(args.start, args.stop, args.step)
         table = sweep_error_tolerance(
             values, params,
-            margin=args.margin, trials=args.trials, seed=seed, mode=mode,
+            margin=args.margin, trials=args.trials, seed=seed,
         )
         extra = {"axis": "q", "margin": repr(args.margin),
                  "trials": args.trials, "seed": seed}
     elif args.axis == "p_target":
         values = _geometric_range(args.start, args.stop, args.factor)
-        table = sweep_consumption("p_target", values, params, spec=spec, mode=mode)
+        table = sweep_consumption("p_target", values, params)
         extra = {"axis": "p_target", "factor": repr(args.factor)}
     else:
         step = int(args.step) if args.step is not None else 1
@@ -384,14 +375,14 @@ def _cmd_sweep(args) -> int:
             if bound != int(bound):
                 raise ValueError(f"{name} must be an integer for axis {args.axis}, got {bound}")
         values = _int_range(int(args.start), int(args.stop), step)
-        table = sweep_consumption(args.axis, values, params, spec=spec, mode=mode)
+        table = sweep_consumption(args.axis, values, params)
         extra = {"axis": args.axis, "step": step}
-    _emit(table.to_csv(_param_comments(params, spec, mode, extra)), args.out)
+    _emit(table.to_csv(_param_comments(params, extra)), args.out)
     return 0
 
 
 def _cmd_time_to_ready(args) -> int:
-    params, _, _ = _resolve_params(args)
+    params = _resolve_params(args)
     seed = _resolve_seed(args, default=None)
     config = _load_config(args, params, seed)
     report = time_to_ready(config, params)
@@ -487,10 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -223,7 +223,10 @@ class LinkKeyStore:
         self._flip_cache = (block, pos)
         return pos
 
-    def _check(self, side: int, n_bits: int) -> None:
+    def _check(self, side: int, n_bits: int, name: str) -> None:
+        # checked before the lookup: True and 1.0 hash and compare like 1
+        if not isinstance(side, (int, np.integer)) or isinstance(side, bool):
+            raise ValueError(f"{name} must be an int user index, got {side!r}")
         if side not in self._cursor:
             raise ValueError(f"user {side} is not an endpoint of link {self.users}")
         if not isinstance(n_bits, int) or isinstance(n_bits, bool) or n_bits < 0:
@@ -244,7 +247,7 @@ class LinkKeyStore:
         only on pool position. Advances only that endpoint's cursor;
         consumption counts each position once.
         """
-        self._check(side, n_bits)
+        self._check(side, n_bits, "side")
         start = self._advance(side, n_bits)
         out = self._pool_bytes(start, n_bits)
         if side == self.noisy_side:
@@ -262,7 +265,7 @@ class LinkKeyStore:
         empty int64 array on a noiseless link. Neither pad is drawn.
         Raises ValueError if the two cursors disagree.
         """
-        self._check(from_side, n_bits)
+        self._check(from_side, n_bits, "from_side")
         start = self._cursor[self.user_a]
         if self._cursor[self.user_b] != start:
             raise ValueError(

@@ -31,7 +31,7 @@ import numpy as np
 from ._bitops import flip_bits, pack_rows, packed_dtype, unpack_rows
 from .hashing import tags_of_arrays
 from .keystore import Network
-from .secparams import ProtocolParams, compute_delta, id_bits
+from .secparams import ProtocolParams, id_bits
 
 __all__ = [
     "OriginKeys",
@@ -302,6 +302,8 @@ class Sender:
         An index of -1, where Recipient._flat_slots puts a slot past the
         list, reads the list's first tag ("clip").
         """
+        if not self.prepared:
+            raise RuntimeError("prepare() must run before signing")
         p = self.params
         at = flat.reshape(-1)
         mults, offs = (keys.reshape(-1).take(at, mode="clip") for keys in self._issued)
@@ -333,14 +335,16 @@ class Recipient:
 
     def __init__(self, network: Network, params: ProtocolParams, index: int) -> None:
         _check_network(network, params)
-        if not 0 <= index < params.n_recipients:
+        # True and 1.0 compare like 1, so the type is checked too
+        if (not isinstance(index, (int, np.integer)) or isinstance(index, bool)
+                or not 0 <= index < params.n_recipients):
             raise ValueError(
-                f"recipient index must be in [0, {params.n_recipients}), got {index}"
+                f"recipient index must be an int in [0, {params.n_recipients}), got {index!r}"
             )
         self.network = network
         self.params = params
-        self.index = index
-        self.user = index + 1
+        self.index = int(index)
+        self.user = self.index + 1
         self._batch: tuple[np.ndarray, np.ndarray] | None = None  # until end_sharing
         self._partition: np.ndarray | None = None  # (n, k): row d is chunk d's slots
         self._id_bits = id_bits(params.n_recipients, params.k)
@@ -460,7 +464,7 @@ class Recipient:
                 f"{self.params.n_recipients} batches; distribution is incomplete"
             )
         _check_signature_match(signature, self.params)
-        level, s, delta = level_thresholds(self.params, level)
+        level, s, delta = self.params.thresholds(level)
         flat = self._flat_slots()
         published = signature.tags.reshape(-1).take(flat, mode="clip")
         counts = self._mismatch_counts(published, self._expected_tags(signature.message), flat)
@@ -504,14 +508,6 @@ class Recipient:
         _flat_slots() with "clip"; a slot at -1 counts as a mismatch.
         """
         return np.count_nonzero((flat < 0) | (published != expected), axis=1)
-
-
-def level_thresholds(params: ProtocolParams, level: int) -> tuple[int, float, float]:
-    """The level as an int, with its group threshold s and quorum delta."""
-    if not isinstance(level, (int, np.integer)) or isinstance(level, bool) or level not in params.s_levels:
-        raise ValueError(f"level must be in [-1, {params.l_max}], got {level!r}")
-    level = int(level)
-    return level, params.s_levels[level], compute_delta(level, params.d_r)
 
 
 def level_rule(counts: np.ndarray, k: int, s: float, delta: float):

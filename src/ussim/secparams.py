@@ -23,7 +23,8 @@ Probability arithmetic that can underflow is done in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from enum import Enum
 
 __all__ = [
@@ -300,8 +301,10 @@ class ProtocolParams:
 
     n_recipients is N; each recipient ends up holding N groups of k keys.
     msg_len_bits (a) and tag_len_bits (t) fix the hash family, so one key
-    costs a + t secret bits. s_levels maps every level in [l_max, -1] to its
-    mismatch threshold.
+    costs a + t secret bits. spec fixes the threshold ladder, and s_levels,
+    derived from it once, maps every level in [l_max, -1] to its mismatch
+    threshold. mode is the tail convention every bound of this set is
+    priced under.
     """
 
     n_recipients: int
@@ -309,9 +312,11 @@ class ProtocolParams:
     tag_len_bits: int
     l_max: int
     d_r: float
-    s_levels: dict[int, float]
     k: int
     p_target: float = 1e-10
+    spec: SLevelSpec = SLevelSpec()
+    mode: TailMode = TailMode.SQUARED
+    s_levels: dict[int, float] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_n(self.n_recipients)
@@ -338,17 +343,18 @@ class ProtocolParams:
             raise ValueError(f"k must be a positive int, got {self.k}")
         if not 0 < self.p_target < 1:
             raise ValueError(f"p_target must be in (0, 1), got {self.p_target}")
-        expected_levels = list(range(self.l_max, -2, -1))
-        if sorted(self.s_levels) != sorted(expected_levels):
-            raise ValueError(f"s_levels must cover levels {expected_levels}")
-        values = [self.s_levels[l] for l in expected_levels]
-        if any(not 0 < v < 0.5 for v in values):
-            raise ValueError("s_levels values must lie in (0, 0.5)")
-        gaps = [b - a for a, b in zip(values, values[1:])]
-        if any(g <= 0 for g in gaps):
-            raise ValueError("s_levels must increase strictly as the level decreases")
-        if max(gaps) - min(gaps) > 1e-12:
-            raise ValueError("s_levels must be evenly spaced")
+        if not isinstance(self.spec, SLevelSpec) or not isinstance(self.mode, TailMode):
+            raise ValueError(
+                f"spec must be an SLevelSpec and mode a TailMode, got {self.spec!r} and {self.mode!r}"
+            )
+        object.__setattr__(self, "s_levels", make_s_levels(self.l_max, self.spec))
+
+    def thresholds(self, level: int) -> tuple[int, float, float]:
+        """The level as an int, with its group threshold s and quorum delta."""
+        if not isinstance(level, numbers.Integral) or isinstance(level, bool) or level not in self.s_levels:
+            raise ValueError(f"level must be in [-1, {self.l_max}], got {level!r}")
+        level = int(level)
+        return level, self.s_levels[level], compute_delta(level, self.d_r)
 
     @classmethod
     def build(
@@ -379,9 +385,10 @@ class ProtocolParams:
             tag_len_bits=tag_len_bits,
             l_max=l_max,
             d_r=d_r,
-            s_levels=make_s_levels(l_max, spec),
             k=k,
             p_target=p_target,
+            spec=spec,
+            mode=mode,
         )
 
 
@@ -397,15 +404,16 @@ class BoundReport:
     p_forge: float
 
 
-def p_nontransfer(l: int, params: ProtocolParams, mode: TailMode = TailMode.SQUARED) -> BoundReport:
+def p_nontransfer(l: int, params: ProtocolParams) -> BoundReport:
     """Bound on a level-l acceptance failing to transfer to level l-1.
 
     The bound N_p * (N * (delta_l - d_R) + 1) * p_m, where N_p counts honest
-    verifier pairs and p_m is the per-group tail bound, is clamped to [0, 1]
-    like p_forge. The report also carries the forging bound at this level,
-    with p_t derived as the uniform-guessing pass probability.
+    verifier pairs and p_m is the per-group tail bound under params.mode, is
+    clamped to [0, 1] like p_forge. The report also carries the forging
+    bound at this level, with p_t derived as the uniform-guessing pass
+    probability.
     """
-    n, d_r, k = params.n_recipients, params.d_r, params.k
+    n, d_r, k, mode = params.n_recipients, params.d_r, params.k, params.mode
     log_p = _log_nontransfer(l, n, d_r, k, params.s_levels, mode)
     p_t = uniform_guess_pass_prob(k, params.tag_len_bits, params.s_levels[l])
     return BoundReport(

@@ -169,7 +169,7 @@ def test_criterion_6_repudiation_bound():
     best = {}
     for k, gammas in GAMMA_GRID.items():
         params = ProtocolParams.build(7, 8, 8, k=k)
-        bound = p_nontransfer(0, params, TailMode.SQUARED).p_nontransfer
+        bound = p_nontransfer(0, params).p_nontransfer
         rates = []
         for gamma in gammas:
             spec = AttackSpec(

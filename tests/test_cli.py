@@ -127,6 +127,22 @@ def test_attack_repudiation_csv():
     assert run_cli(*args).stdout == proc.stdout
 
 
+def test_attack_repudiation_bound_follows_the_tail_mode(capsys):
+    # the bound column is the level-0 p_nontransfer of the literal set that
+    # the header names, not the squared one
+    flags = ["--n", "7", "--k", "200", "--tail-mode", "literal"]
+    assert cli.main(["params", *flags]) == 0
+    level0 = next(l for l in capsys.readouterr().out.splitlines()
+                  if l.startswith("bound level=0:"))
+    p_nontransfer = level0.split("p_nontransfer=")[1].split()[0]
+    assert p_nontransfer == "1.2654065258038911e-09"
+    argv = ["attack", "--kind", "repudiation", "--gamma", "0.325", "--trials", "200", *flags]
+    assert cli.main(argv) == 0
+    comments, header, data = csv_parts(capsys.readouterr().out)
+    assert "# tail_mode=literal" in comments
+    assert dict(zip(header, data[0]))["bound"] == p_nontransfer
+
+
 def test_attack_forge_out_of_range_tags_exit_two_at_once():
     # t = 256 does not fit the wire header's tag field; the parameters must
     # be rejected before any of the 10**6 trials
@@ -315,6 +331,22 @@ def test_run_config_file_roundtrip(tmp_path):
     assert proc.returncode == 0
     assert "network: users=3 seed=7" in proc.stdout
     assert "consumed_total_bits=14" in proc.stdout
+
+
+def test_uss_seed_overrides_a_config_file_seed(tmp_path, monkeypatch, capsys):
+    # USS_SEED stands in for --seed with --config too, as the README says
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"users": 3}))
+    monkeypatch.delenv("USS_SEED", raising=False)
+    assert cli.main(["run", "--config", str(path), *SMALLEST, "--seed", "5"]) == 0
+    explicit = capsys.readouterr().out
+    assert "network: users=3 seed=5" in explicit
+    monkeypatch.setenv("USS_SEED", "5")
+    assert cli.main(["run", "--config", str(path), *SMALLEST]) == 0
+    assert capsys.readouterr().out == explicit
+    path.write_text(json.dumps({"users": 3, "seed": 7}))
+    assert cli.main(["run", "--config", str(path), *SMALLEST]) == 0
+    assert capsys.readouterr().out == explicit
 
 
 def test_run_config_unknown_key_is_named(tmp_path):

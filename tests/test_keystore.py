@@ -240,6 +240,18 @@ def test_otp_transfer_rejects_desynced_link_and_strangers():
     assert store.consumed_bits() == 10
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+def test_sides_that_are_not_int_user_indices_are_rejected_by_name(bad):
+    # True and 1.0 would otherwise find user 1's cursor
+    store = LinkKeyStore(0, 1)
+    with pytest.raises(ValueError, match="side must be an int"):
+        store.draw_shared(16, side=bad)
+    with pytest.raises(ValueError, match="from_side must be an int"):
+        store.otp_transfer(16, from_side=bad)
+    assert store.consumed_bits() == 0
+    assert np.array_equal(store.draw_shared(16, side=np.int64(1)), store.draw_shared(16, side=0))
+
+
 def test_store_validation():
     with pytest.raises(ValueError, match="distinct"):
         LinkKeyStore(1, 1)

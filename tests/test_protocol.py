@@ -436,6 +436,13 @@ def test_stage_ordering_is_enforced():
         recipient.send_share(recipient)
 
 
+def test_tags_at_before_prepare_raises_like_sign():
+    params = small_params(n=3, k=4)
+    sender = Sender(Network(NetworkConfig(n_users=4, seed=1)), params)
+    with pytest.raises(RuntimeError, match=r"prepare\(\) must run before signing"):
+        sender.tags_at(0, np.zeros((3, 4), dtype=np.intp))
+
+
 def test_duplicate_share_is_rejected():
     params = small_params(n=3, k=4)
     network = Network(NetworkConfig(n_users=4, seed=1))
@@ -490,6 +497,17 @@ def test_network_size_must_match_params():
         Recipient(network, params, 0)
     with pytest.raises(ValueError, match="index"):
         Recipient(Network(NetworkConfig(n_users=4)), params, 3)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, np.float64(1.0), "1"])
+def test_recipient_index_must_be_an_int(bad):
+    # True would become recipient 1, and 1.0 would fail later, inside receive_batch
+    params = small_params(n=3, k=4)
+    network = Network(NetworkConfig(n_users=4))
+    with pytest.raises(ValueError, match="recipient index must be an int"):
+        Recipient(network, params, bad)
+    recipient = Recipient(network, params, np.int64(1))
+    assert type(recipient.index) is int and recipient.user == 2
 
 
 def test_serialization_roundtrip():

@@ -329,6 +329,23 @@ def test_build_defaults():
     assert params.d_r == 1 / 7
     assert params.k == 900
     assert params.s_levels == {1: 0.005, 0: 0.252, -1: 0.499}
+    assert (params.spec, params.mode) == (SLevelSpec(), TailMode.SQUARED)
+
+
+def test_params_carry_their_spec_and_tail_mode():
+    spec = SLevelSpec(eps1=0.01, eps2=0.002)
+    params = ProtocolParams.build(7, 8, 8, spec=spec, mode=TailMode.LITERAL)
+    assert (params.spec, params.mode) == (spec, TailMode.LITERAL)
+    assert params.k == solve_k(1e-10, 7, 1, spec, TailMode.LITERAL)
+    levels = make_s_levels(1, spec)
+    assert params.s_levels == levels
+    # the bounds are priced under the set's own tail mode
+    squared = dataclasses.replace(params, mode=TailMode.SQUARED)
+    for level in (1, 0):
+        literal_p_m = tail_bound_pm(level, params.k, levels, TailMode.LITERAL)
+        assert p_nontransfer(level, params).p_m == literal_p_m
+        assert p_nontransfer(level, squared).p_m == tail_bound_pm(level, params.k, levels)
+    assert params.thresholds(0) == (0, levels[0], compute_delta(0, params.d_r))
 
 
 def test_build_wide_message_caps_tag_length():
@@ -345,7 +362,6 @@ def test_params_reject_non_int_fields(field):
 
 
 def test_params_validation_messages():
-    good = ProtocolParams.build(7, 8, 8, k=10)
     with pytest.raises(ValueError, match="tag_len_bits"):
         ProtocolParams.build(7, 8, 9, k=10)
     with pytest.raises(ValueError, match="k"):
@@ -356,26 +372,16 @@ def test_params_validation_messages():
         ProtocolParams.build(7, 8, 8, l_max=2, d_r=0.2, k=10)
     with pytest.raises(ValueError, match="p_target"):
         ProtocolParams.build(7, 8, 8, k=10, p_target=0.0)
-    with pytest.raises(ValueError, match="evenly spaced"):
-        ProtocolParams(
-            n_recipients=good.n_recipients,
-            msg_len_bits=good.msg_len_bits,
-            tag_len_bits=good.tag_len_bits,
-            l_max=1,
-            d_r=good.d_r,
-            s_levels={1: 0.005, 0: 0.1, -1: 0.499},
-            k=10,
-        )
-    with pytest.raises(ValueError, match="cover levels"):
-        ProtocolParams(
-            n_recipients=good.n_recipients,
-            msg_len_bits=good.msg_len_bits,
-            tag_len_bits=good.tag_len_bits,
-            l_max=1,
-            d_r=good.d_r,
-            s_levels={0: 0.005, -1: 0.499},
-            k=10,
-        )
+
+
+def test_params_reject_spec_and_mode_of_the_wrong_type():
+    good = ProtocolParams.build(7, 8, 8, k=10)
+    with pytest.raises(ValueError, match="spec must be an SLevelSpec"):
+        dataclasses.replace(good, spec=(0.005, 0.001))
+    with pytest.raises(ValueError, match="mode a TailMode"):
+        dataclasses.replace(good, mode="squared")
+    with pytest.raises(ValueError, match="mode a TailMode"):
+        ProtocolParams.build(7, 8, 8, k=10, mode="literal")
 
 
 def test_build_rejects_widths_past_the_field_and_header():
