@@ -44,15 +44,12 @@ from .secparams import (
     uniform_guess_pass_prob,
 )
 from .simlab import (
-    AttackKind,
     AttackResult,
-    AttackSpec,
     RunOutcome,
     SweepResult,
     attack_forge,
     attack_repudiation,
     expected_mismatch_fraction,
-    run_attack,
     run_honest,
     sweep_consumption,
     sweep_error_tolerance,
@@ -98,12 +95,9 @@ __all__ = [
     "wilson_interval",
     "RunOutcome",
     "run_honest",
-    "AttackKind",
-    "AttackSpec",
     "AttackResult",
     "attack_repudiation",
     "attack_forge",
-    "run_attack",
     "expected_mismatch_fraction",
     "SweepResult",
     "sweep_consumption",

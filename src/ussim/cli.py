@@ -31,10 +31,9 @@ from .secparams import (
     p_nontransfer,
 )
 from .simlab import (
-    AttackKind,
-    AttackSpec,
     SweepResult,
-    run_attack,
+    attack_forge,
+    attack_repudiation,
     run_honest,
     sweep_consumption,
     sweep_error_tolerance,
@@ -262,35 +261,31 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 def _cmd_attack(args) -> int:
     params = _resolve_params(args)
     seed = _resolve_seed(args)
-    kind = AttackKind(args.kind)
-    attack_spec = AttackSpec(
-        kind=kind,
-        trials=args.trials,
-        seed=seed,
-        gamma=_parse_gamma(args.gamma) if args.gamma is not None else None,
-        forger=args.forger,
-        colluders=_parse_indices(args.colluders),
-        target=args.target,
-        level=args.level,
-        redraw_every=args.redraw_every,
-        enforce_collusion_bound=not args.allow_oversized_collusion,
-    )
-    result = run_attack(attack_spec, params)
-    extra = {"kind": kind.value, "trials": args.trials, "seed": seed}
-    if kind is AttackKind.REPUDIATION:
+    # both flags are parsed for either kind, so a malformed one always exits 2
+    gamma = _parse_gamma(args.gamma) if args.gamma is not None else None
+    colluders = _parse_indices(args.colluders)
+    if args.kind == "repudiation":
+        result = attack_repudiation(gamma, params, trials=args.trials, seed=seed)
         columns = ("gamma", "trials", "successes", "rate",
                    "wilson_low", "wilson_high", "bound", "bound_level")
         row = (args.gamma, result.trials, result.successes, result.rate,
                result.wilson_low, result.wilson_high, result.bound, result.bound_level)
     else:
+        result = attack_forge(
+            params, trials=args.trials, seed=seed, forger=args.forger,
+            colluders=colluders, target=args.target, level=args.level,
+            redraw_every=args.redraw_every,
+            enforce_collusion_bound=not args.allow_oversized_collusion,
+        )
         columns = ("forger", "colluders", "target", "level", "trials", "successes",
                    "rate", "wilson_low", "wilson_high", "bound", "bound_level")
-        row = (attack_spec.forger,
-               ";".join(str(c) for c in attack_spec.colluders),
-               params.n_recipients - 1 if attack_spec.target is None else attack_spec.target,
+        row = (args.forger,
+               ";".join(str(c) for c in colluders),
+               params.n_recipients - 1 if args.target is None else args.target,
                result.bound_level, result.trials, result.successes, result.rate,
                result.wilson_low, result.wilson_high, result.bound, result.bound_level)
-    table = SweepResult(axis="attack", columns=columns, rows=(row,))
+    extra = {"kind": args.kind, "trials": args.trials, "seed": seed}
+    table = SweepResult(columns=columns, rows=(row,))
     _emit(table.to_csv(_param_comments(params, extra)), args.out)
     return 0
 

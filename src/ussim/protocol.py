@@ -536,8 +536,9 @@ def run_distribution(
     of n(n-1). Recipient h ends up with exactly the keys a full run gives
     it, since every batch is still received and partitioned; the other
     recipients send only their share for h and cannot verify. h's own
-    transfers only spend their pad positions, so every link cursor and
-    every consumption count still equals a full run's.
+    transfers only spend their pad positions, so the cursor and consumption
+    count of every sender link and every link of h still equal a full
+    run's. A link between two other recipients carries nothing.
     """
     n = params.n_recipients
     if holder is not None and (

@@ -130,6 +130,8 @@ def make_s_levels(l_max: int, spec: SLevelSpec = SLevelSpec()) -> dict[int, floa
     """
     if not isinstance(l_max, int) or isinstance(l_max, bool) or l_max < 0:
         raise ValueError(f"l_max must be a non-negative int, got {l_max}")
+    if not isinstance(spec, SLevelSpec):
+        raise ValueError(f"spec must be an SLevelSpec, got {spec!r}")
     gap = (0.5 - spec.eps2 - spec.eps1) / (l_max + 1)
     return {l: spec.eps1 + (l_max - l) * gap for l in range(l_max, -2, -1)}
 
@@ -160,7 +162,9 @@ def _log_tail(l: int, k: int, s_levels: dict[int, float], mode: TailMode) -> flo
         raise ValueError(f"threshold gap between levels {l - 1} and {l} must be positive")
     if mode is TailMode.SQUARED:
         return -(gap * gap) * k / 2
-    return -gap * k / 2
+    if mode is TailMode.LITERAL:
+        return -gap * k / 2
+    raise ValueError(f"mode must be a TailMode, got {mode!r}")
 
 
 def tail_bound_pm(l: int, k: int, s_levels: dict[int, float], mode: TailMode = TailMode.SQUARED) -> float:
@@ -419,7 +423,7 @@ def p_nontransfer(l: int, params: ProtocolParams) -> BoundReport:
     return BoundReport(
         level=l,
         n_p=_honest_pairs(n, d_r),
-        p_m=math.exp(_log_tail(l, k, params.s_levels, mode)),
+        p_m=tail_bound_pm(l, k, params.s_levels, mode),
         p_nontransfer=min(1.0, math.exp(log_p)),
         p_t=p_t,
         p_forge=p_forge(n, d_r, p_t),

@@ -12,7 +12,6 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,12 +36,9 @@ __all__ = [
     "wilson_interval",
     "RunOutcome",
     "run_honest",
-    "AttackKind",
-    "AttackSpec",
     "AttackResult",
     "attack_repudiation",
     "attack_forge",
-    "run_attack",
     "expected_mismatch_fraction",
     "SweepResult",
     "sweep_consumption",
@@ -146,47 +142,8 @@ def run_honest(
     )
 
 
-class AttackKind(Enum):
-    REPUDIATION = "repudiation"
-    FORGE = "forge"
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """Adversary strategy plus trial budget.
-
-    REPUDIATION uses gamma: the fraction of tags the dishonest sender
-    corrupts inside each batch, either one number for all batches or one
-    per batch. FORGE uses forger, colluders, target and level: the forger
-    and colluders pool full knowledge of their own batches and guess every
-    other tag uniformly, aiming at the target's acceptance test at the
-    given level. Colluder sets larger than floor(d_r * n) are outside the
-    security model and rejected unless enforce_collusion_bound is off.
-    """
-
-    kind: AttackKind
-    trials: int
-    seed: int = 0
-    gamma: float | tuple[float, ...] | None = None
-    forger: int = 0
-    colluders: tuple[int, ...] = ()
-    target: int | None = None
-    level: int | None = None
-    redraw_every: int = 512
-    enforce_collusion_bound: bool = True
-
-    def __post_init__(self) -> None:
-        if not _is_int(self.trials) or self.trials < 1:
-            raise ValueError(f"trials must be a positive int, got {self.trials!r}")
-        if not _is_int(self.redraw_every) or self.redraw_every < 1:
-            raise ValueError(f"redraw_every must be a positive int, got {self.redraw_every!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
-
-
 @dataclass(frozen=True)
 class AttackResult:
-    kind: AttackKind
     trials: int
     successes: int
     rate: float
@@ -196,20 +153,26 @@ class AttackResult:
     bound_level: int
 
 
-def _attack_result(spec: AttackSpec, successes: int, bound: float, level: int) -> AttackResult:
-    low, high = wilson_interval(successes, spec.trials)
-    return AttackResult(kind=spec.kind, trials=spec.trials, successes=successes,
-                        rate=successes / spec.trials, wilson_low=low, wilson_high=high,
-                        bound=bound, bound_level=level)
+def _check_trials_and_seed(trials: int, seed: int) -> None:
+    if not _is_int(trials) or trials < 1:
+        raise ValueError(f"trials must be a positive int, got {trials!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
 
 
-def _gammas(spec: AttackSpec, n: int) -> tuple[float, ...]:
-    if spec.gamma is None:
+def _attack_result(trials: int, successes: int, bound: float, level: int) -> AttackResult:
+    low, high = wilson_interval(successes, trials)
+    return AttackResult(trials=trials, successes=successes, rate=successes / trials,
+                        wilson_low=low, wilson_high=high, bound=bound, bound_level=level)
+
+
+def _gammas(gamma, n: int) -> tuple[float, ...]:
+    if gamma is None:
         raise ValueError("repudiation needs gamma (one number, or one per batch)")
     try:
-        gam = (spec.gamma,) * n if isinstance(spec.gamma, numbers.Real) else tuple(spec.gamma)
+        gam = (gamma,) * n if isinstance(gamma, numbers.Real) else tuple(gamma)
     except TypeError:
-        raise ValueError(f"gamma must be a real number or one per batch, got {spec.gamma!r}") from None
+        raise ValueError(f"gamma must be a real number or one per batch, got {gamma!r}") from None
     if len(gam) != n:
         raise ValueError(f"gamma must give {n} per-batch fractions, got {len(gam)}")
     for g in gam:
@@ -221,16 +184,21 @@ def _gammas(spec: AttackSpec, n: int) -> tuple[float, ...]:
 
 
 def attack_repudiation(
-    spec: AttackSpec,
+    gamma: float | Sequence[float],
     params: ProtocolParams,
+    *,
+    trials: int,
+    seed: int = 0,
 ) -> AttackResult:
     """Dishonest-sender experiment: split the honest recipients.
 
-    Per trial the sender corrupts floor(gamma_g * n * k) tags inside each
-    batch g; every recipient's private uniform partition then decides how
-    many corrupted slots land in each holder's chunk. Success means some
-    honest recipient accepts at level 0 while another would reject the
-    forwarded message at level -1.
+    gamma is the fraction of tags the sender corrupts inside each batch,
+    either one number for all batches or one per batch. Per trial the
+    sender corrupts floor(gamma_g * n * k) tags inside each batch g; every
+    recipient's private uniform partition then decides how many corrupted
+    slots land in each holder's chunk. Success means some honest recipient
+    accepts at level 0 while another would reject the forwarded message at
+    level -1.
 
     Over noiseless links a recipient's group-g mismatch count equals the
     number of corrupted slots in its chunk of batch g, and those counts
@@ -238,14 +206,13 @@ def attack_repudiation(
     therefore draw the counts directly instead of replaying the protocol;
     the reported rate is distributed identically to the full replay.
     """
-    if spec.kind is not AttackKind.REPUDIATION:
-        raise ValueError(f"spec.kind must be REPUDIATION, got {spec.kind.name}")
+    _check_trials_and_seed(trials, seed)
     n, k = params.n_recipients, params.k
-    gammas = _gammas(spec, n)
+    gammas = _gammas(gamma, n)
     corrupt = [math.floor(g * n * k + 1e-9) for g in gammas]
-    rng = np.random.default_rng([spec.seed, _REPUDIATION_STREAM])
+    rng = np.random.default_rng([seed, _REPUDIATION_STREAM])
     # counts[trial, holder, g]: the holder's mismatches in batch g
-    counts = np.empty((spec.trials, n, n), dtype=np.int64)
+    counts = np.empty((trials, n, n), dtype=np.int64)
     for g in range(n):
         m = corrupt[g]
         if m == 0:
@@ -254,13 +221,13 @@ def attack_repudiation(
             counts[:, :, g] = k
         else:
             counts[:, :, g] = rng.multivariate_hypergeometric(
-                [k] * n, m, size=spec.trials
+                [k] * n, m, size=trials
             )
     _, accept_zero = level_rule(counts, k, *params.thresholds(0)[1:])
     _, accept_base = level_rule(counts, k, *params.thresholds(-1)[1:])
     success = accept_zero.any(axis=1) & ~accept_base.all(axis=1)
     bound = p_nontransfer(0, params).p_nontransfer
-    return _attack_result(spec, int(success.sum()), bound, 0)
+    return _attack_result(trials, int(success.sum()), bound, 0)
 
 
 def _uniform_tags(rng: np.random.Generator, size: int, tag_len_bits: int) -> np.ndarray:
@@ -276,54 +243,68 @@ def _uniform_tags(rng: np.random.Generator, size: int, tag_len_bits: int) -> np.
                        start=-tag_len_bits % 8, stride=32 * words)
 
 
-def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
+def attack_forge(
+    params: ProtocolParams,
+    *,
+    trials: int,
+    seed: int = 0,
+    forger: int = 0,
+    colluders: Sequence[int] = (),
+    target: int | None = None,
+    level: int | None = None,
+    redraw_every: int = 512,
+    enforce_collusion_bound: bool = True,
+) -> AttackResult:
     """Colluding recipients try to pass off their own message as signed.
 
     The forger saw its whole batch during preparation, and so did each
     colluder, so tags for those batches are computed honestly; every
     other tag is a uniform guess. The batches the target contributed and
     holds shares of stay unknown because partition chunks never overlap.
-    The target judges each trial's mismatch counts by the real acceptance
-    rule at the requested level over a noiseless network, and only its
-    share transfers run.
+    The target (default n - 1) judges each trial's mismatch counts by the
+    real acceptance rule at the requested level (default l_max) over a
+    noiseless network, and only its share transfers run. Colluder sets
+    larger than floor(d_r * n) are outside the security model and rejected
+    unless enforce_collusion_bound is off.
 
     The distribution, the known tags, the target's expected tags and its
-    held-slot index are redrawn every spec.redraw_every trials; a trial
+    held-slot index are redrawn every redraw_every trials; a trial
     redraws only the guesses. Reuse is statistically free here: with q=0
     the known batches always pass and each guessed tag matches
     independently with probability 2^-t, whatever the distribution
     outcome was.
     """
-    if spec.kind is not AttackKind.FORGE:
-        raise ValueError(f"spec.kind must be FORGE, got {spec.kind.name}")
+    _check_trials_and_seed(trials, seed)
+    if not _is_int(redraw_every) or redraw_every < 1:
+        raise ValueError(f"redraw_every must be a positive int, got {redraw_every!r}")
     n, k = params.n_recipients, params.k
     a, t = params.msg_len_bits, params.tag_len_bits
-    target = n - 1 if spec.target is None else spec.target
-    level, s, delta = params.thresholds(params.l_max if spec.level is None else spec.level)
-    members = (spec.forger, *spec.colluders, target)
-    for who, name in ((spec.forger, "forger"), (target, "target"), *((c, "colluder") for c in spec.colluders)):
+    target = n - 1 if target is None else target
+    level, s, delta = params.thresholds(params.l_max if level is None else level)
+    members = (forger, *colluders, target)
+    for who, name in ((forger, "forger"), (target, "target"), *((c, "colluder") for c in colluders)):
         if not isinstance(who, (int, np.integer)) or isinstance(who, bool) or not 0 <= who < n:
             raise ValueError(f"{name} index must be an int in [0, {n}), got {who!r}")
     if len(set(members)) != len(members):
         raise ValueError("forger, colluders and target must be distinct recipients")
     allowed = math.floor(params.d_r * n + 1e-9)
-    if spec.enforce_collusion_bound and len(spec.colluders) > allowed:
+    if enforce_collusion_bound and len(colluders) > allowed:
         raise ValueError(
-            f"colluder set of size {len(spec.colluders)} exceeds the model's "
+            f"colluder set of size {len(colluders)} exceeds the model's "
             f"floor(d_r * n) = {allowed}; pass enforce_collusion_bound=False "
             f"to simulate outside the model"
         )
     # priced before the trials, so a bound that cannot be computed costs no trial
     bound = p_forge(n, params.d_r, uniform_guess_pass_prob(k, t, s))
-    known = sorted({spec.forger, *spec.colluders})
+    known = sorted({forger, *colluders})
     unknown = [g for g in range(n) if g not in known]
-    net_rng = np.random.default_rng([spec.seed, _FORGE_NET_STREAM])
-    guess_rng = np.random.default_rng([spec.seed, _FORGE_GUESS_STREAM])
+    net_rng = np.random.default_rng([seed, _FORGE_NET_STREAM])
+    guess_rng = np.random.default_rng([seed, _FORGE_GUESS_STREAM])
     tags = np.empty((n, n * k), dtype=packed_dtype(t))
     successes = 0
     done = 0
-    while done < spec.trials:
-        block = min(spec.redraw_every, spec.trials - done)
+    while done < trials:
+        block = min(redraw_every, trials - done)
         config = NetworkConfig(n_users=n + 1, seed=int(net_rng.integers(0, _SEED_SPAN)))
         sender, recipients = run_distribution(Network(config), params, holder=target)
         message = _random_message(net_rng, a)
@@ -339,13 +320,7 @@ def attack_forge(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
             counts[trial] = verifier._mismatch_counts(published, expected, flat)
         successes += int(np.count_nonzero(level_rule(counts, k, s, delta)[1]))
         done += block
-    return _attack_result(spec, successes, bound, level)
-
-
-def run_attack(spec: AttackSpec, params: ProtocolParams) -> AttackResult:
-    if spec.kind is AttackKind.REPUDIATION:
-        return attack_repudiation(spec, params)
-    return attack_forge(spec, params)
+    return _attack_result(trials, successes, bound, level)
 
 
 def expected_mismatch_fraction(q: float, msg_len_bits: int, tag_len_bits: int) -> float:
@@ -365,7 +340,6 @@ def expected_mismatch_fraction(q: float, msg_len_bits: int, tag_len_bits: int) -
 class SweepResult:
     """One table of sweep outputs, ready for CSV emission."""
 
-    axis: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
 
@@ -464,7 +438,7 @@ def sweep_consumption(
                 lit.total_bits,
             )
         )
-    return SweepResult(axis=axis, columns=columns, rows=tuple(rows))
+    return SweepResult(columns=columns, rows=tuple(rows))
 
 
 def sweep_error_tolerance(
@@ -493,10 +467,7 @@ def sweep_error_tolerance(
     level of the unadjusted ladder, and bad trials or seed before any
     work.
     """
-    if not _is_int(trials) or trials < 1:
-        raise ValueError(f"trials must be a positive int, got {trials!r}")
-    if not _is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+    _check_trials_and_seed(trials, seed)
     q_values = [float(q) for q in q_values]
     if not q_values:
         raise ValueError("sweep needs at least one q value")
@@ -573,4 +544,4 @@ def sweep_error_tolerance(
                 high,
             )
         )
-    return SweepResult(axis="q", columns=columns, rows=tuple(rows))
+    return SweepResult(columns=columns, rows=tuple(rows))

@@ -35,8 +35,6 @@ from ussim.secparams import (
     uniform_guess_pass_prob,
 )
 from ussim.simlab import (
-    AttackKind,
-    AttackSpec,
     attack_forge,
     attack_repudiation,
     expected_mismatch_fraction,
@@ -139,16 +137,13 @@ def test_criterion_4_hash_family_bound():
 
 def test_criterion_5_forging_oracle_match():
     params = ProtocolParams.build(3, 8, 1, l_max=1, d_r=0.0, k=4)
-    spec = AttackSpec(
-        kind=AttackKind.FORGE, trials=100_000, seed=11, target=2, level=0
-    )
-    result = attack_forge(spec, params)
+    result = attack_forge(params, trials=100_000, seed=11, target=2, level=0)
     # the forger's own batch always passes; each of the other two batches
     # passes when at most 1 of its 4 one-bit guesses mismatches
     p_group = reference.binom_cdf(1, 4, 0.5)
     exact = 1.0 - (1.0 - p_group) ** 2
     assert exact == 135 / 256
-    sigma = math.sqrt(exact * (1 - exact) / spec.trials)
+    sigma = math.sqrt(exact * (1 - exact) / result.trials)
     assert abs(result.rate - exact) <= 3 * sigma
     p_t = uniform_guess_pass_prob(4, 1, params.s_levels[0])
     assert p_t == p_group
@@ -172,10 +167,7 @@ def test_criterion_6_repudiation_bound():
         bound = p_nontransfer(0, params).p_nontransfer
         rates = []
         for gamma in gammas:
-            spec = AttackSpec(
-                kind=AttackKind.REPUDIATION, trials=10_000, seed=6, gamma=gamma
-            )
-            result = attack_repudiation(spec, params)
+            result = attack_repudiation(gamma, params, trials=10_000, seed=6)
             assert result.bound == bound
             sigma = math.sqrt(
                 max(result.rate * (1 - result.rate), 1e-8) / result.trials

@@ -16,13 +16,7 @@ import pytest
 from ussim.keystore import Network, NetworkConfig
 from ussim.protocol import run_distribution
 from ussim.secparams import ProtocolParams
-from ussim.simlab import (
-    AttackKind,
-    AttackSpec,
-    attack_forge,
-    run_honest,
-    sweep_error_tolerance,
-)
+from ussim.simlab import attack_forge, run_honest, sweep_error_tolerance
 
 
 def _sha256(data: bytes) -> str:
@@ -96,11 +90,10 @@ def test_error_tolerance_sweep_csv():
 
 def test_forge_attack_result():
     params = ProtocolParams.build(3, 8, 1, k=4)
-    spec = AttackSpec(kind=AttackKind.FORGE, trials=600, seed=8, redraw_every=200)
-    result = attack_forge(spec, params)
+    result = attack_forge(params, trials=600, seed=8, redraw_every=200)
     assert result.successes > 0
     assert _sha256(repr(result).encode()) == (
-        "197a8dd5dd3583128322b04abee7d63c6fdb6b99872dd9dee798e8f932f804af"
+        "75c1de58aabd980acb1fc0f78c98de996ed162804a23e6b8ed8e657a9d678489"
     )
 
 
@@ -108,11 +101,8 @@ def test_forge_attack_result_target_not_last():
     # only the target's links carry shares, so a target at index 0 pins
     # the link-by-link transfer order from the low end
     params = ProtocolParams.build(4, 8, 1, k=3)
-    spec = AttackSpec(
-        kind=AttackKind.FORGE, trials=600, seed=9, redraw_every=200, forger=2, target=0
-    )
-    result = attack_forge(spec, params)
+    result = attack_forge(params, trials=600, seed=9, redraw_every=200, forger=2, target=0)
     assert result.successes == 31
     assert _sha256(repr(result).encode()) == (
-        "7124eb88bee1cc2a593fa7354e3084905bc6d6d003d3f453e716b52476c79ffb"
+        "5ebe83698f2389c85af8a732247e61aa791a2e18df7b9f94f37b4b6cbaac4b77"
     )

@@ -709,6 +709,12 @@ def test_holder_gets_the_keys_of_a_full_run(n, noisy):
                 assert net.link(h + 1, u).consumed_bits() == (
                     full_net.link(h + 1, u).consumed_bits()
                 )
+        # sender links match a full run; links between two other recipients stay unread
+        for u in range(1, n + 1):
+            assert net.link(0, u).consumed_bits() == full_net.link(0, u).consumed_bits()
+            for v in range(u + 1, n + 1):
+                if h + 1 not in (u, v):
+                    assert net.link(u, v).consumed_bits() == 0
         # no share leaves h, so even at n = 2 the other recipient lacks one
         for other in recipients:
             if other.index != h:

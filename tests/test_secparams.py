@@ -384,6 +384,19 @@ def test_params_reject_spec_and_mode_of_the_wrong_type():
         ProtocolParams.build(7, 8, 8, k=10, mode="literal")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve_k(1e-10, 7, 1, mode="squared"), "mode must be a TailMode"),
+    (lambda: tail_bound_pm(1, 10, make_s_levels(1), "squared"), "mode must be a TailMode"),
+    (lambda: make_s_levels(1, (0.005, 0.001)), "spec must be an SLevelSpec"),
+    (lambda: ProtocolParams.build(7, 8, 8, spec=(0.005, 0.001)), "spec must be an SLevelSpec"),
+], ids=["solve_k", "tail_bound_pm", "make_s_levels", "build_solving_k"])
+def test_mistyped_mode_or_spec_is_rejected_where_it_enters(call, message):
+    # a tail mode string used to be priced as LITERAL, and a spec tuple
+    # raised AttributeError
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_build_rejects_widths_past_the_field_and_header():
     # a > 4096 has no modulus from find_irreducible and t > 255 does not fit
     # the signature header; both used to fail only partway through a run

@@ -1,5 +1,4 @@
 """Experiments: honest runs, adversary Monte Carlo, parameter sweeps."""
-import dataclasses
 import math
 
 import numpy as np
@@ -14,13 +13,10 @@ from ussim.keystore import Network, NetworkConfig
 from ussim.protocol import Sender, Signature, run_distribution
 from ussim.secparams import CostMode, ProtocolParams, consumption
 from ussim.simlab import (
-    AttackKind,
-    AttackSpec,
     SweepResult,
     attack_forge,
     attack_repudiation,
     expected_mismatch_fraction,
-    run_attack,
     run_honest,
     sweep_consumption,
     sweep_error_tolerance,
@@ -99,16 +95,14 @@ def test_run_honest_rejects_under_heavy_noise():
 def test_repudiation_gamma_endpoints_never_split():
     params = ProtocolParams.build(7, 8, 8, k=30)
     for gamma in (0.0, 1.0):
-        spec = AttackSpec(kind=AttackKind.REPUDIATION, trials=500, gamma=gamma)
-        assert attack_repudiation(spec, params).successes == 0
+        assert attack_repudiation(gamma, params, trials=500).successes == 0
 
 
 def test_repudiation_gamma_accepts_any_real_scalar():
     params = ProtocolParams.build(3, 8, 8, k=10)
 
     def run(gamma):
-        spec = AttackSpec(kind=AttackKind.REPUDIATION, trials=200, seed=4, gamma=gamma)
-        return attack_repudiation(spec, params)
+        return attack_repudiation(gamma, params, trials=200, seed=4)
 
     # int 0 and 1 used to raise TypeError: only a float counted as one gamma
     assert run(1) == run(1.0)
@@ -120,19 +114,14 @@ def test_repudiation_rejects_bool_and_non_numeric_gamma():
     params = ProtocolParams.build(3, 8, 8, k=10)
     for bad in (True, np.bool_(False), (0.5, True, 0.5), ("0.5",) * 3, object()):
         with pytest.raises(ValueError, match="gamma"):
-            attack_repudiation(
-                AttackSpec(kind=AttackKind.REPUDIATION, trials=10, gamma=bad), params
-            )
+            attack_repudiation(bad, params, trials=10)
 
 
 def test_repudiation_rate_decreases_with_k():
     rates = {}
     for k, gamma in ((10, 0.325), (20, 0.375), (30, 0.35)):
         params = ProtocolParams.build(7, 8, 8, k=k)
-        spec = AttackSpec(
-            kind=AttackKind.REPUDIATION, trials=10_000, seed=1, gamma=gamma
-        )
-        result = attack_repudiation(spec, params)
+        result = attack_repudiation(gamma, params, trials=10_000, seed=1)
         rates[k] = result.rate
         sigma = math.sqrt(max(result.rate, 1e-4) * (1 - result.rate) / result.trials)
         assert result.rate <= result.bound + 3 * sigma
@@ -165,10 +154,7 @@ def test_repudiation_matches_full_protocol_replay():
         reject_base = any(not r.verify(corrupted, -1).accepted for r in recipients)
         successes += accept_zero and reject_base
     replay_rate = successes / trials
-    fast = attack_repudiation(
-        AttackSpec(kind=AttackKind.REPUDIATION, trials=10_000, seed=0, gamma=gamma),
-        params,
-    )
+    fast = attack_repudiation(gamma, params, trials=10_000, seed=0)
     sigma = math.sqrt(
         fast.rate * (1 - fast.rate) / trials + fast.rate * (1 - fast.rate) / fast.trials
     )
@@ -178,61 +164,48 @@ def test_repudiation_matches_full_protocol_replay():
 def test_repudiation_spec_validation():
     params = ProtocolParams.build(7, 8, 8, k=10)
     with pytest.raises(ValueError, match="gamma"):
-        attack_repudiation(
-            AttackSpec(kind=AttackKind.REPUDIATION, trials=10), params
-        )
+        attack_repudiation(None, params, trials=10)
     with pytest.raises(ValueError, match="7"):
-        attack_repudiation(
-            AttackSpec(kind=AttackKind.REPUDIATION, trials=10, gamma=(0.5, 0.5)),
-            params,
-        )
+        attack_repudiation((0.5, 0.5), params, trials=10)
     with pytest.raises(ValueError, match="gamma entries"):
-        attack_repudiation(
-            AttackSpec(kind=AttackKind.REPUDIATION, trials=10, gamma=1.5), params
-        )
-    with pytest.raises(ValueError, match="REPUDIATION"):
-        attack_repudiation(
-            AttackSpec(kind=AttackKind.FORGE, trials=10), params
-        )
+        attack_repudiation(1.5, params, trials=10)
 
 
 def test_attack_spec_validation():
+    params = ProtocolParams.build(3, 8, 8, l_max=0, d_r=0.0, k=8)
     with pytest.raises(ValueError, match="trials"):
-        AttackSpec(kind=AttackKind.FORGE, trials=0)
+        attack_forge(params, trials=0)
     with pytest.raises(ValueError, match="redraw_every"):
-        AttackSpec(kind=AttackKind.FORGE, trials=1, redraw_every=0)
+        attack_forge(params, trials=1, redraw_every=0)
     with pytest.raises(ValueError, match="seed"):
-        AttackSpec(kind=AttackKind.FORGE, trials=1, seed=-1)
+        attack_forge(params, trials=1, seed=-1)
     with pytest.raises(ValueError, match="trials"):
-        AttackSpec(kind=AttackKind.FORGE, trials=True)
+        attack_forge(params, trials=True)
 
 
 def test_attack_spec_rejects_bool_seed_and_redraw_every():
+    params = ProtocolParams.build(3, 8, 8, l_max=0, d_r=0.0, k=8)
     with pytest.raises(ValueError, match="seed"):
-        AttackSpec(kind=AttackKind.FORGE, trials=1, seed=True)
+        attack_forge(params, trials=1, seed=True)
     with pytest.raises(ValueError, match="redraw_every"):
-        AttackSpec(kind=AttackKind.FORGE, trials=1, redraw_every=True)
+        attack_forge(params, trials=1, redraw_every=True)
 
 
 def test_forge_rate_matches_exact_binomial_small_case():
     # one known batch always passes; each unknown batch passes when at
     # most 1 of 4 uniform 1-bit guesses mismatches
     params = ProtocolParams.build(3, 8, 1, l_max=1, d_r=0.0, k=4)
-    spec = AttackSpec(
-        kind=AttackKind.FORGE, trials=20_000, seed=3, target=2, level=0
-    )
-    result = attack_forge(spec, params)
+    result = attack_forge(params, trials=20_000, seed=3, target=2, level=0)
     p_group = reference.binom_cdf(1, 4, 0.5)
     exact = 1 - (1 - p_group) ** 2
     assert exact == 135 / 256
-    sigma = math.sqrt(exact * (1 - exact) / spec.trials)
+    sigma = math.sqrt(exact * (1 - exact) / result.trials)
     assert abs(result.rate - exact) <= 4 * sigma
 
 
 def test_forge_long_tags_never_pass():
     params = ProtocolParams.build(3, 32, 32, l_max=0, d_r=0.0, k=6)
-    spec = AttackSpec(kind=AttackKind.FORGE, trials=2000, seed=0, target=2)
-    assert attack_forge(spec, params).successes == 0
+    assert attack_forge(params, trials=2000, seed=0, target=2).successes == 0
 
 
 def test_forge_checks_its_bound_before_any_trial(monkeypatch):
@@ -249,9 +222,8 @@ def test_forge_checks_its_bound_before_any_trial(monkeypatch):
     monkeypatch.setattr(simlab, "run_distribution", no_trials)
     monkeypatch.setattr(simlab, "uniform_guess_pass_prob", no_bound)
     params = ProtocolParams.build(3, 128, 96, l_max=0, d_r=0.0, k=900)
-    spec = AttackSpec(kind=AttackKind.FORGE, trials=10**9, target=2)
     with pytest.raises(ValueError, match="tag_len_bits"):
-        attack_forge(spec, params)
+        attack_forge(params, trials=10**9, target=2)
 
 
 @pytest.mark.parametrize("level", [np.int64(0), True, 1.0, "0"])
@@ -267,14 +239,40 @@ def test_forge_checks_its_level_before_any_distribution(monkeypatch, level):
 
     monkeypatch.setattr(simlab, "run_distribution", counted)
     params = ProtocolParams.build(3, 8, 1, l_max=1, d_r=0.0, k=4)
-    spec = AttackSpec(kind=AttackKind.FORGE, trials=300, seed=3, target=2, level=level)
     if isinstance(level, np.integer):
-        result = attack_forge(spec, params)
+        result = attack_forge(params, trials=300, seed=3, target=2, level=level)
         assert type(result.bound_level) is int
-        assert result == attack_forge(dataclasses.replace(spec, level=0), params)
+        assert result == attack_forge(params, trials=300, seed=3, target=2, level=0)
         return
     with pytest.raises(ValueError, match=r"level must be in \[-1, 1\]"):
-        attack_forge(spec, params)
+        attack_forge(params, trials=300, seed=3, target=2, level=level)
+    assert drawn == []
+
+
+_EXPERIMENTS = {
+    "repudiation": lambda params, **kw: attack_repudiation(0.3, params, **kw),
+    "forge": lambda params, **kw: attack_forge(params, target=2, **kw),
+    "q-sweep": lambda params, **kw: sweep_error_tolerance([1e-4], params, **kw),
+}
+
+
+@pytest.mark.parametrize("experiment, kwargs, message", [
+    *((name, {"trials": bad}, f"trials must be a positive int, got {bad!r}")
+      for name in _EXPERIMENTS for bad in (0, -1, True)),
+    *((name, {"trials": 10, "seed": bad}, f"seed must be a non-negative int, got {bad!r}")
+      for name in _EXPERIMENTS for bad in (-1, True)),
+    *(("forge", {"trials": 10, "redraw_every": bad},
+       f"redraw_every must be a positive int, got {bad!r}") for bad in (0, -1, True)),
+])
+def test_experiments_check_trials_seed_and_redraw_before_any_distribution(
+    monkeypatch, experiment, kwargs, message
+):
+    drawn = []
+    monkeypatch.setattr(simlab, "run_distribution", lambda *args, **kw: drawn.append(args))
+    params = ProtocolParams.build(3, 8, 8, l_max=0, d_r=0.0, k=8)
+    with pytest.raises(ValueError) as info:
+        _EXPERIMENTS[experiment](params, **kwargs)
+    assert str(info.value) == message
     assert drawn == []
 
 
@@ -298,11 +296,10 @@ def test_forge_tags_once_per_redraw_and_builds_no_signature(monkeypatch):
     params = ProtocolParams.build(4, 8, 4, l_max=0, d_r=0.0, k=6)
     for trials, redraw_every in ((1, 512), (700, 512), (1000, 100)):
         calls.clear()
-        spec = AttackSpec(
-            kind=AttackKind.FORGE, trials=trials, redraw_every=redraw_every,
+        attack_forge(
+            params, trials=trials, redraw_every=redraw_every,
             colluders=(1,), target=3, enforce_collusion_bound=False,
         )
-        attack_forge(spec, params)
         redraws = -(-trials // redraw_every)
         assert calls == ["ussim.simlab", "ussim.simlab", "ussim.protocol"] * redraws
 
@@ -334,41 +331,22 @@ def test_uniform_tags_up_to_63_bits_keep_the_uint64_draw(t):
 
 def test_forge_collusion_bound_enforced_with_escape_hatch():
     params = ProtocolParams.build(3, 8, 8, l_max=0, d_r=0.0, k=8)
-    spec = AttackSpec(
-        kind=AttackKind.FORGE, trials=300, forger=0, colluders=(1,), target=2,
-        level=0,
-    )
+    fields = dict(trials=300, forger=0, colluders=(1,), target=2, level=0)
     with pytest.raises(ValueError, match="floor\\(d_r \\* n\\) = 0"):
-        attack_forge(spec, params)
+        attack_forge(params, **fields)
     # with the full quorum colluding, the target's known-batch tests alone
     # meet the level-0 quorum, so forgery always lands
-    outside = AttackSpec(
-        kind=AttackKind.FORGE, trials=300, forger=0, colluders=(1,), target=2,
-        level=0, enforce_collusion_bound=False,
-    )
-    assert attack_forge(outside, params).rate == 1.0
+    assert attack_forge(params, **fields, enforce_collusion_bound=False).rate == 1.0
 
 
 def test_forge_member_validation():
     params = ProtocolParams.build(3, 8, 8, l_max=0, d_r=0.0, k=8)
     with pytest.raises(ValueError, match="distinct"):
-        attack_forge(
-            AttackSpec(kind=AttackKind.FORGE, trials=10, forger=0, target=0),
-            params,
-        )
+        attack_forge(params, trials=10, forger=0, target=0)
     with pytest.raises(ValueError, match="target"):
-        attack_forge(
-            AttackSpec(kind=AttackKind.FORGE, trials=10, target=3), params
-        )
+        attack_forge(params, trials=10, target=3)
     with pytest.raises(ValueError, match="level"):
-        attack_forge(
-            AttackSpec(kind=AttackKind.FORGE, trials=10, target=2, level=1),
-            params,
-        )
-    with pytest.raises(ValueError, match="FORGE"):
-        attack_forge(
-            AttackSpec(kind=AttackKind.REPUDIATION, trials=10, gamma=0.1), params
-        )
+        attack_forge(params, trials=10, target=2, level=1)
 
 
 def test_forge_rejects_bool_indices():
@@ -379,23 +357,19 @@ def test_forge_rejects_bool_indices():
         ({"forger": True, "target": 0}, "forger"),
         ({"colluders": (np.bool_(True),), "target": 0, "forger": 2}, "colluder"),
     ):
-        spec = AttackSpec(
-            kind=AttackKind.FORGE, trials=10, enforce_collusion_bound=False, **fields
-        )
         with pytest.raises(ValueError, match=f"{name} index"):
-            attack_forge(spec, params)
+            attack_forge(params, trials=10, enforce_collusion_bound=False, **fields)
 
 
-def test_run_attack_dispatch_and_determinism():
+def test_attacks_are_deterministic():
     params = ProtocolParams.build(7, 8, 8, k=10)
-    spec = AttackSpec(kind=AttackKind.REPUDIATION, trials=2000, seed=5, gamma=0.3)
-    first = run_attack(spec, params)
-    second = run_attack(spec, params)
+    first = attack_repudiation(0.3, params, trials=2000, seed=5)
+    second = attack_repudiation(0.3, params, trials=2000, seed=5)
     assert first == second
-    assert first.kind is AttackKind.REPUDIATION
     forge_params = ProtocolParams.build(3, 8, 8, l_max=0, d_r=0.0, k=8)
-    forge_spec = AttackSpec(kind=AttackKind.FORGE, trials=200, seed=5, target=2)
-    assert run_attack(forge_spec, forge_params) == run_attack(forge_spec, forge_params)
+    assert attack_forge(forge_params, trials=200, seed=5, target=2) == (
+        attack_forge(forge_params, trials=200, seed=5, target=2)
+    )
 
 
 def test_expected_mismatch_fraction_values():
@@ -412,7 +386,6 @@ def test_expected_mismatch_fraction_values():
 
 def test_sweep_result_csv_shape_and_roundtrip():
     table = SweepResult(
-        axis="n",
         columns=("n", "value"),
         rows=((2, 0.25), (3, 1e-10)),
     )
@@ -424,7 +397,7 @@ def test_sweep_result_csv_shape_and_roundtrip():
     assert float(lines[3].split(",")[1]) == 0.25
     assert float(lines[4].split(",")[1]) == 1e-10
     with pytest.raises(ValueError, match="columns"):
-        SweepResult(axis="n", columns=("n",), rows=((1, 2),))
+        SweepResult(columns=("n",), rows=((1, 2),))
 
 
 def test_sweep_consumption_n_axis_tracks_level_bands():
