@@ -26,6 +26,7 @@ import functools
 import numpy as np
 
 from ._bitops import as_packed, octets
+from .secparams import as_int
 
 __all__ = ["find_irreducible", "tags_of_arrays"]
 
@@ -71,30 +72,19 @@ def _is_irreducible(f: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: a float never hits an int's entry
 def find_irreducible(msg_len_bits: int) -> int:
     """Smallest-encoding irreducible polynomial of the given degree.
 
     The scan starts at x^a + 1 and steps by 2: a usable modulus needs a
     nonzero constant term, and for degree 1 that picks x + 1 over x.
     """
-    a = msg_len_bits
-    if not isinstance(a, int) or isinstance(a, bool):
-        raise ValueError("msg_len_bits must be an int")
-    if not 1 <= a <= 4096:
-        raise ValueError(f"msg_len_bits must be in [1, 4096], got {a}")
+    a = as_int(msg_len_bits, "msg_len_bits", 1, 4096)
     candidate = (1 << a) | 1
     while True:
         if _is_irreducible(candidate):
             return candidate
         candidate += 2
-
-
-def _check_width(name: str, value: int, width: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int")
-    if value < 0 or value.bit_length() > width:
-        raise ValueError(f"{name} must fit in {width} bits, got {value}")
 
 
 def _mul_table(message: int, msg_len_bits: int) -> list[int]:
@@ -159,10 +149,11 @@ def tags_of_arrays(
     may be any integer array; multiplier bits at or above a are ignored, and
     tags take the multipliers' shape.
     """
-    a, t = msg_len_bits, tag_len_bits
-    _check_width("message", message, a)
-    if not 1 <= t <= a:
-        raise ValueError(f"tag_len_bits must be in [1, msg_len_bits], got {t}")
+    a = as_int(msg_len_bits, "msg_len_bits")  # its range is find_irreducible's
+    t = as_int(tag_len_bits, "tag_len_bits", 1, a)
+    message = as_int(message, "message")
+    if message < 0 or message.bit_length() > a:
+        raise ValueError(f"message must fit in {a} bits, got {message}")
     tables = _message_tables(message, a, t)
     mults = as_packed(multipliers, a)
     low_first = octets(mults.reshape(-1))

@@ -49,13 +49,12 @@ import functools
 import hashlib
 import json
 import math
-import numbers
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .secparams import ProtocolParams, id_bits
+from .secparams import ProtocolParams, as_int, as_real, id_bits
 
 __all__ = [
     "STREAM_VERSION",
@@ -71,6 +70,7 @@ STREAM_VERSION = 3
 FLIPS_PER_BLOCK = 1 << 10  # expected flips a flip block is sized for
 MAX_FLIP_BLOCK_BITS = 1 << 20  # positions per flip block at low q
 _U64 = (1 << 64) - 1
+_MAX_SEED = (1 << 63) - 1  # seeds are packed as signed 64-bit ints
 
 
 @functools.cache
@@ -96,21 +96,15 @@ def _philox_at(key: int, counter: int) -> np.random.Generator:
 
 
 def _check_rate(rate, name: str) -> None:
-    if (
-        not isinstance(rate, numbers.Real)
-        or isinstance(rate, bool)
-        or not (rate > 0 and math.isfinite(rate))
-    ):
-        raise ValueError(f"{name} must be a positive finite number, got {rate!r}")
+    span = "a positive finite number"
+    if not (as_real(rate, name, span) > 0 and math.isfinite(rate)):
+        raise ValueError(f"{name} must be {span}, got {rate!r}")
 
 
 def _check_flip_prob(value, name: str) -> None:
-    if (
-        not isinstance(value, numbers.Real)
-        or isinstance(value, bool)
-        or not 0 <= value <= 1  # False for NaN
-    ):
-        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+    span = "a number in [0, 1]"
+    if not 0 <= as_real(value, name, span) <= 1:  # False for NaN
+        raise ValueError(f"{name} must be {span}, got {value!r}")
 
 
 def _flip_block_bits(flip_prob: float) -> int:
@@ -147,13 +141,11 @@ class LinkKeyStore:
         seed: int = 0,
         flip_prob: float = 0.0,
     ) -> None:
+        user_a, user_b = as_int(user_a, "user_a", 0), as_int(user_b, "user_b", 0)
         if user_a == user_b:
             raise ValueError("a link needs two distinct users")
-        if user_a < 0 or user_b < 0:
-            raise ValueError("user indices must be non-negative")
         _check_flip_prob(flip_prob, "flip_prob")
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 63:
-            raise ValueError(f"seed must be an int in [0, 2**63), got {seed}")
+        seed = as_int(seed, "seed", 0, _MAX_SEED)
         self.user_a, self.user_b = sorted((user_a, user_b))
         self.flip_prob = float(flip_prob)
         self.noisy_side = self.user_b  # flips land on the receiving side's view
@@ -223,14 +215,11 @@ class LinkKeyStore:
         self._flip_cache = (block, pos)
         return pos
 
-    def _check(self, side: int, n_bits: int, name: str) -> None:
-        # checked before the lookup: True and 1.0 hash and compare like 1
-        if not isinstance(side, (int, np.integer)) or isinstance(side, bool):
-            raise ValueError(f"{name} must be an int user index, got {side!r}")
+    def _check(self, side: int, n_bits: int, name: str) -> tuple[int, int]:
+        side = as_int(side, name)  # before the lookup, which would take True as 1
         if side not in self._cursor:
             raise ValueError(f"user {side} is not an endpoint of link {self.users}")
-        if not isinstance(n_bits, int) or isinstance(n_bits, bool) or n_bits < 0:
-            raise ValueError(f"n_bits must be a non-negative int, got {n_bits}")
+        return side, as_int(n_bits, "n_bits", 0)
 
     def _advance(self, side: int, n_bits: int) -> int:
         start = self._cursor[side]
@@ -247,7 +236,7 @@ class LinkKeyStore:
         only on pool position. Advances only that endpoint's cursor;
         consumption counts each position once.
         """
-        self._check(side, n_bits, "side")
+        side, n_bits = self._check(side, n_bits, "side")
         start = self._advance(side, n_bits)
         out = self._pool_bytes(start, n_bits)
         if side == self.noisy_side:
@@ -265,7 +254,7 @@ class LinkKeyStore:
         empty int64 array on a noiseless link. Neither pad is drawn.
         Raises ValueError if the two cursors disagree.
         """
-        self._check(from_side, n_bits, "from_side")
+        _, n_bits = self._check(from_side, n_bits, "from_side")
         start = self._cursor[self.user_a]
         if self._cursor[self.user_b] != start:
             raise ValueError(
@@ -300,17 +289,13 @@ class NetworkConfig:
     links: dict[tuple[int, int], LinkSettings] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_users, int) or self.n_users < 2:
-            raise ValueError(f"users must be an int >= 2, got {self.n_users}")
+        self.n_users = as_int(self.n_users, "users", 2)
         _check_rate(self.default_rate_bps, "default_rate_bps")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 1 << 63:
-            raise ValueError(f"seed must be an int in [0, 2**63), got {self.seed}")
+        self.seed = as_int(self.seed, "seed", 0, _MAX_SEED)
         _check_flip_prob(self.default_flip_prob, "default_flip_prob")
         normalized: dict[tuple[int, int], LinkSettings] = {}
         for pair, settings in self.links.items():
-            if not all(isinstance(u, int) and not isinstance(u, bool) for u in pair):
-                raise ValueError(f"link {pair} endpoints must be ints")
-            a, b = sorted(pair)
+            a, b = sorted(as_int(u, f"link {pair} endpoint") for u in pair)
             if a == b:
                 raise ValueError(f"link ({pair}) must join two distinct users")
             if not 0 <= a < b < self.n_users:
@@ -340,10 +325,8 @@ class NetworkConfig:
                     raise ValueError(f"unknown key {key!r} in links[{i}]")
             if "a" not in entry or "b" not in entry:
                 raise ValueError(f"links[{i}] needs both 'a' and 'b'")
-            for end in ("a", "b"):
-                if not isinstance(entry[end], int) or isinstance(entry[end], bool):
-                    raise ValueError(f"links[{i}] '{end}' must be an int, got {entry[end]!r}")
-            links[(entry["a"], entry["b"])] = LinkSettings(
+            ends = tuple(as_int(entry[end], f"links[{i}] '{end}'") for end in ("a", "b"))
+            links[ends] = LinkSettings(
                 rate_bps=entry.get("rate_bps"),
                 flip_prob=entry.get("flip_prob"),
             )
@@ -385,11 +368,8 @@ class Network:
         return self.config.n_users
 
     def link(self, user_a: int, user_b: int) -> LinkKeyStore:
-        # checked before the lookup: 1.0 and True hash and compare like 1
-        for u in (user_a, user_b):
-            if not isinstance(u, (int, np.integer)) or isinstance(u, bool):
-                raise ValueError(f"no link between users {user_a!r} and {user_b!r}")
-        a, b = sorted((int(user_a), int(user_b)))
+        # before the lookup, which would take 1.0 and True as 1
+        a, b = sorted((as_int(user_a, "user_a"), as_int(user_b, "user_b")))
         store = self._stores.get((a, b))
         if store is None:
             if not 0 <= a < b < self.n_users:

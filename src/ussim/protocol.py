@@ -31,7 +31,7 @@ import numpy as np
 from ._bitops import flip_bits, pack_rows, packed_dtype, unpack_rows
 from .hashing import tags_of_arrays
 from .keystore import Network
-from .secparams import ProtocolParams, id_bits
+from .secparams import ProtocolParams, as_int, check_header_fields, id_bits
 
 __all__ = [
     "OriginKeys",
@@ -89,17 +89,11 @@ class Signature:
 
     def __post_init__(self) -> None:
         a, t, n, k = self.msg_len_bits, self.tag_len_bits, self.n_recipients, self.k
-        _check_header_fields(a, t, n, k)
-        _check_message(self.message, a)
+        check_header_fields(a, t, n, k)
+        object.__setattr__(self, "message", _check_message(self.message, a))
         if self.tags.shape != (n, n * k):
             raise ValueError(
                 f"tags must have shape {(n, n * k)}, got {self.tags.shape}"
-            )
-        n_bits = a + n * n * k * t
-        if (n_bits + 7) // 8 > 0xFFFFFFFF:
-            raise ValueError(
-                f"signature payload of {n_bits} bits does not fit the header's "
-                f"uint32 byte count"
             )
         if self.tags.dtype != packed_dtype(t):
             raise ValueError(
@@ -146,7 +140,7 @@ class Signature:
             raise ValueError(f"bad magic {magic!r}")
         if version != _VERSION:
             raise ValueError(f"unsupported signature version {version}")
-        _check_header_fields(a, t, n, k)  # before the payload is read as t-bit fields
+        check_header_fields(a, t, n, k)  # before the payload is read as t-bit fields
         n_bits = a + n * n * k * t
         if payload_len != (n_bits + 7) // 8:
             raise ValueError(
@@ -172,17 +166,6 @@ class Signature:
         )
 
 
-def _check_header_fields(a: int, t: int, n: int, k: int) -> None:
-    if not 1 <= a <= 0xFFFF:
-        raise ValueError(f"msg_len_bits must be in [1, 65535], got {a}")
-    if not 1 <= t <= min(a, 0xFF):
-        raise ValueError(f"tag_len_bits must be in [1, min(msg_len_bits, 255)], got {t}")
-    if not 2 <= n <= 0xFFFF:
-        raise ValueError(f"n_recipients must be in [2, 65535], got {n}")
-    if not 1 <= k <= 0xFFFFFFFF:
-        raise ValueError(f"k must be in [1, 2**32 - 1], got {k}")
-
-
 @dataclass(frozen=True)
 class VerifyResult:
     """Outcome of one acceptance test."""
@@ -206,11 +189,11 @@ def _check_network(network: Network, params: ProtocolParams) -> None:
         )
 
 
-def _check_message(message: int, msg_len_bits: int) -> None:
-    if not isinstance(message, int) or isinstance(message, bool):
-        raise ValueError(f"message must be an int, got {type(message).__name__}")
+def _check_message(message: int, msg_len_bits: int) -> int:
+    message = as_int(message, "message")
     if not 0 <= message < (1 << msg_len_bits):
         raise ValueError(f"message must be in [0, 2**{msg_len_bits})")
+    return message
 
 
 def _check_signature_match(signature: Signature, params: ProtocolParams) -> None:
@@ -223,11 +206,6 @@ def _check_signature_match(signature: Signature, params: ProtocolParams) -> None
     for name, got, want in pairs:
         if got != want:
             raise ValueError(f"signature {name} is {got}, protocol expects {want}")
-
-
-def _check_origin(origin: int, n: int) -> None:
-    if not isinstance(origin, (int, np.integer)) or isinstance(origin, bool) or not 0 <= origin < n:
-        raise ValueError(f"origin must be in [0, {n}), got {origin!r}")
 
 
 def _decode_keys(packed: np.ndarray, params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +270,7 @@ class Sender:
         """Multipliers and offsets of the batch issued through one recipient."""
         if not self.prepared:
             raise RuntimeError("prepare() has not run")
-        _check_origin(origin, self.params.n_recipients)
+        origin = as_int(origin, "origin", 0, self.params.n_recipients - 1)
         mults, offs = self._issued
         return mults[origin], offs[origin]
 
@@ -314,7 +292,7 @@ class Sender:
         if not self.prepared:
             raise RuntimeError("prepare() must run before signing")
         p = self.params
-        _check_message(message, p.msg_len_bits)
+        message = _check_message(message, p.msg_len_bits)
         mults, offs = self._issued
         # one call over all n batches: the blocks flattened are batch-major
         tags = tags_of_arrays(
@@ -335,15 +313,9 @@ class Recipient:
 
     def __init__(self, network: Network, params: ProtocolParams, index: int) -> None:
         _check_network(network, params)
-        # True and 1.0 compare like 1, so the type is checked too
-        if (not isinstance(index, (int, np.integer)) or isinstance(index, bool)
-                or not 0 <= index < params.n_recipients):
-            raise ValueError(
-                f"recipient index must be an int in [0, {params.n_recipients}), got {index!r}"
-            )
         self.network = network
         self.params = params
-        self.index = int(index)
+        self.index = as_int(index, "recipient index", 0, params.n_recipients - 1)
         self.user = self.index + 1
         self._batch: tuple[np.ndarray, np.ndarray] | None = None  # until end_sharing
         self._partition: np.ndarray | None = None  # (n, k): row d is chunk d's slots
@@ -447,7 +419,7 @@ class Recipient:
 
         Writing to them changes what verify reads.
         """
-        _check_origin(origin, self.params.n_recipients)
+        origin = as_int(origin, "origin", 0, self.params.n_recipients - 1)
         if origin not in self._origins:
             raise ValueError(f"no keys held from origin {origin!r}")
         return OriginKeys(*(block[origin] for block in self._held))
@@ -540,15 +512,10 @@ def run_distribution(
     count of every sender link and every link of h still equal a full
     run's. A link between two other recipients carries nothing.
     """
-    n = params.n_recipients
-    if holder is not None and (
-        not isinstance(holder, (int, np.integer))
-        or isinstance(holder, bool)
-        or not 0 <= holder < n
-    ):
-        raise ValueError(f"holder must be an int in [0, {n}), got {holder!r}")
+    if holder is not None:
+        holder = as_int(holder, "holder", 0, params.n_recipients - 1)
     sender = Sender(network, params)
-    recipients = [Recipient(network, params, i) for i in range(n)]
+    recipients = [Recipient(network, params, i) for i in range(params.n_recipients)]
     sender.prepare()
     for src in recipients:
         src.receive_batch()

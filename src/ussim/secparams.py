@@ -50,6 +50,57 @@ __all__ = [
 _MAX_K = 2**32
 
 
+def as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """value as an int, if it is an integer in [lo, hi]; else a ValueError.
+
+    The one integer rule of the package, not exported: any numbers.Integral
+    counts, numpy integers included, except bool. True and 1.0 hash and
+    compare like 1, so they are refused by type, not by value. hi is given
+    only with lo.
+    """
+    number = value
+    if type(value) is not int:  # plain ints skip the ABC check, which is slower
+        integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        number = int(value) if integral else None
+    if number is None or (lo is not None and number < lo) or (hi is not None and number > hi):
+        if hi is None:
+            span = {None: "an int", 0: "a non-negative int", 1: "a positive int"}.get(lo, f"an int >= {lo}")
+        else:
+            span = f"an int in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {span}, got {value!r}")
+    return number
+
+
+def as_real(value, name: str, span: str = "a real number") -> float:
+    """value as a float, if it is a real number other than a bool; else a ValueError.
+
+    Callers check the range, whose ends are open or closed case by case;
+    span, which describes it, keeps the error for a non-number the same.
+    """
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be {span}, got {value!r}")
+        value = float(value)
+    return value
+
+
+def check_header_fields(a: int, t: int, n: int, k: int) -> None:
+    """Raise unless a signature's 18-byte wire header can carry a, t, n and k.
+
+    The header holds a and n in 16 bits, t in 8 and k in 32, and the byte
+    count of the a + n*n*k*t bit payload in 32.
+    """
+    a = as_int(a, "msg_len_bits", 1, 0xFFFF)
+    t = as_int(t, "tag_len_bits", 1, min(a, 0xFF))
+    n = as_int(n, "n_recipients", 2, 0xFFFF)
+    k = as_int(k, "k", 1, 0xFFFFFFFF)
+    n_bits = a + n * n * k * t
+    if (n_bits + 7) // 8 > 0xFFFFFFFF:
+        raise ValueError(
+            f"signature payload of {n_bits} bits does not fit the header's uint32 byte count"
+        )
+
+
 class TailMode(Enum):
     """Exponent convention for the mismatch tail bound.
 
@@ -88,9 +139,9 @@ class SLevelSpec:
     eps2: float = 0.001
 
     def __post_init__(self) -> None:
-        if not 0 < self.eps1 < 0.5:
+        if not 0 < as_real(self.eps1, "eps1") < 0.5:
             raise ValueError(f"eps1 must be in (0, 0.5), got {self.eps1}")
-        if not 0 < self.eps2 < 0.5:
+        if not 0 < as_real(self.eps2, "eps2") < 0.5:
             raise ValueError(f"eps2 must be in (0, 0.5), got {self.eps2}")
         if self.eps1 + self.eps2 >= 0.5:
             raise ValueError(
@@ -104,7 +155,7 @@ def compute_lmax(n: int) -> int:
     This is the largest l >= 0 with l*(l+1) < n/2, which is exactly the
     requirement (l+1)*d_R < 1/2 once d_R = l/n.
     """
-    _check_n(n)
+    n = as_int(n, "n", 2)
     l = 0
     while (l + 1) * (l + 2) < n / 2:
         l += 1
@@ -113,9 +164,7 @@ def compute_lmax(n: int) -> int:
 
 def compute_dr(l_max: int, n: int) -> float:
     """Tolerable dishonest-recipient fraction d_R = l_max / n."""
-    _check_n(n)
-    if not isinstance(l_max, int) or isinstance(l_max, bool) or l_max < 0:
-        raise ValueError(f"l_max must be a non-negative int, got {l_max}")
+    n, l_max = as_int(n, "n", 2), as_int(l_max, "l_max", 0)
     d_r = l_max / n
     if d_r >= 0.5:
         raise ValueError(f"d_r = {d_r} is not below 1/2 (l_max={l_max}, n={n})")
@@ -128,8 +177,7 @@ def make_s_levels(l_max: int, spec: SLevelSpec = SLevelSpec()) -> dict[int, floa
     s_{l_max} = eps1 and s_{-1} = 1/2 - eps2; equal spacing keeps every
     level-to-level failure probability the same.
     """
-    if not isinstance(l_max, int) or isinstance(l_max, bool) or l_max < 0:
-        raise ValueError(f"l_max must be a non-negative int, got {l_max}")
+    l_max = as_int(l_max, "l_max", 0)
     if not isinstance(spec, SLevelSpec):
         raise ValueError(f"spec must be an SLevelSpec, got {spec!r}")
     gap = (0.5 - spec.eps2 - spec.eps1) / (l_max + 1)
@@ -142,9 +190,8 @@ def compute_delta(l: int, d_r: float) -> float:
     A verifier at level l accepts when strictly more than delta_l of its N
     group tests pass.
     """
-    if not isinstance(l, int) or isinstance(l, bool) or l < -1:
-        raise ValueError(f"level must be an int >= -1, got {l}")
-    if not 0 <= d_r < 0.5:
+    l = as_int(l, "level", -1)
+    if not 0 <= as_real(d_r, "d_r") < 0.5:
         raise ValueError(f"d_r must be in [0, 0.5), got {d_r}")
     delta = 0.5 + (l + 1) * d_r
     if delta > 1:
@@ -155,8 +202,7 @@ def compute_delta(l: int, d_r: float) -> float:
 def _log_tail(l: int, k: int, s_levels: dict[int, float], mode: TailMode) -> float:
     if l not in s_levels or (l - 1) not in s_levels:
         raise ValueError(f"s_levels must contain levels {l} and {l - 1}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive int, got {k}")
+    k = as_int(k, "k", 1)
     gap = s_levels[l - 1] - s_levels[l]
     if gap <= 0:
         raise ValueError(f"threshold gap between levels {l - 1} and {l} must be positive")
@@ -182,10 +228,10 @@ def p_forge(n: int, d_r: float, p_t: float) -> float:
     p_t is the probability that a forged group of tags passes a single
     verifier test on keys the forger never saw.
     """
-    _check_n(n)
-    if not 0 <= d_r < 0.5:
+    n = as_int(n, "n", 2)
+    if not 0 <= as_real(d_r, "d_r") < 0.5:
         raise ValueError(f"d_r must be in [0, 0.5), got {d_r}")
-    if not 0 <= p_t <= 1:
+    if not 0 <= as_real(p_t, "p_t") <= 1:
         raise ValueError(f"p_t must be in [0, 1], got {p_t}")
     return min(1.0, n * n * (1 - d_r) * (1 - d_r) * p_t)
 
@@ -281,11 +327,8 @@ def uniform_guess_pass_prob(k: int, tag_len_bits: int, s: float) -> float:
     The binomial tail is summed in log space, so 2^-t does not round away
     at large t, and the work depends on s and t rather than on k.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive int, got {k}")
-    if tag_len_bits < 1:
-        raise ValueError(f"tag_len_bits must be >= 1, got {tag_len_bits}")
-    if not 0 < s < 1:
+    k, tag_len_bits = as_int(k, "k", 1), as_int(tag_len_bits, "tag_len_bits", 1)
+    if not 0 < as_real(s, "s") < 1:
         raise ValueError(f"s must be in (0, 1), got {s}")
     worst = math.floor(s * k)
     if worst / k >= s:
@@ -323,30 +366,27 @@ class ProtocolParams:
     s_levels: dict[int, float] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_n(self.n_recipients)
-        for name in ("msg_len_bits", "tag_len_bits", "l_max", "k"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
         # 4096 bounds the field modulus search; 255 the wire header's tag field
-        if not 1 <= self.msg_len_bits <= 4096:
-            raise ValueError(f"msg_len_bits must be in [1, 4096], got {self.msg_len_bits}")
-        if not 1 <= self.tag_len_bits <= min(self.msg_len_bits, 255):
-            raise ValueError(
-                f"tag_len_bits must be in [1, min(msg_len_bits, 255)], got {self.tag_len_bits}"
-            )
-        if self.l_max < 0:
-            raise ValueError(f"l_max must be >= 0, got {self.l_max}")
-        if not 0 <= self.d_r < 0.5:
+        a = as_int(self.msg_len_bits, "msg_len_bits", 1, 4096)
+        ints = {
+            "n_recipients": as_int(self.n_recipients, "n", 2),
+            "msg_len_bits": a,
+            "tag_len_bits": as_int(self.tag_len_bits, "tag_len_bits", 1, min(a, 255)),
+            "l_max": as_int(self.l_max, "l_max", 0),
+            "k": as_int(self.k, "k", 1),
+        }
+        for name, value in ints.items():
+            object.__setattr__(self, name, value)
+        if not 0 <= as_real(self.d_r, "d_r") < 0.5:
             raise ValueError(f"d_r must be in [0, 0.5), got {self.d_r}")
         if (self.l_max + 1) * self.d_r >= 0.5:
             raise ValueError(
                 f"(l_max + 1) * d_r = {(self.l_max + 1) * self.d_r} must be below 1/2"
             )
-        if self.k < 1:
-            raise ValueError(f"k must be a positive int, got {self.k}")
-        if not 0 < self.p_target < 1:
+        if not 0 < as_real(self.p_target, "p_target") < 1:
             raise ValueError(f"p_target must be in (0, 1), got {self.p_target}")
+        # a set the signature cannot carry would fail only at sign, after a distribution
+        check_header_fields(self.msg_len_bits, self.tag_len_bits, self.n_recipients, self.k)
         if not isinstance(self.spec, SLevelSpec) or not isinstance(self.mode, TailMode):
             raise ValueError(
                 f"spec must be an SLevelSpec and mode a TailMode, got {self.spec!r} and {self.mode!r}"
@@ -355,9 +395,7 @@ class ProtocolParams:
 
     def thresholds(self, level: int) -> tuple[int, float, float]:
         """The level as an int, with its group threshold s and quorum delta."""
-        if not isinstance(level, numbers.Integral) or isinstance(level, bool) or level not in self.s_levels:
-            raise ValueError(f"level must be in [-1, {self.l_max}], got {level!r}")
-        level = int(level)
+        level = as_int(level, "level", -1, self.l_max)
         return level, self.s_levels[level], compute_delta(level, self.d_r)
 
     @classmethod
@@ -380,7 +418,7 @@ class ProtocolParams:
         if d_r is None:
             d_r = compute_dr(l_max, n_recipients)
         if tag_len_bits is None:
-            tag_len_bits = min(msg_len_bits, 8)
+            tag_len_bits = min(as_int(msg_len_bits, "msg_len_bits"), 8)
         if k is None:
             k = solve_k(p_target, n_recipients, l_max, spec, mode, d_r=d_r)
         return cls(
@@ -446,9 +484,9 @@ def solve_k(
     bisection returns the smallest k that meets p_target. Raises if no k
     up to 2^32 suffices.
     """
-    if not 0 < p_target < 1:
+    if not 0 < as_real(p_target, "p_target") < 1:
         raise ValueError(f"p_target must be in (0, 1), got {p_target}")
-    _check_n(n)
+    n = as_int(n, "n", 2)
     if d_r is None:
         d_r = compute_dr(l_max, n)
     s_levels = make_s_levels(l_max, spec)
@@ -475,9 +513,7 @@ def solve_k(
 
 def id_bits(n: int, k: int) -> int:
     """Bits needed to name one of the n*k keys issued per recipient."""
-    _check_n(n)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive int, got {k}")
+    n, k = as_int(n, "n", 2), as_int(k, "k", 1)
     return max(1, math.ceil(math.log2(n * k)))
 
 
@@ -524,8 +560,3 @@ def consumption(params: ProtocolParams, mode: CostMode = CostMode.ACCOUNTING) ->
         total_bits=prep + shar,
         id_bits=ib,
     )
-
-
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"n must be an int >= 2, got {n}")

@@ -24,6 +24,8 @@ from .secparams import (
     CostMode,
     ProtocolParams,
     SLevelSpec,
+    as_int,
+    as_real,
     consumption,
     id_bits,
     p_forge,
@@ -54,16 +56,10 @@ _SWEEP_MC_STREAM = 0x53574D43
 _SEED_SPAN = 1 << 62
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (default 95%)."""
-    if not _is_int(trials) or trials < 1:
-        raise ValueError(f"trials must be a positive int, got {trials!r}")
-    if not _is_int(successes) or not 0 <= successes <= trials:
-        raise ValueError(f"successes must be an int in [0, {trials}], got {successes!r}")
+    trials = as_int(trials, "trials", 1)
+    successes = as_int(successes, "successes", 0, trials)
     p = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -135,7 +131,7 @@ def run_honest(
     chain_len = min(params.l_max + 1, params.n_recipients)
     chain = tuple(forward_chain(signature, recipients[:chain_len], params.l_max))
     return RunOutcome(
-        message=message,
+        message=signature.message,
         verify_results=results,
         chain_results=chain,
         consumed=network.total_consumed(),
@@ -153,13 +149,6 @@ class AttackResult:
     bound_level: int
 
 
-def _check_trials_and_seed(trials: int, seed: int) -> None:
-    if not _is_int(trials) or trials < 1:
-        raise ValueError(f"trials must be a positive int, got {trials!r}")
-    if not _is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
-
-
 def _attack_result(trials: int, successes: int, bound: float, level: int) -> AttackResult:
     low, high = wilson_interval(successes, trials)
     return AttackResult(trials=trials, successes=successes, rate=successes / trials,
@@ -175,12 +164,11 @@ def _gammas(gamma, n: int) -> tuple[float, ...]:
         raise ValueError(f"gamma must be a real number or one per batch, got {gamma!r}") from None
     if len(gam) != n:
         raise ValueError(f"gamma must give {n} per-batch fractions, got {len(gam)}")
+    gam = tuple(as_real(g, "gamma entries") for g in gam)
     for g in gam:
-        if not isinstance(g, numbers.Real) or isinstance(g, bool):
-            raise ValueError(f"gamma entries must be real numbers, got {g!r}")
         if not 0 <= g <= 1:
             raise ValueError(f"gamma entries must be in [0, 1], got {g}")
-    return tuple(float(g) for g in gam)
+    return gam
 
 
 def attack_repudiation(
@@ -206,7 +194,7 @@ def attack_repudiation(
     therefore draw the counts directly instead of replaying the protocol;
     the reported rate is distributed identically to the full replay.
     """
-    _check_trials_and_seed(trials, seed)
+    trials, seed = as_int(trials, "trials", 1), as_int(seed, "seed", 0)
     n, k = params.n_recipients, params.k
     gammas = _gammas(gamma, n)
     corrupt = [math.floor(g * n * k + 1e-9) for g in gammas]
@@ -274,17 +262,15 @@ def attack_forge(
     independently with probability 2^-t, whatever the distribution
     outcome was.
     """
-    _check_trials_and_seed(trials, seed)
-    if not _is_int(redraw_every) or redraw_every < 1:
-        raise ValueError(f"redraw_every must be a positive int, got {redraw_every!r}")
+    trials, seed = as_int(trials, "trials", 1), as_int(seed, "seed", 0)
+    redraw_every = as_int(redraw_every, "redraw_every", 1)
     n, k = params.n_recipients, params.k
     a, t = params.msg_len_bits, params.tag_len_bits
-    target = n - 1 if target is None else target
     level, s, delta = params.thresholds(params.l_max if level is None else level)
+    forger = as_int(forger, "forger index", 0, n - 1)
+    target = as_int(n - 1 if target is None else target, "target index", 0, n - 1)
+    colluders = [as_int(c, "colluder index", 0, n - 1) for c in colluders]
     members = (forger, *colluders, target)
-    for who, name in ((forger, "forger"), (target, "target"), *((c, "colluder") for c in colluders)):
-        if not isinstance(who, (int, np.integer)) or isinstance(who, bool) or not 0 <= who < n:
-            raise ValueError(f"{name} index must be an int in [0, {n}), got {who!r}")
     if len(set(members)) != len(members):
         raise ValueError("forger, colluders and target must be distinct recipients")
     allowed = math.floor(params.d_r * n + 1e-9)
@@ -330,9 +316,10 @@ def expected_mismatch_fraction(q: float, msg_len_bits: int, tag_len_bits: int) -
     the resulting tag still differs from the published one, which a
     random tag does with probability 1 - 2^-t.
     """
-    if not 0 <= q < 0.5:
+    if not 0 <= as_real(q, "q") < 0.5:
         raise ValueError(f"q must be in [0, 0.5), got {q}")
-    span = msg_len_bits + tag_len_bits
+    tag_len_bits = as_int(tag_len_bits, "tag_len_bits", 1)
+    span = as_int(msg_len_bits, "msg_len_bits", 1) + tag_len_bits
     return (1.0 - (1.0 - q) ** span) * (1.0 - 2.0 ** -tag_len_bits)
 
 
@@ -406,15 +393,11 @@ def sweep_consumption(
         t = params.tag_len_bits
         p_target = params.p_target
         if axis == "n":
-            if not isinstance(value, int):
-                raise ValueError(f"n values must be ints, got {value!r}")
-            n = value
+            n = as_int(value, "n value")
         elif axis == "p_target":
-            p_target = float(value)
+            p_target = as_real(value, "p_target value")
         else:
-            if not isinstance(value, int):
-                raise ValueError(f"msg_len values must be ints, got {value!r}")
-            a = value
+            a = as_int(value, "msg_len value")
             t = min(a, params.tag_len_bits)
         point = ProtocolParams.build(
             n, a, t, p_target=p_target, spec=params.spec, mode=params.mode
@@ -467,8 +450,9 @@ def sweep_error_tolerance(
     level of the unadjusted ladder, and bad trials or seed before any
     work.
     """
-    _check_trials_and_seed(trials, seed)
-    q_values = [float(q) for q in q_values]
+    trials, seed = as_int(trials, "trials", 1), as_int(seed, "seed", 0)
+    margin = as_real(margin, "margin")
+    q_values = [as_real(q, "q") for q in q_values]
     if not q_values:
         raise ValueError("sweep needs at least one q value")
     n, k = params.n_recipients, params.k

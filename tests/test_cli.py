@@ -127,6 +127,24 @@ def test_attack_repudiation_csv():
     assert run_cli(*args).stdout == proc.stdout
 
 
+def test_attack_repudiation_per_batch_gammas_fill_one_cell(capsys):
+    # the raw "0.3,0.2,0.3" used to spread over three cells of the row
+    argv = ["attack", "--kind", "repudiation", "--gamma", "0.3,0.2,0.3", "--n", "3",
+            "--k", "10", "--trials", "100"]
+    assert cli.main(argv) == 0
+    _, header, data = csv_parts(capsys.readouterr().out)
+    assert [len(row) for row in data] == [len(header)]
+    assert dict(zip(header, data[0]))["gamma"] == "0.3;0.2;0.3"
+
+
+def test_params_the_wire_format_cannot_carry_exit_two():
+    # 70000 recipients overflow the signature header's 16-bit count; this
+    # used to print the set and exit 0
+    proc = run_cli("params", "--n", "70000", "--k", "1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "n_recipients must be an int in [2, 65535], got 70000" in proc.stderr
+
+
 def test_attack_repudiation_bound_follows_the_tail_mode(capsys):
     # the bound column is the level-0 p_nontransfer of the literal set that
     # the header names, not the squared one
@@ -190,9 +208,10 @@ def test_run_oversized_key_state_exits_two_at_once(monkeypatch, capsys):
     assert "about 19360 MiB of packed key state (n=50, k=1000000)" in captured.err
     assert "next to the interpreter's 33 MiB" in captured.err
     assert "more than 42% of the 32768 MiB of physical memory" in captured.err
-    # the subprocess exits at once, before any bound is priced; 3 TiB of
-    # keys exceeds any machine's memory
-    proc = run_cli("run", "--n", "50", "--k", "100000000")
+    # the subprocess exits at once, before any bound is priced; 24 TiB of
+    # keys exceeds any machine's memory, and 3 GiB of signature payload
+    # still fits the wire header
+    proc = run_cli("run", "--n", "50", "--a", "4096", "--t", "1", "--k", "10000000")
     assert proc.returncode == 2 and "packed key state" in proc.stderr
 
 

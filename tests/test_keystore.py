@@ -356,7 +356,7 @@ def test_non_int_link_endpoints_are_rejected(end):
     raw = {"users": 4, "links": [{"a": 0, "b": 1}, {"a": end, "b": 2, "flip_prob": 0.4}]}
     with pytest.raises(ValueError, match=r"links\[1\]"):
         NetworkConfig.from_dict(raw)
-    with pytest.raises(ValueError, match="must be ints"):
+    with pytest.raises(ValueError, match="endpoint must be an int"):
         NetworkConfig(n_users=4, links={(end, 2): LinkSettings(flip_prob=0.4)})
 
 
@@ -366,7 +366,7 @@ def test_network_builds_every_pair():
     # the (0, 1) store once it is built
     non_int = [(0, 1.0), (1.0, 0), (False, True), (0, True)]
     for ends in non_int:
-        with pytest.raises(ValueError, match="no link"):
+        with pytest.raises(ValueError, match="user_[ab] must be an int"):
             net.link(*ends)
     for a in range(4):
         for b in range(4):
@@ -374,9 +374,11 @@ def test_network_builds_every_pair():
                 assert net.link(a, b) is net.link(b, a)
     assert net.link(np.int64(0), np.int64(1)) is net.link(0, 1)
     assert all(v == 0 for v in net.total_consumed().values())
-    for ends in non_int + [(0, 0)]:
-        with pytest.raises(ValueError, match="no link"):
+    for ends in non_int:
+        with pytest.raises(ValueError, match="user_[ab] must be an int"):
             net.link(*ends)
+    with pytest.raises(ValueError, match="no link"):
+        net.link(0, 0)
 
 
 def test_network_applies_per_link_settings():

@@ -375,7 +375,7 @@ def test_verify_level_and_signature_validation():
 def test_verify_rejects_a_level_that_is_not_an_int(level):
     params = small_params(n=3, k=4)
     _, sender, recipients = distributed(params)
-    with pytest.raises(ValueError, match=r"level must be in \[-1, "):
+    with pytest.raises(ValueError, match=r"level must be an int in \[-1, "):
         recipients[0].verify(sender.sign(0x22), level)
 
 

@@ -3,9 +3,13 @@ import dataclasses
 import math
 import time
 
+import numpy as np
 import pytest
 
 import reference
+from ussim.hashing import find_irreducible, tags_of_arrays
+from ussim.keystore import LinkKeyStore, LinkSettings, Network, NetworkConfig
+from ussim.protocol import Recipient, run_distribution
 from ussim.secparams import (
     BoundReport,
     CostMode,
@@ -23,6 +27,15 @@ from ussim.secparams import (
     solve_k,
     tail_bound_pm,
     uniform_guess_pass_prob,
+)
+from ussim.simlab import (
+    attack_forge,
+    attack_repudiation,
+    expected_mismatch_fraction,
+    run_honest,
+    sweep_consumption,
+    sweep_error_tolerance,
+    wilson_interval,
 )
 
 # l_max as a function of n: the largest l with (l+1)(l+2) < n/2.
@@ -410,3 +423,120 @@ def test_build_rejects_widths_past_the_field_and_header():
 def test_literal_mode_needs_smaller_k():
     # exp(-gap*k/2) falls faster than exp(-gap^2*k/2) when gap < 1
     assert solve_k(1e-10, 7, 1, mode=TailMode.LITERAL) < solve_k(1e-10, 7, 1)
+
+
+def test_build_rejects_sets_the_wire_format_cannot_carry():
+    # each used to build, and its signature failed only at sign, after a
+    # full distribution
+    with pytest.raises(ValueError, match=r"n_recipients must be an int in \[2, 65535\], got 70000"):
+        ProtocolParams.build(70000, 8, k=1)
+    with pytest.raises(ValueError, match=r"k must be an int in \[1, 4294967295\], got 4294967296"):
+        ProtocolParams.build(3, 8, k=2**32)
+    # n=7, a=t=8: 1 + 49k payload bytes, so this k is the last the uint32
+    # byte count can carry
+    k = (2**32 - 2) // 49
+    assert ProtocolParams.build(7, 8, k=k).k == k
+    with pytest.raises(ValueError, match="uint32 byte count"):
+        ProtocolParams.build(7, 8, k=k + 1)
+
+
+SMALL = ProtocolParams.build(3, 8, 8, k=4)
+KEYS = (np.arange(16, dtype=np.uint8),) * 2  # multipliers and 4-bit offsets
+
+
+def _held_by(holder):
+    network = Network(NetworkConfig(n_users=4, seed=2))
+    _, recipients = run_distribution(network, SMALL, holder=holder)
+    keys = [block.tobytes() for block in recipients[1]._held]
+    return keys, network.total_consumed()
+
+
+def _signature(message):
+    sender, _ = run_distribution(Network(NetworkConfig(n_users=4, seed=2)), SMALL)
+    return sender.sign(message)
+
+
+# argument: (call taking the value, a valid value, the name its errors give)
+INTEGER_ARGUMENTS = {
+    "build-n": (lambda v: ProtocolParams.build(v, 8, k=40), 7, "n"),
+    "build-a": (lambda v: ProtocolParams.build(7, v, k=40), 8, "msg_len_bits"),
+    "build-t": (lambda v: ProtocolParams.build(7, 8, v, k=40), 8, "tag_len_bits"),
+    "build-k": (lambda v: ProtocolParams.build(7, 8, k=v), 40, "k"),
+    "build-l_max": (lambda v: ProtocolParams.build(7, 8, k=40, l_max=v), 1, "l_max"),
+    "id_bits-n": (lambda v: id_bits(v, 906), 7, "n"),
+    "id_bits-k": (lambda v: id_bits(7, v), 906, "k"),
+    "compute_delta-level": (lambda v: compute_delta(v, 1 / 7), 1, "level"),
+    "find_irreducible": (find_irreducible, 13, "msg_len_bits"),
+    "tags_of_arrays-message": (lambda v: tags_of_arrays(*KEYS, v, 8, 4), 0x5C, "message"),
+    "tags_of_arrays-a": (lambda v: tags_of_arrays(*KEYS, 0x5C, v, 4), 8, "msg_len_bits"),
+    "tags_of_arrays-t": (lambda v: tags_of_arrays(*KEYS, 0x5C, 8, v), 4, "tag_len_bits"),
+    "expected_mismatch_fraction-a": (lambda v: expected_mismatch_fraction(0.1, v, 8), 8, "msg_len_bits"),
+    "expected_mismatch_fraction-t": (lambda v: expected_mismatch_fraction(0.1, 8, v), 8, "tag_len_bits"),
+    "sign-message": (lambda v: _signature(v), 0x5C, "message"),
+    "run_honest-message": (lambda v: run_honest(SMALL, message=v), 0x5C, "message"),
+    "NetworkConfig-n_users": (lambda v: NetworkConfig(n_users=v), 4, "users"),
+    "NetworkConfig-seed": (lambda v: NetworkConfig(n_users=4, seed=v), 9, "seed"),
+    "NetworkConfig-link": (
+        lambda v: NetworkConfig(n_users=4, links={(v, 2): LinkSettings(flip_prob=0.1)}),
+        1, r"link \(.*\) endpoint",
+    ),
+    "Network.link-user_a": (lambda v: Network(NetworkConfig(n_users=4)).link(v, 2).users, 1, "user_a"),
+    "Network.link-user_b": (lambda v: Network(NetworkConfig(n_users=4)).link(2, v).users, 1, "user_b"),
+    "LinkKeyStore-user_a": (lambda v: LinkKeyStore(v, 2, seed=3).draw_shared(16, side=2), 1, "user_a"),
+    "draw_shared-n_bits": (lambda v: LinkKeyStore(0, 1, seed=3).draw_shared(v, side=0), 21, "n_bits"),
+    "draw_shared-side": (
+        lambda v: LinkKeyStore(0, 1, seed=3, flip_prob=0.2).draw_shared(64, side=v), 1, "side",
+    ),
+    "Recipient-index": (
+        lambda v: vars(Recipient(Network(NetworkConfig(n_users=4)), SMALL, v))["index"],
+        1, "recipient index",
+    ),
+    "run_distribution-holder": (_held_by, 1, "holder"),
+    "attack_forge-trials": (lambda v: attack_forge(SMALL, trials=v), 5, "trials"),
+    "attack_forge-seed": (lambda v: attack_forge(SMALL, trials=5, seed=v), 2, "seed"),
+    "attack_forge-forger": (lambda v: attack_forge(SMALL, trials=5, forger=v), 1, "forger index"),
+    "attack_forge-redraw_every": (
+        lambda v: attack_forge(SMALL, trials=5, redraw_every=v), 2, "redraw_every",
+    ),
+    "attack_repudiation-trials": (lambda v: attack_repudiation(0.3, SMALL, trials=v), 5, "trials"),
+    "attack_repudiation-seed": (
+        lambda v: attack_repudiation(0.3, SMALL, trials=5, seed=v), 2, "seed",
+    ),
+    "wilson_interval-successes": (lambda v: wilson_interval(v, 10), 3, "successes"),
+    "wilson_interval-trials": (lambda v: wilson_interval(3, v), 10, "trials"),
+    "sweep_consumption-n": (lambda v: sweep_consumption("n", [v], SMALL).rows, 5, "n value"),
+    "sweep_consumption-msg_len": (
+        lambda v: sweep_consumption("msg_len", [v], SMALL).rows, 16, "msg_len value",
+    ),
+}
+
+
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+def test_every_integer_argument_follows_one_rule(argument):
+    # a numpy integer runs as its int, down to the reprs of what it returns
+    # (np.int64(7) against 7); a bool, a float or a string is refused by name
+    call, value, name = INTEGER_ARGUMENTS[argument]
+    assert repr(call(np.int64(value))) == repr(call(value))
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(bad)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: SLevelSpec(eps1="0.1"), "eps1"),
+    (lambda: SLevelSpec(eps2=True), "eps2"),
+    (lambda: ProtocolParams.build(7, 8, p_target="1e-10"), "p_target"),
+    (lambda: ProtocolParams.build(7, 8, k=40, p_target="1e-10"), "p_target"),
+    (lambda: ProtocolParams.build(7, 8, d_r="0.1"), "d_r"),
+    (lambda: ProtocolParams.build(7, 8, d_r=False), "d_r"),
+    (lambda: ProtocolParams.build(7, 8, k=40, d_r=False), "d_r"),
+    (lambda: expected_mismatch_fraction("0.1", 8, 8), "q"),
+    (lambda: sweep_error_tolerance([0.0], SMALL, margin="x", trials=1), "margin"),
+    (lambda: sweep_error_tolerance([None], SMALL, trials=1), "q"),
+    (lambda: sweep_consumption("p_target", [None], SMALL), "p_target value"),
+], ids=["eps1", "eps2", "p_target-solving-k", "p_target", "d_r-str", "d_r-bool-solving-k",
+        "d_r-bool", "q", "margin", "q-sweep-value", "p_target-sweep-value"])
+def test_real_arguments_that_are_no_real_number_raise_value_error(call, name):
+    # each used to raise TypeError at a comparison, and d_r=False was stored
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        call()

@@ -244,7 +244,7 @@ def test_forge_checks_its_level_before_any_distribution(monkeypatch, level):
         assert type(result.bound_level) is int
         assert result == attack_forge(params, trials=300, seed=3, target=2, level=0)
         return
-    with pytest.raises(ValueError, match=r"level must be in \[-1, 1\]"):
+    with pytest.raises(ValueError, match=r"level must be an int in \[-1, 1\]"):
         attack_forge(params, trials=300, seed=3, target=2, level=level)
     assert drawn == []
 
@@ -439,7 +439,7 @@ def test_sweep_consumption_validation():
         sweep_consumption("k", [1], params)
     with pytest.raises(ValueError, match="at least one"):
         sweep_consumption("n", [], params)
-    with pytest.raises(ValueError, match="ints"):
+    with pytest.raises(ValueError, match="n value must be an int"):
         sweep_consumption("n", [2.5], params)
 
 
