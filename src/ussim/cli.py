@@ -268,8 +268,9 @@ def _cmd_attack(args) -> int:
         result = attack_repudiation(gamma, params, trials=args.trials, seed=seed)
         columns = ("gamma", "trials", "successes", "rate",
                    "wilson_low", "wilson_high", "bound", "bound_level")
-        # per-batch values are joined with ";", like colluders, to keep one cell
-        row = (args.gamma.replace(",", ";"), result.trials, result.successes, result.rate,
+        # the parsed values, per-batch ones joined with ";" like colluders, in one cell
+        cell = ";".join(repr(g) for g in (gamma if isinstance(gamma, tuple) else (gamma,)))
+        row = (cell, result.trials, result.successes, result.rate,
                result.wilson_low, result.wilson_high, result.bound, result.bound_level)
     else:
         result = attack_forge(

@@ -28,10 +28,12 @@ its last 16 the flips, each read as a big-endian int.
   in its range plus at most about 2 * FLIPS_PER_BLOCK, not with the number
   of bits. A Network builds each link's store on first use.
 
-draw_shared returns bits packed most significant bit first into
-ceil(n / 8) bytes, zero-padded, never one byte per bit. Consumption is
-counted once per pool position, however many endpoints read it, because
-the position corresponds to one shared secret bit.
+read returns any range of the pool as one endpoint sees it, packed most
+significant bit first into ceil(n / 8) bytes, never one byte per bit, and
+flips the noisy side's flip positions in a range; neither moves a cursor.
+draw_shared and otp_transfer are cursor bookkeeping around them.
+Consumption is counted once per pool position, however many endpoints
+read it, because the position corresponds to one shared secret bit.
 
 A one-time-padded transfer spends the same positions on both endpoints,
 and the two pads cancel except where the noisy side's view flipped. So
@@ -128,9 +130,10 @@ def _stream_key(seed: int, user_a: int, user_b: int) -> bytes:
 class LinkKeyStore:
     """Shared key pool between two users.
 
-    Endpoints are identified by user index. draw_shared hands out the next
-    n bits as seen from one endpoint, packed; otp_transfer spends pad
-    positions on both endpoints and reports where the payload flipped.
+    Endpoints are identified by user index. read and flips look at any
+    range by position; draw_shared hands out the next n bits as seen from
+    one endpoint, packed; otp_transfer spends pad positions on both
+    endpoints and reports where the payload flipped.
     """
 
     def __init__(
@@ -161,8 +164,14 @@ class LinkKeyStore:
     def users(self) -> tuple[int, int]:
         return (self.user_a, self.user_b)
 
-    def _pool_bytes(self, start: int, n_bits: int) -> np.ndarray:
-        """Noiseless pool bits start .. start + n_bits, packed and zero-padded."""
+    def read(self, start: int, n_bits: int, side: int) -> np.ndarray:
+        """Pool bits start .. start + n_bits as one endpoint sees them; moves no cursor.
+
+        Packed into ceil(n_bits / 8) zero-padded bytes. The two endpoints'
+        bits differ only at the noisy side's flips.
+        """
+        side, n_bits = self._check(side, n_bits, "side")
+        start = as_int(start, "start", 0)
         n_bytes = (n_bits + 7) // 8
         if not n_bits:
             return np.zeros(0, dtype=np.uint8)
@@ -179,10 +188,14 @@ class LinkKeyStore:
             out = raw[byte : byte + n_bytes]
         if n_bits % 8:
             out[-1] &= 0xFF << (8 - n_bits % 8) & 0xFF
+        if side == self.noisy_side:
+            flips = self.flips(start, n_bits)
+            np.bitwise_xor.at(out, flips >> 3, (0x80 >> (flips & 7)).astype(np.uint8))
         return out
 
-    def _flips(self, start: int, n_bits: int) -> np.ndarray:
-        """Sorted noisy-side flip positions in the range, relative to start."""
+    def flips(self, start: int, n_bits: int) -> np.ndarray:
+        """Sorted noisy-side flip positions in a range, relative to start; moves no cursor."""
+        start, n_bits = as_int(start, "start", 0), as_int(n_bits, "n_bits", 0)
         if self.flip_prob == 0 or not n_bits:
             return np.zeros(0, dtype=np.int64)
         size = self._flip_block
@@ -228,21 +241,9 @@ class LinkKeyStore:
         return start
 
     def draw_shared(self, n_bits: int, side: int) -> np.ndarray:
-        """Next n_bits of the pool as seen from one endpoint.
-
-        Returns ceil(n_bits / 8) uint8 bytes, most significant bit first
-        and zero-padded. Both endpoints reading the same positions get
-        identical bits, except for the noisy side's flips, which depend
-        only on pool position. Advances only that endpoint's cursor;
-        consumption counts each position once.
-        """
+        """read of the next n_bits from one endpoint's cursor, which advances."""
         side, n_bits = self._check(side, n_bits, "side")
-        start = self._advance(side, n_bits)
-        out = self._pool_bytes(start, n_bits)
-        if side == self.noisy_side:
-            flips = self._flips(start, n_bits)
-            np.bitwise_xor.at(out, flips >> 3, (0x80 >> (flips & 7)).astype(np.uint8))
-        return out
+        return self.read(self._advance(side, n_bits), n_bits, side)
 
     def otp_transfer(self, n_bits: int, from_side: int) -> np.ndarray:
         """One-time-pad an n_bits payload across the link.
@@ -263,7 +264,7 @@ class LinkKeyStore:
             )
         self._advance(self.user_a, n_bits)
         self._advance(self.user_b, n_bits)
-        return self._flips(start, n_bits)
+        return self.flips(start, n_bits)
 
     def consumed_bits(self) -> int:
         """Pool positions handed out so far (counted once per position)."""
@@ -326,6 +327,8 @@ class NetworkConfig:
             if "a" not in entry or "b" not in entry:
                 raise ValueError(f"links[{i}] needs both 'a' and 'b'")
             ends = tuple(as_int(entry[end], f"links[{i}] '{end}'") for end in ("a", "b"))
+            if ends in links:  # a dict would keep only the last of the two
+                raise ValueError(f"links[{i}] configures link {ends} a second time")
             links[ends] = LinkSettings(
                 rate_bps=entry.get("rate_bps"),
                 flip_prob=entry.get("flip_prob"),

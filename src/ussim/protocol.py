@@ -19,6 +19,10 @@ the signature is accepted when the passing fraction strictly exceeds the
 level's quorum. Each step down in level loosens both thresholds, which
 is what makes an accepted signature safe to forward: whoever receives it
 next verifies one level lower and is overwhelmingly likely to agree.
+
+held_view reads what one recipient holds straight from the key pools by
+position, without a distribution, and mismatch_counts judges it as
+verify does.
 """
 from __future__ import annotations
 
@@ -40,6 +44,9 @@ __all__ = [
     "Sender",
     "Recipient",
     "run_distribution",
+    "held_view",
+    "block_tags",
+    "mismatch_counts",
     "forward_chain",
     "key_state_bytes",
 ]
@@ -208,6 +215,12 @@ def _check_signature_match(signature: Signature, params: ProtocolParams) -> None
             raise ValueError(f"signature {name} is {got}, protocol expects {want}")
 
 
+def _partition(seed: int, origin: int, params: ProtocolParams) -> np.ndarray:
+    """Origin's private split of its batch: row d holds chunk d's slots, unsorted."""
+    rng = np.random.default_rng([seed, PARTITION_STREAM, origin])
+    return rng.permutation(params.n_recipients * params.k).reshape(params.n_recipients, -1)
+
+
 def _decode_keys(packed: np.ndarray, params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     """Multipliers and offsets of a batch drawn as packed key-store bytes."""
     a, t = params.msg_len_bits, params.tag_len_bits
@@ -274,33 +287,15 @@ class Sender:
         mults, offs = self._issued
         return mults[origin], offs[origin]
 
-    def tags_at(self, message: int, flat: np.ndarray) -> np.ndarray:
-        """Tags of message under the issued keys at flat indices of the (n, n*k) list.
-
-        An index of -1, where Recipient._flat_slots puts a slot past the
-        list, reads the list's first tag ("clip").
-        """
-        if not self.prepared:
-            raise RuntimeError("prepare() must run before signing")
-        p = self.params
-        at = flat.reshape(-1)
-        mults, offs = (keys.reshape(-1).take(at, mode="clip") for keys in self._issued)
-        return tags_of_arrays(mults, offs, message, p.msg_len_bits, p.tag_len_bits).reshape(flat.shape)
-
     def sign(self, message: int) -> Signature:
         """Tag the message under every issued key, in batch-major slot order."""
         if not self.prepared:
             raise RuntimeError("prepare() must run before signing")
         p = self.params
         message = _check_message(message, p.msg_len_bits)
-        mults, offs = self._issued
-        # one call over all n batches: the blocks flattened are batch-major
-        tags = tags_of_arrays(
-            mults.reshape(-1), offs.reshape(-1), message, p.msg_len_bits, p.tag_len_bits
-        )
         return Signature(
             message=message,
-            tags=tags.reshape(p.n_recipients, p.n_recipients * p.k),
+            tags=block_tags(self._issued, message, p),  # batch-major, in one call
             n_recipients=p.n_recipients,
             k=p.k,
             msg_len_bits=p.msg_len_bits,
@@ -319,15 +314,10 @@ class Recipient:
         self.user = self.index + 1
         self._batch: tuple[np.ndarray, np.ndarray] | None = None  # until end_sharing
         self._partition: np.ndarray | None = None  # (n, k): row d is chunk d's slots
-        self._id_bits = id_bits(params.n_recipients, params.k)
-        self._slot_dtype = packed_dtype(self._id_bits)
+        self._widths = (id_bits(params.n_recipients, params.k), params.msg_len_bits, params.tag_len_bits)
         # row origin of each (n, k) block holds the share of that origin's batch
         shape = (params.n_recipients, params.k)
-        self._held = OriginKeys(
-            np.empty(shape, dtype=self._slot_dtype),
-            np.empty(shape, dtype=packed_dtype(params.msg_len_bits)),
-            np.empty(shape, dtype=packed_dtype(params.tag_len_bits)),
-        )
+        self._held = OriginKeys(*(np.empty(shape, dtype=packed_dtype(w)) for w in self._widths))
         self._origins: set[int] = set()  # origins whose row is filled
 
     def receive_batch(self) -> None:
@@ -352,10 +342,8 @@ class Recipient:
             raise RuntimeError("partition already drawn")
         if self._batch is None:
             raise RuntimeError("receive_batch() must run before partitioning")
-        p = self.params
-        rng = np.random.default_rng([self.network.seed, PARTITION_STREAM, self.index])
-        perm = rng.permutation(p.n_recipients * p.k).astype(self._slot_dtype)
-        self._partition = perm.reshape(p.n_recipients, p.k)
+        partition = _partition(self.network.seed, self.index, self.params)
+        self._partition = partition.astype(self._held.slots.dtype)  # narrow ints sort faster
         self._partition.sort(axis=1)
         self._hold(self.index, self._share(self.index))
 
@@ -367,8 +355,13 @@ class Recipient:
         moves as packed values; the receiver copies them into its blocks
         and applies the link's flips there.
         """
-        flips = self._spend_share_pad(other)
-        other._receive_share(self.index, self._share(other.index), flips)
+        if self._partition is None:
+            raise RuntimeError("no partition: make_partition() has not run or sharing ended")
+        if other.index == self.index:
+            raise ValueError("a recipient does not share with itself")
+        link = self.network.link(self.user, other.user)
+        flips = link.otp_transfer(self.params.k * sum(self._widths), from_side=self.user)
+        other._hold(self.index, self._share(other.index), flips)
 
     def end_sharing(self) -> None:
         """Drop batch and partition for good, once this recipient's shares moved."""
@@ -381,34 +374,14 @@ class Recipient:
         mult, off = self._batch
         return OriginKeys(slots, mult[rows], off[rows])
 
-    def _spend_share_pad(self, other: "Recipient") -> np.ndarray:
-        """Spend the pad positions of the share for other; return its flips.
-
-        Alone, this is the transfer as its link sees it: cursors and
-        consumption advance exactly as send_share's, and no share is built.
-        """
-        if self._partition is None:
-            raise RuntimeError("no partition: make_partition() has not run or sharing ended")
-        if other.index == self.index:
-            raise ValueError("a recipient does not share with itself")
-        p = self.params
-        width = self._id_bits + p.msg_len_bits + p.tag_len_bits
-        link = self.network.link(self.user, other.user)
-        return link.otp_transfer(p.k * width, from_side=self.user)
-
-    def _hold(self, origin: int, share: OriginKeys) -> None:
-        """Copy a share into row origin of the held blocks."""
+    def _hold(self, origin: int, share: OriginKeys, flips: np.ndarray = ()) -> None:
+        """Copy a share into row origin of the held blocks; flip the bits its transfer flipped."""
         if origin in self._origins:
             raise RuntimeError(f"share from origin {origin} already received")
         for block, values in zip(self._held, share):
             block[origin] = values
+        flip_bits([(block[origin], w) for block, w in zip(self._held, self._widths)], flips)
         self._origins.add(origin)
-
-    def _receive_share(self, origin: int, share: OriginKeys, flips: np.ndarray) -> None:
-        self._hold(origin, share)
-        p = self.params
-        widths = (self._id_bits, p.msg_len_bits, p.tag_len_bits)
-        flip_bits([(block[origin], w) for block, w in zip(self._held, widths)], flips)
 
     @property
     def distribution_complete(self) -> bool:
@@ -437,9 +410,13 @@ class Recipient:
             )
         _check_signature_match(signature, self.params)
         level, s, delta = self.params.thresholds(level)
-        flat = self._flat_slots()
+        slots = self._held.slots
+        n, n_k = signature.tags.shape
+        # a slot past its batch reads another tag, and counts as a mismatch anyway
+        flat = slots + np.arange(0, n * n_k, n_k)[:, None]
         published = signature.tags.reshape(-1).take(flat, mode="clip")
-        counts = self._mismatch_counts(published, self._expected_tags(signature.message), flat)
+        expected = block_tags(self._held[1:], signature.message, self.params)
+        counts = mismatch_counts(slots, published, expected)
         passed, accepted = level_rule(counts, self.params.k, s, delta)
         return VerifyResult(
             recipient_index=self.index,
@@ -452,34 +429,24 @@ class Recipient:
             delta_threshold=delta,
         )
 
-    def _expected_tags(self, message: int) -> np.ndarray:
-        """Tags of message under the held keys; row origin holds that group's k."""
-        p = self.params
-        _, mults, offs = self._held
-        return tags_of_arrays(
-            mults.reshape(-1), offs.reshape(-1), message, p.msg_len_bits, p.tag_len_bits
-        ).reshape(mults.shape)
 
-    def _flat_slots(self) -> np.ndarray:
-        """(n, k) indices of the held slots into a flattened (n, n*k) tag list.
+def block_tags(keys: Sequence[np.ndarray], message: int, params: ProtocolParams) -> np.ndarray:
+    """Tags of message under a block of (multipliers, offsets), in one call and its shape."""
+    mults, offs = keys
+    tags = tags_of_arrays(
+        mults.reshape(-1), offs.reshape(-1), message, params.msg_len_bits, params.tag_len_bits
+    )
+    return tags.reshape(mults.shape)
 
-        Slot s of group origin is flat tag origin * n*k + s; a slot past n*k
-        is -1.
-        """
-        n, k = self.params.n_recipients, self.params.k
-        slots = self._held.slots.astype(np.intp)
-        flat = slots + np.arange(0, n * n * k, n * k)[:, None]
-        flat[slots >= n * k] = -1
-        return flat
 
-    @staticmethod
-    def _mismatch_counts(published: np.ndarray, expected: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        """Per group, how many held slots' published tags differ from expected.
+def mismatch_counts(slots: np.ndarray, published: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """Per group, how many held keys disagree with the tags published at their slots.
 
-        published holds the tags of an (n, n*k) list read at flat, which is
-        _flat_slots() with "clip"; a slot at -1 counts as a mismatch.
-        """
-        return np.count_nonzero((flat < 0) | (published != expected), axis=1)
+    Each (n, k) block's row g is the share of batch g: held slot ids, the
+    published tags read there and the message's tags under the held keys.
+    A slot id past a batch's n*k slots counts as a disagreement.
+    """
+    return np.count_nonzero((slots >= slots.size) | (published != expected), axis=-1)
 
 
 def level_rule(counts: np.ndarray, k: int, s: float, delta: float):
@@ -493,9 +460,7 @@ def level_rule(counts: np.ndarray, k: int, s: float, delta: float):
     return passed, passed / counts.shape[-1] > delta
 
 
-def run_distribution(
-    network: Network, params: ProtocolParams, holder: int | None = None
-) -> tuple[Sender, list[Recipient]]:
+def run_distribution(network: Network, params: ProtocolParams) -> tuple[Sender, list[Recipient]]:
     """Run preparation and sharing; return the sender and all recipients.
 
     Recipients take turns in index order: each receives and partitions its
@@ -503,17 +468,7 @@ def run_distribution(
     each pair lo < hi, lo sends to hi from the link's cursor 0 and then hi
     sends to lo. Flips depend only on link and cursor, and a partition only
     on its own seed, so one network seed always gives the same outcome.
-
-    With holder=h, only the transfers over h's links run: 2(n-1) instead
-    of n(n-1). Recipient h ends up with exactly the keys a full run gives
-    it, since every batch is still received and partitioned; the other
-    recipients send only their share for h and cannot verify. h's own
-    transfers only spend their pad positions, so the cursor and consumption
-    count of every sender link and every link of h still equal a full
-    run's. A link between two other recipients carries nothing.
     """
-    if holder is not None:
-        holder = as_int(holder, "holder", 0, params.n_recipients - 1)
     sender = Sender(network, params)
     recipients = [Recipient(network, params, i) for i in range(params.n_recipients)]
     sender.prepare()
@@ -521,14 +476,52 @@ def run_distribution(
         src.receive_batch()
         src.make_partition()
         for dst in recipients:
-            if dst is src or holder not in (None, src.index, dst.index):
-                continue
-            if src.index == holder:
-                src._spend_share_pad(dst)
-            else:
+            if dst is not src:
                 src.send_share(dst)
         src.end_sharing()
     return sender, recipients
+
+
+def held_view(
+    network: Network, params: ProtocolParams, recipient: int
+) -> tuple[OriginKeys, tuple[np.ndarray, np.ndarray]]:
+    """One recipient's held (n, k) blocks, and the sender's keys at their slot ids.
+
+    The held blocks are bit for bit what run_distribution leaves the
+    recipient, read from the key pools by position: batch g is sender link
+    (0, g + 1) from cursor 0, as recipient g sees it; share g is row
+    recipient of origin g's seeded partition, which for g != recipient
+    crossed link (g + 1, recipient + 1) at cursor 0 if g < recipient and
+    otherwise after the lower index's k-key transfer, taking that range's
+    flips. The sender's multipliers and offsets at the held slots are what
+    a signature's tags there are made from; a slot id past a batch reads
+    its last key. Reads each sender link once, moves no cursor and meters
+    nothing.
+    """
+    _check_network(network, params)
+    n, k, a, t = params.n_recipients, params.k, params.msg_len_bits, params.tag_len_bits
+    h = as_int(recipient, "recipient index", 0, n - 1)
+    widths = (id_bits(n, k), a, t)
+    held = OriginKeys(*(np.empty((n, k), dtype=packed_dtype(w)) for w in widths))
+    issued = tuple(np.empty_like(block) for block in held[1:])
+    batch, share = n * k * (a + t), k * sum(widths)
+    for g in range(n):
+        link = network.link(0, g + 1)
+        clean = _decode_keys(link.read(0, batch, side=0), params)
+        slots = np.sort(_partition(network.seed, g, params)[h])
+        for block, values in zip(held, (slots, *(keys[slots] for keys in clean))):
+            block[g] = values
+        # the flips recipient g saw in the chunk's keys, then the relay link's
+        key, bit = np.divmod(link.flips(0, batch), a + t)
+        at = slots.searchsorted(key).clip(max=k - 1)
+        hit = slots[at] == key
+        flips = [at[hit] * sum(widths) + widths[0] + bit[hit]]
+        if g != h:
+            flips.append(network.link(g + 1, h + 1).flips(0 if g < h else share, share))
+        flip_bits([(block[g], w) for block, w in zip(held, widths)], np.concatenate(flips))
+        for block, keys in zip(issued, clean):
+            block[g] = keys.take(held.slots[g], mode="clip")
+    return held, issued
 
 
 def forward_chain(

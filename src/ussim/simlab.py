@@ -19,7 +19,15 @@ import numpy as np
 from ._bitops import pack_rows, packed_dtype, unpack_rows
 from .hashing import tags_of_arrays
 from .keystore import Network, NetworkConfig
-from .protocol import VerifyResult, forward_chain, level_rule, run_distribution
+from .protocol import (
+    VerifyResult,
+    block_tags,
+    forward_chain,
+    held_view,
+    level_rule,
+    mismatch_counts,
+    run_distribution,
+)
 from .secparams import (
     CostMode,
     ProtocolParams,
@@ -251,16 +259,15 @@ def attack_forge(
     holds shares of stay unknown because partition chunks never overlap.
     The target (default n - 1) judges each trial's mismatch counts by the
     real acceptance rule at the requested level (default l_max) over a
-    noiseless network, and only its share transfers run. Colluder sets
+    noiseless network, and only its held_view is read. Colluder sets
     larger than floor(d_r * n) are outside the security model and rejected
     unless enforce_collusion_bound is off.
 
-    The distribution, the known tags, the target's expected tags and its
-    held-slot index are redrawn every redraw_every trials; a trial
-    redraws only the guesses. Reuse is statistically free here: with q=0
-    the known batches always pass and each guessed tag matches
-    independently with probability 2^-t, whatever the distribution
-    outcome was.
+    The network, the known tags and the target's expected tags are
+    redrawn every redraw_every trials; a trial redraws only the guesses.
+    Reuse is statistically free here: with q=0 the known batches always
+    pass and each guessed tag matches independently with probability
+    2^-t, whatever the distribution outcome was.
     """
     trials, seed = as_int(trials, "trials", 1), as_int(seed, "seed", 0)
     redraw_every = as_int(redraw_every, "redraw_every", 1)
@@ -286,24 +293,22 @@ def attack_forge(
     unknown = [g for g in range(n) if g not in known]
     net_rng = np.random.default_rng([seed, _FORGE_NET_STREAM])
     guess_rng = np.random.default_rng([seed, _FORGE_GUESS_STREAM])
-    tags = np.empty((n, n * k), dtype=packed_dtype(t))
+    published = np.empty((n, k), dtype=packed_dtype(t))  # the tags at the target's slots
     successes = 0
     done = 0
     while done < trials:
         block = min(redraw_every, trials - done)
         config = NetworkConfig(n_users=n + 1, seed=int(net_rng.integers(0, _SEED_SPAN)))
-        sender, recipients = run_distribution(Network(config), params, holder=target)
+        (slots, *keys), issued = held_view(Network(config), params, target)
         message = _random_message(net_rng, a)
         for g in known:  # noiseless, so the batch g saw is the one issued
-            tags[g] = tags_of_arrays(*sender.issued_group(g), message, a, t)
-        verifier = recipients[target]
-        expected, flat = verifier._expected_tags(message), verifier._flat_slots()
+            published[g] = tags_of_arrays(issued[0][g], issued[1][g], message, a, t)
+        expected, at = block_tags(keys, message, params), slots.astype(np.intp)
         counts = np.empty((block, n), dtype=np.intp)
         for trial in range(block):
-            for g in unknown:
-                tags[g] = _uniform_tags(guess_rng, n * k, t)
-            published = tags.reshape(-1).take(flat, mode="clip")
-            counts[trial] = verifier._mismatch_counts(published, expected, flat)
+            for g in unknown:  # a whole batch of guesses, of which the target reads k
+                published[g] = _uniform_tags(guess_rng, n * k, t)[at[g]]
+            counts[trial] = mismatch_counts(slots, published, expected)
         successes += int(np.count_nonzero(level_rule(counts, k, s, delta)[1]))
         done += block
     return _attack_result(trials, successes, bound, level)
@@ -441,10 +446,9 @@ def sweep_error_tolerance(
     is re-pinned to the expected mismatch fraction plus margin, the level
     ladder is rebuilt evenly, k is re-solved and the stage re-priced.
 
-    Only recipient 0 verifies, so each trial runs just the share
-    transfers over recipient 0's links, and the sender tags only the
-    slots it holds; its keys, counts and verdict are the ones a full
-    distribution, sign and verify would give it.
+    Only recipient 0 verifies, so each trial reads just its held_view
+    and tags only the slots it holds; its keys, counts and verdict are
+    the ones a full distribution, sign and verify would give it.
 
     Rejects a q whose adjusted threshold would reach the first interior
     level of the unadjusted ladder, and bad trials or seed before any
@@ -500,16 +504,12 @@ def sweep_error_tolerance(
                 default_flip_prob=q,
                 seed=_derived_seed(seed, _SWEEP_MC_STREAM, index, trial),
             )
-            network = Network(config)
-            sender, recipients = run_distribution(network, params, holder=0)
+            held, issued = held_view(Network(config), params, 0)
             rng = np.random.default_rng([config.seed, _MESSAGE_STREAM])
             message = _random_message(rng, a)
             # as recipients[0].verify(sender.sign(message)), tagging only its slots
-            verifier = recipients[0]
-            flat = verifier._flat_slots()
-            counts = verifier._mismatch_counts(
-                sender.tags_at(message, flat), verifier._expected_tags(message), flat
-            )
+            tags = (block_tags(keys, message, params) for keys in (issued, held[1:]))
+            counts = mismatch_counts(held.slots, *tags)
             passes += bool(level_rule(counts, k, s, delta)[1])
         low, high = wilson_interval(passes, trials)
         rows.append(

@@ -39,5 +39,6 @@ def test_traced_smoke_ops_match_untraced_ops(monkeypatch):
         assert spans.check_spans() == [], name
         assert traced == untraced, name
         table = spans.table()
-        assert table["keystore.draw"]["calls"] > 0, name
-        assert table["keystore.otp"]["calls"] > 0, name
+        if name.startswith("honest"):  # a q-sweep trial reads a held view: no draw, no transfer
+            assert table["keystore.draw"]["calls"] > 0, name
+            assert table["keystore.otp"]["calls"] > 0, name

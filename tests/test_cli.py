@@ -137,6 +137,22 @@ def test_attack_repudiation_per_batch_gammas_fill_one_cell(capsys):
     assert dict(zip(header, data[0]))["gamma"] == "0.3;0.2;0.3"
 
 
+@pytest.mark.parametrize("text, cell", [
+    ("0.3\n", "0.3"),
+    (" 0.30", "0.3"),
+    ("0.3 ,0.20\t,.3", "0.3;0.2;0.3"),
+])
+def test_attack_repudiation_writes_the_parsed_gammas(capsys, text, cell):
+    # float() takes surrounding whitespace, and the raw text of "0.3\n" used
+    # to split the data row over two lines
+    argv = ["attack", "--kind", "repudiation", "--gamma", text, "--n", "3",
+            "--k", "10", "--trials", "100"]
+    assert cli.main(argv) == 0
+    _, header, data = csv_parts(capsys.readouterr().out)
+    assert [len(row) for row in data] == [len(header)]
+    assert dict(zip(header, data[0]))["gamma"] == cell
+
+
 def test_params_the_wire_format_cannot_carry_exit_two():
     # 70000 recipients overflow the signature header's 16-bit count; this
     # used to print the set and exit 0
@@ -450,6 +466,17 @@ def test_run_config_non_int_link_endpoint_exits_two(tmp_path, capsys, end):
     assert cli.main(["run", "--config", str(path), "--n", "3", "--k", "40"]) == 2
     captured = capsys.readouterr()
     assert "links[0]" in captured.err
+    assert captured.out == ""
+
+
+def test_run_config_repeated_link_exits_two(tmp_path, capsys):
+    # the second entry for a pair used to replace the first without a word
+    path = tmp_path / "net.json"
+    links = [{"a": 0, "b": 1, "flip_prob": 0.5}, {"a": 0, "b": 1, "flip_prob": 0.0}]
+    path.write_text(json.dumps({"users": 4, "links": links}))
+    assert cli.main(["run", "--config", str(path), "--n", "3", "--k", "40"]) == 2
+    captured = capsys.readouterr()
+    assert "links[1] configures link (0, 1) a second time" in captured.err
     assert captured.out == ""
 
 

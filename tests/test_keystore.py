@@ -139,6 +139,39 @@ def test_flips_match_freshly_seeded_reference(q):
     assert q > 1e-200 or not want
 
 
+@pytest.mark.parametrize("q", [0.0, 0.01])
+@pytest.mark.parametrize("start, n_bits", [(0, 0), (0, 4096), (511, 1000), ((1 << 20) - 3001, 6000)])
+def test_positioned_reads_see_what_the_cursors_see_and_move_none(q, start, n_bits):
+    # read and flips look at any range by position: read gives each side
+    # what draw_shared gives it there, flips what otp_transfer returns there,
+    # and the two sides' reads differ exactly at the flips
+    store = LinkKeyStore(2, 5, seed=13, flip_prob=q)
+    reads = [store.read(start, n_bits, side) for side in (2, 5)]
+    flips = store.flips(start, n_bits)
+    assert store.consumed_bits() == 0
+    drawn = LinkKeyStore(2, 5, seed=13, flip_prob=q)
+    for side, got in zip((2, 5), reads):
+        drawn.draw_shared(start, side=side)
+        assert np.array_equal(got, drawn.draw_shared(n_bits, side=side))
+    differ = np.flatnonzero(_bits(reads[0], n_bits) ^ _bits(reads[1], n_bits))
+    assert differ.tolist() == flips.tolist()
+    assert (q > 0 and n_bits > 0) == (flips.size > 0)
+    sent = LinkKeyStore(2, 5, seed=13, flip_prob=q)
+    sent.otp_transfer(start, from_side=2)
+    assert np.array_equal(sent.otp_transfer(n_bits, from_side=5), flips)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.0, True])
+def test_positioned_reads_check_their_start(bad):
+    store = LinkKeyStore(0, 1, seed=1, flip_prob=0.1)
+    with pytest.raises(ValueError, match="^start must be a non-negative int"):
+        store.read(bad, 8, side=0)
+    with pytest.raises(ValueError, match="^start must be a non-negative int"):
+        store.flips(bad, 8)
+    with pytest.raises(ValueError, match="not an endpoint"):
+        store.read(0, 8, side=2)
+
+
 def test_all_bits_flip_at_probability_one():
     store = LinkKeyStore(0, 1, seed=3, flip_prob=1.0)
     clean = _bits(store.draw_shared(509, side=0), 509)
@@ -322,6 +355,17 @@ def test_network_config_structural_validation():
         NetworkConfig(n_users=3, links={(1, 1): LinkSettings()})
     with pytest.raises(ValueError, match="seed"):
         NetworkConfig(n_users=3, seed=-5)
+
+
+def test_a_repeated_link_entry_is_rejected_by_index():
+    # entries were gathered in a dict keyed by the pair, so the last one won
+    raw = {"users": 3, "links": [{"a": 0, "b": 1, "flip_prob": 0.5},
+                                 {"a": 0, "b": 1, "flip_prob": 0.0}]}
+    with pytest.raises(ValueError, match=r"^links\[1\] configures link \(0, 1\) a second time$"):
+        NetworkConfig.from_dict(raw)
+    raw["links"][1] = {"a": 1, "b": 0}  # the same pair the other way round
+    with pytest.raises(ValueError, match=r"link \(0, 1\) configured twice"):
+        NetworkConfig.from_dict(raw)
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0, True, "fast"])

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -14,8 +14,11 @@ from ussim.protocol import (
     Recipient,
     Sender,
     Signature,
+    block_tags,
     forward_chain,
+    held_view,
     level_rule,
+    mismatch_counts,
     run_distribution,
 )
 from ussim.secparams import ProtocolParams
@@ -436,13 +439,6 @@ def test_stage_ordering_is_enforced():
         recipient.send_share(recipient)
 
 
-def test_tags_at_before_prepare_raises_like_sign():
-    params = small_params(n=3, k=4)
-    sender = Sender(Network(NetworkConfig(n_users=4, seed=1)), params)
-    with pytest.raises(RuntimeError, match=r"prepare\(\) must run before signing"):
-        sender.tags_at(0, np.zeros((3, 4), dtype=np.intp))
-
-
 def test_duplicate_share_is_rejected():
     params = small_params(n=3, k=4)
     network = Network(NetworkConfig(n_users=4, seed=1))
@@ -455,8 +451,7 @@ def test_duplicate_share_is_rejected():
         src.send_share(dst)
 
 
-@pytest.mark.parametrize("holder", [None, 0, 2])
-def test_no_recipient_keeps_its_batch_past_its_sharing(monkeypatch, holder):
+def test_no_recipient_keeps_its_batch_past_its_sharing(monkeypatch):
     # one batch at a time: when a recipient receives its batch no other one
     # holds a batch or partition, and none is left after the distribution;
     # a stage run again afterwards raises before it spends any key
@@ -476,7 +471,7 @@ def test_no_recipient_keeps_its_batch_past_its_sharing(monkeypatch, holder):
     monkeypatch.setattr(Recipient, "__init__", init)
     monkeypatch.setattr(Recipient, "receive_batch", receive)
     network = Network(NetworkConfig(n_users=5, seed=3, default_flip_prob=0.01))
-    _, recipients = run_distribution(network, params, holder=holder)
+    _, recipients = run_distribution(network, params)
     assert parties == recipients and received == [True] * 4
     assert all(r._batch is None and r._partition is None for r in recipients)
     consumed = network.total_consumed()
@@ -686,6 +681,8 @@ def _noisy_network(n, seed):
     pytest.param(2, False, id="2-noiseless"),
 ])
 def test_holder_gets_the_keys_of_a_full_run(n, noisy):
+    # held_view gives each key holder what a full run leaves it, and the
+    # sender's issued keys at its held slots, without moving any cursor
     def network():
         if noisy:
             return _noisy_network(n, seed=21)
@@ -693,97 +690,48 @@ def test_holder_gets_the_keys_of_a_full_run(n, noisy):
 
     params = small_params(n=n, k=12)
     full_net = network()
-    _, full = run_distribution(full_net, params)
+    sender, full = run_distribution(full_net, params)
+    consumed = full_net.total_consumed()
     for h in (*range(n), np.int64(n - 1)):
         net = network()
-        sender, recipients = run_distribution(net, params, holder=h)
-        signature = sender.sign(1)
-        assert recipients[h].distribution_complete
+        held, issued = held_view(net, params, h)
+        assert set(net.total_consumed().values()) == {0}
         for origin in range(n):
-            got, want = recipients[h].held_group(origin), full[h].held_group(origin)
-            assert np.array_equal(got.slots, want.slots)
-            assert np.array_equal(got.multipliers, want.multipliers)
-            assert np.array_equal(got.offsets, want.offsets)
-        for u in range(n + 1):
-            if u != h + 1:
-                assert net.link(h + 1, u).consumed_bits() == (
-                    full_net.link(h + 1, u).consumed_bits()
-                )
-        # sender links match a full run; links between two other recipients stay unread
-        for u in range(1, n + 1):
-            assert net.link(0, u).consumed_bits() == full_net.link(0, u).consumed_bits()
-            for v in range(u + 1, n + 1):
-                if h + 1 not in (u, v):
-                    assert net.link(u, v).consumed_bits() == 0
-        # no share leaves h, so even at n = 2 the other recipient lacks one
-        for other in recipients:
-            if other.index != h:
-                assert not other.distribution_complete
-                with pytest.raises(RuntimeError, match="incomplete"):
-                    other.verify(signature, params.l_max)
+            want = full[h].held_group(origin)
+            assert all(np.array_equal(got[origin], w) for got, w in zip(held, want))
+            slots = np.minimum(want.slots, n * params.k - 1)
+            for got, keys in zip(issued, sender.issued_group(origin)):
+                assert np.array_equal(got[origin], keys[slots])
+        # read again on the network the full run used: the same keys, no metering
+        again = held_view(full_net, params, h)
+        assert all(np.array_equal(x, y) for x, y in zip((*held, *issued), (*again[0], *again[1])))
+        assert full_net.total_consumed() == consumed
 
 
-def test_holder_transfers_only_over_its_links(monkeypatch):
-    # both directions of each of h's links spend their pads; only the
-    # shares into h are built and sent
-    params = small_params(n=5, k=4)
-    pads, sends = [], []
-    real_otp, real_send = LinkKeyStore.otp_transfer, Recipient.send_share
-
-    def counted_otp(self, n_bits, from_side):
-        pads.append((self.users, from_side))
-        return real_otp(self, n_bits, from_side)
-
-    def counted_send(self, other):
-        sends.append((self.index, other.index))
-        return real_send(self, other)
-
-    monkeypatch.setattr(LinkKeyStore, "otp_transfer", counted_otp)
-    monkeypatch.setattr(Recipient, "send_share", counted_send)
-    def sides_per_link():
-        # each link's own order of transfers; links interleave as they will
-        links = {}
-        for users, side in pads:
-            links.setdefault(users, []).append(side)
-        return links
-
-    run_distribution(_noisy_network(5, seed=2), params, holder=3)
-    h = 4  # recipient 3's user
-    assert sides_per_link() == {
-        (lo, hi): [lo, hi] for u in range(1, 6) if u != h for lo, hi in [sorted((u, h))]
-    }
-    assert sorted(sends) == [(d, 3) for d in range(5) if d != 3]
-    pads.clear()
-    sends.clear()
-    run_distribution(_noisy_network(5, seed=2), params)
-    assert sides_per_link() == {
-        (lo, hi): [lo, hi] for lo in range(1, 6) for hi in range(lo + 1, 6)
-    }
-    assert sorted(sends) == sorted(itertools.permutations(range(5), 2))
-
-
-def test_holder_run_builds_only_the_links_it_uses(monkeypatch):
-    # n sender links plus h's n - 1 recipient links; every pair is still
-    # reported, and the untouched ones have consumed nothing
-    n, h = 7, 2
-    params = small_params(n=n, k=4)
-    built = []
-    real_init = LinkKeyStore.__init__
-
-    def counted(self, user_a, user_b, **kwargs):
-        built.append((user_a, user_b))
-        real_init(self, user_a, user_b, **kwargs)
-
-    monkeypatch.setattr(LinkKeyStore, "__init__", counted)
-    network = Network(NetworkConfig(n_users=n + 1, seed=4))
-    assert built == []
-    run_distribution(network, params, holder=h)
-    used = {(0, u) for u in range(1, n + 1)}
-    used |= {tuple(sorted((h + 1, u))) for u in range(1, n + 1) if u != h + 1}
-    assert len(built) == 2 * n - 1 and set(built) == used
-    consumed = network.total_consumed()
-    assert len(consumed) == n * (n + 1) // 2
-    assert {pair for pair, bits in consumed.items() if bits} == used
+@pytest.mark.parametrize("q", [0.0, 1e-4, 0.01, 0.3])
+@pytest.mark.parametrize("a, t", [(8, 8), (72, 16), (128, 32)])
+@given(seed=st.integers(0, 2**63 - 1), message=st.integers(0, 2**128 - 1))
+@settings(max_examples=3, deadline=None)
+def test_held_view_judges_as_a_full_run_verifies(a, t, q, seed, message):
+    # every recipient's view equals the full run's, and its counts equal
+    # verify's at every level; at q = 0.3 relayed slot ids change often, so a
+    # view read at the origin's slots instead of the held ones would miscount
+    n, k = 4, 20
+    params = ProtocolParams.build(n, a, t, k=k)
+    message %= 1 << a
+    config = NetworkConfig(n_users=n + 1, seed=seed, default_flip_prob=q)
+    sender, full = run_distribution(Network(config), params)
+    signature = sender.sign(message)
+    for h in range(n):
+        held, issued = held_view(Network(config), params, h)
+        assert all(np.array_equal(x, y) for x, y in zip(held, full[h]._held))
+        tags = (block_tags(keys, message, params) for keys in (issued, held[1:]))
+        counts = mismatch_counts(held.slots, *tags)
+        for level in range(-1, params.l_max + 1):
+            result = full[h].verify(signature, level)
+            assert tuple(counts.tolist()) == result.mismatch_counts
+            accepted = level_rule(counts, k, result.s_threshold, result.delta_threshold)[1]
+            assert accepted == result.accepted
 
 
 def test_run_honest_reads_pool_bits_only_on_sender_links(monkeypatch):
@@ -791,24 +739,25 @@ def test_run_honest_reads_pool_bits_only_on_sender_links(monkeypatch):
     # recipient links read no pool bits, since one-time pads cancel
     n, k, a, t = 4, 700, 8, 8
     reads = []
-    real_pool_bytes = LinkKeyStore._pool_bytes
+    real_read = LinkKeyStore.read
 
-    def counted(self, start, n_bits):
+    def counted(self, start, n_bits, side):
         reads.append((self.users, start, n_bits))
-        return real_pool_bytes(self, start, n_bits)
+        return real_read(self, start, n_bits, side)
 
-    monkeypatch.setattr(LinkKeyStore, "_pool_bytes", counted)
+    monkeypatch.setattr(LinkKeyStore, "read", counted)
     assert run_honest(ProtocolParams.build(n, a, t, k=k), seed=6).all_accepted
     assert sorted(reads) == [((0, r), 0, n * k * (a + t)) for r in range(1, n + 1) for _ in "ab"]
 
 
 @pytest.mark.parametrize("holder", [-1, 3, True, np.bool_(True), 1.0])
-def test_holder_out_of_range_is_rejected_before_any_draw(holder):
+def test_holder_out_of_range_is_rejected_before_any_draw(holder, monkeypatch):
+    # held_view checks the key holder's index before it builds or reads a link
     params = small_params(n=3, k=4)
     network = Network(NetworkConfig(n_users=4, seed=1))
-    with pytest.raises(ValueError, match="holder"):
-        run_distribution(network, params, holder=holder)
-    assert set(network.total_consumed().values()) == {0}
+    monkeypatch.setattr(Network, "link", lambda *args: pytest.fail("a link was read"))
+    with pytest.raises(ValueError, match="^recipient index must be an int in"):
+        held_view(network, params, holder)
 
 
 def test_smallest_instance_consumes_fourteen_bits():

@@ -9,7 +9,7 @@ import pytest
 import reference
 from ussim.hashing import find_irreducible, tags_of_arrays
 from ussim.keystore import LinkKeyStore, LinkSettings, Network, NetworkConfig
-from ussim.protocol import Recipient, run_distribution
+from ussim.protocol import Recipient, held_view, run_distribution
 from ussim.secparams import (
     BoundReport,
     CostMode,
@@ -444,11 +444,10 @@ SMALL = ProtocolParams.build(3, 8, 8, k=4)
 KEYS = (np.arange(16, dtype=np.uint8),) * 2  # multipliers and 4-bit offsets
 
 
-def _held_by(holder):
-    network = Network(NetworkConfig(n_users=4, seed=2))
-    _, recipients = run_distribution(network, SMALL, holder=holder)
-    keys = [block.tobytes() for block in recipients[1]._held]
-    return keys, network.total_consumed()
+def _held_by(recipient):
+    network = Network(NetworkConfig(n_users=4, seed=2, default_flip_prob=0.1))
+    held, issued = held_view(network, SMALL, recipient)
+    return [block.tobytes() for block in (*held, *issued)], network.total_consumed()
 
 
 def _signature(message):
@@ -491,7 +490,7 @@ INTEGER_ARGUMENTS = {
         lambda v: vars(Recipient(Network(NetworkConfig(n_users=4)), SMALL, v))["index"],
         1, "recipient index",
     ),
-    "run_distribution-holder": (_held_by, 1, "holder"),
+    "held_view-recipient": (_held_by, 1, "recipient index"),
     "attack_forge-trials": (lambda v: attack_forge(SMALL, trials=v), 5, "trials"),
     "attack_forge-seed": (lambda v: attack_forge(SMALL, trials=5, seed=v), 2, "seed"),
     "attack_forge-forger": (lambda v: attack_forge(SMALL, trials=5, forger=v), 1, "forger index"),

@@ -10,7 +10,7 @@ import reference
 from ussim import simlab
 from ussim._bitops import packed_dtype
 from ussim.keystore import Network, NetworkConfig
-from ussim.protocol import Sender, Signature, run_distribution
+from ussim.protocol import Signature, run_distribution
 from ussim.secparams import CostMode, ProtocolParams, consumption
 from ussim.simlab import (
     SweepResult,
@@ -487,37 +487,41 @@ def test_sweep_error_tolerance_rejects_bad_arguments_before_solving_k(monkeypatc
 
 
 def test_sweep_trials_judge_as_sign_and_verify(monkeypatch):
-    # a sweep trial tags only recipient 0's held slots; its counts and
-    # verdict must equal a full sign and verify, also when a held slot id
-    # points past the tag list
+    # a sweep trial reads recipient 0's held view and tags only its held
+    # slots; its counts and verdict must equal a full run's sign and verify,
+    # also when a held slot id points past the tag list
     params = ProtocolParams.build(5, 4, 2, k=200)
     n, k = params.n_recipients, params.k
     trials, judged = [], []
-    real_run, real_tags_at, real_rule = simlab.run_distribution, Sender.tags_at, simlab.level_rule
+    real_view, real_message, real_rule = simlab.held_view, simlab._random_message, simlab.level_rule
 
-    def run(network, p, holder=None):
-        sender, recipients = real_run(network, p, holder)
+    def view(network, p, recipient):
+        held, issued = real_view(network, p, recipient)
+        sender, recipients = run_distribution(Network(network.config), p)
         if len(trials) % 3 == 2:
-            recipients[0].held_group(len(trials) % n).slots[7] = n * k + len(trials) % 24
-        trials.append([sender, recipients])
-        return sender, recipients
+            slot = n * k + len(trials) % 24
+            held.slots[len(trials) % n, 7] = slot
+            recipients[recipient].held_group(len(trials) % n).slots[7] = slot
+        trials.append([sender, recipients[recipient]])
+        return held, issued
 
-    def tags_at(sender, message, flat):
-        trials[-1].append(message)
-        return real_tags_at(sender, message, flat)
+    def random_message(rng, bits):
+        trials[-1].append(real_message(rng, bits))
+        return trials[-1][-1]
 
     def rule(counts, *args):
         passed, accepted = real_rule(counts, *args)
         judged.append((tuple(counts.tolist()), bool(accepted)))
         return passed, accepted
 
-    monkeypatch.setattr(simlab, "run_distribution", run)
-    monkeypatch.setattr(Sender, "tags_at", tags_at)
+    monkeypatch.setattr(simlab, "held_view", view)
+    monkeypatch.setattr(simlab, "_random_message", random_message)
     monkeypatch.setattr(simlab, "level_rule", rule)
     table = sweep_error_tolerance([1e-4, 0.01, 0.05], params, trials=50, seed=3)
     assert len(trials) == len(judged) == 150
-    for (sender, recipients, message), got in zip(trials, judged):
-        result = recipients[0].verify(sender.sign(message), params.l_max)
+    for (sender, verifier, message), got in zip(trials, judged):
+        assert verifier.index == 0
+        result = verifier.verify(sender.sign(message), params.l_max)
         assert got == (result.mismatch_counts, result.accepted)
     verdicts = [accepted for _, accepted in judged]
     assert [row[8] for row in table.rows] == [sum(verdicts[i : i + 50]) for i in (0, 50, 100)]
