@@ -276,7 +276,6 @@ def _cmd_attack(args) -> int:
         result = attack_forge(
             params, trials=args.trials, seed=seed, forger=args.forger,
             colluders=colluders, target=args.target, level=args.level,
-            redraw_every=args.redraw_every,
             enforce_collusion_bound=not args.allow_oversized_collusion,
         )
         columns = ("forger", "colluders", "target", "level", "trials", "successes",
@@ -438,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="forge: target recipient (default n-1)")
     p_attack.add_argument("--level", type=int, default=None,
                           help="forge: acceptance level under attack (default l_max)")
-    p_attack.add_argument("--redraw-every", type=int, default=512,
-                          help="forge: trials between distribution redraws (default 512)")
     p_attack.add_argument("--allow-oversized-collusion", action="store_true",
                           help="forge: permit colluder sets beyond floor(d_r*n)")
     p_attack.set_defaults(func=_cmd_attack)

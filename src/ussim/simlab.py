@@ -61,6 +61,10 @@ _FORGE_NET_STREAM = 0x464E4554
 _FORGE_GUESS_STREAM = 0x46475353
 _SWEEP_MC_STREAM = 0x53574D43
 
+# bytes of published tags per forge block: it bounds a block's memory at any t,
+# and a forge's outcome can depend on it, so it is fixed, not sized to the machine
+_FORGE_BLOCK_BYTES = 1 << 16
+
 _SEED_SPAN = 1 << 62
 
 
@@ -248,7 +252,6 @@ def attack_forge(
     colluders: Sequence[int] = (),
     target: int | None = None,
     level: int | None = None,
-    redraw_every: int = 512,
     enforce_collusion_bound: bool = True,
 ) -> AttackResult:
     """Colluding recipients try to pass off their own message as signed.
@@ -263,14 +266,14 @@ def attack_forge(
     larger than floor(d_r * n) are outside the security model and rejected
     unless enforce_collusion_bound is off.
 
-    The network, the known tags and the target's expected tags are
-    redrawn every redraw_every trials; a trial redraws only the guesses.
-    Reuse is statistically free here: with q=0 the known batches always
-    pass and each guessed tag matches independently with probability
-    2^-t, whatever the distribution outcome was.
+    One attack draws one network, one view and one message; its trials
+    draw only the guesses at the target's held slots, judged in blocks of
+    at most 2^16 bytes of published tags. Sharing the rest is statistically
+    free: with q=0 the known batches always pass and each guessed tag
+    matches independently with probability 2^-t, whatever the
+    distribution outcome was.
     """
     trials, seed = as_int(trials, "trials", 1), as_int(seed, "seed", 0)
-    redraw_every = as_int(redraw_every, "redraw_every", 1)
     n, k = params.n_recipients, params.k
     a, t = params.msg_len_bits, params.tag_len_bits
     level, s, delta = params.thresholds(params.l_max if level is None else level)
@@ -292,25 +295,24 @@ def attack_forge(
     known = sorted({forger, *colluders})
     unknown = [g for g in range(n) if g not in known]
     net_rng = np.random.default_rng([seed, _FORGE_NET_STREAM])
+    config = NetworkConfig(n_users=n + 1, seed=int(net_rng.integers(0, _SEED_SPAN)))
+    (slots, *keys), issued = held_view(Network(config), params, target)
+    message = _random_message(net_rng, a)
+    tag = packed_dtype(t)
+    block = max(1, _FORGE_BLOCK_BYTES // (n * k * tag.itemsize))
+    # the tags at the target's slots, one (n, k) row per trial of a block
+    published = np.empty((min(block, trials), n, k), dtype=tag)
+    for g in known:  # noiseless, so the batch g saw is the one issued
+        published[:, g] = tags_of_arrays(issued[0][g], issued[1][g], message, a, t)
+    expected = block_tags(keys, message, params)
     guess_rng = np.random.default_rng([seed, _FORGE_GUESS_STREAM])
-    published = np.empty((n, k), dtype=packed_dtype(t))  # the tags at the target's slots
     successes = 0
-    done = 0
-    while done < trials:
-        block = min(redraw_every, trials - done)
-        config = NetworkConfig(n_users=n + 1, seed=int(net_rng.integers(0, _SEED_SPAN)))
-        (slots, *keys), issued = held_view(Network(config), params, target)
-        message = _random_message(net_rng, a)
-        for g in known:  # noiseless, so the batch g saw is the one issued
-            published[g] = tags_of_arrays(issued[0][g], issued[1][g], message, a, t)
-        expected, at = block_tags(keys, message, params), slots.astype(np.intp)
-        counts = np.empty((block, n), dtype=np.intp)
-        for trial in range(block):
-            for g in unknown:  # a whole batch of guesses, of which the target reads k
-                published[g] = _uniform_tags(guess_rng, n * k, t)[at[g]]
-            counts[trial] = mismatch_counts(slots, published, expected)
+    for done in range(0, trials, block):
+        b = min(block, trials - done)
+        guesses = _uniform_tags(guess_rng, b * len(unknown) * k, t)
+        published[:b, unknown] = guesses.reshape(b, len(unknown), k)
+        counts = mismatch_counts(slots, published[:b], expected)
         successes += int(np.count_nonzero(level_rule(counts, k, s, delta)[1]))
-        done += block
     return _attack_result(trials, successes, bound, level)
 
 

@@ -302,6 +302,14 @@ def test_attack_forge_csv_tracks_small_case_oracle():
     assert abs(float(row["rate"]) - 135 / 256) < 0.05
 
 
+def test_attack_forge_has_no_redraw_flag(capsys):
+    # one forge attack reads one view, so there is no redraw period to set
+    with pytest.raises(SystemExit) as info:
+        cli.main(["attack", "--kind", "forge", "--redraw-every", "8"])
+    assert info.value.code == 2
+    assert "--redraw-every" in capsys.readouterr().err
+
+
 def test_attack_repudiation_requires_gamma():
     proc = run_cli("attack", "--kind", "repudiation", "--trials", "10", "--k", "10")
     assert proc.returncode == 2

@@ -494,9 +494,6 @@ INTEGER_ARGUMENTS = {
     "attack_forge-trials": (lambda v: attack_forge(SMALL, trials=v), 5, "trials"),
     "attack_forge-seed": (lambda v: attack_forge(SMALL, trials=5, seed=v), 2, "seed"),
     "attack_forge-forger": (lambda v: attack_forge(SMALL, trials=5, forger=v), 1, "forger index"),
-    "attack_forge-redraw_every": (
-        lambda v: attack_forge(SMALL, trials=5, redraw_every=v), 2, "redraw_every",
-    ),
     "attack_repudiation-trials": (lambda v: attack_repudiation(0.3, SMALL, trials=v), 5, "trials"),
     "attack_repudiation-seed": (
         lambda v: attack_repudiation(0.3, SMALL, trials=5, seed=v), 2, "seed",

@@ -175,20 +175,16 @@ def test_attack_spec_validation():
     params = ProtocolParams.build(3, 8, 8, l_max=0, d_r=0.0, k=8)
     with pytest.raises(ValueError, match="trials"):
         attack_forge(params, trials=0)
-    with pytest.raises(ValueError, match="redraw_every"):
-        attack_forge(params, trials=1, redraw_every=0)
     with pytest.raises(ValueError, match="seed"):
         attack_forge(params, trials=1, seed=-1)
     with pytest.raises(ValueError, match="trials"):
         attack_forge(params, trials=True)
 
 
-def test_attack_spec_rejects_bool_seed_and_redraw_every():
+def test_attack_spec_rejects_bool_seed():
     params = ProtocolParams.build(3, 8, 8, l_max=0, d_r=0.0, k=8)
     with pytest.raises(ValueError, match="seed"):
         attack_forge(params, trials=1, seed=True)
-    with pytest.raises(ValueError, match="redraw_every"):
-        attack_forge(params, trials=1, redraw_every=True)
 
 
 def test_forge_rate_matches_exact_binomial_small_case():
@@ -209,17 +205,15 @@ def test_forge_long_tags_never_pass():
 
 
 def test_forge_checks_its_bound_before_any_trial(monkeypatch):
-    # a bound that cannot be priced must surface before the first
-    # distribution is drawn, not after every trial
-    from ussim import simlab
-
+    # a bound that cannot be priced must surface before the target's
+    # view is read, not after every trial
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran before the bound was checked")
 
     def no_bound(*args, **kwargs):
         raise ValueError("tag_len_bits cannot be priced")
 
-    monkeypatch.setattr(simlab, "run_distribution", no_trials)
+    monkeypatch.setattr(simlab, "held_view", no_trials)
     monkeypatch.setattr(simlab, "uniform_guess_pass_prob", no_bound)
     params = ProtocolParams.build(3, 128, 96, l_max=0, d_r=0.0, k=900)
     with pytest.raises(ValueError, match="tag_len_bits"):
@@ -229,15 +223,15 @@ def test_forge_checks_its_bound_before_any_trial(monkeypatch):
 @pytest.mark.parametrize("level", [np.int64(0), True, 1.0, "0"])
 def test_forge_checks_its_level_before_any_distribution(monkeypatch, level):
     # an np.integer level runs as its int; anything else fails before the
-    # first distribution is drawn
+    # target's view is read
     drawn = []
-    real_distribution = simlab.run_distribution
+    real_view = simlab.held_view
 
     def counted(*args, **kwargs):
         drawn.append(args)
-        return real_distribution(*args, **kwargs)
+        return real_view(*args, **kwargs)
 
-    monkeypatch.setattr(simlab, "run_distribution", counted)
+    monkeypatch.setattr(simlab, "held_view", counted)
     params = ProtocolParams.build(3, 8, 1, l_max=1, d_r=0.0, k=4)
     if isinstance(level, np.integer):
         result = attack_forge(params, trials=300, seed=3, target=2, level=level)
@@ -261,14 +255,13 @@ _EXPERIMENTS = {
       for name in _EXPERIMENTS for bad in (0, -1, True)),
     *((name, {"trials": 10, "seed": bad}, f"seed must be a non-negative int, got {bad!r}")
       for name in _EXPERIMENTS for bad in (-1, True)),
-    *(("forge", {"trials": 10, "redraw_every": bad},
-       f"redraw_every must be a positive int, got {bad!r}") for bad in (0, -1, True)),
 ])
 def test_experiments_check_trials_seed_and_redraw_before_any_distribution(
     monkeypatch, experiment, kwargs, message
 ):
+    # the forge and the q-sweep read held views, never a full distribution
     drawn = []
-    monkeypatch.setattr(simlab, "run_distribution", lambda *args, **kw: drawn.append(args))
+    monkeypatch.setattr(simlab, "held_view", lambda *args, **kw: drawn.append(args))
     params = ProtocolParams.build(3, 8, 8, l_max=0, d_r=0.0, k=8)
     with pytest.raises(ValueError) as info:
         _EXPERIMENTS[experiment](params, **kwargs)
@@ -276,9 +269,9 @@ def test_experiments_check_trials_seed_and_redraw_before_any_distribution(
     assert drawn == []
 
 
-def test_forge_tags_once_per_redraw_and_builds_no_signature(monkeypatch):
-    # one tag call per known batch and one for the target's expected tags
-    # per redraw, whatever the trial count; no trial signs or verifies
+def test_forge_tags_once_per_attack_and_builds_no_signature(monkeypatch):
+    # one tag call per known batch, then one for the target's expected
+    # tags, whatever the trial count; no trial signs or verifies
     from ussim import protocol
 
     calls = []
@@ -294,14 +287,30 @@ def test_forge_tags_once_per_redraw_and_builds_no_signature(monkeypatch):
 
     monkeypatch.setattr(Signature, "__post_init__", no_signature)
     params = ProtocolParams.build(4, 8, 4, l_max=0, d_r=0.0, k=6)
-    for trials, redraw_every in ((1, 512), (700, 512), (1000, 100)):
+    # n*k = 24 one-byte tags published a trial: a block holds 2730 trials
+    per_block = simlab._FORGE_BLOCK_BYTES // (params.n_recipients * params.k)
+    for trials in (1, 700, 1000, 2 * per_block + 1):
         calls.clear()
         attack_forge(
-            params, trials=trials, redraw_every=redraw_every,
-            colluders=(1,), target=3, enforce_collusion_bound=False,
+            params, trials=trials, colluders=(1,), target=3, enforce_collusion_bound=False,
         )
-        redraws = -(-trials // redraw_every)
-        assert calls == ["ussim.simlab", "ussim.simlab", "ussim.protocol"] * redraws
+        assert calls == ["ussim.simlab", "ussim.simlab", "ussim.protocol"]
+
+
+def test_forge_reads_one_view_of_the_first_net_stream_seed(monkeypatch):
+    # one network per attack, seeded as the first draw of the forge's net stream
+    seeds = []
+    real_view = simlab.held_view
+
+    def recorded(network, *args):
+        seeds.append(network.seed)
+        return real_view(network, *args)
+
+    monkeypatch.setattr(simlab, "held_view", recorded)
+    params = ProtocolParams.build(3, 8, 1, l_max=1, d_r=0.0, k=4)
+    attack_forge(params, trials=20_000, seed=5, target=2, level=0)
+    rng = np.random.default_rng([5, simlab._FORGE_NET_STREAM])
+    assert seeds == [int(rng.integers(0, 2**62))]
 
 
 @pytest.mark.parametrize("t", [64, 65, 72, 100, 255])
