@@ -41,14 +41,15 @@ from .simlab import (
 
 _MAX_SWEEP_POINTS = 10_000
 # Largest share of physical memory a `run` may be estimated to need: its
-# key state at the distribution's peak (protocol.key_state_bytes) plus
-# INTERPRETER_BYTES, the resident size after `import ussim.cli`. Peak RSS
-# measured 1.29 to 2.11 times that estimate at n >= 20 (1.53 at n=50 a=64
-# t=32 k=6906; 2.11 at n=100 a=t=8 k=14407, 2405 against 1140 MiB, where
-# the signature and sign's temporaries outgrow narrow keys), so an admitted
-# run peaks within 0.42 * 2.11 = 89% of memory. A larger one would run out
-# of memory partway through and is refused up front.
-KEY_STATE_MEMORY_FRACTION = 0.42
+# key state at the run's peak (protocol.key_state_bytes: held keys, the
+# signature and one sign block) plus INTERPRETER_BYTES, the resident size
+# after `import ussim.cli`. Peak RSS measured 0.99, 1.01 and 1.00 times that
+# estimate at n=20 a=64 t=32 k=2270, n=50 a=64 t=32 k=6906 and n=100 a=t=8
+# k=14407 (72, 403 and 1080 MiB), and 0.94 to 1.09 at seven other shapes
+# from n=7 to n=60, so an admitted run peaks within 0.80 * 1.09 = 87% of
+# memory. A larger one would run out of memory partway through and is
+# refused up front.
+KEY_STATE_MEMORY_FRACTION = 0.80
 INTERPRETER_BYTES = 33 << 20
 
 

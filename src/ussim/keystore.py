@@ -31,7 +31,8 @@ its last 16 the flips, each read as a big-endian int.
 read returns any range of the pool as one endpoint sees it, packed most
 significant bit first into ceil(n / 8) bytes, never one byte per bit, and
 flips the noisy side's flip positions in a range; neither moves a cursor.
-draw_shared and otp_transfer are cursor bookkeeping around them.
+spend moves one endpoint's cursor past a range and reads nothing;
+draw_shared and otp_transfer are spend followed by one of those reads.
 Consumption is counted once per pool position, however many endpoints
 read it, because the position corresponds to one shared secret bit.
 
@@ -131,9 +132,10 @@ class LinkKeyStore:
     """Shared key pool between two users.
 
     Endpoints are identified by user index. read and flips look at any
-    range by position; draw_shared hands out the next n bits as seen from
-    one endpoint, packed; otp_transfer spends pad positions on both
-    endpoints and reports where the payload flipped.
+    range by position; spend hands out the next n bits of one endpoint by
+    their start; draw_shared hands them out as seen from that endpoint,
+    packed; otp_transfer spends pad positions on both endpoints and reports
+    where the payload flipped.
     """
 
     def __init__(
@@ -234,7 +236,12 @@ class LinkKeyStore:
             raise ValueError(f"user {side} is not an endpoint of link {self.users}")
         return side, as_int(n_bits, "n_bits", 0)
 
-    def _advance(self, side: int, n_bits: int) -> int:
+    def spend(self, n_bits: int, side: int) -> int:
+        """Advance one endpoint's cursor past its next n_bits; return where they start.
+
+        Reads nothing: the spent range stays readable by position through read.
+        """
+        side, n_bits = self._check(side, n_bits, "side")
         start = self._cursor[side]
         self._cursor[side] = start + n_bits
         self._highwater = max(self._highwater, start + n_bits)
@@ -242,8 +249,7 @@ class LinkKeyStore:
 
     def draw_shared(self, n_bits: int, side: int) -> np.ndarray:
         """read of the next n_bits from one endpoint's cursor, which advances."""
-        side, n_bits = self._check(side, n_bits, "side")
-        return self.read(self._advance(side, n_bits), n_bits, side)
+        return self.read(self.spend(n_bits, side), n_bits, side)
 
     def otp_transfer(self, n_bits: int, from_side: int) -> np.ndarray:
         """One-time-pad an n_bits payload across the link.
@@ -262,8 +268,8 @@ class LinkKeyStore:
                 f"link {self.users} is out of sync: user {self.user_a} is at bit "
                 f"{start}, user {self.user_b} at bit {self._cursor[self.user_b]}"
             )
-        self._advance(self.user_a, n_bits)
-        self._advance(self.user_b, n_bits)
+        self.spend(n_bits, self.user_a)
+        self.spend(n_bits, self.user_b)
         return self.flips(start, n_bits)
 
     def consumed_bits(self) -> int:

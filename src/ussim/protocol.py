@@ -34,7 +34,7 @@ import numpy as np
 
 from ._bitops import flip_bits, pack_rows, packed_dtype, unpack_rows
 from .hashing import tags_of_arrays
-from .keystore import Network
+from .keystore import LinkKeyStore, Network
 from .secparams import ProtocolParams, as_int, check_header_fields, id_bits
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
 
 PARTITION_STREAM = 0x50415254  # seed-sequence tag for partition draws
 
+_SIGN_BLOCK_BYTES = 1 << 24  # decoded keys sign reads and tags per call, in whole batches
 _MAGIC = b"USS1"
 _VERSION = 1
 _HEADER = struct.Struct(">4sBHBHII")  # magic, version, a, t, n, k, payload bytes
@@ -231,17 +232,38 @@ def _decode_keys(packed: np.ndarray, params: ProtocolParams) -> tuple[np.ndarray
     )
 
 
-def key_state_bytes(params: ProtocolParams) -> int:
-    """Bytes of packed keys a full distribution holds at its peak.
+def _issued_keys(link: LinkKeyStore, start: int, params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """The sender's noiseless view of the batch issued over a sender link from start."""
+    n_bits = params.n_recipients * params.k * (params.msg_len_bits + params.tag_len_bits)
+    return _decode_keys(link.read(start, n_bits, side=0), params)
 
-    The sender's n*n*k issued keys, as many held keys with slot ids, and
-    one recipient's n*k batch with its partition, each field at the
+
+def _key_bytes(params: ProtocolParams) -> int:
+    """Bytes of one decoded key: a multiplier and an offset at their packed_dtype."""
+    return sum(packed_dtype(w).itemsize for w in (params.msg_len_bits, params.tag_len_bits))
+
+
+def _sign_block_batches(params: ProtocolParams) -> int:
+    """Batches sign decodes and tags at a time: as many as fit in _SIGN_BLOCK_BYTES, at least one."""
+    batch = params.n_recipients * params.k * _key_bytes(params)
+    return min(params.n_recipients, max(1, _SIGN_BLOCK_BYTES // batch))
+
+
+def key_state_bytes(params: ProtocolParams) -> int:
+    """Bytes of packed keys and tags a full run holds at its peak.
+
+    The n*n*k held keys with slot ids, plus the larger of what signing and
+    distributing add to them: the signature's n*n*k tags and one sign block,
+    or one recipient's n*k batch with its partition. A sign block counts its
+    decoded keys and the tag call's working set over them: per key an intp
+    table index and two tag-wide accumulators. Each field counts at the
     itemsize of its packed_dtype.
     """
     n, k = params.n_recipients, params.k
-    key = sum(packed_dtype(w).itemsize for w in (params.msg_len_bits, params.tag_len_bits))
-    slot = packed_dtype(id_bits(n, k)).itemsize
-    return n * k * (n * (2 * key + slot) + key + slot)
+    key, slot = _key_bytes(params), packed_dtype(id_bits(n, k)).itemsize
+    tag = packed_dtype(params.tag_len_bits).itemsize
+    block = _sign_block_batches(params) * n * k * (key + np.dtype(np.intp).itemsize + 2 * tag)
+    return n * n * k * (key + slot) + max(n * n * k * tag + block, n * k * (key + slot))
 
 
 class Sender:
@@ -252,50 +274,51 @@ class Sender:
         self.network = network
         self.params = params
         self.user = 0
-        # row r holds the batch issued through recipient r, once prepared
-        self._issued: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def prepared(self) -> bool:
-        return self._issued is not None
+        # entry r is where the batch issued through recipient r starts, once prepared
+        self._starts: list[int] | None = None
 
     def prepare(self) -> None:
         """Issue a fresh batch of n*k keys to every recipient.
 
-        Spends n*k*(a + t) bits on each sender link. The sender records
-        its own noiseless view of each batch, as one row of an (n, n*k)
-        block of multipliers and one of offsets; a recipient's view may
-        differ where its link flips bits.
+        Spends n*k*(a + t) bits on each sender link and records where each
+        batch starts. The sender keeps no keys: its view of a batch is the
+        link's noiseless pool, which sign reads again by position; a
+        recipient's view may differ where its link flips bits.
         """
-        if self._issued is not None:
+        if self._starts is not None:
             raise RuntimeError("preparation already ran on this sender")
         p = self.params
-        n, key_len = p.n_recipients, p.msg_len_bits + p.tag_len_bits
-        mults = np.empty((n, n * p.k), dtype=packed_dtype(p.msg_len_bits))
-        offs = np.empty((n, n * p.k), dtype=packed_dtype(p.tag_len_bits))
-        for r in range(n):
-            link = self.network.link(self.user, r + 1)
-            packed = link.draw_shared(n * p.k * key_len, side=self.user)
-            mults[r], offs[r] = _decode_keys(packed, p)
-        self._issued = (mults, offs)
-
-    def issued_group(self, origin: int) -> tuple[np.ndarray, np.ndarray]:
-        """Multipliers and offsets of the batch issued through one recipient."""
-        if not self.prepared:
-            raise RuntimeError("prepare() has not run")
-        origin = as_int(origin, "origin", 0, self.params.n_recipients - 1)
-        mults, offs = self._issued
-        return mults[origin], offs[origin]
+        n_bits = p.n_recipients * p.k * (p.msg_len_bits + p.tag_len_bits)
+        self._starts = [
+            self.network.link(self.user, r + 1).spend(n_bits, side=self.user)
+            for r in range(p.n_recipients)
+        ]
 
     def sign(self, message: int) -> Signature:
-        """Tag the message under every issued key, in batch-major slot order."""
-        if not self.prepared:
+        """Tag the message under every issued key, in batch-major slot order.
+
+        Reads the issued batches from the pools by position, as many at a
+        time as fit in _SIGN_BLOCK_BYTES of decoded keys (at least one), and
+        tags each such block in one call.
+        """
+        if self._starts is None:
             raise RuntimeError("prepare() must run before signing")
         p = self.params
         message = _check_message(message, p.msg_len_bits)
+        n, n_k = p.n_recipients, p.n_recipients * p.k
+        per_block = _sign_block_batches(p)
+        tags = np.empty((n, n_k), dtype=packed_dtype(p.tag_len_bits))
+        mults = np.empty((per_block, n_k), dtype=packed_dtype(p.msg_len_bits))
+        offs = np.empty((per_block, n_k), dtype=packed_dtype(p.tag_len_bits))
+        for lo in range(0, n, per_block):
+            batches = min(per_block, n - lo)
+            for i in range(batches):
+                link = self.network.link(self.user, lo + i + 1)
+                mults[i], offs[i] = _issued_keys(link, self._starts[lo + i], p)
+            tags[lo : lo + batches] = block_tags((mults[:batches], offs[:batches]), message, p)
         return Signature(
             message=message,
-            tags=block_tags(self._issued, message, p),  # batch-major, in one call
+            tags=tags,
             n_recipients=p.n_recipients,
             k=p.k,
             msg_len_bits=p.msg_len_bits,
@@ -507,7 +530,7 @@ def held_view(
     batch, share = n * k * (a + t), k * sum(widths)
     for g in range(n):
         link = network.link(0, g + 1)
-        clean = _decode_keys(link.read(0, batch, side=0), params)
+        clean = _issued_keys(link, 0, params)
         slots = np.sort(_partition(network.seed, g, params)[h])
         for block, values in zip(held, (slots, *(keys[slots] for keys in clean))):
             block[g] = values

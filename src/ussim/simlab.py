@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._bitops import pack_rows, packed_dtype, unpack_rows
+from ._bitops import pack_rows, packed_dtype
 from .hashing import tags_of_arrays
 from .keystore import Network, NetworkConfig
 from .protocol import (
@@ -236,11 +236,14 @@ def _uniform_tags(rng: np.random.Generator, size: int, tag_len_bits: int) -> np.
         draw = rng.integers(0, 1 << tag_len_bits, size=size, dtype=np.uint64)
         return draw.astype(packed_dtype(tag_len_bits))
     # one rng.bytes(ceil(t/8)) stream per tag, drawn at once: each row of
-    # little-endian words starts with those bytes; each field skips bits above t
-    words = (tag_len_bits + 31) // 32
+    # little-endian words starts with those bytes, read big-endian, bits above t dropped
+    words, n_bytes = (tag_len_bits + 31) // 32, (tag_len_bits + 7) // 8
     data = rng.integers(0, 1 << 32, size=(size, words), dtype=np.uint32).astype("<u4")
-    return unpack_rows(data.view(np.uint8).reshape(-1), tag_len_bits, size,
-                       start=-tag_len_bits % 8, stride=32 * words)
+    tags = np.ascontiguousarray(data.view(np.uint8)[:, :n_bytes])
+    tags[:, 0] &= 0xFF >> (-tag_len_bits % 8)
+    if tag_len_bits == 64:
+        return tags.view(">u8").reshape(-1).astype(np.uint64)
+    return tags.view(f"V{n_bytes}").reshape(-1)
 
 
 def attack_forge(

@@ -211,19 +211,19 @@ def test_run_oversized_message_exits_two_before_the_run(monkeypatch, capsys):
 
 
 def test_run_oversized_key_state_exits_two_at_once(monkeypatch, capsys):
-    # n=50, k=10**6 would hold about 19 GiB of keys; it used to reach
+    # n=50, k=10**6 would hold about 17 GiB of keys; it used to reach
     # MemoryError partway through the distribution
     def never(*args, **kwargs):
         raise AssertionError("run_honest called")
 
     monkeypatch.setattr(cli, "run_honest", never)
-    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 32 << 30)
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 16 << 30)
     assert cli.main(["run", "--n", "50", "--k", "1000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "about 19360 MiB of packed key state (n=50, k=1000000)" in captured.err
+    assert "about 17262 MiB of packed key state (n=50, k=1000000)" in captured.err
     assert "next to the interpreter's 33 MiB" in captured.err
-    assert "more than 42% of the 32768 MiB of physical memory" in captured.err
+    assert "more than 80% of the 16384 MiB of physical memory" in captured.err
     # the subprocess exits at once, before any bound is priced; 24 TiB of
     # keys exceeds any machine's memory, and 3 GiB of signature payload
     # still fits the wire header
@@ -232,10 +232,10 @@ def test_run_oversized_key_state_exits_two_at_once(monkeypatch, capsys):
 
 
 def test_run_key_state_limit_follows_physical_memory(monkeypatch, capsys):
-    # n=100 at the default k (14407) holds about 1.1 GiB of keys at the
-    # distribution's peak: a run that fits in 42% of the machine's memory
-    # with the interpreter goes ahead, 8 GiB included, a larger one is
-    # refused, and a machine that does not report its memory sets no limit
+    # n=100 at the default k (14407) holds about 1 GiB of keys and tags at
+    # the run's peak: a run that fits in 80% of the machine's memory with
+    # the interpreter goes ahead, 8 GiB included, a larger one is refused,
+    # and a machine that does not report its memory sets no limit
     runs = []
 
     def record(*args, **kwargs):
@@ -248,9 +248,9 @@ def test_run_key_state_limit_follows_physical_memory(monkeypatch, capsys):
         assert cli.main(["run", "--n", "100"]) == 1
     assert len(runs) == 2 and runs[0][0].k == 14407
     assert "packed key state" not in capsys.readouterr().err
-    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 2 << 30)
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 1 << 30)
     assert cli.main(["run", "--n", "100"]) == 2
-    assert "about 1107 MiB of packed key state" in capsys.readouterr().err
+    assert "about 1044 MiB of packed key state" in capsys.readouterr().err
     assert len(runs) == 2
 
 

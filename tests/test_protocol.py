@@ -35,6 +35,18 @@ def distributed(params, seed=5):
     return network, sender, recipients
 
 
+def issued_batch(params, seed, origin):
+    """Multipliers and offsets of the batch issued through one recipient, as
+    the sender sees it: the reference pool bits of its sender link from 0."""
+    n, k, a, t = params.n_recipients, params.k, params.msg_len_bits, params.tag_len_bits
+    bits = reference.pool_bits(seed, 0, origin + 1, 0, n * k * (a + t))
+    keys = [bits[i : i + a + t] for i in range(0, len(bits), a + t)]
+    return tuple(
+        np.array([reference.pack_row(key[field]) for key in keys], dtype=np.uint64)
+        for field in (slice(a), slice(a, None))
+    )
+
+
 def corrupted_copy(signature, verifier, groups, count):
     """Flip `count` published tags inside the verifier's chunk of each group."""
     tags = signature.tags.copy()
@@ -53,11 +65,8 @@ def corrupted_copy(signature, verifier, groups, count):
 
 def test_distribution_cardinalities():
     params = small_params()
-    _, sender, recipients = distributed(params)
+    _, _, recipients = distributed(params)
     n, k = params.n_recipients, params.k
-    for origin in range(n):
-        mult, off = sender.issued_group(origin)
-        assert mult.shape == off.shape == (n * k,)
     for r in recipients:
         for origin in range(n):
             held = r.held_group(origin)
@@ -69,9 +78,7 @@ def test_distribution_cardinalities():
 def test_group_views_reject_a_bad_origin(origin):
     # groups are rows of key blocks, so a negative index must not wrap
     params = small_params(n=3, k=4)
-    _, sender, recipients = distributed(params)
-    with pytest.raises(ValueError, match="origin"):
-        sender.issued_group(origin)
+    _, _, recipients = distributed(params)
     with pytest.raises(ValueError, match="origin"):
         recipients[0].held_group(origin)
 
@@ -87,9 +94,9 @@ def test_shares_partition_every_batch_exactly():
 
 def test_held_keys_match_sender_issue_noiseless():
     params = small_params()
-    _, sender, recipients = distributed(params)
+    _, _, recipients = distributed(params, seed=5)
     for origin in range(params.n_recipients):
-        mult, off = sender.issued_group(origin)
+        mult, off = issued_batch(params, 5, origin)
         for r in recipients:
             held = r.held_group(origin)
             assert np.array_equal(held.multipliers, mult[held.slots])
@@ -123,9 +130,9 @@ def test_share_does_not_alias_the_senders_batch():
     sender, recipients, batches, partitions = _distribute_by_hand(params, network)
     for r, (mult, off) in zip(recipients, batches):
         # the batch as received, every sender-link bit flipped, and no more
-        issued_mult, issued_off = sender.issued_group(r.index)
-        assert np.array_equal(mult, issued_mult ^ np.uint8(0xFF))
-        assert np.array_equal(off, issued_off ^ np.uint8(0xFF))
+        issued_mult, issued_off = issued_batch(params, 8, r.index)
+        assert np.array_equal(mult, issued_mult ^ np.uint64(0xFF))
+        assert np.array_equal(off, issued_off ^ np.uint64(0xFF))
         own = r.held_group(r.index)
         assert np.array_equal(own.multipliers, mult[own.slots])
     relayed = recipients[1].held_group(0)
@@ -690,8 +697,9 @@ def test_holder_gets_the_keys_of_a_full_run(n, noisy):
 
     params = small_params(n=n, k=12)
     full_net = network()
-    sender, full = run_distribution(full_net, params)
+    _, full = run_distribution(full_net, params)
     consumed = full_net.total_consumed()
+    batches = [issued_batch(params, 21, origin) for origin in range(n)]
     for h in (*range(n), np.int64(n - 1)):
         net = network()
         held, issued = held_view(net, params, h)
@@ -700,7 +708,7 @@ def test_holder_gets_the_keys_of_a_full_run(n, noisy):
             want = full[h].held_group(origin)
             assert all(np.array_equal(got[origin], w) for got, w in zip(held, want))
             slots = np.minimum(want.slots, n * params.k - 1)
-            for got, keys in zip(issued, sender.issued_group(origin)):
+            for got, keys in zip(issued, batches[origin]):
                 assert np.array_equal(got[origin], keys[slots])
         # read again on the network the full run used: the same keys, no metering
         again = held_view(full_net, params, h)
@@ -806,6 +814,47 @@ def test_run_honest_tag_call_shape(monkeypatch, a, t):
     assert sum(c[-1] for c in calls) == (n + n + chain_len) * n * k
 
 
+@pytest.mark.parametrize("batches_per_block", [1, 3])
+@pytest.mark.parametrize("a, t", [(8, 8), (72, 16)])
+def test_sign_in_blocks_equals_sign_in_one_call(monkeypatch, a, t, batches_per_block):
+    # sign tags at most _SIGN_BLOCK_BYTES of decoded keys per call; blocks of
+    # 1 and of 3 batches (not a divisor of n = 7) give the one-call signature
+    n, k = 7, 10
+    params = ProtocolParams.build(n, a, t, k=k)
+    config = NetworkConfig(n_users=n + 1, seed=9)
+    sender, _ = run_distribution(Network(config), params)
+    one_block = sender.sign(0x5A)
+    key_bytes = packed_dtype(a).itemsize + packed_dtype(t).itemsize
+    batch_bytes = n * k * key_bytes
+    # just under one more batch, so the block holds exactly batches_per_block
+    monkeypatch.setattr(protocol, "_SIGN_BLOCK_BYTES", (batches_per_block + 1) * batch_bytes - 1)
+    calls = []
+    real_tags = protocol.tags_of_arrays
+
+    def counted_tags(mults, *args):
+        calls.append(len(mults))
+        return real_tags(mults, *args)
+
+    monkeypatch.setattr(protocol, "tags_of_arrays", counted_tags)
+    sender, recipients = run_distribution(Network(config), params)
+    signature = sender.sign(0x5A)
+    blocks = -(-n // batches_per_block)
+    assert len(calls) == blocks
+    assert calls == [n * k * min(batches_per_block, n - lo) for lo in range(0, n, batches_per_block)]
+    assert signature == one_block
+    assert all(r.verify(signature, params.l_max).accepted for r in recipients)
+
+
+def test_prepared_sender_holds_no_keys():
+    # the sender's batches are read again by position when it signs
+    params = small_params(n=5, k=40)
+    network = Network(NetworkConfig(n_users=6, seed=2))
+    sender = Sender(network, params)
+    sender.prepare()
+    assert not [name for name, value in vars(sender).items() if isinstance(value, np.ndarray)]
+    assert set(network.total_consumed()[(0, r)] for r in range(1, 6)) == {5 * 40 * 16}
+
+
 @pytest.mark.parametrize("a, t", [(8, 8), (128, 32)])
 def test_run_honest_builds_the_message_tables_once(a, t):
     # sign misses the table cache once; every verify and chain hop hits it
@@ -825,9 +874,13 @@ def test_run_honest_keeps_wide_values_packed(monkeypatch, a, t):
     # type that holds them, slot ids included; no stage holds Python ints
     from ussim import simlab
 
-    seen = {"batches": []}
+    seen = {"batches": [], "issued": []}
     real_distribution, real_sign = simlab.run_distribution, Sender.sign
-    real_end = Recipient.end_sharing
+    real_end, real_issued = Recipient.end_sharing, protocol._issued_keys
+
+    def keep_issued(*args):
+        seen["issued"].append(real_issued(*args))  # the sender's batches, read to sign
+        return seen["issued"][-1]
 
     def keep_batch(self):
         seen["batches"].append(self._batch)  # caught before it is dropped
@@ -844,14 +897,14 @@ def test_run_honest_keeps_wide_values_packed(monkeypatch, a, t):
     monkeypatch.setattr(simlab, "run_distribution", keep_parties)
     monkeypatch.setattr(Sender, "sign", keep_signature)
     monkeypatch.setattr(Recipient, "end_sharing", keep_batch)
+    monkeypatch.setattr(protocol, "_issued_keys", keep_issued)
     n = 7
     params = ProtocolParams.build(n, a, t, k=12)
     assert run_honest(params, seed=4).all_accepted
-    sender, recipients = seen["parties"]
+    _, recipients = seen["parties"]
     mult_dtype, tag_dtype = packed_dtype(a), packed_dtype(t)
-    keys = [sender.issued_group(g) for g in range(n)]
-    keys += seen["batches"]
-    assert len(seen["batches"]) == n
+    keys = seen["issued"] + seen["batches"]
+    assert len(seen["issued"]) == len(seen["batches"]) == n
     for r in recipients:
         held = [r.held_group(g) for g in range(n)]
         assert all(h.slots.dtype == packed_dtype(protocol.id_bits(n, 12)) for h in held)

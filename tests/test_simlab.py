@@ -313,7 +313,7 @@ def test_forge_reads_one_view_of_the_first_net_stream_seed(monkeypatch):
     assert seeds == [int(rng.integers(0, 2**62))]
 
 
-@pytest.mark.parametrize("t", [64, 65, 72, 100, 255])
+@pytest.mark.parametrize("t", [64, 65, 72, 100, 127, 129, 255])
 def test_uniform_tags_past_63_bits_draw_whole_bytes_per_tag(t):
     # the stream of one rng.bytes call per tag, drawn in one call, its bits
     # above t dropped: the forge's guess stream, packed at packed_dtype(t)
