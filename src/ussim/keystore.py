@@ -32,7 +32,7 @@ read returns any range of the pool as one endpoint sees it, packed most
 significant bit first into ceil(n / 8) bytes, never one byte per bit, and
 flips the noisy side's flip positions in a range; neither moves a cursor.
 spend moves one endpoint's cursor past a range and reads nothing;
-draw_shared and otp_transfer are spend followed by one of those reads.
+draw_shared is spend then read; otp_transfer moves both cursors, then reads flips.
 Consumption is counted once per pool position, however many endpoints
 read it, because the position corresponds to one shared secret bit.
 
@@ -160,7 +160,6 @@ class LinkKeyStore:
         self._flip_block = _flip_block_bits(self.flip_prob) if self.flip_prob else 0
         self._flip_cache: tuple[int, np.ndarray] = (-1, np.zeros(0, dtype=np.int64))
         self._cursor = {self.user_a: 0, self.user_b: 0}
-        self._highwater = 0
 
     @property
     def users(self) -> tuple[int, int]:
@@ -244,7 +243,6 @@ class LinkKeyStore:
         side, n_bits = self._check(side, n_bits, "side")
         start = self._cursor[side]
         self._cursor[side] = start + n_bits
-        self._highwater = max(self._highwater, start + n_bits)
         return start
 
     def draw_shared(self, n_bits: int, side: int) -> np.ndarray:
@@ -268,13 +266,12 @@ class LinkKeyStore:
                 f"link {self.users} is out of sync: user {self.user_a} is at bit "
                 f"{start}, user {self.user_b} at bit {self._cursor[self.user_b]}"
             )
-        self.spend(n_bits, self.user_a)
-        self.spend(n_bits, self.user_b)
+        self._cursor[self.user_a] = self._cursor[self.user_b] = start + n_bits
         return self.flips(start, n_bits)
 
     def consumed_bits(self) -> int:
-        """Pool positions handed out so far (counted once per position)."""
-        return self._highwater
+        """Pool positions handed out so far, once each: cursors only move forward."""
+        return max(self._cursor.values())
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ first only that recipient sees its batch. In sharing, each recipient
 splits its batch into n uniformly random chunks of k keys, keeps the
 chunk matching its own index, and moves chunk d to recipient d through a
 one-time-padded transfer, labelling every key with its slot in the
-original batch. Recipients do this in turn, in index order, each dropping
-its batch and split once its shares have moved, so a recipient link
+original batch. The stages pass batch and chunks on, so recipients keep
+only their held keys; they take turns in index order, so a recipient link
 carries the lower index's transfer first. Afterwards each recipient holds
 k keys out of every batch, and no user but the sender knows one in full.
 
@@ -49,6 +49,7 @@ __all__ = [
     "mismatch_counts",
     "forward_chain",
     "key_state_bytes",
+    "check_message",
 ]
 
 PARTITION_STREAM = 0x50415254  # seed-sequence tag for partition draws
@@ -98,7 +99,7 @@ class Signature:
     def __post_init__(self) -> None:
         a, t, n, k = self.msg_len_bits, self.tag_len_bits, self.n_recipients, self.k
         check_header_fields(a, t, n, k)
-        object.__setattr__(self, "message", _check_message(self.message, a))
+        object.__setattr__(self, "message", check_message(self.message, a))
         if self.tags.shape != (n, n * k):
             raise ValueError(
                 f"tags must have shape {(n, n * k)}, got {self.tags.shape}"
@@ -197,7 +198,8 @@ def _check_network(network: Network, params: ProtocolParams) -> None:
         )
 
 
-def _check_message(message: int, msg_len_bits: int) -> int:
+def check_message(message: int, msg_len_bits: int) -> int:
+    """The message as an int, if it is one of msg_len_bits bits; else ValueError."""
     message = as_int(message, "message")
     if not 0 <= message < (1 << msg_len_bits):
         raise ValueError(f"message must be in [0, 2**{msg_len_bits})")
@@ -216,10 +218,25 @@ def _check_signature_match(signature: Signature, params: ProtocolParams) -> None
             raise ValueError(f"signature {name} is {got}, protocol expects {want}")
 
 
-def _partition(seed: int, origin: int, params: ProtocolParams) -> np.ndarray:
-    """Origin's private split of its batch: row d holds chunk d's slots, unsorted."""
+def _chunks(seed: int, origin: int, params: ProtocolParams, batch, rows) -> OriginKeys:
+    """Rows of origin's private, seeded split of its batch, row d being chunk d.
+
+    Each chunk's slots are sorted at their packed_dtype and its keys gathered there.
+    """
+    n, k = params.n_recipients, params.k
     rng = np.random.default_rng([seed, PARTITION_STREAM, origin])
-    return rng.permutation(params.n_recipients * params.k).reshape(params.n_recipients, -1)
+    # narrow ints sort faster, but indexing with them is slower
+    slots = rng.permutation(n * k).reshape(n, k)[rows].astype(packed_dtype(id_bits(n, k)))
+    slots.sort(axis=-1)
+    index = slots.astype(np.intp)
+    return OriginKeys(slots, *(keys[index] for keys in batch))
+
+
+def _deliver(held: OriginKeys, origin: int, share, widths, flips=()) -> None:
+    """Copy a share into row origin of (n, k) held blocks; flip the bits its transfer flipped."""
+    for block, values in zip(held, share):
+        block[origin] = values
+    flip_bits([(block[origin], w) for block, w in zip(held, widths)], flips)
 
 
 def _decode_keys(packed: np.ndarray, params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
@@ -254,16 +271,16 @@ def key_state_bytes(params: ProtocolParams) -> int:
 
     The n*n*k held keys with slot ids, plus the larger of what signing and
     distributing add to them: the signature's n*n*k tags and one sign block,
-    or one recipient's n*k batch with its partition. A sign block counts its
-    decoded keys and the tag call's working set over them: per key an intp
-    table index and two tag-wide accumulators. Each field counts at the
-    itemsize of its packed_dtype.
+    or one recipient's n*k batch, its n shares with slot ids and their intp
+    gather index. A sign block counts its decoded keys and the tag call's
+    working set over them: per key an intp table index and two tag-wide
+    accumulators. Each field counts at the itemsize of its packed_dtype.
     """
     n, k = params.n_recipients, params.k
     key, slot = _key_bytes(params), packed_dtype(id_bits(n, k)).itemsize
-    tag = packed_dtype(params.tag_len_bits).itemsize
-    block = _sign_block_batches(params) * n * k * (key + np.dtype(np.intp).itemsize + 2 * tag)
-    return n * n * k * (key + slot) + max(n * n * k * tag + block, n * k * (key + slot))
+    tag, intp = packed_dtype(params.tag_len_bits).itemsize, np.dtype(np.intp).itemsize
+    block = _sign_block_batches(params) * n * k * (key + intp + 2 * tag)
+    return n * n * k * (key + slot) + max(n * n * k * tag + block, n * k * (2 * key + slot + intp))
 
 
 class Sender:
@@ -304,7 +321,7 @@ class Sender:
         if self._starts is None:
             raise RuntimeError("prepare() must run before signing")
         p = self.params
-        message = _check_message(message, p.msg_len_bits)
+        message = check_message(message, p.msg_len_bits)
         n, n_k = p.n_recipients, p.n_recipients * p.k
         per_block = _sign_block_batches(p)
         tags = np.empty((n, n_k), dtype=packed_dtype(p.tag_len_bits))
@@ -335,76 +352,58 @@ class Recipient:
         self.params = params
         self.index = as_int(index, "recipient index", 0, params.n_recipients - 1)
         self.user = self.index + 1
-        self._batch: tuple[np.ndarray, np.ndarray] | None = None  # until end_sharing
-        self._partition: np.ndarray | None = None  # (n, k): row d is chunk d's slots
+        self._received = False
         self._widths = (id_bits(params.n_recipients, params.k), params.msg_len_bits, params.tag_len_bits)
         # row origin of each (n, k) block holds the share of that origin's batch
         shape = (params.n_recipients, params.k)
         self._held = OriginKeys(*(np.empty(shape, dtype=packed_dtype(w)) for w in self._widths))
         self._origins: set[int] = set()  # origins whose row is filled
 
-    def receive_batch(self) -> None:
-        """Read this recipient's (possibly noisy) view of its issued batch."""
-        # its own chunk is held from make_partition on, after the batch is gone too
-        if self._batch is not None or self.index in self._origins:
+    def receive_batch(self) -> tuple[np.ndarray, np.ndarray]:
+        """This recipient's (possibly noisy) view of its issued batch: multipliers and offsets."""
+        if self._received:
             raise RuntimeError("batch already received")
-        p = self.params
-        key_len = p.msg_len_bits + p.tag_len_bits
-        link = self.network.link(0, self.user)
-        packed = link.draw_shared(p.n_recipients * p.k * key_len, side=self.user)
-        self._batch = _decode_keys(packed, p)
+        self._received = True
+        p, link = self.params, self.network.link(0, self.user)
+        n_bits = p.n_recipients * p.k * (p.msg_len_bits + p.tag_len_bits)
+        return _decode_keys(link.draw_shared(n_bits, side=self.user), p)
 
-    def make_partition(self) -> None:
+    def make_partition(self, batch: tuple[np.ndarray, np.ndarray]) -> OriginKeys:
         """Split the batch into n uniformly random chunks of k keys each.
 
-        The chunk matching this recipient's own index is kept; the others
+        Returns the n shares as (n, k) blocks, row d chunk d with its slots
+        sorted, and holds the row of this recipient's own index; the others
         wait for send_share. The draw is private to this recipient: the
         sender never learns which slots ended up where.
         """
+        if not self._received:
+            raise RuntimeError("receive_batch() must run before partitioning")
         if self.index in self._origins:
             raise RuntimeError("partition already drawn")
-        if self._batch is None:
-            raise RuntimeError("receive_batch() must run before partitioning")
-        partition = _partition(self.network.seed, self.index, self.params)
-        self._partition = partition.astype(self._held.slots.dtype)  # narrow ints sort faster
-        self._partition.sort(axis=1)
-        self._hold(self.index, self._share(self.index))
+        shares = _chunks(self.network.seed, self.index, self.params, batch, slice(None))
+        _deliver(self._held, self.index, (block[self.index] for block in shares), self._widths)
+        self._origins.add(self.index)
+        return shares
 
-    def send_share(self, other: "Recipient") -> None:
-        """One-time-pad chunk other.index of this batch to that recipient.
+    def send_share(self, other: "Recipient", shares: OriginKeys) -> None:
+        """One-time-pad row other.index of make_partition's shares to that recipient.
 
         Each key travels as slot id plus multiplier plus offset, costing
         k * (id_bits + a + t) pad bits on the connecting link. The share
         moves as packed values; the receiver copies them into its blocks
-        and applies the link's flips there.
+        and applies the link's flips there. A send to itself or a resend
+        raises before any pad is spent.
         """
-        if self._partition is None:
-            raise RuntimeError("no partition: make_partition() has not run or sharing ended")
+        if self.index not in self._origins:
+            raise RuntimeError("make_partition() must run before sharing")
         if other.index == self.index:
             raise ValueError("a recipient does not share with itself")
+        if self.index in other._origins:
+            raise RuntimeError(f"share from origin {self.index} already received")
         link = self.network.link(self.user, other.user)
         flips = link.otp_transfer(self.params.k * sum(self._widths), from_side=self.user)
-        other._hold(self.index, self._share(other.index), flips)
-
-    def end_sharing(self) -> None:
-        """Drop batch and partition for good, once this recipient's shares moved."""
-        self._batch = self._partition = None
-
-    def _share(self, chunk_index: int) -> OriginKeys:
-        """The keys of one chunk, with its sorted slots."""
-        slots = self._partition[chunk_index]
-        rows = slots.astype(np.intp)  # indexing with narrow ints is slower
-        mult, off = self._batch
-        return OriginKeys(slots, mult[rows], off[rows])
-
-    def _hold(self, origin: int, share: OriginKeys, flips: np.ndarray = ()) -> None:
-        """Copy a share into row origin of the held blocks; flip the bits its transfer flipped."""
-        if origin in self._origins:
-            raise RuntimeError(f"share from origin {origin} already received")
-        for block, values in zip(self._held, share):
-            block[origin] = values
-        flip_bits([(block[origin], w) for block, w in zip(self._held, self._widths)], flips)
-        self._origins.add(origin)
+        _deliver(other._held, self.index, (block[other.index] for block in shares), self._widths, flips)
+        other._origins.add(self.index)
 
     @property
     def distribution_complete(self) -> bool:
@@ -487,21 +486,20 @@ def run_distribution(network: Network, params: ProtocolParams) -> tuple[Sender, 
     """Run preparation and sharing; return the sender and all recipients.
 
     Recipients take turns in index order: each receives and partitions its
-    batch, sends its shares in index order, then ends its sharing. So for
-    each pair lo < hi, lo sends to hi from the link's cursor 0 and then hi
-    sends to lo. Flips depend only on link and cursor, and a partition only
-    on its own seed, so one network seed always gives the same outcome.
+    batch, then sends its shares in index order. So for each pair lo < hi,
+    lo sends to hi from the link's cursor 0 and then hi sends to lo. Flips
+    depend only on link and cursor, and a partition only on its own seed,
+    so one network seed always gives the same outcome.
     """
     sender = Sender(network, params)
     recipients = [Recipient(network, params, i) for i in range(params.n_recipients)]
     sender.prepare()
     for src in recipients:
-        src.receive_batch()
-        src.make_partition()
+        shares = src.make_partition(src.receive_batch())
         for dst in recipients:
             if dst is not src:
-                src.send_share(dst)
-        src.end_sharing()
+                src.send_share(dst, shares)
+        del shares  # one recipient's batch and shares are live at a time
     return sender, recipients
 
 
@@ -531,17 +529,15 @@ def held_view(
     for g in range(n):
         link = network.link(0, g + 1)
         clean = _issued_keys(link, 0, params)
-        slots = np.sort(_partition(network.seed, g, params)[h])
-        for block, values in zip(held, (slots, *(keys[slots] for keys in clean))):
-            block[g] = values
+        chunk = _chunks(network.seed, g, params, clean, h)
         # the flips recipient g saw in the chunk's keys, then the relay link's
         key, bit = np.divmod(link.flips(0, batch), a + t)
-        at = slots.searchsorted(key).clip(max=k - 1)
-        hit = slots[at] == key
+        at = chunk.slots.searchsorted(key).clip(max=k - 1)
+        hit = chunk.slots[at] == key
         flips = [at[hit] * sum(widths) + widths[0] + bit[hit]]
         if g != h:
             flips.append(network.link(g + 1, h + 1).flips(0 if g < h else share, share))
-        flip_bits([(block[g], w) for block, w in zip(held, widths)], np.concatenate(flips))
+        _deliver(held, g, chunk, widths, np.concatenate(flips))
         for block, keys in zip(issued, clean):
             block[g] = keys.take(held.slots[g], mode="clip")
     return held, issued

@@ -22,6 +22,7 @@ from .keystore import Network, NetworkConfig
 from .protocol import (
     VerifyResult,
     block_tags,
+    check_message,
     forward_chain,
     held_view,
     level_rule,
@@ -124,7 +125,8 @@ def run_honest(
     along a forwarding chain at descending levels (l_max, l_max - 1, ...),
     one hop per level down to 0. Without an explicit config, the network
     is noiseless at 1000 bps per link; passing seed overrides the config's
-    seed either way. The message defaults to a seed-derived random one.
+    seed either way. The message defaults to a seed-derived random one,
+    and is checked before any batch is drawn.
     """
     if config is None:
         config = NetworkConfig(
@@ -133,11 +135,12 @@ def run_honest(
         )
     elif seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    network = Network(config)
-    sender, recipients = run_distribution(network, params)
     if message is None:
         rng = np.random.default_rng([config.seed, _MESSAGE_STREAM])
         message = _random_message(rng, params.msg_len_bits)
+    message = check_message(message, params.msg_len_bits)  # before any batch is drawn
+    network = Network(config)
+    sender, recipients = run_distribution(network, params)
     signature = sender.sign(message)
     results = tuple(r.verify(signature, params.l_max) for r in recipients)
     chain_len = min(params.l_max + 1, params.n_recipients)
@@ -455,9 +458,9 @@ def sweep_error_tolerance(
     and tags only the slots it holds; its keys, counts and verdict are
     the ones a full distribution, sign and verify would give it.
 
-    Rejects a q whose adjusted threshold would reach the first interior
-    level of the unadjusted ladder, and bad trials or seed before any
-    work.
+    Rejects bad trials or seed, a q outside [0, 0.5), and a q whose
+    adjusted threshold would be non-positive or reach the first interior
+    level of the unadjusted ladder, all before any work.
     """
     trials, seed = as_int(trials, "trials", 1), as_int(seed, "seed", 0)
     margin = as_real(margin, "margin")
@@ -485,9 +488,8 @@ def sweep_error_tolerance(
         "wilson_low",
         "wilson_high",
     )
-    _, s, delta = params.thresholds(params.l_max)
-    rows = []
-    for index, q in enumerate(q_values):
+    points = []  # (q, e_q, s_adj), every q checked before the first k is solved
+    for q in q_values:
         e_q = expected_mismatch_fraction(q, a, t)
         s_adj = e_q + margin
         if s_adj <= 0:
@@ -497,6 +499,10 @@ def sweep_error_tolerance(
                 f"adjusted threshold {s_adj:.6f} at q={q} reaches the first "
                 f"interior level {interior:.6f}; the ladder cannot absorb it"
             )
+        points.append((q, e_q, s_adj))
+    _, s, delta = params.thresholds(params.l_max)
+    rows = []
+    for index, (q, e_q, s_adj) in enumerate(points):
         adj_spec = SLevelSpec(eps1=s_adj, eps2=eps2)
         k_q = solve_k(params.p_target, n, params.l_max, adj_spec, params.mode, d_r=params.d_r)
         point = dataclasses.replace(params, spec=adj_spec, k=k_q)

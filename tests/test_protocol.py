@@ -1,5 +1,6 @@
 """Distribution, signing, verification, forwarding, serialization."""
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -105,21 +106,19 @@ def test_held_keys_match_sender_issue_noiseless():
 
 def _distribute_by_hand(params, network):
     """Run the distribution stage by stage, one recipient at a time; return
-    the parties and each recipient's batch and partition, caught while live."""
+    the parties and each recipient's batch and (n, k) shares as its stages
+    passed them on."""
     sender = Sender(network, params)
     recipients = [Recipient(network, params, i) for i in range(params.n_recipients)]
     sender.prepare()
-    batches, partitions = [], []
+    batches, shares = [], []
     for src in recipients:
-        src.receive_batch()
-        src.make_partition()
-        batches.append(src._batch)
-        partitions.append(src._partition)
+        batches.append(src.receive_batch())
+        shares.append(src.make_partition(batches[-1]))
         for dst in recipients:
             if dst is not src:
-                src.send_share(dst)
-        src.end_sharing()
-    return sender, recipients, batches, partitions
+                src.send_share(dst, shares[-1])
+    return sender, recipients, batches, shares
 
 
 def test_share_does_not_alias_the_senders_batch():
@@ -127,7 +126,7 @@ def test_share_does_not_alias_the_senders_batch():
     # receiver's copy and never on the batch the share was cut from
     params = small_params(n=3, k=6)
     network = Network(NetworkConfig(n_users=4, seed=8, default_flip_prob=1.0))
-    sender, recipients, batches, partitions = _distribute_by_hand(params, network)
+    sender, recipients, batches, shares = _distribute_by_hand(params, network)
     for r, (mult, off) in zip(recipients, batches):
         # the batch as received, every sender-link bit flipped, and no more
         issued_mult, issued_off = issued_batch(params, 8, r.index)
@@ -137,7 +136,7 @@ def test_share_does_not_alias_the_senders_batch():
         assert np.array_equal(own.multipliers, mult[own.slots])
     relayed = recipients[1].held_group(0)
     mult, _ = batches[0]
-    chunk = partitions[0][1]
+    chunk = shares[0].slots[1]
     assert np.array_equal(relayed.multipliers, mult[chunk] ^ np.uint64(0xFF))
 
 
@@ -148,7 +147,7 @@ def test_noisy_shares_carry_exactly_the_links_flips(a, t):
     n, k, seed, q = 3, 7, 31, 0.05
     params = ProtocolParams.build(n, a, t, k=k)
     network = Network(NetworkConfig(n_users=n + 1, seed=seed, default_flip_prob=q))
-    _, recipients, batches, partitions = _distribute_by_hand(params, network)
+    _, recipients, batches, shares = _distribute_by_hand(params, network)
     ib = protocol.id_bits(n, k)
     widths = (ib, a, t)
     flipped_any = False
@@ -158,7 +157,7 @@ def test_noisy_shares_carry_exactly_the_links_flips(a, t):
             for src, dst in ((lo, hi), (hi, lo)):
                 flips = twin.otp_transfer(k * sum(widths), from_side=src.user)
                 flipped_any |= flips.size > 0
-                chunk = partitions[src.index][dst.index]
+                chunk = shares[src.index].slots[dst.index]
                 mult, off = batches[src.index]
                 fields = (chunk, reference.row_ints(mult[chunk]), reference.row_ints(off[chunk]))
                 bits = np.concatenate(
@@ -433,58 +432,95 @@ def test_stage_ordering_is_enforced():
     sender.prepare()
     with pytest.raises(RuntimeError, match="already"):
         sender.prepare()
-    recipient = Recipient(network, params, 0)
+    recipient, other = Recipient(network, params, 0), Recipient(network, params, 1)
+    unreceived = (np.zeros(12, dtype=np.uint8),) * 2
     with pytest.raises(RuntimeError, match="receive_batch"):
-        recipient.make_partition()
-    recipient.receive_batch()
+        recipient.make_partition(unreceived)
+    batch = recipient.receive_batch()
     with pytest.raises(RuntimeError, match="already"):
         recipient.receive_batch()
-    recipient.make_partition()
+    with pytest.raises(RuntimeError, match="make_partition"):
+        recipient.send_share(other, None)
+    shares = recipient.make_partition(batch)
     with pytest.raises(RuntimeError, match="already"):
-        recipient.make_partition()
+        recipient.make_partition(batch)
+    consumed = network.total_consumed()
     with pytest.raises(ValueError, match="itself"):
-        recipient.send_share(recipient)
+        recipient.send_share(recipient, shares)
+    assert network.total_consumed() == consumed
 
 
 def test_duplicate_share_is_rejected():
+    # the second send raises before its transfer spends a pad bit
     params = small_params(n=3, k=4)
     network = Network(NetworkConfig(n_users=4, seed=1))
     Sender(network, params).prepare()
     src, dst = Recipient(network, params, 0), Recipient(network, params, 1)
-    src.receive_batch()
-    src.make_partition()
-    src.send_share(dst)
+    shares = src.make_partition(src.receive_batch())
+    src.send_share(dst, shares)
+    consumed = network.total_consumed()
+    assert consumed[(1, 2)] == 4 * (protocol.id_bits(3, 4) + 8 + 8) == 80
     with pytest.raises(RuntimeError, match="already received"):
-        src.send_share(dst)
+        src.send_share(dst, shares)
+    assert network.total_consumed() == consumed
 
 
 def test_no_recipient_keeps_its_batch_past_its_sharing(monkeypatch):
-    # one batch at a time: when a recipient receives its batch no other one
-    # holds a batch or partition, and none is left after the distribution;
-    # a stage run again afterwards raises before it spends any key
+    # the stages pass batch and shares on: after each stage every recipient's
+    # only arrays are its held blocks, and when a recipient receives its
+    # batch no earlier batch or shares is alive; a stage run again
+    # afterwards raises before it spends any key
     params = small_params(n=4, k=5)
-    parties, received = [], []
-    real_init, real_receive = Recipient.__init__, Recipient.receive_batch
+    parties, passed, checks, copies = [], [], [], {}
+    real_init = Recipient.__init__
+    real = {name: getattr(Recipient, name) for name in ("receive_batch", "make_partition", "send_share")}
+
+    def arrays(r):  # ndarray attributes, and ndarrays inside tuple attributes
+        values = (v for x in vars(r).values() for v in (x if isinstance(x, tuple) else (x,)))
+        return [id(v) for v in values if isinstance(v, np.ndarray)]
+
+    def only_held_blocks():
+        checks.append(all(arrays(r) == [id(block) for block in r._held] for r in parties))
 
     def init(self, *args):
         real_init(self, *args)
         parties.append(self)
 
     def receive(self):
-        others = [r for r in parties if r is not self]
-        received.append(all(r._batch is None and r._partition is None for r in others))
-        real_receive(self)
+        checks.append(all(ref() is None for ref in passed))
+        out = real["receive_batch"](self)
+        only_held_blocks()
+        passed.extend(weakref.ref(x) for x in out)
+        copies[self.index] = [tuple(x.copy() for x in out)]  # for the second run
+        return out
+
+    def partition(self, batch):
+        out = real["make_partition"](self, batch)
+        only_held_blocks()
+        passed.extend(weakref.ref(x) for x in out)
+        copies[self.index].append(type(out)(*(x.copy() for x in out)))
+        return out
+
+    def send(self, other, shares):
+        real["send_share"](self, other, shares)
+        only_held_blocks()
 
     monkeypatch.setattr(Recipient, "__init__", init)
     monkeypatch.setattr(Recipient, "receive_batch", receive)
+    monkeypatch.setattr(Recipient, "make_partition", partition)
+    monkeypatch.setattr(Recipient, "send_share", send)
     network = Network(NetworkConfig(n_users=5, seed=3, default_flip_prob=0.01))
     _, recipients = run_distribution(network, params)
-    assert parties == recipients and received == [True] * 4
-    assert all(r._batch is None and r._partition is None for r in recipients)
+    assert parties == recipients
+    assert len(checks) == 4 * (1 + 1 + 1 + 3) and all(checks)
+    assert all(ref() is None for ref in passed)
+    monkeypatch.undo()
     consumed = network.total_consumed()
     for r in recipients:
         other = recipients[r.index - 1]
-        for stage in (r.receive_batch, r.make_partition, lambda: r.send_share(other)):
+        batch, shares = copies[r.index]
+        stages = (r.receive_batch, lambda: r.make_partition(batch), lambda: r.send_share(other, shares))
+        for stage in stages:
             with pytest.raises(RuntimeError):
                 stage()
     assert network.total_consumed() == consumed
@@ -876,15 +912,15 @@ def test_run_honest_keeps_wide_values_packed(monkeypatch, a, t):
 
     seen = {"batches": [], "issued": []}
     real_distribution, real_sign = simlab.run_distribution, Sender.sign
-    real_end, real_issued = Recipient.end_sharing, protocol._issued_keys
+    real_receive, real_issued = Recipient.receive_batch, protocol._issued_keys
 
     def keep_issued(*args):
         seen["issued"].append(real_issued(*args))  # the sender's batches, read to sign
         return seen["issued"][-1]
 
     def keep_batch(self):
-        seen["batches"].append(self._batch)  # caught before it is dropped
-        real_end(self)
+        seen["batches"].append(real_receive(self))  # the batch each recipient decodes
+        return seen["batches"][-1]
 
     def keep_parties(*args):
         seen["parties"] = real_distribution(*args)
@@ -896,7 +932,7 @@ def test_run_honest_keeps_wide_values_packed(monkeypatch, a, t):
 
     monkeypatch.setattr(simlab, "run_distribution", keep_parties)
     monkeypatch.setattr(Sender, "sign", keep_signature)
-    monkeypatch.setattr(Recipient, "end_sharing", keep_batch)
+    monkeypatch.setattr(Recipient, "receive_batch", keep_batch)
     monkeypatch.setattr(protocol, "_issued_keys", keep_issued)
     n = 7
     params = ProtocolParams.build(n, a, t, k=12)

@@ -10,7 +10,7 @@ import reference
 from ussim import simlab
 from ussim._bitops import packed_dtype
 from ussim.keystore import Network, NetworkConfig
-from ussim.protocol import Signature, run_distribution
+from ussim.protocol import Recipient, Signature, run_distribution
 from ussim.secparams import CostMode, ProtocolParams, consumption
 from ussim.simlab import (
     SweepResult,
@@ -82,6 +82,20 @@ def test_run_honest_is_deterministic_and_seed_overrides_config():
 def test_run_honest_fixed_message_is_used():
     params = ProtocolParams.build(3, 8, 8, k=20)
     assert run_honest(params, seed=1, message=0xE7).message == 0xE7
+
+
+@pytest.mark.parametrize("message, error", [
+    (-1, r"^message must be in \[0, 2\*\*8\)$"),
+    (256, r"^message must be in \[0, 2\*\*8\)$"),
+    (2.0, "^message must be an int, got 2.0$"),
+    (True, "^message must be an int, got True$"),
+])
+def test_run_honest_checks_its_message_before_any_batch_is_drawn(monkeypatch, message, error):
+    # with the text sign gives, before the distribution draws n batches
+    monkeypatch.setattr(Recipient, "receive_batch", lambda self: pytest.fail("a batch was drawn"))
+    params = ProtocolParams.build(3, 8, 8, k=4)
+    with pytest.raises(ValueError, match=error):
+        run_honest(params, seed=1, message=message)
 
 
 def test_run_honest_rejects_under_heavy_noise():
@@ -471,6 +485,23 @@ def test_sweep_error_tolerance_rejects_unabsorbable_noise():
         sweep_error_tolerance([0.0], params, trials=0)
     with pytest.raises(ValueError, match="at least one"):
         sweep_error_tolerance([], params)
+
+
+@pytest.mark.parametrize("q_values, margin, error", [
+    ([0.001, 0.7], 0.002, r"^q must be in \[0, 0.5\), got 0.7$"),
+    ([0.0, 0.01, 0.05], 0.002, "^adjusted threshold 0.559686 at q=0.05 reaches"),
+    ([1e-4, 0.0], -0.001, "^margin -0.001 gives a non-positive threshold at q=0.0$"),
+])
+def test_sweep_error_tolerance_checks_every_q_before_its_first_trial(monkeypatch, q_values, margin, error):
+    # a bad q anywhere in the list fails before any k is solved or view read
+    def never(*args, **kwargs):
+        raise AssertionError("a q was worked on before every q was checked")
+
+    monkeypatch.setattr(simlab, "solve_k", never)
+    monkeypatch.setattr(simlab, "held_view", never)
+    params = ProtocolParams.build(7, 8, 8, k=906)
+    with pytest.raises(ValueError, match=error):
+        sweep_error_tolerance(q_values, params, margin=margin)
 
 
 @pytest.mark.parametrize(
