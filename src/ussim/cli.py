@@ -41,14 +41,16 @@ from .simlab import (
 
 _MAX_SWEEP_POINTS = 10_000
 # Largest share of physical memory a `run` may be estimated to need: its
-# key state at the run's peak (protocol.key_state_bytes: held keys, the
-# signature and one sign block) plus INTERPRETER_BYTES, the resident size
-# after `import ussim.cli`. Peak RSS measured 0.99, 1.01 and 1.00 times that
-# estimate at n=20 a=64 t=32 k=2270, n=50 a=64 t=32 k=6906 and n=100 a=t=8
-# k=14407 (72, 403 and 1080 MiB), and 0.94 to 1.09 at seven other shapes
-# from n=7 to n=60, so an admitted run peaks within 0.80 * 1.09 = 87% of
-# memory. A larger one would run out of memory partway through and is
-# refused up front.
+# key state at the run's peak (protocol.key_state_bytes: link stores, held
+# keys, the signature and one sign block) plus INTERPRETER_BYTES, the
+# resident size after `import ussim.cli`. Peak RSS measured 0.99, 1.01 and
+# 1.00 times that estimate at n=20 a=64 t=32 k=2270, n=50 a=64 t=32 k=6906
+# and n=100 a=t=8 k=14407 (72, 403 and 1080 MiB), 1.08 and 1.02 at n=400
+# and n=800 with a=t=8 k=1 l_max=0 (123 and 363 MiB, mostly link stores),
+# and 0.94 to 1.09 at seven other shapes from n=7 to n=60 (before link
+# stores, under 2 MiB there, were counted), so an admitted run peaks
+# within 0.80 * 1.09 = 87% of memory. A larger one would run out of memory
+# partway through and is refused up front.
 KEY_STATE_MEMORY_FRACTION = 0.80
 INTERPRETER_BYTES = 33 << 20
 
@@ -207,7 +209,7 @@ def _cmd_run(args) -> int:
     memory = _physical_memory_bytes()
     if memory is not None and state + INTERPRETER_BYTES > KEY_STATE_MEMORY_FRACTION * memory:
         raise ValueError(
-            f"run would hold about {state / 2**20:.0f} MiB of packed key state "
+            f"run would hold about {state / 2**20:.0f} MiB of packed key state and link stores "
             f"(n={params.n_recipients}, k={params.k}) next to the interpreter's "
             f"{INTERPRETER_BYTES >> 20} MiB, more than {KEY_STATE_MEMORY_FRACTION:.0%} "
             f"of the {memory / 2**20:.0f} MiB of physical memory"

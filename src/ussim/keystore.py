@@ -72,6 +72,11 @@ __all__ = [
 STREAM_VERSION = 3
 FLIPS_PER_BLOCK = 1 << 10  # expected flips a flip block is sized for
 MAX_FLIP_BLOCK_BITS = 1 << 20  # positions per flip block at low q
+# Resident bytes of one LinkKeyStore a run has used. tracemalloc counts
+# 720-750 bytes a store at n = 50 to 400; with allocator overhead the peak
+# RSS of `uss run --a 8 --t 8 --k 1 --lmax 0` grew by 1.02 KiB a link at
+# n = 800 and 1.11 KiB at n = 400 over its keys and the interpreter.
+LINK_STORE_BYTES = 1 << 10
 _U64 = (1 << 64) - 1
 _MAX_SEED = (1 << 63) - 1  # seeds are packed as signed 64-bit ints
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._bitops import pack_rows, packed_dtype
+from ._bitops import packed_dtype
 from .hashing import tags_of_arrays
 from .keystore import Network, NetworkConfig
 from .protocol import (
@@ -84,7 +84,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 
 def _random_message(rng: np.random.Generator, msg_len_bits: int) -> int:
-    bits = pack_rows(rng.integers(0, 2, size=msg_len_bits, dtype=np.uint8), 1)
+    bits = np.packbits(rng.integers(0, 2, size=msg_len_bits, dtype=np.uint8))
     return int.from_bytes(bits.tobytes(), "big") >> (-msg_len_bits % 8)
 
 
@@ -456,7 +456,10 @@ def sweep_error_tolerance(
 
     Only recipient 0 verifies, so each trial reads just its held_view
     and tags only the slots it holds; its keys, counts and verdict are
-    the ones a full distribution, sign and verify would give it.
+    the ones a full distribution, sign and verify would give it. The view
+    is read in blocks of origins, with one flip pass per block; at the
+    paper's n=7 a=t=8 k=906 one block holds all seven batches, and the
+    seven seeded partition draws are most of a trial.
 
     Rejects bad trials or seed, a q outside [0, 0.5), and a q whose
     adjusted threshold would be non-positive or reach the first interior

@@ -221,7 +221,7 @@ def test_run_oversized_key_state_exits_two_at_once(monkeypatch, capsys):
     assert cli.main(["run", "--n", "50", "--k", "1000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "about 17262 MiB of packed key state (n=50, k=1000000)" in captured.err
+    assert "about 17263 MiB of packed key state and link stores (n=50, k=1000000)" in captured.err
     assert "next to the interpreter's 33 MiB" in captured.err
     assert "more than 80% of the 16384 MiB of physical memory" in captured.err
     # the subprocess exits at once, before any bound is priced; 24 TiB of
@@ -229,6 +229,19 @@ def test_run_oversized_key_state_exits_two_at_once(monkeypatch, capsys):
     # still fits the wire header
     proc = run_cli("run", "--n", "50", "--a", "4096", "--t", "1", "--k", "10000000")
     assert proc.returncode == 2 and "packed key state" in proc.stderr
+
+
+def test_run_of_many_users_exits_two_for_its_link_stores(monkeypatch, capsys):
+    # n=800 at k=1 holds about 4 MiB of keys and tags but builds 320,400
+    # link stores; their 313 MiB put the run past 80% of 256 MiB, so it is
+    # refused before any store is built
+    def never(*args, **kwargs):
+        raise AssertionError("run_honest called")
+
+    monkeypatch.setattr(cli, "run_honest", never)
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 256 << 20)
+    assert cli.main(["run", "--n", "800", "--a", "8", "--t", "8", "--k", "1", "--lmax", "0"]) == 2
+    assert "about 323 MiB of packed key state and link stores (n=800, k=1)" in capsys.readouterr().err
 
 
 def test_run_key_state_limit_follows_physical_memory(monkeypatch, capsys):
@@ -250,7 +263,7 @@ def test_run_key_state_limit_follows_physical_memory(monkeypatch, capsys):
     assert "packed key state" not in capsys.readouterr().err
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 1 << 30)
     assert cli.main(["run", "--n", "100"]) == 2
-    assert "about 1044 MiB of packed key state" in capsys.readouterr().err
+    assert "about 1049 MiB of packed key state and link stores" in capsys.readouterr().err
     assert len(runs) == 2
 
 

@@ -1,5 +1,6 @@
 """Distribution, signing, verification, forwarding, serialization."""
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import reference
 from ussim import hashing, protocol
 from ussim._bitops import octets, packed_dtype
-from ussim.keystore import LinkKeyStore, LinkSettings, Network, NetworkConfig
+from ussim.keystore import LINK_STORE_BYTES, LinkKeyStore, LinkSettings, Network, NetworkConfig
 from ussim.protocol import (
     Recipient,
     Sender,
@@ -22,7 +23,7 @@ from ussim.protocol import (
     mismatch_counts,
     run_distribution,
 )
-from ussim.secparams import ProtocolParams
+from ussim.secparams import ProtocolParams, id_bits
 from ussim.simlab import run_honest
 
 
@@ -776,6 +777,96 @@ def test_held_view_judges_as_a_full_run_verifies(a, t, q, seed, message):
             assert tuple(counts.tolist()) == result.mismatch_counts
             accepted = level_rule(counts, k, result.s_threshold, result.delta_threshold)[1]
             assert accepted == result.accepted
+
+
+def _view_blocks(monkeypatch, params, batches_per_block):
+    """Bound held_view's blocks to batches_per_block decoded batches."""
+    a, t = params.msg_len_bits, params.tag_len_bits
+    batch_bytes = params.n_recipients * params.k * (packed_dtype(a).itemsize + packed_dtype(t).itemsize)
+    # just under one more batch, so a block holds exactly batches_per_block
+    monkeypatch.setattr(protocol, "_VIEW_BLOCK_BYTES", (batches_per_block + 1) * batch_bytes - 1)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.01, 0.3])
+@pytest.mark.parametrize("a, t", [(8, 8), (72, 16)])
+def test_held_view_in_blocks_equals_a_full_run(monkeypatch, a, t, q):
+    # blocks of 2 batches split n = 7 origins into 4 blocks, the last one
+    # short; every recipient's view still equals the full run's held blocks,
+    # and its issued keys the sender's at the held slots, also where relay
+    # flips pushed a slot id past the batch (it reads the batch's last key)
+    n, k = 7, 10
+    params = ProtocolParams.build(n, a, t, k=k)
+    config = NetworkConfig(n_users=n + 1, seed=13, default_flip_prob=q)
+    _, full = run_distribution(Network(config), params)
+    network = Network(config)
+    sent = [protocol._issued_keys(network.link(0, g + 1), 0, params) for g in range(n)]
+    _view_blocks(monkeypatch, params, 2)
+    past = 0
+    for h in range(n):
+        held, issued = held_view(Network(config), params, h)
+        for g in range(n):
+            want = full[h].held_group(g)
+            assert all(np.array_equal(got[g], w) for got, w in zip(held, want))
+            slots = np.minimum(want.slots, n * k - 1).astype(np.intp)
+            assert all(np.array_equal(got[g], keys[slots]) for got, keys in zip(issued, sent[g]))
+        past += np.count_nonzero(held.slots >= n * k)
+    if q == 0.3:
+        assert past  # relay flips pushed slot ids past the batch
+    elif q == 0:
+        assert not past
+
+
+def test_held_view_reads_and_flips_each_range_once_per_block(monkeypatch):
+    # blocks of 3, 3 and 1 batches: each sender link is read once as one
+    # range, each sender and relay range's flips are drawn once, and each
+    # block's (b * k)-row held blocks take one flip_bits call
+    n, k, a, t, h = 7, 10, 8, 8, 2
+    params = ProtocolParams.build(n, a, t, k=k)
+    _view_blocks(monkeypatch, params, 3)
+    reads, flips, flipped = [], [], []
+    real_read, real_flips, real_flip_bits = LinkKeyStore.read, LinkKeyStore.flips, protocol.flip_bits
+
+    def counted_read(self, start, n_bits, side):
+        reads.append((self.users, start, n_bits, side))
+        return real_read(self, start, n_bits, side)
+
+    def counted_flips(self, start, n_bits):
+        flips.append((self.users, start, n_bits))
+        return real_flips(self, start, n_bits)
+
+    def counted_flip_bits(fields, positions):
+        flipped.append([len(values) for values, _ in fields])
+        return real_flip_bits(fields, positions)
+
+    monkeypatch.setattr(LinkKeyStore, "read", counted_read)
+    monkeypatch.setattr(LinkKeyStore, "flips", counted_flips)
+    monkeypatch.setattr(protocol, "flip_bits", counted_flip_bits)
+    config = NetworkConfig(n_users=n + 1, seed=8, default_flip_prob=0.01)
+    held_view(Network(config), params, h)
+    batch, share = n * k * (a + t), k * (id_bits(n, k) + a + t)
+    assert sorted(reads) == [((0, g + 1), 0, batch, 0) for g in range(n)]
+    relays = [((min(g, h) + 1, max(g, h) + 1), 0 if g < h else share, share) for g in range(n) if g != h]
+    assert sorted(flips) == sorted([((0, g + 1), 0, batch) for g in range(n)] + relays)
+    assert flipped == [[3 * k] * 3, [3 * k] * 3, [k] * 3]
+
+
+def test_key_state_counts_each_link_store_at_what_a_used_one_holds():
+    # key_state_bytes counts a run's n(n+1)/2 link stores at LINK_STORE_BYTES
+    # each: no less than tracemalloc sees a store hold after a distribution,
+    # and within allocator overhead of it
+    n = 60
+    params = ProtocolParams.build(n, 8, 8, l_max=0, k=1)
+    network = Network(NetworkConfig(n_users=n + 1, seed=3))
+    network.link(0, 1).read(0, 8, side=0)  # numpy.random's first use imports modules: not counted
+    tracemalloc.start()
+    try:
+        run_distribution(network, params)  # the parties are dropped; the stores stay
+        per_store = tracemalloc.get_traced_memory()[0] / (n * (n + 1) // 2)
+    finally:
+        tracemalloc.stop()
+    assert 0.6 * LINK_STORE_BYTES < per_store <= LINK_STORE_BYTES
+    stores = n * (n + 1) // 2 * LINK_STORE_BYTES
+    assert stores < protocol.key_state_bytes(params) < 2 * stores  # at k=1 the stores dominate
 
 
 def test_run_honest_reads_pool_bits_only_on_sender_links(monkeypatch):

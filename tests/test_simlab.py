@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from ussim import simlab
-from ussim._bitops import packed_dtype
+from ussim._bitops import pack_rows, packed_dtype
 from ussim.keystore import Network, NetworkConfig
 from ussim.protocol import Recipient, Signature, run_distribution
 from ussim.secparams import CostMode, ProtocolParams, consumption
@@ -566,6 +566,17 @@ def test_sweep_trials_judge_as_sign_and_verify(monkeypatch):
     verdicts = [accepted for _, accepted in judged]
     assert [row[8] for row in table.rows] == [sum(verdicts[i : i + 50]) for i in (0, 50, 100)]
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("a", [1, 7, 8, 9, 128, 4096])
+def test_random_message_packs_its_bits_as_pack_rows_did(a):
+    # np.packbits gives the message pack_rows at width 1 gave: the drawn
+    # bits, most significant first
+    for seed in range(4):
+        bits = np.random.default_rng(seed).integers(0, 2, size=a, dtype=np.uint8)
+        packed = int.from_bytes(pack_rows(bits, 1).tobytes(), "big") >> (-a % 8)
+        assert packed == int("".join(map(str, bits)), 2)
+        assert simlab._random_message(np.random.default_rng(seed), a) == packed
 
 
 def test_sweep_error_tolerance_is_deterministic():
