@@ -96,10 +96,15 @@ def unpack_rows(
             f"{count} fields of {width} bits, {stride} apart from bit {start}, "
             f"do not fit in {8 * len(data)} bits"
         )
-    n_bytes = (width + 7) // 8
+    n_bytes, dtype = (width + 7) // 8, packed_dtype(width)
+    big = dtype if width > 64 else dtype.newbyteorder(">")
+    aligned = start % 8 == 0 and stride % 8 == 0 and width % 8 == 0
+    if count and aligned and n_bytes == dtype.itemsize:
+        # each field fills its dtype: read the bytes in place, and copy once
+        return np.ndarray((count,), big, data, start // 8, (stride // 8,)).astype(dtype)
     if not count:
         rows = np.zeros((0, n_bytes), dtype=np.uint8)
-    elif start % 8 == 0 and stride % 8 == 0 and width % 8 == 0:
+    elif aligned:
         # a strided view of the bytes, read-only if data is
         rows = np.ndarray((count, n_bytes), np.uint8, data, start // 8, (stride // 8, 1))
     else:
@@ -109,15 +114,15 @@ def unpack_rows(
             (count, width), np.uint8, bits, start % 8, (stride, 1)
         )
         rows = np.packbits(rows, axis=1)
-    if width > 64:
-        return rows.copy().view(f"V{n_bytes}").reshape(count)
-    dtype = packed_dtype(width)
     if n_bytes < dtype.itemsize:
         words = np.zeros((count, dtype.itemsize), dtype=np.uint8)
         words[:, dtype.itemsize - n_bytes :] = rows
         rows = words
-    # astype copies, so the values never alias data
-    return np.ascontiguousarray(rows).view(dtype.newbyteorder(">")).reshape(count).astype(dtype)
+    # rows is a new array here, never a view of data: swap it in place
+    values = rows.view(big).reshape(count)
+    if big != dtype:
+        values.byteswap(inplace=True)
+    return values.view(dtype)
 
 
 def flip_bits(fields, positions: np.ndarray) -> None:

@@ -43,14 +43,13 @@ _MAX_SWEEP_POINTS = 10_000
 # Largest share of physical memory a `run` may be estimated to need: its
 # key state at the run's peak (protocol.key_state_bytes: link stores, held
 # keys, the signature and one sign block) plus INTERPRETER_BYTES, the
-# resident size after `import ussim.cli`. Peak RSS measured 0.99, 1.01 and
-# 1.00 times that estimate at n=20 a=64 t=32 k=2270, n=50 a=64 t=32 k=6906
-# and n=100 a=t=8 k=14407 (72, 403 and 1080 MiB), 1.08 and 1.02 at n=400
-# and n=800 with a=t=8 k=1 l_max=0 (123 and 363 MiB, mostly link stores),
-# and 0.94 to 1.09 at seven other shapes from n=7 to n=60 (before link
-# stores, under 2 MiB there, were counted), so an admitted run peaks
-# within 0.80 * 1.09 = 87% of memory. A larger one would run out of memory
-# partway through and is refused up front.
+# resident size after `import ussim.cli`. Peak RSS measured 1.05, 1.02,
+# 1.03 and 1.01 times that estimate at n=20 a=64 t=32 k=2270, n=50 a=64 t=32
+# k=6906, n=40 a=t=8 k=8000 and n=100 a=t=8 k=14407 (55, 381, 134 and 1026
+# MiB), 1.08 and 1.02 at n=400 and n=800 with a=t=8 k=1 l_max=0 (123 and 363
+# MiB, mostly link stores), and 1.03 to 1.09 at six other shapes from n=7 to
+# n=60, so an admitted run peaks within 0.80 * 1.09 = 87% of memory. A
+# larger one would run out of memory partway through and is refused up front.
 KEY_STATE_MEMORY_FRACTION = 0.80
 INTERPRETER_BYTES = 33 << 20
 

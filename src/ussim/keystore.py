@@ -184,14 +184,15 @@ class LinkKeyStore:
         first = start // 256  # the Philox block of the first word: 4 words of 64 bits
         words = (start + n_bits + 63) // 64 - 4 * first
         raw = _philox_at(self._pool_key, first).bit_generator.random_raw(words)
-        raw = raw.astype(">u8").view(np.uint8)
+        if raw.dtype != np.dtype(">u8"):  # a little-endian machine: words to MSB-first bytes
+            raw.byteswap(inplace=True)
+        raw = raw.view(np.uint8)
         byte, shift = divmod(start - 256 * first, 8)
+        out = raw[byte : byte + n_bytes]
         if shift:
-            out = raw[byte : byte + n_bytes] << shift
             low = raw[byte + 1 : byte + n_bytes + 1] >> (8 - shift)
+            out <<= shift
             out[: low.size] |= low
-        else:
-            out = raw[byte : byte + n_bytes]
         if n_bits % 8:
             out[-1] &= 0xFF << (8 - n_bits % 8) & 0xFF
         if side == self.noisy_side:
@@ -320,14 +321,21 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "NetworkConfig":
+        if not isinstance(raw, dict):
+            raise ValueError(f"a network config must be an object, got {raw!r}")
         known = {"users", "default_rate_bps", "default_flip_prob", "seed", "links"}
         for key in raw:
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
         if "users" not in raw:
             raise ValueError("config key 'users' is required")
+        entries = raw.get("links", [])
+        if not isinstance(entries, list):
+            raise ValueError(f"config key 'links' must be a list of link objects, got {entries!r}")
         links: dict[tuple[int, int], LinkSettings] = {}
-        for i, entry in enumerate(raw.get("links", [])):
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"links[{i}] must be an object, got {entry!r}")
             entry_known = {"a", "b", "rate_bps", "flip_prob"}
             for key in entry:
                 if key not in entry_known:

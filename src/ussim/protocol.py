@@ -54,13 +54,12 @@ __all__ = [
 
 PARTITION_STREAM = 0x50415254  # seed-sequence tag for partition draws
 
-_SIGN_BLOCK_BYTES = 1 << 24  # decoded keys sign reads and tags per call, in whole batches
-# Decoded keys held_view reads per block, in whole batches. At n=20 a=64
-# t=32 k=2270 (0.52 MiB batches) and q=1e-3, against reading one batch at a
-# time (3.2 MiB tracemalloc peak), sign's 16 MiB took all 20 batches, was
-# about 6% slower and peaked at 15.5 MiB; 2 MiB takes 3, was about 2%
-# faster and peaks at 4.5 MiB (medians of 9 interleaved runs of 9 calls).
-_VIEW_BLOCK_BYTES = 1 << 21
+# Decoded keys sign and held_view read per block, in whole batches (at least
+# one). At n=20 a=64 t=32 k=2270 (0.52 MiB batches) a block holds 3: against
+# one 16 MiB block of all 20, sign took 34 ms instead of 51-63 and the run
+# peaked at 55 MiB of RSS instead of 72; against one batch at a time, a
+# q=1e-3 held_view was about 2% faster and peaked at 4.5 MiB instead of 3.2.
+_BLOCK_BYTES = 1 << 21
 _MAGIC = b"USS1"
 _VERSION = 1
 _HEADER = struct.Struct(">4sBHBHII")  # magic, version, a, t, n, k, payload bytes
@@ -265,10 +264,37 @@ def _key_bytes(params: ProtocolParams) -> int:
     return sum(packed_dtype(w).itemsize for w in (params.msg_len_bits, params.tag_len_bits))
 
 
-def _block_batches(params: ProtocolParams, block_bytes: int) -> int:
-    """Batches decoded at a time: as many as fit in block_bytes, at least one."""
+def _block_batches(params: ProtocolParams) -> int:
+    """Batches decoded at a time: as many as fit in _BLOCK_BYTES, at least one."""
     batch = params.n_recipients * params.k * _key_bytes(params)
-    return min(params.n_recipients, max(1, block_bytes // batch))
+    return min(params.n_recipients, max(1, _BLOCK_BYTES // batch))
+
+
+def _issued_blocks(network: Network, params: ProtocolParams, starts: Sequence[int]):
+    """The sender's view of every issued batch, in blocks of _block_batches origins.
+
+    Batch g is read from sender link (0, g + 1) at starts[g]. Yields the
+    block's origins as a slice and its (multipliers, offsets) as (b, n*k)
+    arrays, which are views of buffers the next block overwrites.
+    """
+    n, n_k = params.n_recipients, params.n_recipients * params.k
+    per_block = _block_batches(params)
+    buffers = tuple(
+        np.empty((per_block, n_k), dtype=packed_dtype(w))
+        for w in (params.msg_len_bits, params.tag_len_bits)
+    )
+    for lo in range(0, n, per_block):
+        rows = slice(lo, min(n, lo + per_block))
+        for i, g in enumerate(range(rows.start, rows.stop)):
+            buffers[0][i], buffers[1][i] = _issued_keys(network.link(0, g + 1), starts[g], params)
+        yield rows, tuple(buffer[: rows.stop - lo] for buffer in buffers)
+
+
+def _at_slots(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Row g of (b, n*k) values at row g of (b, k) slot ids; one past n*k reads the last."""
+    n_k = values.shape[-1]
+    flat = np.minimum(slots, n_k - 1) + np.arange(0, values.size, n_k)[:, None]
+    return values.reshape(-1).take(flat)
 
 
 def key_state_bytes(params: ProtocolParams) -> int:
@@ -285,7 +311,7 @@ def key_state_bytes(params: ProtocolParams) -> int:
     n, k = params.n_recipients, params.k
     key, slot = _key_bytes(params), packed_dtype(id_bits(n, k)).itemsize
     tag, intp = packed_dtype(params.tag_len_bits).itemsize, np.dtype(np.intp).itemsize
-    block = _block_batches(params, _SIGN_BLOCK_BYTES) * n * k * (key + intp + 2 * tag)
+    block = _block_batches(params) * n * k * (key + intp + 2 * tag)
     keys = n * n * k * (key + slot) + max(n * n * k * tag + block, n * k * (2 * key + slot + intp))
     return n * (n + 1) // 2 * LINK_STORE_BYTES + keys
 
@@ -321,25 +347,17 @@ class Sender:
     def sign(self, message: int) -> Signature:
         """Tag the message under every issued key, in batch-major slot order.
 
-        Reads the issued batches from the pools by position, as many at a
-        time as fit in _SIGN_BLOCK_BYTES of decoded keys (at least one), and
-        tags each such block in one call.
+        Reads the issued batches from the pools by position, in blocks of
+        as many as fit in _BLOCK_BYTES of decoded keys (at least one), and
+        tags each block in one call.
         """
         if self._starts is None:
             raise RuntimeError("prepare() must run before signing")
         p = self.params
         message = check_message(message, p.msg_len_bits)
-        n, n_k = p.n_recipients, p.n_recipients * p.k
-        per_block = _block_batches(p, _SIGN_BLOCK_BYTES)
-        tags = np.empty((n, n_k), dtype=packed_dtype(p.tag_len_bits))
-        mults = np.empty((per_block, n_k), dtype=packed_dtype(p.msg_len_bits))
-        offs = np.empty((per_block, n_k), dtype=packed_dtype(p.tag_len_bits))
-        for lo in range(0, n, per_block):
-            batches = min(per_block, n - lo)
-            for i in range(batches):
-                link = self.network.link(self.user, lo + i + 1)
-                mults[i], offs[i] = _issued_keys(link, self._starts[lo + i], p)
-            tags[lo : lo + batches] = block_tags((mults[:batches], offs[:batches]), message, p)
+        tags = np.empty((p.n_recipients, p.n_recipients * p.k), dtype=packed_dtype(p.tag_len_bits))
+        for rows, keys in _issued_blocks(self.network, p, self._starts):
+            tags[rows] = block_tags(keys, message, p)
         return Signature(
             message=message,
             tags=tags,
@@ -351,7 +369,11 @@ class Sender:
 
 
 class Recipient:
-    """A verifying user. Holds one k-key share of every issued batch."""
+    """A verifying user. Holds one k-key share of every issued batch.
+
+    held is its (n, k) slot id, multiplier and offset blocks, row g the share
+    of batch g, as held_view returns them; verify reads them in place.
+    """
 
     def __init__(self, network: Network, params: ProtocolParams, index: int) -> None:
         _check_network(network, params)
@@ -361,9 +383,8 @@ class Recipient:
         self.user = self.index + 1
         self._received = False
         self._widths = (id_bits(params.n_recipients, params.k), params.msg_len_bits, params.tag_len_bits)
-        # row origin of each (n, k) block holds the share of that origin's batch
         shape = (params.n_recipients, params.k)
-        self._held = OriginKeys(*(np.empty(shape, dtype=packed_dtype(w)) for w in self._widths))
+        self.held = OriginKeys(*(np.empty(shape, dtype=packed_dtype(w)) for w in self._widths))
         self._origins: set[int] = set()  # origins whose row is filled
 
     def receive_batch(self) -> tuple[np.ndarray, np.ndarray]:
@@ -390,7 +411,7 @@ class Recipient:
         slots = _chunk_slots(self.network.seed, self.index, self.params, slice(None))
         index = slots.astype(np.intp)
         shares = OriginKeys(slots, *(keys[index] for keys in batch))
-        _deliver(self._held, self.index, (block[self.index] for block in shares), self._widths)
+        _deliver(self.held, self.index, (block[self.index] for block in shares), self._widths)
         self._origins.add(self.index)
         return shares
 
@@ -411,22 +432,12 @@ class Recipient:
             raise RuntimeError(f"share from origin {self.index} already received")
         link = self.network.link(self.user, other.user)
         flips = link.otp_transfer(self.params.k * sum(self._widths), from_side=self.user)
-        _deliver(other._held, self.index, (block[other.index] for block in shares), self._widths, flips)
+        _deliver(other.held, self.index, (block[other.index] for block in shares), self._widths, flips)
         other._origins.add(self.index)
 
     @property
     def distribution_complete(self) -> bool:
         return len(self._origins) == self.params.n_recipients
-
-    def held_group(self, origin: int) -> OriginKeys:
-        """This recipient's k-key share of one batch, as views of its held rows.
-
-        Writing to them changes what verify reads.
-        """
-        origin = as_int(origin, "origin", 0, self.params.n_recipients - 1)
-        if origin not in self._origins:
-            raise ValueError(f"no keys held from origin {origin!r}")
-        return OriginKeys(*(block[origin] for block in self._held))
 
     def verify(self, signature: Signature, level: int) -> VerifyResult:
         """Acceptance test at one level, judged by level_rule.
@@ -441,13 +452,9 @@ class Recipient:
             )
         _check_signature_match(signature, self.params)
         level, s, delta = self.params.thresholds(level)
-        slots = self._held.slots
-        n, n_k = signature.tags.shape
-        # a slot past its batch reads another tag, and counts as a mismatch anyway
-        flat = slots + np.arange(0, n * n_k, n_k)[:, None]
-        published = signature.tags.reshape(-1).take(flat, mode="clip")
-        expected = block_tags(self._held[1:], signature.message, self.params)
-        counts = mismatch_counts(slots, published, expected)
+        published = _at_slots(signature.tags, self.held.slots)
+        expected = block_tags(self.held[1:], signature.message, self.params)
+        counts = mismatch_counts(self.held.slots, published, expected)
         passed, accepted = level_rule(counts, self.params.k, s, delta)
         return VerifyResult(
             recipient_index=self.index,
@@ -528,12 +535,11 @@ def held_view(
     its last key. Reads each sender link once, moves no cursor and meters
     nothing.
 
-    Origins are taken in blocks of as many decoded batches as fit in
-    _VIEW_BLOCK_BYTES (at least one). Per origin it reads and decodes the
-    batch, draws the held chunk's slots and draws both links' flips; per
-    block, one searchsorted maps the sender-link flips onto held keys, one
-    flip_bits call flips the block's held rows, and the issued keys are
-    gathered at the final slot ids, which relay flips may have changed.
+    Origins are taken in the blocks sign reads. Per origin it draws the held
+    chunk's slots and both links' flips; per block, one searchsorted maps
+    the sender-link flips onto held keys, one flip_bits call flips the
+    block's held rows, and the issued keys are gathered at the final slot
+    ids, which relay flips may have changed.
     """
     _check_network(network, params)
     n, k, a, t = params.n_recipients, params.k, params.msg_len_bits, params.tag_len_bits
@@ -542,34 +548,26 @@ def held_view(
     held = OriginKeys(*(np.empty((n, k), dtype=packed_dtype(w)) for w in widths))
     issued = tuple(np.empty_like(block) for block in held[1:])
     n_k, share = n * k, k * sum(widths)
-    per_block = _block_batches(params, _VIEW_BLOCK_BYTES)
-    batches = tuple(np.empty((per_block, n_k), dtype=packed_dtype(w)) for w in (a, t))
-    for lo in range(0, n, per_block):
-        rows = slice(lo, min(n, lo + per_block))
+    for rows, batches in _issued_blocks(network, params, (0,) * n):
         sent, relayed = [], []  # flip positions in the block's batches and in its shares
         for i, g in enumerate(range(rows.start, rows.stop)):
-            link = network.link(0, g + 1)
-            batches[0][i], batches[1][i] = _issued_keys(link, 0, params)
             held.slots[g] = _chunk_slots(network.seed, g, params, h)
-            sent.append(link.flips(0, n_k * (a + t)) + i * n_k * (a + t))
+            sent.append(network.link(0, g + 1).flips(0, n_k * (a + t)) + i * n_k * (a + t))
             if g != h:
                 flips = network.link(g + 1, h + 1).flips(0 if g < h else share, share)
                 relayed.append(flips + i * share)
-        # the block's held slots, ascending, as indices into its flattened batches
-        offsets = np.arange(0, (rows.stop - lo) * n_k, n_k)[:, None]
-        index = (held.slots[rows] + offsets).reshape(-1)
         for block, batch in zip(held[1:], batches):
-            block[rows] = batch.reshape(-1)[index].reshape(-1, k)
-        # a sender-link flip in a held key reached it through origin g
+            block[rows] = _at_slots(batch, held.slots[rows])
+        # a sender-link flip in a held key reached it through origin g; the
+        # block's held slots, ascending, as indices into its flattened batches
+        index = (held.slots[rows] + np.arange(0, batches[0].size, n_k)[:, None]).reshape(-1)
         key, bit = np.divmod(np.concatenate(sent), a + t)
         at = index.searchsorted(key).clip(max=index.size - 1)
         hit = index[at] == key
         flips = np.concatenate([at[hit] * sum(widths) + widths[0] + bit[hit], *relayed])
         flip_bits([(block[rows].reshape(-1), w) for block, w in zip(held, widths)], flips)
-        # at the final slot ids; one past its batch reads the batch's last key
-        index = (np.minimum(held.slots[rows], n_k - 1) + offsets).reshape(-1)
         for block, batch in zip(issued, batches):
-            block[rows] = batch.reshape(-1)[index].reshape(-1, k)
+            block[rows] = _at_slots(batch, held.slots[rows])
     return held, issued
 
 

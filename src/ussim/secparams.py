@@ -236,9 +236,21 @@ def p_forge(n: int, d_r: float, p_t: float) -> float:
     return min(1.0, n * n * (1 - d_r) * (1 - d_r) * p_t)
 
 
-def _honest_pairs(n: int, d_r: float) -> int:
+def _honest_count(n: int, d_r: float) -> int:
+    """Honest recipients of n at d_r in [0, 0.5); every bound needs two, to pair."""
+    if not 0 <= as_real(d_r, "d_r") < 0.5:
+        raise ValueError(f"d_r must be in [0, 0.5), got {d_r}")
     # floor guarded against float droop: n*(1 - l/n) should floor to n - l
     m = math.floor(n * (1 - d_r) + 1e-12)
+    if m < 2:
+        raise ValueError(
+            f"d_r = {d_r} leaves {m} honest recipient(s) of n = {n}; the bounds need at least 2"
+        )
+    return m
+
+
+def _honest_pairs(n: int, d_r: float) -> int:
+    m = _honest_count(n, d_r)
     return m * (m - 1) // 2
 
 
@@ -377,8 +389,7 @@ class ProtocolParams:
         }
         for name, value in ints.items():
             object.__setattr__(self, name, value)
-        if not 0 <= as_real(self.d_r, "d_r") < 0.5:
-            raise ValueError(f"d_r must be in [0, 0.5), got {self.d_r}")
+        _honest_count(self.n_recipients, self.d_r)
         if (self.l_max + 1) * self.d_r >= 0.5:
             raise ValueError(
                 f"(l_max + 1) * d_r = {(self.l_max + 1) * self.d_r} must be below 1/2"
@@ -489,6 +500,7 @@ def solve_k(
     n = as_int(n, "n", 2)
     if d_r is None:
         d_r = compute_dr(l_max, n)
+    _honest_count(n, d_r)
     s_levels = make_s_levels(l_max, spec)
     log_target = math.log(p_target)
 

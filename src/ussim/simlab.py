@@ -212,6 +212,8 @@ def attack_repudiation(
     trials, seed = as_int(trials, "trials", 1), as_int(seed, "seed", 0)
     n, k = params.n_recipients, params.k
     gammas = _gammas(gamma, n)
+    # priced before the trials, so a bound that cannot be computed costs no trial
+    bound = p_nontransfer(0, params).p_nontransfer
     corrupt = [math.floor(g * n * k + 1e-9) for g in gammas]
     rng = np.random.default_rng([seed, _REPUDIATION_STREAM])
     # counts[trial, holder, g]: the holder's mismatches in batch g
@@ -229,7 +231,6 @@ def attack_repudiation(
     _, accept_zero = level_rule(counts, k, *params.thresholds(0)[1:])
     _, accept_base = level_rule(counts, k, *params.thresholds(-1)[1:])
     success = accept_zero.any(axis=1) & ~accept_base.all(axis=1)
-    bound = p_nontransfer(0, params).p_nontransfer
     return _attack_result(trials, int(success.sum()), bound, 0)
 
 
@@ -461,12 +462,14 @@ def sweep_error_tolerance(
     paper's n=7 a=t=8 k=906 one block holds all seven batches, and the
     seven seeded partition draws are most of a trial.
 
-    Rejects bad trials or seed, a q outside [0, 0.5), and a q whose
-    adjusted threshold would be non-positive or reach the first interior
-    level of the unadjusted ladder, all before any work.
+    Rejects bad trials or seed, a non-finite margin, a q outside [0, 0.5),
+    and a q whose adjusted threshold would be non-positive or reach the
+    first interior level of the unadjusted ladder, all before any work.
     """
     trials, seed = as_int(trials, "trials", 1), as_int(seed, "seed", 0)
     margin = as_real(margin, "margin")
+    if not math.isfinite(margin):
+        raise ValueError(f"margin must be finite, got {margin}")
     q_values = [as_real(q, "q") for q in q_values]
     if not q_values:
         raise ValueError("sweep needs at least one q value")

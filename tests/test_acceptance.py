@@ -238,7 +238,7 @@ def test_criterion_7_error_tolerance_shape():
 def _flip_tags(signature, holder, groups, count):
     tags = signature.tags.copy()
     for g in groups:
-        slots = holder.held_group(g).slots[:count]
+        slots = holder.held.slots[g, :count]
         tags[g, slots] ^= np.uint64(1)
     return dataclasses.replace(signature, tags=tags)
 

@@ -153,6 +153,13 @@ def test_attack_repudiation_writes_the_parsed_gammas(capsys, text, cell):
     assert dict(zip(header, data[0]))["gamma"] == cell
 
 
+@pytest.mark.parametrize("n, d_r", [("2", "0.1"), ("3", "0.4")])
+def test_params_with_one_honest_recipient_exit_two_naming_d_r(capsys, n, d_r):
+    # they exited 2 with only "math domain error"
+    assert cli.main(["params", "--n", n, "--dr", d_r]) == 2
+    assert f"d_r = {d_r} leaves 1 honest recipient(s) of n = {n}" in capsys.readouterr().err
+
+
 def test_params_the_wire_format_cannot_carry_exit_two():
     # 70000 recipients overflow the signature header's 16-bit count; this
     # used to print the set and exit 0
@@ -263,7 +270,7 @@ def test_run_key_state_limit_follows_physical_memory(monkeypatch, capsys):
     assert "packed key state" not in capsys.readouterr().err
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 1 << 30)
     assert cli.main(["run", "--n", "100"]) == 2
-    assert "about 1049 MiB of packed key state and link stores" in capsys.readouterr().err
+    assert "about 983 MiB of packed key state and link stores" in capsys.readouterr().err
     assert len(runs) == 2
 
 
@@ -411,6 +418,21 @@ def test_run_config_unknown_key_is_named(tmp_path):
     proc = run_cli("run", "--config", str(path), *SMALLEST)
     assert proc.returncode == 2
     assert "unknown config key 'rate'" in proc.stderr
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"users": 8, "links": [1]}', "links[0] must be an object, got 1"),
+    ('{"users": 8, "links": null}', "config key 'links' must be a list of link objects, got None"),
+    ('{"users": 8, "links": {"a": 1}}', "config key 'links' must be a list of link objects"),
+    ("[1, 2]", "a network config must be an object, got [1, 2]"),
+    ('"x"', "a network config must be an object, got 'x'"),
+])
+def test_time_to_ready_config_of_the_wrong_shape_exits_two(tmp_path, capsys, text, error):
+    # the first two exited 1 with "not iterable", the others named the wrong fault
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    assert cli.main(["time-to-ready", "--config", str(path)]) == 2
+    assert error in capsys.readouterr().err
 
 
 def test_time_to_ready_frozen_case():

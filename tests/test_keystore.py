@@ -1,6 +1,7 @@
 """Simulated key links: determinism, noise, consumption, readiness."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from ussim._bitops import unpack_rows
 from ussim.keystore import (
     LinkKeyStore,
     LinkSettings,
@@ -170,6 +172,28 @@ def test_positioned_reads_check_their_start(bad):
         store.flips(bad, 8)
     with pytest.raises(ValueError, match="not an endpoint"):
         store.read(0, 8, side=2)
+
+
+def test_a_batch_read_and_decode_copy_its_bytes_once():
+    # a sender batch at n=20 a=64 t=32 k=2270 (0.52 MiB): the read swaps the
+    # generator's words in place, and each decoded field is one copy of its
+    # strided bytes, so neither peaks much above what it returns
+    link = LinkKeyStore(0, 1, seed=3)
+    link.read(0, 64, side=0)  # numpy.random's first use imports modules: not counted
+    count, a, t = 20 * 2270, 64, 32
+
+    def peak_over_output(read):
+        tracemalloc.start()
+        try:
+            out = read()
+            return tracemalloc.get_traced_memory()[1] / out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    batch = link.read(0, count * (a + t), side=0)
+    assert peak_over_output(lambda: link.read(0, count * (a + t), side=0)) < 1.05
+    assert peak_over_output(lambda: unpack_rows(batch, a, count, stride=a + t)) < 1.05
+    assert peak_over_output(lambda: unpack_rows(batch, t, count, start=a, stride=a + t)) < 1.05
 
 
 def test_all_bits_flip_at_probability_one():

@@ -53,7 +53,7 @@ def corrupted_copy(signature, verifier, groups, count):
     """Flip `count` published tags inside the verifier's chunk of each group."""
     tags = signature.tags.copy()
     for g in groups:
-        slots = verifier.held_group(g).slots[:count]
+        slots = verifier.held.slots[g, :count]
         tags[g, slots] ^= np.uint64(1)
     return Signature(
         message=signature.message,
@@ -71,18 +71,8 @@ def test_distribution_cardinalities():
     n, k = params.n_recipients, params.k
     for r in recipients:
         for origin in range(n):
-            held = r.held_group(origin)
-            assert held.slots.shape == (k,)
-            assert len(np.unique(held.slots)) == k
-
-
-@pytest.mark.parametrize("origin", [-1, 3, True, 1.0])
-def test_group_views_reject_a_bad_origin(origin):
-    # groups are rows of key blocks, so a negative index must not wrap
-    params = small_params(n=3, k=4)
-    _, _, recipients = distributed(params)
-    with pytest.raises(ValueError, match="origin"):
-        recipients[0].held_group(origin)
+            assert r.held.slots[origin].shape == (k,)
+            assert len(np.unique(r.held.slots[origin])) == k
 
 
 def test_shares_partition_every_batch_exactly():
@@ -90,7 +80,7 @@ def test_shares_partition_every_batch_exactly():
     _, _, recipients = distributed(params)
     n, k = params.n_recipients, params.k
     for origin in range(n):
-        slots = np.concatenate([r.held_group(origin).slots for r in recipients])
+        slots = np.concatenate([r.held.slots[origin] for r in recipients])
         assert np.array_equal(np.sort(slots), np.arange(n * k))
 
 
@@ -100,9 +90,9 @@ def test_held_keys_match_sender_issue_noiseless():
     for origin in range(params.n_recipients):
         mult, off = issued_batch(params, 5, origin)
         for r in recipients:
-            held = r.held_group(origin)
-            assert np.array_equal(held.multipliers, mult[held.slots])
-            assert np.array_equal(held.offsets, off[held.slots])
+            slots = r.held.slots[origin]
+            assert np.array_equal(r.held.multipliers[origin], mult[slots])
+            assert np.array_equal(r.held.offsets[origin], off[slots])
 
 
 def _distribute_by_hand(params, network):
@@ -133,12 +123,11 @@ def test_share_does_not_alias_the_senders_batch():
         issued_mult, issued_off = issued_batch(params, 8, r.index)
         assert np.array_equal(mult, issued_mult ^ np.uint64(0xFF))
         assert np.array_equal(off, issued_off ^ np.uint64(0xFF))
-        own = r.held_group(r.index)
-        assert np.array_equal(own.multipliers, mult[own.slots])
-    relayed = recipients[1].held_group(0)
+        own = r.held.slots[r.index]
+        assert np.array_equal(r.held.multipliers[r.index], mult[own])
     mult, _ = batches[0]
     chunk = shares[0].slots[1]
-    assert np.array_equal(relayed.multipliers, mult[chunk] ^ np.uint64(0xFF))
+    assert np.array_equal(recipients[1].held.multipliers[0], mult[chunk] ^ np.uint64(0xFF))
 
 
 @pytest.mark.parametrize("a, t", [(8, 8), (72, 16), (9, 4)])
@@ -166,14 +155,13 @@ def test_noisy_shares_carry_exactly_the_links_flips(a, t):
                     axis=1,
                 ).astype(np.uint8)
                 bits.reshape(-1)[flips] ^= 1
-                held = dst.held_group(src.index)
-                got = (held.slots, held.multipliers, held.offsets)
+                got = [block[src.index] for block in dst.held]
                 start = 0
                 for values, width in zip(got, widths):
                     want = [reference.pack_row(row) for row in bits[:, start : start + width]]
                     assert reference.row_ints(values) == want
                     start += width
-                assert held.slots.dtype == packed_dtype(ib)
+                assert dst.held.slots.dtype == packed_dtype(ib)
     assert flipped_any
 
 
@@ -195,7 +183,7 @@ def test_distribution_never_unpacks_byte_aligned_keys(monkeypatch, a, t):
 @pytest.mark.parametrize("a, t", [(8, 8), (72, 16), (128, 32)])
 def test_sign_and_verify_read_the_key_blocks_in_place(monkeypatch, a, t):
     # keys are held in blocks that sign and verify tag as they lie: nothing
-    # is gathered per call, and edits through held_group reach verify
+    # is gathered per call, and edits to the held blocks reach verify
     def never(*args, **kwargs):
         raise AssertionError("keys gathered during sign or verify")
 
@@ -210,7 +198,7 @@ def test_sign_and_verify_read_the_key_blocks_in_place(monkeypatch, a, t):
     verifier = recipients[1]
     for g in range(params.n_recipients):
         # the message is 1, so flipping a multiplier's lowest bit flips its tag's
-        octets(verifier.held_group(g).multipliers)[g, 0] ^= 1
+        octets(verifier.held.multipliers[g])[g, 0] ^= 1
         counts = verifier.verify(signature, params.l_max).mismatch_counts
         assert counts == tuple(int(h <= g) for h in range(params.n_recipients))
 
@@ -220,7 +208,7 @@ def test_partitions_are_private_and_distinct():
     _, sender, recipients = distributed(params)
     assert not hasattr(sender, "_partition")
     assert not np.array_equal(
-        recipients[0].held_group(0).slots, recipients[1].held_group(1).slots
+        recipients[0].held.slots[0], recipients[1].held.slots[1]
     )
 
 
@@ -341,9 +329,9 @@ def test_corruption_in_one_chunk_is_invisible_to_others():
 def test_out_of_range_slot_counts_as_mismatch():
     params = ProtocolParams.build(3, 8, 8, k=5, l_max=0)
     _, sender, recipients = distributed(params)
-    held = recipients[1].held_group(0)
-    held.slots[0] = params.n_recipients * params.k
-    held.slots[1] = np.iinfo(held.slots.dtype).max  # the widest id a slot field holds
+    slots = recipients[1].held.slots[0]
+    slots[0] = params.n_recipients * params.k
+    slots[1] = np.iinfo(slots.dtype).max  # the widest id a slot field holds
     result = recipients[1].verify(sender.sign(0x11), 0)
     assert result.mismatch_counts[0] == 2
     assert result.mismatch_counts[1:] == (0, 0)
@@ -354,9 +342,9 @@ def test_out_of_range_slot_in_the_last_group_counts_as_mismatch():
     # past n*k there would read beyond it
     params = ProtocolParams.build(3, 8, 8, k=5, l_max=0)
     _, sender, recipients = distributed(params)
-    held = recipients[0].held_group(2)
-    held.slots[:3] = (params.n_recipients * params.k, params.n_recipients * params.k + 1,
-                      np.iinfo(held.slots.dtype).max)
+    slots = recipients[0].held.slots[2]
+    slots[:3] = (params.n_recipients * params.k, params.n_recipients * params.k + 1,
+                 np.iinfo(slots.dtype).max)
     result = recipients[0].verify(sender.sign(0x11), 0)
     assert result.mismatch_counts == (0, 0, 3)
 
@@ -481,7 +469,7 @@ def test_no_recipient_keeps_its_batch_past_its_sharing(monkeypatch):
         return [id(v) for v in values if isinstance(v, np.ndarray)]
 
     def only_held_blocks():
-        checks.append(all(arrays(r) == [id(block) for block in r._held] for r in parties))
+        checks.append(all(arrays(r) == [id(block) for block in r.held] for r in parties))
 
     def init(self, *args):
         real_init(self, *args)
@@ -741,10 +729,9 @@ def test_holder_gets_the_keys_of_a_full_run(n, noisy):
         net = network()
         held, issued = held_view(net, params, h)
         assert set(net.total_consumed().values()) == {0}
+        assert all(np.array_equal(got, want) for got, want in zip(held, full[h].held))
         for origin in range(n):
-            want = full[h].held_group(origin)
-            assert all(np.array_equal(got[origin], w) for got, w in zip(held, want))
-            slots = np.minimum(want.slots, n * params.k - 1)
+            slots = np.minimum(full[h].held.slots[origin], n * params.k - 1)
             for got, keys in zip(issued, batches[origin]):
                 assert np.array_equal(got[origin], keys[slots])
         # read again on the network the full run used: the same keys, no metering
@@ -769,7 +756,7 @@ def test_held_view_judges_as_a_full_run_verifies(a, t, q, seed, message):
     signature = sender.sign(message)
     for h in range(n):
         held, issued = held_view(Network(config), params, h)
-        assert all(np.array_equal(x, y) for x, y in zip(held, full[h]._held))
+        assert all(np.array_equal(x, y) for x, y in zip(held, full[h].held))
         tags = (block_tags(keys, message, params) for keys in (issued, held[1:]))
         counts = mismatch_counts(held.slots, *tags)
         for level in range(-1, params.l_max + 1):
@@ -784,7 +771,7 @@ def _view_blocks(monkeypatch, params, batches_per_block):
     a, t = params.msg_len_bits, params.tag_len_bits
     batch_bytes = params.n_recipients * params.k * (packed_dtype(a).itemsize + packed_dtype(t).itemsize)
     # just under one more batch, so a block holds exactly batches_per_block
-    monkeypatch.setattr(protocol, "_VIEW_BLOCK_BYTES", (batches_per_block + 1) * batch_bytes - 1)
+    monkeypatch.setattr(protocol, "_BLOCK_BYTES", (batches_per_block + 1) * batch_bytes - 1)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.01, 0.3])
@@ -804,10 +791,9 @@ def test_held_view_in_blocks_equals_a_full_run(monkeypatch, a, t, q):
     past = 0
     for h in range(n):
         held, issued = held_view(Network(config), params, h)
+        assert all(np.array_equal(got, want) for got, want in zip(held, full[h].held))
         for g in range(n):
-            want = full[h].held_group(g)
-            assert all(np.array_equal(got[g], w) for got, w in zip(held, want))
-            slots = np.minimum(want.slots, n * k - 1).astype(np.intp)
+            slots = np.minimum(full[h].held.slots[g], n * k - 1).astype(np.intp)
             assert all(np.array_equal(got[g], keys[slots]) for got, keys in zip(issued, sent[g]))
         past += np.count_nonzero(held.slots >= n * k)
     if q == 0.3:
@@ -944,7 +930,7 @@ def test_run_honest_tag_call_shape(monkeypatch, a, t):
 @pytest.mark.parametrize("batches_per_block", [1, 3])
 @pytest.mark.parametrize("a, t", [(8, 8), (72, 16)])
 def test_sign_in_blocks_equals_sign_in_one_call(monkeypatch, a, t, batches_per_block):
-    # sign tags at most _SIGN_BLOCK_BYTES of decoded keys per call; blocks of
+    # sign tags at most _BLOCK_BYTES of decoded keys per call; blocks of
     # 1 and of 3 batches (not a divisor of n = 7) give the one-call signature
     n, k = 7, 10
     params = ProtocolParams.build(n, a, t, k=k)
@@ -954,7 +940,7 @@ def test_sign_in_blocks_equals_sign_in_one_call(monkeypatch, a, t, batches_per_b
     key_bytes = packed_dtype(a).itemsize + packed_dtype(t).itemsize
     batch_bytes = n * k * key_bytes
     # just under one more batch, so the block holds exactly batches_per_block
-    monkeypatch.setattr(protocol, "_SIGN_BLOCK_BYTES", (batches_per_block + 1) * batch_bytes - 1)
+    monkeypatch.setattr(protocol, "_BLOCK_BYTES", (batches_per_block + 1) * batch_bytes - 1)
     calls = []
     real_tags = protocol.tags_of_arrays
 
@@ -1033,8 +1019,7 @@ def test_run_honest_keeps_wide_values_packed(monkeypatch, a, t):
     keys = seen["issued"] + seen["batches"]
     assert len(seen["issued"]) == len(seen["batches"]) == n
     for r in recipients:
-        held = [r.held_group(g) for g in range(n)]
-        assert all(h.slots.dtype == packed_dtype(protocol.id_bits(n, 12)) for h in held)
-        keys += [(h.multipliers, h.offsets) for h in held]
+        assert r.held.slots.dtype == packed_dtype(protocol.id_bits(n, 12))
+        keys.append(r.held[1:])
     assert all(m.dtype == mult_dtype and o.dtype == tag_dtype for m, o in keys)
     assert seen["signature"].tags.dtype == tag_dtype

@@ -387,6 +387,18 @@ def test_params_validation_messages():
         ProtocolParams.build(7, 8, 8, k=10, p_target=0.0)
 
 
+@pytest.mark.parametrize("n, d_r", [(2, 0.1), (2, 0.49), (3, 0.4)])
+def test_fewer_than_two_honest_recipients_are_rejected(n, d_r):
+    # the bounds count honest verifier pairs; with none, p_nontransfer took log(0)
+    message = rf"^d_r = {d_r} leaves 1 honest recipient\(s\) of n = {n}; the bounds need at least 2$"
+    with pytest.raises(ValueError, match=message):
+        ProtocolParams.build(n, 8, 8, d_r=d_r, k=10)
+    with pytest.raises(ValueError, match=message):
+        solve_k(1e-10, n, 0, d_r=d_r)
+    # two honest recipients are enough
+    assert p_nontransfer(0, ProtocolParams.build(3, 8, 8, d_r=1 / 3, k=10)).n_p == 1
+
+
 def test_params_reject_spec_and_mode_of_the_wrong_type():
     good = ProtocolParams.build(7, 8, 8, k=10)
     with pytest.raises(ValueError, match="spec must be an SLevelSpec"):

@@ -234,6 +234,20 @@ def test_forge_checks_its_bound_before_any_trial(monkeypatch):
         attack_forge(params, trials=10**9, target=2)
 
 
+def test_repudiation_prices_its_bound_before_any_trial(monkeypatch):
+    # as the forge does: a bound that cannot be priced costs no trial
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial was judged before the bound was priced")
+
+    def no_bound(*args, **kwargs):
+        raise ValueError("bound cannot be priced")
+
+    monkeypatch.setattr(simlab, "level_rule", no_trials)
+    monkeypatch.setattr(simlab, "p_nontransfer", no_bound)
+    with pytest.raises(ValueError, match="bound cannot be priced"):
+        attack_repudiation(0.3, ProtocolParams.build(7, 8, 8, k=10), trials=10)
+
+
 @pytest.mark.parametrize("level", [np.int64(0), True, 1.0, "0"])
 def test_forge_checks_its_level_before_any_distribution(monkeypatch, level):
     # an np.integer level runs as its int; anything else fails before the
@@ -491,6 +505,7 @@ def test_sweep_error_tolerance_rejects_unabsorbable_noise():
     ([0.001, 0.7], 0.002, r"^q must be in \[0, 0.5\), got 0.7$"),
     ([0.0, 0.01, 0.05], 0.002, "^adjusted threshold 0.559686 at q=0.05 reaches"),
     ([1e-4, 0.0], -0.001, "^margin -0.001 gives a non-positive threshold at q=0.0$"),
+    ([1e-4], float("nan"), "^margin must be finite, got nan$"),
 ])
 def test_sweep_error_tolerance_checks_every_q_before_its_first_trial(monkeypatch, q_values, margin, error):
     # a bad q anywhere in the list fails before any k is solved or view read
@@ -541,7 +556,7 @@ def test_sweep_trials_judge_as_sign_and_verify(monkeypatch):
         if len(trials) % 3 == 2:
             slot = n * k + len(trials) % 24
             held.slots[len(trials) % n, 7] = slot
-            recipients[recipient].held_group(len(trials) % n).slots[7] = slot
+            recipients[recipient].held.slots[len(trials) % n, 7] = slot
         trials.append([sender, recipients[recipient]])
         return held, issued
 
