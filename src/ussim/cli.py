@@ -268,79 +268,61 @@ def _cmd_attack(args) -> int:
     colluders = _parse_indices(args.colluders)
     if args.kind == "repudiation":
         result = attack_repudiation(gamma, params, trials=args.trials, seed=seed)
-        columns = ("gamma", "trials", "successes", "rate",
-                   "wilson_low", "wilson_high", "bound", "bound_level")
         # the parsed values, per-batch ones joined with ";" like colluders, in one cell
-        cell = ";".join(repr(g) for g in (gamma if isinstance(gamma, tuple) else (gamma,)))
-        row = (cell, result.trials, result.successes, result.rate,
-               result.wilson_low, result.wilson_high, result.bound, result.bound_level)
+        gammas = gamma if isinstance(gamma, tuple) else (gamma,)
+        row = {"gamma": ";".join(repr(g) for g in gammas)}
     else:
         result = attack_forge(
             params, trials=args.trials, seed=seed, forger=args.forger,
             colluders=colluders, target=args.target, level=args.level,
             enforce_collusion_bound=not args.allow_oversized_collusion,
         )
-        columns = ("forger", "colluders", "target", "level", "trials", "successes",
-                   "rate", "wilson_low", "wilson_high", "bound", "bound_level")
-        row = (args.forger,
-               ";".join(str(c) for c in colluders),
-               params.n_recipients - 1 if args.target is None else args.target,
-               result.bound_level, result.trials, result.successes, result.rate,
-               result.wilson_low, result.wilson_high, result.bound, result.bound_level)
+        row = {
+            "forger": args.forger,
+            "colluders": ";".join(str(c) for c in colluders),
+            "target": params.n_recipients - 1 if args.target is None else args.target,
+            "level": result.bound_level,
+        }
+    row.update(dataclasses.asdict(result))  # its fields, in order, are the last columns
     extra = {"kind": args.kind, "trials": args.trials, "seed": seed}
-    table = SweepResult(columns=columns, rows=(row,))
+    table = SweepResult.from_rows([row])
     _emit(table.to_csv(_param_comments(params, extra)), args.out)
     return 0
 
 
-def _int_range(start: int, stop: int, step: int) -> list[int]:
+def _axis_values(start: float, stop: float, step: float, *, geometric: bool = False) -> list:
+    """Every value of a sweep axis, from start up to and including stop.
+
+    Value i is start + i * step, or start * step**i on a geometric axis.
+    A float axis takes values within 1e-9 of a step past stop (1e-9 of
+    stop on a geometric axis) and rounds them to 10 significant digits;
+    an int axis stops exactly at stop. Over _MAX_SWEEP_POINTS values fail
+    as the first value too many is made.
+    """
+    if geometric and (step <= 0 or step == 1.0):
+        raise ValueError(f"factor must be positive and not 1, got {step}")
     if step == 0:
         raise ValueError("step must be non-zero")
-    if (stop - start) * step < 0:
-        raise ValueError(f"step {step} never reaches --to {stop} from --from {start}")
-    values = list(range(start, stop + (1 if step > 0 else -1), step))
-    if len(values) > _MAX_SWEEP_POINTS:
-        raise ValueError(f"sweep of {len(values)} points exceeds {_MAX_SWEEP_POINTS}")
-    return values
-
-
-def _float_range(start: float, stop: float, step: float) -> list[float]:
-    if step == 0:
-        raise ValueError("step must be non-zero")
-    if (stop - start) * step < 0:
-        raise ValueError(f"step {step} never reaches --to {stop} from --from {start}")
+    rising = step > 1 if geometric else step > 0
+    if start != stop and (stop > start) != rising:
+        name = "factor" if geometric else "step"
+        raise ValueError(f"{name} {step} never reaches --to {stop} from --from {start}")
+    if geometric:
+        end = stop * (1 + 1e-9 if rising else 1 - 1e-9)
+    elif isinstance(step, float):
+        end = stop + (abs(step) if rising else -abs(step)) * 1e-9
+    else:
+        end = stop
     values = []
-    i = 0
-    while True:
-        v = start + i * step
-        if (step > 0 and v > stop + abs(step) * 1e-9) or (step < 0 and v < stop - abs(step) * 1e-9):
-            break
-        values.append(float(f"{v:.10g}"))
-        i += 1
-        if i > _MAX_SWEEP_POINTS:
-            raise ValueError(f"sweep exceeds {_MAX_SWEEP_POINTS} points")
-    return values
-
-
-def _geometric_range(start: float, stop: float, factor: float) -> list[float]:
-    if factor <= 0 or factor == 1.0:
-        raise ValueError(f"factor must be positive and not 1, got {factor}")
-    decreasing = factor < 1.0
-    if (start > stop) != decreasing and start != stop:
-        raise ValueError(f"factor {factor} never reaches --to {stop} from --from {start}")
-    values = []
-    i = 0
-    while True:
-        v = start * factor**i
-        if decreasing and v < stop * (1 - 1e-9):
-            break
-        if not decreasing and v > stop * (1 + 1e-9):
-            break
-        values.append(float(f"{v:.10g}"))
-        i += 1
-        if i > _MAX_SWEEP_POINTS:
-            raise ValueError(f"sweep exceeds {_MAX_SWEEP_POINTS} points")
-    return values
+    for i in range(_MAX_SWEEP_POINTS + 1):
+        try:
+            value = start * step**i if geometric else start + i * step
+        except OverflowError:
+            raise ValueError(f"factor {step} to the power {i} overflows a float") from None
+        if (value > end) if rising else (value < end):
+            return values
+        values.append(value if isinstance(value, int) else float(f"{value:.10g}"))
+    raise ValueError(f"sweep exceeds {_MAX_SWEEP_POINTS} points")
 
 
 def _cmd_sweep(args) -> int:
@@ -354,7 +336,7 @@ def _cmd_sweep(args) -> int:
     if args.axis == "q":
         if args.step is None:
             raise ValueError("--step is required for the q axis")
-        values = _float_range(args.start, args.stop, args.step)
+        values = _axis_values(args.start, args.stop, args.step)
         table = sweep_error_tolerance(
             values, params,
             margin=args.margin, trials=args.trials, seed=seed,
@@ -362,7 +344,10 @@ def _cmd_sweep(args) -> int:
         extra = {"axis": "q", "margin": repr(args.margin),
                  "trials": args.trials, "seed": seed}
     elif args.axis == "p_target":
-        values = _geometric_range(args.start, args.stop, args.factor)
+        for name, bound in (("--from", args.start), ("--to", args.stop)):
+            if not 0 < bound < 1:
+                raise ValueError(f"p_target axis bounds must be in (0, 1), got {name} {bound}")
+        values = _axis_values(args.start, args.stop, args.factor, geometric=True)
         table = sweep_consumption("p_target", values, params)
         extra = {"axis": "p_target", "factor": repr(args.factor)}
     else:
@@ -372,7 +357,7 @@ def _cmd_sweep(args) -> int:
         for name, bound in (("--from", args.start), ("--to", args.stop)):
             if bound != int(bound):
                 raise ValueError(f"{name} must be an integer for axis {args.axis}, got {bound}")
-        values = _int_range(int(args.start), int(args.stop), step)
+        values = _axis_values(int(args.start), int(args.stop), step)
         table = sweep_consumption(args.axis, values, params)
         extra = {"axis": args.axis, "step": step}
     _emit(table.to_csv(_param_comments(params, extra)), args.out)

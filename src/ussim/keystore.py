@@ -53,6 +53,7 @@ import hashlib
 import json
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -303,8 +304,12 @@ class NetworkConfig:
         _check_rate(self.default_rate_bps, "default_rate_bps")
         self.seed = as_int(self.seed, "seed", 0, _MAX_SEED)
         _check_flip_prob(self.default_flip_prob, "default_flip_prob")
+        if not isinstance(self.links, Mapping):
+            raise ValueError(f"links must map user pairs to LinkSettings, got {self.links!r}")
         normalized: dict[tuple[int, int], LinkSettings] = {}
         for pair, settings in self.links.items():
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise ValueError(f"link {pair!r} must be a pair of users")
             a, b = sorted(as_int(u, f"link {pair} endpoint") for u in pair)
             if a == b:
                 raise ValueError(f"link ({pair}) must join two distinct users")
@@ -312,6 +317,8 @@ class NetworkConfig:
                 raise ValueError(f"link ({a}, {b}) names a user outside [0, {self.n_users})")
             if (a, b) in normalized:
                 raise ValueError(f"link ({a}, {b}) configured twice")
+            if not isinstance(settings, LinkSettings):
+                raise ValueError(f"link ({a}, {b}) settings must be a LinkSettings, got {settings!r}")
             if settings.rate_bps is not None:
                 _check_rate(settings.rate_bps, f"rate_bps on link ({a}, {b})")
             if settings.flip_prob is not None:

@@ -351,6 +351,15 @@ class SweepResult:
                     f"row of width {len(row)} does not fit {len(self.columns)} columns"
                 )
 
+    @classmethod
+    def from_rows(cls, rows: Sequence[dict]) -> "SweepResult":
+        """A table of rows keyed by column name, its columns in the first row's order."""
+        columns = tuple(rows[0])
+        for row in rows:
+            if tuple(row) != columns:
+                raise ValueError(f"row with columns {tuple(row)} does not fit {columns}")
+        return cls(columns=columns, rows=tuple(tuple(row.values()) for row in rows))
+
     def to_csv(self, comments: Sequence[str] = ()) -> str:
         lines = [f"# {c}" for c in comments]
         lines.append(",".join(self.columns))
@@ -385,21 +394,6 @@ def sweep_consumption(
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one axis value")
-    columns = (
-        "n",
-        "msg_len_bits",
-        "tag_len_bits",
-        "l_max",
-        "band",
-        "d_r",
-        "k",
-        "id_bits",
-        "p_target",
-        "prep_bits_accounting",
-        "sharing_bits_accounting",
-        "total_bits_accounting",
-        "total_bits_literal",
-    )
     rows = []
     for value in values:
         n = params.n_recipients
@@ -418,24 +412,22 @@ def sweep_consumption(
         )
         acc = consumption(point, CostMode.ACCOUNTING)
         lit = consumption(point, CostMode.LITERAL)
-        rows.append(
-            (
-                n,
-                a,
-                t,
-                point.l_max,
-                f"l_max={point.l_max}",
-                point.d_r,
-                point.k,
-                acc.id_bits,
-                p_target,
-                acc.preparation_bits,
-                acc.sharing_bits,
-                acc.total_bits,
-                lit.total_bits,
-            )
-        )
-    return SweepResult(columns=columns, rows=tuple(rows))
+        rows.append({
+            "n": n,
+            "msg_len_bits": a,
+            "tag_len_bits": t,
+            "l_max": point.l_max,
+            "band": f"l_max={point.l_max}",
+            "d_r": point.d_r,
+            "k": point.k,
+            "id_bits": acc.id_bits,
+            "p_target": p_target,
+            "prep_bits_accounting": acc.preparation_bits,
+            "sharing_bits_accounting": acc.sharing_bits,
+            "total_bits_accounting": acc.total_bits,
+            "total_bits_literal": lit.total_bits,
+        })
+    return SweepResult.from_rows(rows)
 
 
 def sweep_error_tolerance(
@@ -480,20 +472,6 @@ def sweep_error_tolerance(
     # bench/workloads.py) has always been solved with
     eps2 = 0.5 - params.s_levels[-1]
     interior = params.s_levels[params.l_max - 1]
-    columns = (
-        "q",
-        "expected_mismatch_fraction",
-        "s_adjusted",
-        "k",
-        "id_bits",
-        "total_bits_accounting",
-        "total_bits_literal",
-        "trials",
-        "passes",
-        "pass_prob",
-        "wilson_low",
-        "wilson_high",
-    )
     points = []  # (q, e_q, s_adj), every q checked before the first k is solved
     for q in q_values:
         e_q = expected_mismatch_fraction(q, a, t)
@@ -529,20 +507,18 @@ def sweep_error_tolerance(
             counts = mismatch_counts(held.slots, *tags)
             passes += bool(level_rule(counts, k, s, delta)[1])
         low, high = wilson_interval(passes, trials)
-        rows.append(
-            (
-                q,
-                e_q,
-                s_adj,
-                k_q,
-                acc.id_bits,
-                acc.total_bits,
-                lit.total_bits,
-                trials,
-                passes,
-                passes / trials,
-                low,
-                high,
-            )
-        )
-    return SweepResult(columns=columns, rows=tuple(rows))
+        rows.append({
+            "q": q,
+            "expected_mismatch_fraction": e_q,
+            "s_adjusted": s_adj,
+            "k": k_q,
+            "id_bits": acc.id_bits,
+            "total_bits_accounting": acc.total_bits,
+            "total_bits_literal": lit.total_bits,
+            "trials": trials,
+            "passes": passes,
+            "pass_prob": passes / trials,
+            "wilson_low": low,
+            "wilson_high": high,
+        })
+    return SweepResult.from_rows(rows)

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -538,4 +539,74 @@ def test_sweep_non_finite_bounds_exit_two_naming_the_flag(capsys, args, flag):
     assert cli.main(["sweep", *args]) == 2
     captured = capsys.readouterr()
     assert f"error: {flag} must be finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("start, stop, step, geometric, want", [
+    (0.0, 0.005, 0.0005, False,
+     [0.0, 0.0005, 0.001, 0.0015, 0.002, 0.0025, 0.003, 0.0035, 0.004, 0.0045, 0.005]),
+    (0.003, 0.0, -0.001, False, [0.003, 0.002, 0.001, 0.0]),
+    # 0.1 + 2 * 0.1 is 0.30000000000000004, within 1e-9 of a step of --to
+    (0.1, 0.3, 0.1, False, [0.1, 0.2, 0.3]),
+    (2, 12, 3, False, [2, 5, 8, 11]),
+    (12, 2, -4, False, [12, 8, 4]),
+    (1e-4, 1e-14, 0.1, True,
+     [0.0001, 1e-05, 1e-06, 1e-07, 1e-08, 1e-09, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14]),
+    (1e-14, 1e-4, 10.0, True,
+     [1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-09, 1e-08, 1e-07, 1e-06, 1e-05, 0.0001]),
+], ids=["q-up", "q-down", "q-end-within-1e-9", "n-up", "n-down", "p_target-down",
+        "p_target-up"])
+def test_sweep_axis_values_are_pinned(start, stop, step, geometric, want):
+    got = cli._axis_values(start, stop, step, geometric=geometric)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--axis", "q", "--from", "0", "--to", "0.005", "--step", "-0.001"],
+     "step -0.001 never reaches --to 0.005 from --from 0.0"),
+    (["--axis", "n", "--from", "2", "--to", "12", "--step", "-1"],
+     "step -1 never reaches --to 12 from --from 2"),
+    (["--axis", "msg_len", "--from", "8", "--to", "4"],
+     "step 1 never reaches --to 4 from --from 8"),
+    (["--axis", "p_target", "--from", "1e-4", "--to", "1e-14", "--factor", "10"],
+     "factor 10.0 never reaches --to 1e-14 from --from 0.0001"),
+], ids=["q", "n", "msg_len", "p_target"])
+def test_sweep_axis_that_never_reaches_its_end_exits_two(capsys, args, error):
+    assert cli.main(["sweep", *args]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {error}" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_point_limit_fails_before_the_range_is_built(capsys):
+    # the whole range of 3e6 ints would take about 100 MiB
+    tracemalloc.start()
+    try:
+        status = cli.main(["sweep", "--axis", "n", "--from", "2", "--to", "3e6"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert "error: sweep exceeds 10000 points" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def test_sweep_factor_power_past_the_float_range_exits_two(capsys):
+    # 1e200**2 overflows before 1e-300 * 1e200**2 can be compared with --to;
+    # it used to escape as OverflowError, exit 1
+    args = ["--axis", "p_target", "--from", "1e-300", "--to", "0.5", "--factor", "1e200"]
+    assert cli.main(["sweep", *args]) == 2
+    assert "error: factor 1e+200 to the power 2 overflows a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds, flag", [
+    (["--from", "0", "--to", "1e-5", "--factor", "10"], "--from 0.0"),
+    (["--from", "0", "--to", "0"], "--from 0.0"),
+    (["--from", "1e-5", "--to", "0"], "--to 0.0"),
+], ids=["from-0-rising", "both-0", "to-0"])
+def test_sweep_p_target_bounds_outside_zero_one_exit_two(capsys, bounds, flag):
+    assert cli.main(["sweep", "--axis", "p_target", *bounds]) == 2
+    captured = capsys.readouterr()
+    assert f"error: p_target axis bounds must be in (0, 1), got {flag}" in captured.err
     assert captured.out == ""

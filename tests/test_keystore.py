@@ -381,6 +381,19 @@ def test_network_config_structural_validation():
         NetworkConfig(n_users=3, seed=-5)
 
 
+@pytest.mark.parametrize("links, error", [
+    ([(0, 1)], "links must map user pairs to LinkSettings"),
+    ({(0, 1): {"rate_bps": 5}}, r"link \(0, 1\) settings must be a LinkSettings"),
+    ({(1, 0): None}, r"link \(0, 1\) settings must be a LinkSettings"),
+    ({1: LinkSettings()}, "link 1 must be a pair of users"),
+    ({(0, 1, 2): LinkSettings()}, r"link \(0, 1, 2\) must be a pair of users"),
+], ids=["list", "dict-settings", "none-settings", "int-pair", "triple"])
+def test_links_of_the_wrong_shape_from_python_are_rejected(links, error):
+    # these used to raise AttributeError, TypeError or an unpacking error partway
+    with pytest.raises(ValueError, match=error):
+        NetworkConfig(n_users=3, links=links)
+
+
 def test_a_repeated_link_entry_is_rejected_by_index():
     # entries were gathered in a dict keyed by the pair, so the last one won
     raw = {"users": 3, "links": [{"a": 0, "b": 1, "flip_prob": 0.5},

@@ -435,6 +435,10 @@ def test_sweep_result_csv_shape_and_roundtrip():
     assert float(lines[4].split(",")[1]) == 1e-10
     with pytest.raises(ValueError, match="columns"):
         SweepResult(columns=("n",), rows=((1, 2),))
+    # rows keyed by column name make the same table
+    assert SweepResult.from_rows([{"n": 2, "value": 0.25}, {"n": 3, "value": 1e-10}]) == table
+    with pytest.raises(ValueError, match="columns"):
+        SweepResult.from_rows([{"n": 2, "value": 0.25}, {"value": 1e-10, "n": 3}])
 
 
 def test_sweep_consumption_n_axis_tracks_level_bands():
