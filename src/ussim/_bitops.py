@@ -28,19 +28,6 @@ def octets(values: np.ndarray) -> np.ndarray:
     return values.reshape(-1, 1).view(np.uint8)
 
 
-def as_packed(values, width: int) -> np.ndarray:
-    """Pack an array of Python ints as width-bit values; others pass through."""
-    values = np.asarray(values)
-    if values.dtype != object:
-        return values
-    masked = [int(v) % (1 << width) for v in values.flat]
-    if width <= 64:
-        return np.array(masked, dtype=packed_dtype(width)).reshape(values.shape)
-    n_bytes = (width + 7) // 8
-    data = b"".join(v.to_bytes(n_bytes, "big") for v in masked)
-    return np.frombuffer(data, dtype=f"V{n_bytes}").reshape(values.shape)
-
-
 def packed_dtype(width: int) -> np.dtype:
     """The dtype of one packed value of width bits.
 

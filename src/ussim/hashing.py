@@ -25,7 +25,7 @@ import functools
 
 import numpy as np
 
-from ._bitops import as_packed, octets
+from ._bitops import octets, packed_dtype
 from .secparams import as_int
 
 __all__ = ["find_irreducible", "tags_of_arrays"]
@@ -117,8 +117,13 @@ def _message_tables(message: int, msg_len_bits: int, tag_len_bits: int) -> np.nd
     n_bytes = (a + 7) // 8
     # low t bits of x^j * message as packed_dtype(t), or past 64 bits as bytes
     # least significant first; col is zero past bit a, so high multiplier bits drop out
-    products = as_packed(np.array(_mul_table(message, a), dtype=object), t)
-    products = products if t <= 64 else octets(products)
+    products = [v & ((1 << t) - 1) for v in _mul_table(message, a)]
+    if t <= 64:
+        products = np.array(products, dtype=packed_dtype(t))
+    else:
+        t_bytes = (t + 7) // 8
+        data = b"".join(v.to_bytes(t_bytes, "little") for v in products)
+        products = np.frombuffer(data, dtype=np.uint8).reshape(a, t_bytes)
     col = np.zeros((8 * n_bytes, *products.shape[1:]), dtype=products.dtype)
     col[:a] = products
     # built by doubling over v's bits
@@ -146,16 +151,19 @@ def tags_of_arrays(
     packed as in _bitops; tables, accumulator and tags are packed_dtype(t),
     the smallest unsigned type holding t bits up to 64 and void byte rows
     above, where the tables hold products as bytes. Multipliers and offsets
-    may be any integer array; multiplier bits at or above a are ignored, and
-    tags take the multipliers' shape.
+    are packed arrays: any integer dtype, or void rows. Multiplier bits at
+    or above a are ignored, and tags take the multipliers' shape.
     """
     a = as_int(msg_len_bits, "msg_len_bits")  # its range is find_irreducible's
     t = as_int(tag_len_bits, "tag_len_bits", 1, a)
     message = as_int(message, "message")
     if message < 0 or message.bit_length() > a:
         raise ValueError(f"message must fit in {a} bits, got {message}")
+    mults, offs = np.asarray(multipliers), np.asarray(offsets)
+    if mults.dtype.kind not in "iuV" or offs.dtype.kind not in "iuV":
+        raise ValueError("multipliers and offsets must be packed integer or void arrays, "
+                         f"got {mults.dtype} and {offs.dtype}")
     tables = _message_tables(message, a, t)
-    mults = as_packed(multipliers, a)
     low_first = octets(mults.reshape(-1))
     acc = np.zeros((len(low_first), *tables.shape[2:]), dtype=tables.dtype)
     tmp = np.empty_like(acc)
@@ -164,7 +172,6 @@ def tags_of_arrays(
         # indices are bytes, always in range; "clip" lets take skip its buffer
         tables[p].take(low_first[:, p], axis=axis, out=tmp, mode="clip")
         acc ^= tmp
-    offs = as_packed(offsets, t)
     if t <= 64:
         tags = acc.reshape(mults.shape)
         tags ^= offs.astype(tags.dtype, copy=False)

@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._bitops import flip_bits
 from .secparams import ProtocolParams, as_int, as_real, id_bits
 
 __all__ = [
@@ -197,8 +198,7 @@ class LinkKeyStore:
         if n_bits % 8:
             out[-1] &= 0xFF << (8 - n_bits % 8) & 0xFF
         if side == self.noisy_side:
-            flips = self.flips(start, n_bits)
-            np.bitwise_xor.at(out, flips >> 3, (0x80 >> (flips & 7)).astype(np.uint8))
+            flip_bits([(out, 8)], self.flips(start, n_bits))
         return out
 
     def flips(self, start: int, n_bits: int) -> np.ndarray:

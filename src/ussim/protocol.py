@@ -556,11 +556,12 @@ def held_view(
             if g != h:
                 flips = network.link(g + 1, h + 1).flips(0 if g < h else share, share)
                 relayed.append(flips + i * share)
-        for block, batch in zip(held[1:], batches):
-            block[rows] = _at_slots(batch, held.slots[rows])
-        # a sender-link flip in a held key reached it through origin g; the
-        # block's held slots, ascending, as indices into its flattened batches
+        # the block's held slots, ascending and below n*k until the relay
+        # flips, as indices into its flattened batches
         index = (held.slots[rows] + np.arange(0, batches[0].size, n_k)[:, None]).reshape(-1)
+        for block, batch in zip(held[1:], batches):
+            block[rows] = batch.take(index).reshape(-1, k)
+        # a sender-link flip in a held key reached it through origin g
         key, bit = np.divmod(np.concatenate(sent), a + t)
         at = index.searchsorted(key).clip(max=index.size - 1)
         hit = index[at] == key

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._bitops import packed_dtype
+from ._bitops import octets, packed_dtype, unpack_rows
 from .hashing import tags_of_arrays
 from .keystore import Network, NetworkConfig
 from .protocol import (
@@ -241,13 +241,9 @@ def _uniform_tags(rng: np.random.Generator, size: int, tag_len_bits: int) -> np.
         return draw.astype(packed_dtype(tag_len_bits))
     # one rng.bytes(ceil(t/8)) stream per tag, drawn at once: each row of
     # little-endian words starts with those bytes, read big-endian, bits above t dropped
-    words, n_bytes = (tag_len_bits + 31) // 32, (tag_len_bits + 7) // 8
-    data = rng.integers(0, 1 << 32, size=(size, words), dtype=np.uint32).astype("<u4")
-    tags = np.ascontiguousarray(data.view(np.uint8)[:, :n_bytes])
-    tags[:, 0] &= 0xFF >> (-tag_len_bits % 8)
-    if tag_len_bits == 64:
-        return tags.view(">u8").reshape(-1).astype(np.uint64)
-    return tags.view(f"V{n_bytes}").reshape(-1)
+    words = (tag_len_bits + 31) // 32
+    draw = rng.integers(0, 1 << 32, size=size * words, dtype=np.uint32)
+    return unpack_rows(octets(draw).reshape(-1), tag_len_bits, size, -tag_len_bits % 8, 32 * words)
 
 
 def attack_forge(
@@ -407,11 +403,14 @@ def sweep_consumption(
         else:
             a = as_int(value, "msg_len value")
             t = min(a, params.tag_len_bits)
-        point = ProtocolParams.build(
-            n, a, t, p_target=p_target, spec=params.spec, mode=params.mode
-        )
-        acc = consumption(point, CostMode.ACCOUNTING)
-        lit = consumption(point, CostMode.LITERAL)
+        try:  # a point that cannot be built is named by its axis and value
+            point = ProtocolParams.build(
+                n, a, t, p_target=p_target, spec=params.spec, mode=params.mode
+            )
+            acc = consumption(point, CostMode.ACCOUNTING)
+            lit = consumption(point, CostMode.LITERAL)
+        except ValueError as exc:
+            raise ValueError(f"{axis}={value}: {exc}") from None
         rows.append({
             "n": n,
             "msg_len_bits": a,

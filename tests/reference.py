@@ -128,6 +128,13 @@ def void_rows(values, n_bytes: int) -> np.ndarray:
     return np.frombuffer(data, dtype=f"V{n_bytes}")
 
 
+def packed(values, width: int) -> np.ndarray:
+    """Ints of up to width bits as a writable packed array: uint64 up to 64 bits, void rows above."""
+    if width <= 64:
+        return np.array(values, dtype=np.uint64)
+    return void_rows(values, (width + 7) // 8).copy()
+
+
 def _link_keys(seed: int, user_a: int, user_b: int) -> tuple[int, int]:
     """Pool and flip keys of a link: the halves of its stream-version-3 digest."""
     lo, hi = sorted((user_a, user_b))

@@ -24,12 +24,6 @@ def _oracle_string(values, width, start):
     return bytes(reference.pack_row(bits[i : i + 8]) for i in range(0, len(bits), 8))
 
 
-def _as_packed(values, width):
-    if width <= 64:
-        return np.array(values, dtype=np.uint64)
-    return reference.void_rows(values, (width + 7) // 8).copy()
-
-
 def _string_bits(data):
     return [b for byte in data.tolist() for b in reference.unpack_value(byte, 8)]
 
@@ -38,7 +32,7 @@ def _string_bits(data):
 def test_pack_and_unpack_match_the_oracle(width):
     rng = np.random.default_rng(width)
     values = _random_values(rng, 14, width)
-    packed = _as_packed(values, width)
+    packed = reference.packed(values, width)
     for start in range(8):
         for rows, given in ((values, packed), (values[::2], packed[::2])):  # strided too
             got = pack_rows(given, width, start)
@@ -188,14 +182,14 @@ def test_flip_bits_matches_a_bitwise_oracle(widths):
     rng = np.random.default_rng(sum(widths))
     rows, total = 9, sum(widths)
     values = [_random_values(rng, rows, w) for w in widths]
-    fields = [(_as_packed(v, w), w) for v, w in zip(values, widths)]
+    fields = [(reference.packed(v, w), w) for v, w in zip(values, widths)]
     positions = np.sort(rng.choice(rows * total, size=rows * total // 3, replace=False))
     flip_bits(fields, positions)
     want = np.concatenate([_oracle_bits(v, w) for v, w in zip(values, widths)], axis=1)
     want.reshape(-1)[positions] ^= 1
     start = 0
     for (packed, width), in_rows in zip(fields, values):
-        assert packed.dtype == _as_packed(in_rows, width).dtype
+        assert packed.dtype == reference.packed(in_rows, width).dtype
         assert np.array_equal(_oracle_bits(reference.row_ints(packed), width),
                               want[:, start : start + width])
         start += width

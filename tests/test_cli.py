@@ -610,3 +610,12 @@ def test_sweep_p_target_bounds_outside_zero_one_exit_two(capsys, bounds, flag):
     captured = capsys.readouterr()
     assert f"error: p_target axis bounds must be in (0, 1), got {flag}" in captured.err
     assert captured.out == ""
+
+
+def test_sweep_point_that_cannot_be_built_exits_two_naming_it(capsys):
+    # n=2 prices; at n=20002 the signature payload overflows the header's byte count
+    argv = ["sweep", "--axis", "n", "--from", "2", "--to", "100002", "--step", "20000"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: n=20002: signature payload of ")
+    assert captured.out == ""

@@ -61,7 +61,7 @@ def test_find_irreducible_validation():
 
 def field_product(x: int, y: int, a: int) -> int:
     """x * y in GF(2^a), read off tags_of_arrays as a full-width tag with a zero offset."""
-    return int(tags_of_arrays(np.array([x], dtype=object), np.array([0]), y, a, a)[0])
+    return int(tags_of_arrays(reference.packed([x], a), np.array([0]), y, a, a)[0])
 
 
 @given(
@@ -138,22 +138,25 @@ def test_tags_of_arrays_matches_make_tag(data):
     assert [int(v) for v in got] == want
 
 
-def test_tags_of_arrays_object_path_wide_field():
-    # Python-int input past 64 bits is packed on entry; the tags are void rows
-    a = 80
-    mults = np.array([(1 << 79) | 5, 3], dtype=object)
-    offs = np.array([1, (1 << 70) - 2], dtype=object)
-    message = (1 << 77) | 0x1F
-    got = tags_of_arrays(mults, offs, message, a, 72)
-    modulus = find_irreducible(a)
-    want = [reference.make_tag(int(m), int(o), message, modulus, 72) for m, o in zip(mults, offs)]
-    assert reference.row_ints(got) == want
+@pytest.mark.parametrize("python_ints", ["multipliers", "offsets"])
+def test_tags_of_arrays_rejects_python_int_arrays(python_ints):
+    # only packed arrays are tagged: an object array fails before any table is built
+    a, t, message = 80, 72, (1 << 77) | 0x1F
+    mults, offs = reference.packed([(1 << 79) | 5, 3], a), reference.packed([1, 2], t)
+    if python_ints == "multipliers":
+        mults = np.array([(1 << 79) | 5, 3], dtype=object)
+    else:
+        offs = np.array([1, 2], dtype=object)
+    before = hashing._message_tables.cache_info()
+    with pytest.raises(ValueError, match="multipliers and offsets must be packed"):
+        tags_of_arrays(mults, offs, message, a, t)
+    assert hashing._message_tables.cache_info() == before
 
 
 @pytest.mark.parametrize("a", [65, 72, 128, 200])
 @pytest.mark.parametrize("t", [1, 32, 64])
 def test_tags_of_arrays_wide_field_uint64_tags(a, t):
-    # a wide field with tags that fit in 64 bits: object multipliers,
+    # a wide field with tags that fit in 64 bits: void-row multipliers,
     # packed_dtype(t) tags, checked against schoolbook field multiplication
     rng = np.random.default_rng(a * 100 + t)
 
@@ -163,9 +166,7 @@ def test_tags_of_arrays_wide_field_uint64_tags(a, t):
     mults = [rand(a) for _ in range(16)] + [0, 1, (1 << a) - 1, 1 << (a - 1), 1 << 64]
     offs = [rand(t) for _ in mults]
     message = rand(a) | (1 << (a - 1))
-    got = tags_of_arrays(
-        np.array(mults, dtype=object), np.array(offs, dtype=object), message, a, t
-    )
+    got = tags_of_arrays(reference.packed(mults, a), reference.packed(offs, t), message, a, t)
     assert got.dtype == packed_dtype(t)
     modulus = find_irreducible(a)
     want = [reference.make_tag(m, o, message, modulus, t) for m, o in zip(mults, offs)]
@@ -186,9 +187,7 @@ def test_tags_of_arrays_every_byte_boundary(a):
     message = _random_ints(rng, 1, a)[0] | (1 << (a - 1))
     for t in sorted({1, min(a, 8), min(a, 64), a}):
         offs = _random_ints(rng, len(mults), t)
-        got = tags_of_arrays(
-            np.array(mults, dtype=object), np.array(offs, dtype=object), message, a, t
-        )
+        got = tags_of_arrays(reference.packed(mults, a), reference.packed(offs, t), message, a, t)
         assert got.dtype == packed_dtype(t)
         want = [reference.make_tag(m, o, message, modulus, t) for m, o in zip(mults, offs)]
         assert reference.row_ints(got) == want, (a, t)
@@ -196,18 +195,20 @@ def test_tags_of_arrays_every_byte_boundary(a):
 
 @pytest.mark.parametrize("a", [7, 8, 9, 63, 64, 65, 128])
 def test_tags_of_arrays_multiplier_dtypes_agree(a):
-    # the same values as uint64, int64, big-endian uint64 and Python ints
+    # the same values as uint64, int64 and big-endian uint64
     rng = np.random.default_rng(1000 + a)
     width = min(a, 63)
     mults = _random_ints(rng, 32, width) + [0, 1, (1 << width) - 1]
     t = min(a, 8)
-    offs = np.array(_random_ints(rng, len(mults), t), dtype=np.uint64)
+    offs = _random_ints(rng, len(mults), t)
     message = _random_ints(rng, 1, a)[0]
-    want = tags_of_arrays(np.array(mults, dtype=object), offs, message, a, t)
+    modulus = find_irreducible(a)
+    want = [reference.make_tag(m, o, message, modulus, t) for m, o in zip(mults, offs)]
     for dtype in (np.uint64, np.int64, ">u8"):
-        got = tags_of_arrays(np.array(mults, dtype=dtype), offs, message, a, t)
+        got = tags_of_arrays(np.array(mults, dtype=dtype), np.array(offs, dtype=np.uint64),
+                             message, a, t)
         assert got.dtype == packed_dtype(t)
-        assert np.array_equal(got, want), dtype
+        assert reference.row_ints(got) == want, dtype
 
 
 @pytest.mark.parametrize("a, t", [(5, 3), (8, 8), (12, 9), (16, 16), (24, 17), (40, 32)])
@@ -234,8 +235,8 @@ def test_tags_of_arrays_wide_inputs_give_narrow_tags(a, t):
 @pytest.mark.parametrize("a, t", [(8, 8), (64, 32), (128, 32), (130, 100)])
 def test_tags_of_arrays_keeps_2d_shape(a, t):
     rng = np.random.default_rng(a + t)
-    mults = np.array(_random_ints(rng, 12, a), dtype=object)
-    offs = np.array(_random_ints(rng, 12, t), dtype=object)
+    mults = reference.packed(_random_ints(rng, 12, a), a)
+    offs = reference.packed(_random_ints(rng, 12, t), t)
     message = _random_ints(rng, 1, a)[0]
     flat = tags_of_arrays(mults, offs, message, a, t)
     grid = tags_of_arrays(mults.reshape(3, 4), offs.reshape(3, 4), message, a, t)
@@ -248,10 +249,10 @@ def test_tags_of_arrays_ignores_multiplier_bits_above_a(a, t):
     rng = np.random.default_rng(7 * a + t)
     mults = _random_ints(rng, 16, a)
     high = [m | (_random_ints(rng, 1, 64)[0] << a) for m in mults]
-    offs = np.array(_random_ints(rng, 16, t), dtype=object)
+    offs = reference.packed(_random_ints(rng, 16, t), t)
     message = _random_ints(rng, 1, a)[0]
-    want = tags_of_arrays(np.array(mults, dtype=object), offs, message, a, t)
-    got = tags_of_arrays(np.array(high, dtype=object), offs, message, a, t)
+    want = tags_of_arrays(reference.packed(mults, a), offs, message, a, t)
+    got = tags_of_arrays(reference.packed(high, a + 64), offs, message, a, t)
     assert reference.row_ints(got) == reference.row_ints(want)
     if a < 64:
         # fixed-width input: the bits between a and 64 are dropped too
@@ -264,27 +265,20 @@ def test_tags_of_arrays_ignores_multiplier_bits_above_a(a, t):
 @pytest.mark.parametrize("t", [1, 32, 64, 255])
 def test_tags_of_arrays_void_rows_match_python_ints(a, t):
     # the packed form the protocol carries gives the tags of the same values
-    # as Python ints; bits above a, up to a whole extra byte, are ignored
+    # as Python ints under make_tag; bits above a, up to a whole extra byte, are ignored
     t = min(a, t)
     rng = np.random.default_rng(3000 + 7 * a + t)
     n_bytes = (a + 7) // 8
     mults = _random_ints(rng, 24, a) + [0, 1, (1 << a) - 1, 1 << (a - 1)]
     offs = _random_ints(rng, len(mults), t)
     message = _random_ints(rng, 1, a)[0] | (1 << (a - 1))
-    want = tags_of_arrays(
-        np.array(mults, dtype=object), np.array(offs, dtype=object), message, a, t
-    )
     modulus = find_irreducible(a)
-    assert reference.row_ints(want) == [
-        reference.make_tag(m, o, message, modulus, t) for m, o in zip(mults, offs)
-    ]
-    packed_offs = (np.array(offs, dtype=np.uint64) if t <= 64
-                   else reference.void_rows(offs, (t + 7) // 8))
+    want = [reference.make_tag(m, o, message, modulus, t) for m, o in zip(mults, offs)]
     junk = [m | (_random_ints(rng, 1, 8 * n_bytes + 8 - a)[0] << a) for m in mults]
     for rows in (reference.void_rows(mults, n_bytes), reference.void_rows(junk, n_bytes + 1)):
-        got = tags_of_arrays(rows, packed_offs, message, a, t)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+        got = tags_of_arrays(rows, reference.packed(offs, t), message, a, t)
+        assert got.dtype == packed_dtype(t)
+        assert reference.row_ints(got) == want
 
 
 @pytest.mark.parametrize("a, t", [(8, 8), (72, 16), (128, 100)])
@@ -300,8 +294,8 @@ def test_message_table_cache_gives_the_tags_of_a_fresh_build(a, t, data):
     order = data.draw(st.lists(st.sampled_from(messages), min_size=2 * len(messages),
                                max_size=4 * len(messages)))
     rng = np.random.default_rng(a + t)
-    mults = np.array(_random_ints(rng, 20, a), dtype=object)
-    offs = np.array(_random_ints(rng, 20, t), dtype=object)
+    mults = reference.packed(_random_ints(rng, 20, a), a)
+    offs = reference.packed(_random_ints(rng, 20, t), t)
     want = {}
     for m in messages:
         cache.cache_clear()

@@ -484,6 +484,17 @@ def test_sweep_consumption_validation():
         sweep_consumption("n", [2.5], params)
 
 
+@pytest.mark.parametrize("axis, values, error", [
+    ("n", [3, 1], "n=1: n must be an int >= 2, got 1"),
+    ("p_target", [1e-3, 1.5], "p_target=1.5: p_target must be in (0, 1), got 1.5"),
+    ("msg_len", [8, 5000], "msg_len=5000: msg_len_bits must be an int in [1, 4096], got 5000"),
+])
+def test_sweep_consumption_names_the_point_that_cannot_be_built(axis, values, error):
+    with pytest.raises(ValueError) as info:
+        sweep_consumption(axis, values, ProtocolParams.build(3, 8, 8))
+    assert str(info.value) == error
+
+
 def test_sweep_error_tolerance_noiseless_point_recovers_baseline():
     params = ProtocolParams.build(7, 8, 8)
     table = sweep_error_tolerance([0.0], params, margin=0.005, trials=20)
