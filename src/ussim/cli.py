@@ -6,7 +6,9 @@ end-to-end run), attack (Monte Carlo adversary experiments), sweep
 
 All randomness flows from --seed; when --seed is absent the USS_SEED
 environment variable is the fallback, then 0. Either one overrides a
---config file's seed. Same argv and seed means byte-identical output.
+--config file's seed. Only commands that draw read a seed: time-to-ready
+and the consumption sweeps take none. Same argv and seed means
+byte-identical output.
 CSV files open with comment lines recording the tool version and every
 resolved parameter, so a row can always be traced back to its inputs.
 """
@@ -331,9 +333,13 @@ def _cmd_sweep(args) -> int:
     for name, bound in bounds:
         if bound is not None and not math.isfinite(bound):
             raise ValueError(f"{name} must be finite, got {bound}")
+    if args.axis != "q":  # a consumption sweep re-derives these at every point
+        for name, value in (("--k", args.k), ("--lmax", args.lmax), ("--dr", args.dr)):
+            if value is not None:
+                raise ValueError(f"{name} is re-derived at every point of axis {args.axis}; omit it")
     params = _resolve_params(args)
-    seed = _resolve_seed(args)
     if args.axis == "q":
+        seed = _resolve_seed(args)
         if args.step is None:
             raise ValueError("--step is required for the q axis")
         values = _axis_values(args.start, args.stop, args.step)
@@ -366,9 +372,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_time_to_ready(args) -> int:
     params = _resolve_params(args)
-    seed = _resolve_seed(args, default=None)
-    config = _load_config(args, params, seed)
-    report = time_to_ready(config, params)
+    report = time_to_ready(_load_config(args, params, None), params)
     print(f"time_to_ready_s={report.seconds!r}")
     print(f"binding_link={report.binding_link[0]}-{report.binding_link[1]}")
     for (ua, ub), secs in sorted(report.per_link_seconds.items()):
@@ -448,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ttr = sub.add_parser("time-to-ready", help="distribution-stage fill time")
     _add_param_flags(p_ttr)
     _add_network_flags(p_ttr)
-    _add_seed_flag(p_ttr)
     p_ttr.set_defaults(func=_cmd_time_to_ready)
 
     return parser

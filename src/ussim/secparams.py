@@ -139,10 +139,12 @@ class SLevelSpec:
     eps2: float = 0.001
 
     def __post_init__(self) -> None:
-        if not 0 < as_real(self.eps1, "eps1") < 0.5:
-            raise ValueError(f"eps1 must be in (0, 0.5), got {self.eps1}")
-        if not 0 < as_real(self.eps2, "eps2") < 0.5:
-            raise ValueError(f"eps2 must be in (0, 0.5), got {self.eps2}")
+        for name in ("eps1", "eps2"):
+            given = getattr(self, name)
+            value = as_real(given, name)
+            if not 0 < value < 0.5:
+                raise ValueError(f"{name} must be in (0, 0.5), got {given}")
+            object.__setattr__(self, name, value)  # a numpy float is kept as a float
         if self.eps1 + self.eps2 >= 0.5:
             raise ValueError(
                 f"eps1 + eps2 must be below 0.5, got {self.eps1 + self.eps2}"
@@ -204,8 +206,10 @@ def _log_tail(l: int, k: int, s_levels: dict[int, float], mode: TailMode) -> flo
         raise ValueError(f"s_levels must contain levels {l} and {l - 1}")
     k = as_int(k, "k", 1)
     gap = s_levels[l - 1] - s_levels[l]
-    if gap <= 0:
-        raise ValueError(f"threshold gap between levels {l - 1} and {l} must be positive")
+    if not 0 < gap < math.inf:  # False for NaN
+        raise ValueError(
+            f"threshold gap between levels {l - 1} and {l} must be finite and positive, got {gap}"
+        )
     if mode is TailMode.SQUARED:
         return -(gap * gap) * k / 2
     if mode is TailMode.LITERAL:
@@ -396,6 +400,9 @@ class ProtocolParams:
             )
         if not 0 < as_real(self.p_target, "p_target") < 1:
             raise ValueError(f"p_target must be in (0, 1), got {self.p_target}")
+        # stored as floats, as the ints are stored as ints, so a numpy float prints plainly
+        for name in ("d_r", "p_target"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         # a set the signature cannot carry would fail only at sign, after a distribution
         check_header_fields(self.msg_len_bits, self.tag_len_bits, self.n_recipients, self.k)
         if not isinstance(self.spec, SLevelSpec) or not isinstance(self.mode, TailMode):

@@ -69,11 +69,12 @@ _FORGE_BLOCK_BYTES = 1 << 16
 _SEED_SPAN = 1 << 62
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, fixed at 95% (z = 1.96)."""
     trials = as_int(trials, "trials", 1)
     successes = as_int(successes, "successes", 0, trials)
     p = successes / trials
+    z = 1.96
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
@@ -129,11 +130,8 @@ def run_honest(
     and is checked before any batch is drawn.
     """
     if config is None:
-        config = NetworkConfig(
-            n_users=params.n_recipients + 1,
-            seed=0 if seed is None else seed,
-        )
-    elif seed is not None:
+        config = NetworkConfig(n_users=params.n_recipients + 1)
+    if seed is not None:
         config = dataclasses.replace(config, seed=seed)
     if message is None:
         rng = np.random.default_rng([config.seed, _MESSAGE_STREAM])
@@ -216,18 +214,11 @@ def attack_repudiation(
     bound = p_nontransfer(0, params).p_nontransfer
     corrupt = [math.floor(g * n * k + 1e-9) for g in gammas]
     rng = np.random.default_rng([seed, _REPUDIATION_STREAM])
-    # counts[trial, holder, g]: the holder's mismatches in batch g
-    counts = np.empty((trials, n, n), dtype=np.int64)
-    for g in range(n):
-        m = corrupt[g]
-        if m == 0:
-            counts[:, :, g] = 0
-        elif m == n * k:
-            counts[:, :, g] = k
-        else:
-            counts[:, :, g] = rng.multivariate_hypergeometric(
-                [k] * n, m, size=trials
-            )
+    # counts[trial, holder, g]: the holder's mismatches in batch g; the sampler
+    # draws nothing at m = 0 or m = n * k, so edge batches leave the stream alone
+    counts = np.stack(
+        [rng.multivariate_hypergeometric([k] * n, m, size=trials) for m in corrupt], axis=2
+    )
     _, accept_zero = level_rule(counts, k, *params.thresholds(0)[1:])
     _, accept_base = level_rule(counts, k, *params.thresholds(-1)[1:])
     success = accept_zero.any(axis=1) & ~accept_base.all(axis=1)
@@ -360,14 +351,8 @@ class SweepResult:
         lines = [f"# {c}" for c in comments]
         lines.append(",".join(self.columns))
         for row in self.rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
+            lines.append(",".join(map(str, row)))
         return "\n".join(lines) + "\n"
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def sweep_consumption(

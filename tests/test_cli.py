@@ -6,9 +6,12 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from ussim import cli
+from ussim.secparams import ProtocolParams, SLevelSpec
+from ussim.simlab import SweepResult
 
 SMALLEST = ["--n", "2", "--a", "1", "--t", "1", "--k", "1"]
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -619,3 +622,55 @@ def test_sweep_point_that_cannot_be_built_exits_two_naming_it(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: n=20002: signature payload of ")
     assert captured.out == ""
+
+
+def test_parameter_comments_print_numpy_reals_plainly():
+    spec = SLevelSpec(eps1=np.float64(0.005), eps2=np.float64(0.001))
+    params = ProtocolParams.build(
+        7, 8, 8, p_target=np.float64(1e-10), d_r=np.float64(1 / 7), spec=spec, k=10
+    )
+    comments = cli._param_comments(params)
+    assert "p_target=1e-10" in comments and "d_r=0.14285714285714285" in comments
+    assert "eps1=0.005" in comments and "eps2=0.001" in comments
+    lines = cli._param_lines(params)
+    assert "d_r=0.14285714285714285" in lines
+    assert "s_levels: s[1]=0.005 s[0]=0.252 s[-1]=0.499" in lines
+    # and a table cell holding a numpy float is written as its number
+    table = SweepResult(columns=("p",), rows=((np.float64(0.1),),))
+    assert table.to_csv() == "p\n0.1\n"
+
+
+@pytest.mark.parametrize("axis", ["n", "p_target", "msg_len"])
+@pytest.mark.parametrize("flag, value", [("--k", "10"), ("--lmax", "0"), ("--dr", "0.1")])
+def test_consumption_sweep_refuses_the_flags_it_re_derives(monkeypatch, capsys, axis, flag, value):
+    # every row solves its own k, l_max and d_r, so the header would misstate them
+    def priced(*args, **kwargs):
+        raise AssertionError("a row was priced")
+
+    monkeypatch.setattr(cli, "sweep_consumption", priced)
+    bounds = ["--from", "1e-4", "--to", "1e-6"] if axis == "p_target" else ["--from", "8", "--to", "9"]
+    assert cli.main(["sweep", "--axis", axis, *bounds, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} is re-derived at every point of axis {axis}; omit it\n"
+    assert captured.out == ""
+
+
+def test_time_to_ready_takes_no_seed():
+    assert run_cli("time-to-ready", "--seed", "5").returncode == 2
+    plain = run_cli("time-to-ready")
+    assert plain.returncode == 0
+    # it draws nothing, so a malformed USS_SEED does not concern it
+    assert run_cli("time-to-ready", env_extra={"USS_SEED": "abc"}).stdout == plain.stdout
+
+
+def test_consumption_sweep_reads_no_seed(capsys, monkeypatch):
+    monkeypatch.setenv("USS_SEED", "abc")
+    assert cli.main(["sweep", "--axis", "n", "--from", "2", "--to", "3"]) == 0
+    out = capsys.readouterr().out
+    monkeypatch.delenv("USS_SEED")
+    assert cli.main(["sweep", "--axis", "n", "--from", "2", "--to", "3"]) == 0
+    assert capsys.readouterr().out == out
+    # the q axis draws, so it still refuses a malformed USS_SEED
+    monkeypatch.setenv("USS_SEED", "abc")
+    assert cli.main(["sweep", "--axis", "q", "--from", "0", "--to", "0", "--step", "0.001"]) == 2
+    assert "USS_SEED must be an integer" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from ussim.keystore import (
     NetworkConfig,
     time_to_ready,
 )
+from ussim.protocol import run_distribution
 from ussim.secparams import ProtocolParams
 
 
@@ -498,6 +499,24 @@ def test_time_to_ready_binds_on_slowest_link():
     report = time_to_ready(config, params)
     assert report.binding_link == (3, 5)
     assert report.seconds == pytest.approx(52_548.0, rel=1e-12)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_time_to_ready_prices_the_bits_a_distribution_meters(data):
+    # seconds times rate is what run_distribution draws on each link, one slow link included
+    n = data.draw(st.integers(2, 5))
+    a = data.draw(st.integers(1, 16))
+    t = data.draw(st.integers(1, min(a, 8)))
+    params = ProtocolParams.build(n, a, t, k=data.draw(st.integers(1, 20)))
+    pair = data.draw(st.sampled_from([(u, v) for u in range(n + 1) for v in range(u + 1, n + 1)]))
+    slow = data.draw(st.floats(0.5, 999.0))
+    config = NetworkConfig(n_users=n + 1, links={pair: LinkSettings(rate_bps=slow)})
+    network = Network(config)
+    run_distribution(network, params)
+    report = time_to_ready(config, params)
+    for link, bits in network.total_consumed().items():
+        assert report.per_link_seconds[link] * config.rate(*link) == pytest.approx(bits, rel=1e-12)
 
 
 def test_time_to_ready_needs_matching_user_count():

@@ -129,6 +129,15 @@ def test_tail_bound_needs_adjacent_levels():
         tail_bound_pm(1, 0, levels)
 
 
+@pytest.mark.parametrize("levels", [
+    {1: math.nan, 0: 0.2}, {1: 0.1, 0: math.inf}, {1: 0.2, 0: 0.2}, {1: 0.3, 0: 0.2},
+], ids=["nan", "inf", "zero", "negative"])
+def test_tail_bound_rejects_a_gap_that_is_not_finite_and_positive(levels):
+    # a NaN gap used to give a NaN bound, an infinite one a bound of 0.0
+    with pytest.raises(ValueError, match="finite and positive"):
+        tail_bound_pm(1, 10, levels)
+
+
 def test_uniform_guess_pass_prob_exact_small_case():
     # k=4, t=1: each guess matches with prob 1/2, pass needs <= 1 mismatch
     assert uniform_guess_pass_prob(4, 1, 0.252) == pytest.approx(5 / 16, rel=1e-12)
@@ -359,6 +368,17 @@ def test_params_carry_their_spec_and_tail_mode():
         assert p_nontransfer(level, params).p_m == literal_p_m
         assert p_nontransfer(level, squared).p_m == tail_bound_pm(level, params.k, levels)
     assert params.thresholds(0) == (0, levels[0], compute_delta(0, params.d_r))
+
+
+def test_params_store_numpy_reals_as_floats():
+    spec = SLevelSpec(eps1=np.float64(0.005), eps2=np.float32(0.25))
+    params = ProtocolParams.build(
+        7, 8, 8, p_target=np.float64(1e-10), d_r=np.float64(1 / 7), spec=spec, k=10
+    )
+    reals = (params.p_target, params.d_r, params.spec.eps1, params.spec.eps2)
+    assert [type(v) for v in reals] == [float] * 4
+    assert reals == (1e-10, 1 / 7, 0.005, float(np.float32(0.25)))
+    assert params == ProtocolParams.build(7, 8, 8, d_r=1 / 7, spec=SLevelSpec(0.005, 0.25), k=10)
 
 
 def test_build_wide_message_caps_tag_length():

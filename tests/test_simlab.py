@@ -112,6 +112,16 @@ def test_repudiation_gamma_endpoints_never_split():
         assert attack_repudiation(gamma, params, trials=500).successes == 0
 
 
+@pytest.mark.parametrize("seed, successes", [(0, (268, 72)), (3, (268, 68))])
+def test_repudiation_successes_with_edge_batches_are_pinned(seed, successes):
+    # batches at gamma 0 and 1 beside drawn ones: an edge batch that took a
+    # draw, or skipped one the sampler makes, would shift every later batch
+    params = ProtocolParams.build(7, 8, 8, k=10)
+    patterns = ((0.3, 0.0, 1.0, 0.3, 0.0, 1.0, 0.3), (0.2, 1.0, 0.0, 0.5, 0.2, 1.0, 0.0))
+    got = tuple(attack_repudiation(g, params, trials=2000, seed=seed).successes for g in patterns)
+    assert got == successes
+
+
 def test_repudiation_gamma_accepts_any_real_scalar():
     params = ProtocolParams.build(3, 8, 8, k=10)
 
