@@ -120,10 +120,14 @@ def flip_bits(fields, positions: np.ndarray) -> None:
     contiguous so that octets views their memory. Row r of the fields side
     by side is the first field's width bits, most significant first, then
     the next field's, and so on, W bits in all; position p flips column
-    p % W of row p // W.
+    p % W of row p // W. A lone uint8 field of width 8 is a bit string,
+    and position p flips its bit p.
     """
     positions = np.asarray(positions, dtype=np.int64)
     if not positions.size:
+        return
+    if len(fields) == 1 and fields[0][1] == 8 and fields[0][0].dtype == np.uint8:
+        np.bitwise_xor.at(fields[0][0], positions >> 3, (0x80 >> (positions & 7)).astype(np.uint8))
         return
     rows, cols = np.divmod(positions, sum(width for _, width in fields))
     end = 0

@@ -10,7 +10,8 @@ environment variable is the fallback, then 0. Either one overrides a
 and the consumption sweeps take none. Same argv and seed means
 byte-identical output.
 CSV files open with comment lines recording the tool version and every
-resolved parameter, so a row can always be traced back to its inputs.
+resolved parameter, so a row can always be traced back to its inputs; a
+consumption sweep leaves out the fields its rows re-derive or sweep.
 """
 from __future__ import annotations
 
@@ -171,7 +172,7 @@ def _param_lines(params: ProtocolParams) -> list[str]:
     return lines
 
 
-def _param_comments(params: ProtocolParams, extra: dict | None = None) -> list[str]:
+def _param_comments(params: ProtocolParams, extra: dict | None = None, omit=()) -> list[str]:
     items: dict[str, object] = {
         "version": __version__,
         "n": params.n_recipients,
@@ -187,7 +188,7 @@ def _param_comments(params: ProtocolParams, extra: dict | None = None) -> list[s
     }
     if extra:
         items.update(extra)
-    return [f"{key}={value}" for key, value in items.items()]
+    return [f"{key}={value}" for key, value in items.items() if key not in omit]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -333,10 +334,18 @@ def _cmd_sweep(args) -> int:
     for name, bound in bounds:
         if bound is not None and not math.isfinite(bound):
             raise ValueError(f"{name} must be finite, got {bound}")
+    omit = ()
     if args.axis != "q":  # a consumption sweep re-derives these at every point
         for name, value in (("--k", args.k), ("--lmax", args.lmax), ("--dr", args.dr)):
             if value is not None:
                 raise ValueError(f"{name} is re-derived at every point of axis {args.axis}; omit it")
+        if args.seed is not None:
+            raise ValueError(f"--seed is not read by axis {args.axis}, which draws nothing; omit it")
+        if args.axis == "p_target" and args.step is not None:
+            raise ValueError("--step is not read by axis p_target, which steps by --factor; omit it")
+        # the header keeps the fields every row shares
+        swept = {"n": "n", "p_target": "p_target", "msg_len": "msg_len_bits"}[args.axis]
+        omit = ("k", "l_max", "d_r", swept)
     params = _resolve_params(args)
     if args.axis == "q":
         seed = _resolve_seed(args)
@@ -366,7 +375,7 @@ def _cmd_sweep(args) -> int:
         values = _axis_values(int(args.start), int(args.stop), step)
         table = sweep_consumption(args.axis, values, params)
         extra = {"axis": args.axis, "step": step}
-    _emit(table.to_csv(_param_comments(params, extra)), args.out)
+    _emit(table.to_csv(_param_comments(params, extra, omit)), args.out)
     return 0
 
 

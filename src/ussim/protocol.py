@@ -34,7 +34,7 @@ import numpy as np
 
 from ._bitops import flip_bits, pack_rows, packed_dtype, unpack_rows
 from .hashing import tags_of_arrays
-from .keystore import LINK_STORE_BYTES, LinkKeyStore, Network
+from .keystore import LINK_STORE_BYTES, Network
 from .secparams import ProtocolParams, as_int, check_header_fields, id_bits
 
 __all__ = [
@@ -253,12 +253,6 @@ def _decode_keys(packed: np.ndarray, params: ProtocolParams) -> tuple[np.ndarray
     )
 
 
-def _issued_keys(link: LinkKeyStore, start: int, params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """The sender's noiseless view of the batch issued over a sender link from start."""
-    n_bits = params.n_recipients * params.k * (params.msg_len_bits + params.tag_len_bits)
-    return _decode_keys(link.read(start, n_bits, side=0), params)
-
-
 def _key_bytes(params: ProtocolParams) -> int:
     """Bytes of one decoded key: a multiplier and an offset at their packed_dtype."""
     return sum(packed_dtype(w).itemsize for w in (params.msg_len_bits, params.tag_len_bits))
@@ -273,21 +267,19 @@ def _block_batches(params: ProtocolParams) -> int:
 def _issued_blocks(network: Network, params: ProtocolParams, starts: Sequence[int]):
     """The sender's view of every issued batch, in blocks of _block_batches origins.
 
-    Batch g is read from sender link (0, g + 1) at starts[g]. Yields the
-    block's origins as a slice and its (multipliers, offsets) as (b, n*k)
-    arrays, which are views of buffers the next block overwrites.
+    Batch g is the sender's noiseless side of sender link (0, g + 1) from
+    starts[g]. Yields the block's origins as a slice and its (multipliers,
+    offsets) as (b, n*k) arrays allocated for that block.
     """
-    n, n_k = params.n_recipients, params.n_recipients * params.k
+    n, k, a, t = params.n_recipients, params.k, params.msg_len_bits, params.tag_len_bits
     per_block = _block_batches(params)
-    buffers = tuple(
-        np.empty((per_block, n_k), dtype=packed_dtype(w))
-        for w in (params.msg_len_bits, params.tag_len_bits)
-    )
     for lo in range(0, n, per_block):
         rows = slice(lo, min(n, lo + per_block))
+        keys = tuple(np.empty((rows.stop - lo, n * k), dtype=packed_dtype(w)) for w in (a, t))
         for i, g in enumerate(range(rows.start, rows.stop)):
-            buffers[0][i], buffers[1][i] = _issued_keys(network.link(0, g + 1), starts[g], params)
-        yield rows, tuple(buffer[: rows.stop - lo] for buffer in buffers)
+            packed = network.link(0, g + 1).read(starts[g], n * k * (a + t), side=0)
+            keys[0][i], keys[1][i] = _decode_keys(packed, params)
+        yield rows, keys
 
 
 def _at_slots(values: np.ndarray, slots: np.ndarray) -> np.ndarray:

@@ -540,11 +540,6 @@ def id_bits(n: int, k: int) -> int:
 class ConsumptionReport:
     """Secret-bit cost of one protocol instance under one counting mode."""
 
-    n: int
-    k: int
-    a: int
-    t: int
-    mode: CostMode
     preparation_bits: int
     sharing_bits: int
     total_bits: int
@@ -569,13 +564,5 @@ def consumption(params: ProtocolParams, mode: CostMode = CostMode.ACCOUNTING) ->
     else:
         raise ValueError(f"unknown cost mode {mode!r}")
     return ConsumptionReport(
-        n=n,
-        k=k,
-        a=a,
-        t=t,
-        mode=mode,
-        preparation_bits=prep,
-        sharing_bits=shar,
-        total_bits=prep + shar,
-        id_bits=ib,
+        preparation_bits=prep, sharing_bits=shar, total_bits=prep + shar, id_bits=ib
     )

@@ -214,6 +214,19 @@ def test_flip_bits_flips_narrow_fields_in_place():
         start += width
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_flip_bits_flips_a_bit_string_as_its_unpacked_bits(seed):
+    # a bit string is one uint8 field of width 8: position p is bit p of the
+    # string, most significant first; a position given twice flips back
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, 256, size=int(rng.integers(1, 300)), dtype=np.uint8)
+    positions = np.sort(rng.integers(0, 8 * data.size, size=int(rng.integers(0, 4 * data.size))))
+    want = np.unpackbits(data)
+    np.bitwise_xor.at(want, positions, 1)
+    flip_bits([(data, 8)], positions)
+    assert np.array_equal(data, np.packbits(want))
+
+
 def test_flip_bits_refuses_arrays_it_cannot_write_through():
     flip_bits([(np.zeros(3, dtype=np.int64), 8)], np.array([], dtype=np.int64))
     # signed and big-endian values are read through a copy

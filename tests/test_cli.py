@@ -655,6 +655,36 @@ def test_consumption_sweep_refuses_the_flags_it_re_derives(monkeypatch, capsys, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("axis, swept", [("n", "n"), ("p_target", "p_target"), ("msg_len", "msg_len_bits")])
+def test_consumption_sweep_header_keeps_only_what_its_rows_share(capsys, axis, swept):
+    # rows re-derive k, l_max and d_r and set the swept field, so the header
+    # records neither: here the base set would say n=50, k=6906 and l_max=4
+    bounds = ["--from", "1e-4", "--to", "1e-5"] if axis == "p_target" else ["--from", "2", "--to", "3"]
+    assert cli.main(["sweep", "--axis", axis, *bounds, "--n", "50"]) == 0
+    comments, header, data = csv_parts(capsys.readouterr().out)
+    keys = [line[2:].split("=")[0] for line in comments]
+    assert not {"k", "l_max", "d_r", swept} & set(keys)
+    assert {"version", "msg_len_bits", "tag_len_bits", "p_target", "axis"} - {swept} <= set(keys)
+    assert len(data) == 2 and swept in header
+
+
+@pytest.mark.parametrize("axis, argv, flag, why", [
+    ("n", ["--from", "2", "--to", "3", "--seed", "9"], "--seed", "draws nothing"),
+    ("msg_len", ["--from", "4", "--to", "5", "--seed", "0"], "--seed", "draws nothing"),
+    ("p_target", ["--from", "1e-4", "--to", "1e-5", "--seed", "9"], "--seed", "draws nothing"),
+    ("p_target", ["--from", "1e-4", "--to", "1e-5", "--step", "4"], "--step", "steps by --factor"),
+])
+def test_consumption_sweep_refuses_flags_it_never_reads(monkeypatch, capsys, axis, argv, flag, why):
+    def priced(*args, **kwargs):
+        raise AssertionError("a row was priced")
+
+    monkeypatch.setattr(cli, "sweep_consumption", priced)
+    assert cli.main(["sweep", "--axis", axis, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} is not read by axis {axis}, which {why}; omit it\n"
+    assert captured.out == ""
+
+
 def test_time_to_ready_takes_no_seed():
     assert run_cli("time-to-ready", "--seed", "5").returncode == 2
     plain = run_cli("time-to-ready")

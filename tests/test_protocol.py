@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -766,6 +766,50 @@ def test_held_view_judges_as_a_full_run_verifies(a, t, q, seed, message):
             assert accepted == result.accepted
 
 
+@st.composite
+def _held_shapes(draw):
+    n, a = draw(st.integers(2, 6)), draw(st.sampled_from([1, 8, 13, 72]))
+    pairs = [(u, v) for u in range(n + 1) for v in range(u + 1, n + 1)]
+    return dict(
+        n=n, k=draw(st.integers(1, 12)), a=a, t=draw(st.integers(1, a)),
+        q=draw(st.sampled_from([0.0, 0.05, 0.3])), slow=draw(st.sampled_from(pairs)),
+        seed=draw(st.integers(0, 2**63 - 1)), message=draw(st.integers(0, 2**a - 1)),
+    )
+
+
+@given(shape=_held_shapes())
+@example(shape=dict(n=3, k=5, a=72, t=70, q=0.05, slow=(1, 3), seed=1, message=2**71 + 5))
+@example(shape=dict(n=6, k=12, a=13, t=9, q=0.3, slow=(0, 4), seed=7, message=4321))
+@settings(max_examples=30, deadline=None)
+def test_held_keys_match_the_reference_distribution(shape):
+    # a recipient's held blocks, built bit by bit from the pools, the
+    # partition streams, the transfer order and the flips of every link,
+    # equal held_view's and a full run's, and verify counts as the
+    # reference does at every level; one link flips at 0.2
+    n, k, a, t = (shape[key] for key in "nkat")
+    params = ProtocolParams.build(n, a, t, k=k)
+    config = NetworkConfig(n_users=n + 1, seed=shape["seed"], default_flip_prob=shape["q"],
+                           links={shape["slow"]: LinkSettings(flip_prob=0.2)})
+    sender, full = run_distribution(Network(config), params)
+    signature = sender.sign(shape["message"])
+    issued = [reference.issued_keys(config.seed, params, g) for g in range(n)]
+    modulus = hashing.find_irreducible(a)
+    for h in range(n):
+        want = reference.held_blocks(config, params, h)
+        view, at_slots = held_view(Network(config), params, h)
+        for got in (view, full[h].held):
+            assert [[reference.row_ints(row) for row in block] for block in got] == list(want)
+        for g, slots in enumerate(want[0]):  # a slot id past the batch reads its last key
+            keys = [issued[g][min(s, n * k - 1)] for s in slots]
+            assert list(zip(*(reference.row_ints(block[g]) for block in at_slots))) == keys
+        counts = reference.mismatch_counts(config.seed, params, want, shape["message"], modulus)
+        for level in range(-1, params.l_max + 1):
+            result = full[h].verify(signature, level)
+            assert list(result.mismatch_counts) == counts
+            verdict = reference.level_verdict(counts, k, result.s_threshold, result.delta_threshold)
+            assert (result.groups_passed, result.accepted) == verdict
+
+
 def _view_blocks(monkeypatch, params, batches_per_block):
     """Bound held_view's blocks to batches_per_block decoded batches."""
     a, t = params.msg_len_bits, params.tag_len_bits
@@ -785,8 +829,8 @@ def test_held_view_in_blocks_equals_a_full_run(monkeypatch, a, t, q):
     params = ProtocolParams.build(n, a, t, k=k)
     config = NetworkConfig(n_users=n + 1, seed=13, default_flip_prob=q)
     _, full = run_distribution(Network(config), params)
-    network = Network(config)
-    sent = [protocol._issued_keys(network.link(0, g + 1), 0, params) for g in range(n)]
+    blocks = protocol._issued_blocks(Network(config), params, (0,) * n)
+    sent = [batch for _, keys in blocks for batch in zip(*keys)]
     _view_blocks(monkeypatch, params, 2)
     past = 0
     for h in range(n):
@@ -989,11 +1033,12 @@ def test_run_honest_keeps_wide_values_packed(monkeypatch, a, t):
 
     seen = {"batches": [], "issued": []}
     real_distribution, real_sign = simlab.run_distribution, Sender.sign
-    real_receive, real_issued = Recipient.receive_batch, protocol._issued_keys
+    real_receive, real_issued = Recipient.receive_batch, protocol._issued_blocks
 
     def keep_issued(*args):
-        seen["issued"].append(real_issued(*args))  # the sender's batches, read to sign
-        return seen["issued"][-1]
+        for rows, keys in real_issued(*args):
+            seen["issued"].extend(zip(*keys))  # the sender's batches, read to sign
+            yield rows, keys
 
     def keep_batch(self):
         seen["batches"].append(real_receive(self))  # the batch each recipient decodes
@@ -1010,7 +1055,7 @@ def test_run_honest_keeps_wide_values_packed(monkeypatch, a, t):
     monkeypatch.setattr(simlab, "run_distribution", keep_parties)
     monkeypatch.setattr(Sender, "sign", keep_signature)
     monkeypatch.setattr(Recipient, "receive_batch", keep_batch)
-    monkeypatch.setattr(protocol, "_issued_keys", keep_issued)
+    monkeypatch.setattr(protocol, "_issued_blocks", keep_issued)
     n = 7
     params = ProtocolParams.build(n, a, t, k=12)
     assert run_honest(params, seed=4).all_accepted

@@ -11,7 +11,7 @@ from ussim import simlab
 from ussim._bitops import pack_rows, packed_dtype
 from ussim.keystore import Network, NetworkConfig
 from ussim.protocol import Recipient, Signature, run_distribution
-from ussim.secparams import CostMode, ProtocolParams, consumption
+from ussim.secparams import CostMode, ProtocolParams, TailMode, consumption, p_nontransfer
 from ussim.simlab import (
     SweepResult,
     attack_forge,
@@ -183,6 +183,47 @@ def test_repudiation_matches_full_protocol_replay():
         fast.rate * (1 - fast.rate) / trials + fast.rate * (1 - fast.rate) / fast.trials
     )
     assert abs(replay_rate - fast.rate) <= 4 * sigma
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_repudiation_optimum_is_the_largest_exact_rate_at_n2(k):
+    # the 16-class product against the plain double sum over both chunk counts
+    params = ProtocolParams.build(2, 8, 8, k=k)
+    rate, split = reference.repudiation_optimum(params)
+    exact = [reference.repudiation_exact(params, (m0, m1))
+             for m0 in range(2 * k + 1) for m1 in range(2 * k + 1)]
+    assert rate == pytest.approx(max(exact), rel=1e-12)
+    assert reference.repudiation_exact(params, split) == pytest.approx(rate, rel=1e-12)
+
+
+def test_nontransfer_bound_covers_the_optimal_repudiation_at_n2():
+    # Arrazola, Wallden and Andersson, "Multiparty quantum signature schemes"
+    # (QIC 2016): p_nontransfer(0) bounds every dishonest sender. At n = 2
+    # below k = 200, acceptance at level 0 needs a clean chunk of both
+    # batches, so the best split is one clean batch and ceil(0.499 k)
+    # corrupted slots in the other, succeeding with 2 C(k, m) / C(2k, m)
+    below_one = {mode: 0 for mode in TailMode}
+    for k in range(1, 161):
+        rate, _ = reference.repudiation_optimum(ProtocolParams.build(2, 8, 8, k=k))
+        m = math.ceil(0.499 * k)
+        assert rate == pytest.approx(2 * math.comb(k, m) / math.comb(2 * k, m), rel=1e-9)
+        if k in (5, 10, 20):
+            assert rate == pytest.approx({5: 0.167, 10: 0.0325, 20: 4.4e-4}[k], rel=0.01)
+        for mode in TailMode:
+            bound = p_nontransfer(0, ProtocolParams.build(2, 8, 8, k=k, mode=mode)).p_nontransfer
+            if bound < 1:
+                below_one[mode] += 1
+                assert bound >= rate, (k, mode)
+    assert min(below_one.values()) >= 150  # the check reaches nearly every k
+
+
+@pytest.mark.parametrize("k, corrupted", [(5, (0, 3)), (10, (0, 5)), (5, (1, 3)), (10, (2, 5))])
+def test_repudiation_rate_matches_the_exact_law_at_n2(k, corrupted):
+    # the optimal split at k = 5 and 10, and splits corrupting both batches
+    params = ProtocolParams.build(2, 8, 8, k=k)
+    exact = reference.repudiation_exact(params, corrupted)
+    result = attack_repudiation(tuple(m / (2 * k) for m in corrupted), params, trials=20_000, seed=5)
+    assert abs(result.rate - exact) <= 4 * math.sqrt(exact * (1 - exact) / result.trials)
 
 
 def test_repudiation_spec_validation():
