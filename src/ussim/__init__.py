@@ -6,100 +6,18 @@ budgets, keystore simulates pairwise key pools with rate and noise,
 protocol runs the distribution and messaging stages, simlab runs Monte
 Carlo attacks and sweeps, and cli fronts it all from the command line.
 """
-from .hashing import find_irreducible, tags_of_arrays
-from .keystore import (
-    LinkKeyStore,
-    LinkSettings,
-    Network,
-    NetworkConfig,
-    TimeToReady,
-    time_to_ready,
-)
-from .protocol import (
-    OriginKeys,
-    Recipient,
-    Sender,
-    Signature,
-    VerifyResult,
-    forward_chain,
-    run_distribution,
-)
-from .secparams import (
-    BoundReport,
-    ConsumptionReport,
-    CostMode,
-    ProtocolParams,
-    SLevelSpec,
-    TailMode,
-    compute_delta,
-    compute_dr,
-    compute_lmax,
-    consumption,
-    id_bits,
-    make_s_levels,
-    p_forge,
-    p_nontransfer,
-    solve_k,
-    tail_bound_pm,
-    uniform_guess_pass_prob,
-)
-from .simlab import (
-    AttackResult,
-    RunOutcome,
-    SweepResult,
-    attack_forge,
-    attack_repudiation,
-    expected_mismatch_fraction,
-    run_honest,
-    sweep_consumption,
-    sweep_error_tolerance,
-    wilson_interval,
-)
+from . import hashing, keystore, protocol, secparams, simlab
+from .hashing import *  # noqa: F403
+from .keystore import *  # noqa: F403
+from .protocol import *  # noqa: F403
+from .secparams import *  # noqa: F403
+from .simlab import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "find_irreducible",
-    "tags_of_arrays",
-    "TailMode",
-    "CostMode",
-    "SLevelSpec",
-    "ProtocolParams",
-    "BoundReport",
-    "ConsumptionReport",
-    "compute_lmax",
-    "compute_dr",
-    "compute_delta",
-    "make_s_levels",
-    "tail_bound_pm",
-    "uniform_guess_pass_prob",
-    "p_forge",
-    "p_nontransfer",
-    "solve_k",
-    "id_bits",
-    "consumption",
-    "LinkKeyStore",
-    "LinkSettings",
-    "NetworkConfig",
-    "Network",
-    "TimeToReady",
-    "time_to_ready",
-    "OriginKeys",
-    "Signature",
-    "VerifyResult",
-    "Sender",
-    "Recipient",
-    "run_distribution",
-    "forward_chain",
-    "wilson_interval",
-    "RunOutcome",
-    "run_honest",
-    "AttackResult",
-    "attack_repudiation",
-    "attack_forge",
-    "expected_mismatch_fraction",
-    "SweepResult",
-    "sweep_consumption",
-    "sweep_error_tolerance",
-]
+__all__ = ["__version__"]
+__all__ += hashing.__all__
+__all__ += secparams.__all__
+__all__ += keystore.__all__
+__all__ += protocol.__all__
+__all__ += simlab.__all__

@@ -9,6 +9,8 @@ environment variable is the fallback, then 0. Either one overrides a
 --config file's seed. Only commands that draw read a seed: time-to-ready
 and the consumption sweeps take none. Same argv and seed means
 byte-identical output.
+A flag the command would not read (a sweep axis's, the other attack
+kind's, a uniform network flag beside --config) exits 2 before any work.
 CSV files open with comment lines recording the tool version and every
 resolved parameter, so a row can always be traced back to its inputs; a
 consumption sweep leaves out the fields its rows re-derive or sweep.
@@ -96,18 +98,20 @@ def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
 
+def _fixed_args(args) -> dict:
+    """ProtocolParams.build's arguments from the parameter flags, all but l_max, d_r and k."""
+    return {
+        "n_recipients": args.n,
+        "msg_len_bits": args.a,
+        "tag_len_bits": args.t,
+        "p_target": args.p_target,
+        "spec": SLevelSpec(eps1=args.eps1, eps2=args.eps2),
+        "mode": TailMode[args.tail_mode.upper()],
+    }
+
+
 def _resolve_params(args) -> ProtocolParams:
-    return ProtocolParams.build(
-        args.n,
-        args.a,
-        args.t,
-        p_target=args.p_target,
-        spec=SLevelSpec(eps1=args.eps1, eps2=args.eps2),
-        l_max=args.lmax,
-        d_r=args.dr,
-        k=args.k,
-        mode=TailMode[args.tail_mode.upper()],
-    )
+    return ProtocolParams.build(**_fixed_args(args), l_max=args.lmax, d_r=args.dr, k=args.k)
 
 
 def _resolve_seed(args, *, default: int | None = 0) -> int | None:
@@ -122,32 +126,34 @@ def _resolve_seed(args, *, default: int | None = 0) -> int | None:
     return default
 
 
+def _refuse(flags: dict, where: str) -> None:
+    """Raise on the first flag given a value, since it is not read where."""
+    for flag, value in flags.items():
+        if value is not None:
+            raise ValueError(f"{flag} is not read {where}; omit it")
+
+
 def _load_config(args, params: ProtocolParams, seed: int | None) -> NetworkConfig:
+    """The --config file's network, which refuses the uniform flags, or one from the flags given."""
+    uniform = {"--rate-bps": args.rate_bps, "--flip-prob": getattr(args, "flip_prob", None)}  # run only
     if args.config is not None:
+        _refuse(uniform, "with --config, whose file sets every link")
         with open(args.config, "r", encoding="utf-8") as fh:
             config = NetworkConfig.from_json(fh.read())
         if seed is not None:
             config = dataclasses.replace(config, seed=seed)
         return config
+    given = zip(("default_rate_bps", "default_flip_prob"), uniform.values())
     return NetworkConfig(
         n_users=params.n_recipients + 1,
-        default_rate_bps=args.rate_bps,
-        default_flip_prob=args.flip_prob,
         seed=0 if seed is None else seed,
+        **{field: value for field, value in given if value is not None},
     )
 
 
 def _param_lines(params: ProtocolParams) -> list[str]:
-    lines = [
-        f"version={__version__}",
-        (
-            f"n={params.n_recipients} msg_len_bits={params.msg_len_bits} "
-            f"tag_len_bits={params.tag_len_bits} k={params.k} l_max={params.l_max} "
-            f"p_target={params.p_target!r} eps1={params.spec.eps1!r} eps2={params.spec.eps2!r} "
-            f"tail_mode={params.mode.name.lower()}"
-        ),
-        f"d_r={params.d_r!r}",
-    ]
+    version, *fields = _param_comments(params, omit=("d_r",))
+    lines = [version, " ".join(fields), f"d_r={params.d_r!r}"]
     levels = sorted(params.s_levels, reverse=True)
     lines.append(
         "s_levels: " + " ".join(f"s[{l}]={params.s_levels[l]!r}" for l in levels)
@@ -264,24 +270,27 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 
 def _cmd_attack(args) -> int:
+    forge_only = {"--forger": args.forger, "--colluders": args.colluders, "--target": args.target,
+                  "--level": args.level, "--allow-oversized-collusion": args.allow_oversized_collusion}
+    unread = forge_only if args.kind == "repudiation" else {"--gamma": args.gamma}
+    _refuse(unread, f"by --kind {args.kind}")
     params = _resolve_params(args)
     seed = _resolve_seed(args)
-    # both flags are parsed for either kind, so a malformed one always exits 2
-    gamma = _parse_gamma(args.gamma) if args.gamma is not None else None
-    colluders = _parse_indices(args.colluders)
     if args.kind == "repudiation":
+        gamma = _parse_gamma(args.gamma) if args.gamma is not None else None
         result = attack_repudiation(gamma, params, trials=args.trials, seed=seed)
         # the parsed values, per-batch ones joined with ";" like colluders, in one cell
         gammas = gamma if isinstance(gamma, tuple) else (gamma,)
         row = {"gamma": ";".join(repr(g) for g in gammas)}
     else:
+        forger, colluders = args.forger or 0, _parse_indices(args.colluders or "")
         result = attack_forge(
-            params, trials=args.trials, seed=seed, forger=args.forger,
+            params, trials=args.trials, seed=seed, forger=forger,
             colluders=colluders, target=args.target, level=args.level,
             enforce_collusion_bound=not args.allow_oversized_collusion,
         )
         row = {
-            "forger": args.forger,
+            "forger": forger,
             "colluders": ";".join(str(c) for c in colluders),
             "target": params.n_recipients - 1 if args.target is None else args.target,
             "level": result.bound_level,
@@ -334,37 +343,36 @@ def _cmd_sweep(args) -> int:
     for name, bound in bounds:
         if bound is not None and not math.isfinite(bound):
             raise ValueError(f"{name} must be finite, got {bound}")
-    omit = ()
-    if args.axis != "q":  # a consumption sweep re-derives these at every point
+    axis = f"by axis {args.axis}, which"
+    if args.axis != "q":
         for name, value in (("--k", args.k), ("--lmax", args.lmax), ("--dr", args.dr)):
             if value is not None:
                 raise ValueError(f"{name} is re-derived at every point of axis {args.axis}; omit it")
-        if args.seed is not None:
-            raise ValueError(f"--seed is not read by axis {args.axis}, which draws nothing; omit it")
-        if args.axis == "p_target" and args.step is not None:
-            raise ValueError("--step is not read by axis p_target, which steps by --factor; omit it")
-        # the header keeps the fields every row shares
-        swept = {"n": "n", "p_target": "p_target", "msg_len": "msg_len_bits"}[args.axis]
-        omit = ("k", "l_max", "d_r", swept)
-    params = _resolve_params(args)
+        _refuse({"--seed": args.seed, "--trials": args.trials}, f"{axis} draws nothing")
+        _refuse({"--margin": args.margin}, f"{axis} prices no noise")
+    if args.axis == "p_target":
+        _refuse({"--step": args.step}, f"{axis} steps by --factor")
+    else:
+        _refuse({"--factor": args.factor}, f"{axis} steps by --step")
     if args.axis == "q":
+        params = _resolve_params(args)
         seed = _resolve_seed(args)
         if args.step is None:
             raise ValueError("--step is required for the q axis")
+        margin = 0.002 if args.margin is None else args.margin
+        trials = 200 if args.trials is None else args.trials
         values = _axis_values(args.start, args.stop, args.step)
-        table = sweep_error_tolerance(
-            values, params,
-            margin=args.margin, trials=args.trials, seed=seed,
-        )
-        extra = {"axis": "q", "margin": repr(args.margin),
-                 "trials": args.trials, "seed": seed}
-    elif args.axis == "p_target":
+        table = sweep_error_tolerance(values, params, margin=margin, trials=trials, seed=seed)
+        extra = {"axis": "q", "margin": repr(margin), "trials": trials, "seed": seed}
+        _emit(table.to_csv(_param_comments(params, extra)), args.out)
+        return 0
+    if args.axis == "p_target":
         for name, bound in (("--from", args.start), ("--to", args.stop)):
             if not 0 < bound < 1:
                 raise ValueError(f"p_target axis bounds must be in (0, 1), got {name} {bound}")
-        values = _axis_values(args.start, args.stop, args.factor, geometric=True)
-        table = sweep_consumption("p_target", values, params)
-        extra = {"axis": "p_target", "factor": repr(args.factor)}
+        factor = 0.1 if args.factor is None else args.factor
+        values = _axis_values(args.start, args.stop, factor, geometric=True)
+        extra = {"axis": "p_target", "factor": repr(factor)}
     else:
         step = int(args.step) if args.step is not None else 1
         if args.step is not None and args.step != step:
@@ -373,9 +381,15 @@ def _cmd_sweep(args) -> int:
             if bound != int(bound):
                 raise ValueError(f"{name} must be an integer for axis {args.axis}, got {bound}")
         values = _axis_values(int(args.start), int(args.stop), step)
-        table = sweep_consumption(args.axis, values, params)
         extra = {"axis": args.axis, "step": step}
-    _emit(table.to_csv(_param_comments(params, extra, omit)), args.out)
+    # no base set is built: the rows share only these fields, which the header records
+    fixed = _fixed_args(args)
+    if fixed["tag_len_bits"] is None:  # build's default, and the cap on axis msg_len
+        fixed["tag_len_bits"] = min(args.a, 8)
+    table = sweep_consumption(args.axis, values, **fixed)
+    header = argparse.Namespace(**fixed, k=None, l_max=None, d_r=None)
+    swept = {"n": "n", "p_target": "p_target", "msg_len": "msg_len_bits"}[args.axis]
+    _emit(table.to_csv(_param_comments(header, extra, ("k", "l_max", "d_r", swept))), args.out)
     return 0
 
 
@@ -389,14 +403,13 @@ def _cmd_time_to_ready(args) -> int:
     return 0
 
 
-def _add_network_flags(parser: argparse.ArgumentParser) -> None:
+def _add_network_flags(parser: argparse.ArgumentParser):
     group = parser.add_argument_group("network")
     group.add_argument("--config", default=None,
-                       help="JSON network config path (overrides the uniform flags)")
-    group.add_argument("--rate-bps", type=float, default=1000.0,
+                       help="JSON network config path (refuses the uniform flags)")
+    group.add_argument("--rate-bps", type=float, default=None,
                        help="uniform link rate when no config file is given (default 1000)")
-    group.add_argument("--flip-prob", type=float, default=0.0,
-                       help="uniform link flip probability q (default 0)")
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="one honest distribute-sign-verify run")
     _add_param_flags(p_run)
-    _add_network_flags(p_run)
+    _add_network_flags(p_run).add_argument(
+        "--flip-prob", type=float, default=None, help="uniform link flip probability q (default 0)")
     _add_seed_flag(p_run)
     p_run.add_argument("--message", type=int, default=None,
                        help="message to sign (default: seed-derived random)")
@@ -429,15 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--gamma", default=None,
                           help="repudiation: corrupted fraction per batch "
                                "(float, or comma-separated per-batch floats)")
-    p_attack.add_argument("--forger", type=int, default=0,
+    p_attack.add_argument("--forger", type=int, default=None,
                           help="forge: forging recipient index (default 0)")
-    p_attack.add_argument("--colluders", default="",
+    p_attack.add_argument("--colluders", default=None,
                           help="forge: comma-separated colluding recipient indices")
     p_attack.add_argument("--target", type=int, default=None,
                           help="forge: target recipient (default n-1)")
     p_attack.add_argument("--level", type=int, default=None,
                           help="forge: acceptance level under attack (default l_max)")
-    p_attack.add_argument("--allow-oversized-collusion", action="store_true",
+    p_attack.add_argument("--allow-oversized-collusion", action="store_true", default=None,
                           help="forge: permit colluder sets beyond floor(d_r*n)")
     p_attack.set_defaults(func=_cmd_attack)
 
@@ -450,11 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--step", type=float, default=None,
                          help="additive step (axes n, msg_len, q; default 1 for int axes)")
-    p_sweep.add_argument("--factor", type=float, default=0.1,
+    p_sweep.add_argument("--factor", type=float, default=None,
                          help="multiplicative step for the p_target axis (default 0.1)")
-    p_sweep.add_argument("--margin", type=float, default=0.002,
-                         help="q axis: threshold headroom above expected mismatches")
-    p_sweep.add_argument("--trials", type=int, default=200,
+    p_sweep.add_argument("--margin", type=float, default=None,
+                         help="q axis: threshold headroom above expected mismatches (default 0.002)")
+    p_sweep.add_argument("--trials", type=int, default=None,
                          help="q axis: Monte Carlo runs per point (default 200)")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._bitops import flip_bits
-from .secparams import ProtocolParams, as_int, as_real, id_bits
+from .secparams import ProtocolParams, as_int, as_real, link_bits
 
 __all__ = [
     "STREAM_VERSION",
@@ -356,29 +356,23 @@ class NetworkConfig:
                 rate_bps=entry.get("rate_bps"),
                 flip_prob=entry.get("flip_prob"),
             )
-        return cls(
-            n_users=raw["users"],
-            default_rate_bps=raw.get("default_rate_bps", 1000.0),
-            default_flip_prob=raw.get("default_flip_prob", 0.0),
-            seed=raw.get("seed", 0),
-            links=links,
-        )
+        given = {key: raw[key] for key in known - {"users", "links"} if key in raw}
+        return cls(n_users=raw["users"], links=links, **given)
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkConfig":
         return cls.from_dict(json.loads(text))
 
+    def _setting(self, name: str, user_a: int, user_b: int) -> float:
+        """The link's own LinkSettings field name, or the network's default_<name>."""
+        value = getattr(self.links.get(tuple(sorted((user_a, user_b)))), name, None)
+        return getattr(self, f"default_{name}") if value is None else value
+
     def rate(self, user_a: int, user_b: int) -> float:
-        settings = self.links.get(tuple(sorted((user_a, user_b))))
-        if settings is None or settings.rate_bps is None:
-            return self.default_rate_bps
-        return settings.rate_bps
+        return self._setting("rate_bps", user_a, user_b)
 
     def flip_prob(self, user_a: int, user_b: int) -> float:
-        settings = self.links.get(tuple(sorted((user_a, user_b))))
-        if settings is None or settings.flip_prob is None:
-            return self.default_flip_prob
-        return settings.flip_prob
+        return self._setting("flip_prob", user_a, user_b)
 
 
 class Network:
@@ -428,25 +422,22 @@ class TimeToReady:
 def time_to_ready(config: NetworkConfig, params: ProtocolParams) -> TimeToReady:
     """Time until every link has delivered its distribution-stage bits.
 
-    User 0 is the sender; user r is recipient r - 1. A sender link carries
-    N*k keys of a + t bits; a recipient link carries one k-key transfer in
-    each direction, each key prefixed by its identifier. Links fill in
-    parallel, so readiness is set by the slowest link. Raises ValueError
-    naming a link whose time is not finite.
+    User 0 is the sender; user r is recipient r - 1. Each link must deliver
+    the bits secparams.link_bits lays out for it. Links fill in parallel,
+    so readiness is set by the slowest link. Raises ValueError naming a
+    link whose time is not finite.
     """
-    n, k = params.n_recipients, params.k
+    n = params.n_recipients
     if config.n_users != n + 1:
         raise ValueError(
             f"config has {config.n_users} users but params need {n + 1} (sender + {n})"
         )
-    key_len = params.msg_len_bits + params.tag_len_bits
-    ib = id_bits(n, k)
-    per_link: dict[tuple[int, int], float] = {}
-    for r in range(1, n + 1):
-        per_link[(0, r)] = n * k * key_len / config.rate(0, r)
-    for r1 in range(1, n + 1):
-        for r2 in range(r1 + 1, n + 1):
-            per_link[(r1, r2)] = 2 * k * (key_len + ib) / config.rate(r1, r2)
+    sender_link, recipient_link = link_bits(params)
+    per_link = {
+        (a, b): (recipient_link if a else sender_link) / config.rate(a, b)
+        for a in range(n + 1)
+        for b in range(a + 1, n + 1)
+    }
     binding = max(per_link, key=lambda pair: (per_link[pair], -pair[0], -pair[1]))
     if not math.isfinite(per_link[binding]):  # a subnormal rate passes _check_rate
         raise ValueError(f"link {binding} at rate {config.rate(*binding)!r} bps takes infinitely long")

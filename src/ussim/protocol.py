@@ -35,7 +35,7 @@ import numpy as np
 from ._bitops import flip_bits, pack_rows, packed_dtype, unpack_rows
 from .hashing import tags_of_arrays
 from .keystore import LINK_STORE_BYTES, Network
-from .secparams import ProtocolParams, as_int, check_header_fields, id_bits
+from .secparams import ProtocolParams, as_int, check_header_fields, id_bits, link_bits, share_widths
 
 __all__ = [
     "OriginKeys",
@@ -236,6 +236,12 @@ def _chunk_slots(seed: int, origin: int, params: ProtocolParams, rows) -> np.nda
     return slots
 
 
+def _empty_held(params: ProtocolParams) -> OriginKeys:
+    """Unfilled (n, k) slot id, multiplier and offset blocks, each at the packed_dtype of its width."""
+    shape = (params.n_recipients, params.k)
+    return OriginKeys(*(np.empty(shape, dtype=packed_dtype(w)) for w in share_widths(params)))
+
+
 def _deliver(held: OriginKeys, origin: int, share, widths, flips=()) -> None:
     """Copy a share into row origin of (n, k) held blocks; flip the bits its transfer flipped."""
     for block, values in zip(held, share):
@@ -272,12 +278,12 @@ def _issued_blocks(network: Network, params: ProtocolParams, starts: Sequence[in
     offsets) as (b, n*k) arrays allocated for that block.
     """
     n, k, a, t = params.n_recipients, params.k, params.msg_len_bits, params.tag_len_bits
-    per_block = _block_batches(params)
+    per_block, batch_bits = _block_batches(params), link_bits(params)[0]
     for lo in range(0, n, per_block):
         rows = slice(lo, min(n, lo + per_block))
         keys = tuple(np.empty((rows.stop - lo, n * k), dtype=packed_dtype(w)) for w in (a, t))
         for i, g in enumerate(range(rows.start, rows.stop)):
-            packed = network.link(0, g + 1).read(starts[g], n * k * (a + t), side=0)
+            packed = network.link(0, g + 1).read(starts[g], batch_bits, side=0)
             keys[0][i], keys[1][i] = _decode_keys(packed, params)
         yield rows, keys
 
@@ -329,11 +335,10 @@ class Sender:
         """
         if self._starts is not None:
             raise RuntimeError("preparation already ran on this sender")
-        p = self.params
-        n_bits = p.n_recipients * p.k * (p.msg_len_bits + p.tag_len_bits)
+        n_bits = link_bits(self.params)[0]
         self._starts = [
             self.network.link(self.user, r + 1).spend(n_bits, side=self.user)
-            for r in range(p.n_recipients)
+            for r in range(self.params.n_recipients)
         ]
 
     def sign(self, message: int) -> Signature:
@@ -374,9 +379,9 @@ class Recipient:
         self.index = as_int(index, "recipient index", 0, params.n_recipients - 1)
         self.user = self.index + 1
         self._received = False
-        self._widths = (id_bits(params.n_recipients, params.k), params.msg_len_bits, params.tag_len_bits)
-        shape = (params.n_recipients, params.k)
-        self.held = OriginKeys(*(np.empty(shape, dtype=packed_dtype(w)) for w in self._widths))
+        self._widths = share_widths(params)
+        self._share_bits = link_bits(params)[1] // 2  # a recipient link carries one share each way
+        self.held = _empty_held(params)
         self._origins: set[int] = set()  # origins whose row is filled
 
     def receive_batch(self) -> tuple[np.ndarray, np.ndarray]:
@@ -384,9 +389,8 @@ class Recipient:
         if self._received:
             raise RuntimeError("batch already received")
         self._received = True
-        p, link = self.params, self.network.link(0, self.user)
-        n_bits = p.n_recipients * p.k * (p.msg_len_bits + p.tag_len_bits)
-        return _decode_keys(link.draw_shared(n_bits, side=self.user), p)
+        link = self.network.link(0, self.user)
+        return _decode_keys(link.draw_shared(link_bits(self.params)[0], side=self.user), self.params)
 
     def make_partition(self, batch: tuple[np.ndarray, np.ndarray]) -> OriginKeys:
         """Split the batch into n uniformly random chunks of k keys each.
@@ -423,7 +427,7 @@ class Recipient:
         if self.index in other._origins:
             raise RuntimeError(f"share from origin {self.index} already received")
         link = self.network.link(self.user, other.user)
-        flips = link.otp_transfer(self.params.k * sum(self._widths), from_side=self.user)
+        flips = link.otp_transfer(self._share_bits, from_side=self.user)
         _deliver(other.held, self.index, (block[other.index] for block in shares), self._widths, flips)
         other._origins.add(self.index)
 
@@ -536,15 +540,15 @@ def held_view(
     _check_network(network, params)
     n, k, a, t = params.n_recipients, params.k, params.msg_len_bits, params.tag_len_bits
     h = as_int(recipient, "recipient index", 0, n - 1)
-    widths = (id_bits(n, k), a, t)
-    held = OriginKeys(*(np.empty((n, k), dtype=packed_dtype(w)) for w in widths))
+    widths, held = share_widths(params), _empty_held(params)
     issued = tuple(np.empty_like(block) for block in held[1:])
-    n_k, share = n * k, k * sum(widths)
+    batch_bits, recipient_link = link_bits(params)
+    n_k, share = n * k, recipient_link // 2
     for rows, batches in _issued_blocks(network, params, (0,) * n):
         sent, relayed = [], []  # flip positions in the block's batches and in its shares
         for i, g in enumerate(range(rows.start, rows.stop)):
             held.slots[g] = _chunk_slots(network.seed, g, params, h)
-            sent.append(network.link(0, g + 1).flips(0, n_k * (a + t)) + i * n_k * (a + t))
+            sent.append(network.link(0, g + 1).flips(0, batch_bits) + i * batch_bits)
             if g != h:
                 flips = network.link(g + 1, h + 1).flips(0 if g < h else share, share)
                 relayed.append(flips + i * share)

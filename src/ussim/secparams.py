@@ -186,6 +186,12 @@ def make_s_levels(l_max: int, spec: SLevelSpec = SLevelSpec()) -> dict[int, floa
     return {l: spec.eps1 + (l_max - l) * gap for l in range(l_max, -2, -1)}
 
 
+def _check_dr(d_r: float) -> None:
+    """Raise unless d_r is a real number in [0, 0.5), the fractions the bounds take."""
+    if not 0 <= as_real(d_r, "d_r") < 0.5:
+        raise ValueError(f"d_r must be in [0, 0.5), got {d_r}")
+
+
 def compute_delta(l: int, d_r: float) -> float:
     """Acceptance threshold delta_l = 1/2 + (l+1)*d_r.
 
@@ -193,8 +199,7 @@ def compute_delta(l: int, d_r: float) -> float:
     group tests pass.
     """
     l = as_int(l, "level", -1)
-    if not 0 <= as_real(d_r, "d_r") < 0.5:
-        raise ValueError(f"d_r must be in [0, 0.5), got {d_r}")
+    _check_dr(d_r)
     delta = 0.5 + (l + 1) * d_r
     if delta > 1:
         raise ValueError(f"delta_{l} = {delta} exceeds 1; level unusable at d_r={d_r}")
@@ -233,8 +238,7 @@ def p_forge(n: int, d_r: float, p_t: float) -> float:
     verifier test on keys the forger never saw.
     """
     n = as_int(n, "n", 2)
-    if not 0 <= as_real(d_r, "d_r") < 0.5:
-        raise ValueError(f"d_r must be in [0, 0.5), got {d_r}")
+    _check_dr(d_r)
     if not 0 <= as_real(p_t, "p_t") <= 1:
         raise ValueError(f"p_t must be in [0, 1], got {p_t}")
     return min(1.0, n * n * (1 - d_r) * (1 - d_r) * p_t)
@@ -242,8 +246,7 @@ def p_forge(n: int, d_r: float, p_t: float) -> float:
 
 def _honest_count(n: int, d_r: float) -> int:
     """Honest recipients of n at d_r in [0, 0.5); every bound needs two, to pair."""
-    if not 0 <= as_real(d_r, "d_r") < 0.5:
-        raise ValueError(f"d_r must be in [0, 0.5), got {d_r}")
+    _check_dr(d_r)
     # floor guarded against float droop: n*(1 - l/n) should floor to n - l
     m = math.floor(n * (1 - d_r) + 1e-12)
     if m < 2:
@@ -536,6 +539,21 @@ def id_bits(n: int, k: int) -> int:
     return max(1, math.ceil(math.log2(n * k)))
 
 
+def share_widths(params: ProtocolParams) -> tuple[int, int, int]:
+    """Bits of a shared key's slot id, multiplier and offset; not exported."""
+    return id_bits(params.n_recipients, params.k), params.msg_len_bits, params.tag_len_bits
+
+
+def link_bits(params: ProtocolParams) -> tuple[int, int]:
+    """Bits the distribution spends on each sender link and each recipient link; not exported.
+
+    A sender link carries its recipient's batch of n*k keys of a + t bits,
+    a recipient link one k-key share each way, each key as share_widths.
+    """
+    n, k = params.n_recipients, params.k
+    return n * k * (params.msg_len_bits + params.tag_len_bits), 2 * k * sum(share_widths(params))
+
+
 @dataclass(frozen=True)
 class ConsumptionReport:
     """Secret-bit cost of one protocol instance under one counting mode."""
@@ -551,16 +569,15 @@ def consumption(params: ProtocolParams, mode: CostMode = CostMode.ACCOUNTING) ->
 
     See CostMode for the two counting conventions.
     """
-    n, k = params.n_recipients, params.k
-    a, t = params.msg_len_bits, params.tag_len_bits
+    n, k, a = params.n_recipients, params.k, params.msg_len_bits
     ib = id_bits(n, k)
     if mode is CostMode.LITERAL:
         prep = n * n * k * a
         shar = n * (n - 1) * (a + ib)
     elif mode is CostMode.ACCOUNTING:
-        key_len = a + t
-        prep = n * n * k * key_len
-        shar = n * (n - 1) * k * (key_len + ib)
+        sender_link, recipient_link = link_bits(params)
+        prep = n * sender_link
+        shar = n * (n - 1) // 2 * recipient_link
     else:
         raise ValueError(f"unknown cost mode {mode!r}")
     return ConsumptionReport(

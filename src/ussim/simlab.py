@@ -33,10 +33,10 @@ from .secparams import (
     CostMode,
     ProtocolParams,
     SLevelSpec,
+    TailMode,
     as_int,
     as_real,
     consumption,
-    id_bits,
     p_forge,
     p_nontransfer,
     solve_k,
@@ -358,17 +358,23 @@ class SweepResult:
 def sweep_consumption(
     axis: str,
     values: Iterable,
-    params: ProtocolParams,
+    *,
+    n_recipients: int = 7,
+    msg_len_bits: int = 8,
+    tag_len_bits: int | None = None,
+    p_target: float = 1e-10,
+    spec: SLevelSpec = SLevelSpec(),
+    mode: TailMode = TailMode.SQUARED,
 ) -> SweepResult:
-    """Re-derive the full parameter set at each point of one axis.
+    """Derive and price a full parameter set at each point of one axis.
 
-    axis is one of n, p_target, msg_len; the swept value appears in the
-    matching output column (msg_len lands in msg_len_bits). Every row
-    rebuilds l_max, d_r, the s-levels and k from scratch, then prices
-    the distribution stage in both cost conventions. The off-axis
-    values, the threshold spec and the tail mode are taken from params.
-    When msg_len varies, the tag length follows min(msg_len, params tag
-    length).
+    axis is one of n, p_target, msg_len. Each value takes the place of the
+    matching keyword (msg_len that of msg_len_bits), whose own value is
+    not read, and appears in that output column. Every row builds l_max,
+    d_r, the s-levels and k with ProtocolParams.build from its fields
+    alone, then prices the distribution stage in both cost conventions.
+    On the msg_len axis each row's tag length is min(msg_len,
+    tag_len_bits); None takes build's default, min(msg_len, 8).
     """
     if axis not in ("n", "p_target", "msg_len"):
         raise ValueError(f"axis must be one of n, p_target, msg_len, got {axis!r}")
@@ -377,35 +383,30 @@ def sweep_consumption(
         raise ValueError("sweep needs at least one axis value")
     rows = []
     for value in values:
-        n = params.n_recipients
-        a = params.msg_len_bits
-        t = params.tag_len_bits
-        p_target = params.p_target
+        n, a, t, p = n_recipients, msg_len_bits, tag_len_bits, p_target
         if axis == "n":
             n = as_int(value, "n value")
         elif axis == "p_target":
-            p_target = as_real(value, "p_target value")
+            p = as_real(value, "p_target value")
         else:
             a = as_int(value, "msg_len value")
-            t = min(a, params.tag_len_bits)
+            t = None if t is None else min(a, t)
         try:  # a point that cannot be built is named by its axis and value
-            point = ProtocolParams.build(
-                n, a, t, p_target=p_target, spec=params.spec, mode=params.mode
-            )
+            point = ProtocolParams.build(n, a, t, p_target=p, spec=spec, mode=mode)
             acc = consumption(point, CostMode.ACCOUNTING)
             lit = consumption(point, CostMode.LITERAL)
         except ValueError as exc:
             raise ValueError(f"{axis}={value}: {exc}") from None
         rows.append({
-            "n": n,
-            "msg_len_bits": a,
-            "tag_len_bits": t,
+            "n": point.n_recipients,
+            "msg_len_bits": point.msg_len_bits,
+            "tag_len_bits": point.tag_len_bits,
             "l_max": point.l_max,
             "band": f"l_max={point.l_max}",
             "d_r": point.d_r,
             "k": point.k,
             "id_bits": acc.id_bits,
-            "p_target": p_target,
+            "p_target": point.p_target,
             "prep_bits_accounting": acc.preparation_bits,
             "sharing_bits_accounting": acc.sharing_bits,
             "total_bits_accounting": acc.total_bits,

@@ -27,3 +27,15 @@ def test_private_reads_finds_what_it_guards_against():
 @pytest.mark.parametrize("module", ["simlab.py", "cli.py"])
 def test_no_private_attribute_of_another_object_is_read(module):
     assert private_reads((SRC / module).read_text()) == []
+
+
+def test_the_package_exports_each_modules_names_and_nothing_else():
+    import ussim
+    from ussim import hashing, keystore, protocol, secparams, simlab
+
+    modules = (hashing, secparams, keystore, protocol, simlab)
+    assert ussim.__all__ == ["__version__", *(name for m in modules for name in m.__all__)]
+    assert len(set(ussim.__all__)) == len(ussim.__all__)  # no module's name shadows another's
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(ussim, name) is getattr(module, name)

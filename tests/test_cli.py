@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ussim import cli
+from ussim import cli, secparams
 from ussim.secparams import ProtocolParams, SLevelSpec
 from ussim.simlab import SweepResult
 
@@ -704,3 +704,106 @@ def test_consumption_sweep_reads_no_seed(capsys, monkeypatch):
     monkeypatch.setenv("USS_SEED", "abc")
     assert cli.main(["sweep", "--axis", "q", "--from", "0", "--to", "0", "--step", "0.001"]) == 2
     assert "USS_SEED must be an integer" in capsys.readouterr().err
+
+
+def started(*args, **kwargs):
+    raise AssertionError("a row, trial or run was started")
+
+
+@pytest.mark.parametrize("axis, bounds", [
+    ("n", ["--from", "2", "--to", "3"]),
+    ("p_target", ["--from", "1e-4", "--to", "1e-6"]),
+    ("msg_len", ["--from", "4", "--to", "5"]),
+])
+def test_consumption_sweep_solves_k_once_per_row_and_builds_no_base_set(monkeypatch, capsys, axis, bounds):
+    calls = []
+    real_solve_k = secparams.solve_k
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_solve_k(*args, **kwargs)
+
+    monkeypatch.setattr(secparams, "solve_k", counted)
+    assert cli.main(["sweep", "--axis", axis, *bounds]) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == len(csv_parts(out)[2])
+    if axis == "n":
+        # --n is the swept field's own flag: no row reads it, so no row fails on it
+        calls.clear()
+        assert cli.main(["sweep", "--axis", "n", *bounds, "--n", "70000"]) == 0
+        assert capsys.readouterr().out == out
+        assert [args[1] for args in calls] == [2, 3]
+
+
+@pytest.mark.parametrize("axis, argv, flag, why", [
+    ("n", ["--from", "2", "--to", "3", "--factor", "5"], "--factor", "steps by --step"),
+    ("msg_len", ["--from", "4", "--to", "5", "--factor", "5"], "--factor", "steps by --step"),
+    ("q", ["--from", "0", "--to", "0", "--step", "0.001", "--factor", "5"], "--factor", "steps by --step"),
+    ("n", ["--from", "2", "--to", "3", "--margin", "0.3"], "--margin", "prices no noise"),
+    ("p_target", ["--from", "1e-4", "--to", "1e-5", "--margin", "0.3"], "--margin", "prices no noise"),
+    ("msg_len", ["--from", "4", "--to", "5", "--trials", "7"], "--trials", "draws nothing"),
+    ("p_target", ["--from", "1e-4", "--to", "1e-5", "--trials", "7"], "--trials", "draws nothing"),
+])
+def test_sweep_refuses_the_flags_its_axis_never_reads(monkeypatch, capsys, axis, argv, flag, why):
+    monkeypatch.setattr(cli, "sweep_consumption", started)
+    monkeypatch.setattr(cli, "sweep_error_tolerance", started)
+    assert cli.main(["sweep", "--axis", axis, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} is not read by axis {axis}, which {why}; omit it\n"
+    assert captured.out == ""
+
+
+def test_sweep_flags_left_out_keep_their_defaults(monkeypatch, capsys):
+    assert cli.main(["sweep", "--axis", "p_target", "--from", "1e-4", "--to", "1e-5"]) == 0
+    assert "# factor=0.1" in capsys.readouterr().out.splitlines()
+    read = {}
+
+    def priced(values, params, **kwargs):
+        read.update(kwargs)
+        return SweepResult(columns=("q",), rows=((0.0,),))
+
+    monkeypatch.setattr(cli, "sweep_error_tolerance", priced)
+    assert cli.main(["sweep", "--axis", "q", "--from", "0", "--to", "0", "--step", "0.001"]) == 0
+    comments = capsys.readouterr().out.splitlines()
+    assert read == {"margin": 0.002, "trials": 200, "seed": 0}
+    assert "# margin=0.002" in comments and "# trials=200" in comments
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--flip-prob", "0.1"], "--flip-prob"),
+    (["run", "--rate-bps", "5", "--flip-prob", "0.4", "--seed", "1"], "--rate-bps"),
+    (["time-to-ready", "--rate-bps", "5"], "--rate-bps"),
+])
+def test_config_refuses_the_uniform_network_flags(monkeypatch, capsys, tmp_path, argv, flag):
+    # the file sets every link, so a uniform flag beside it would be dropped unread
+    path = tmp_path / "net.json"
+    path.write_text('{"users": 8}')
+    monkeypatch.setattr(cli, "run_honest", started)
+    monkeypatch.setattr(cli, "time_to_ready", started)
+    assert cli.main([*argv, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} is not read with --config, whose file sets every link; omit it\n"
+    assert captured.out == ""
+    # fill time never reads a flip probability, so time-to-ready takes none
+    with pytest.raises(SystemExit) as info:
+        cli.main(["time-to-ready", "--flip-prob", "0.3"])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("kind, argv, flag", [
+    ("repudiation", ["--forger", "3"], "--forger"),
+    ("repudiation", ["--forger", "0"], "--forger"),
+    ("repudiation", ["--colluders", "1"], "--colluders"),
+    ("repudiation", ["--target", "1"], "--target"),
+    ("repudiation", ["--level", "0"], "--level"),
+    ("repudiation", ["--allow-oversized-collusion"], "--allow-oversized-collusion"),
+    ("forge", ["--gamma", "0.3"], "--gamma"),
+])
+def test_attack_refuses_the_other_kinds_flags(monkeypatch, capsys, kind, argv, flag):
+    monkeypatch.setattr(cli, "attack_forge", started)
+    monkeypatch.setattr(cli, "attack_repudiation", started)
+    gamma = ["--gamma", "0.3"] if kind == "repudiation" else []
+    assert cli.main(["attack", "--kind", kind, "--k", "20", "--trials", "50", *gamma, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} is not read by --kind {kind}; omit it\n"
+    assert captured.out == ""

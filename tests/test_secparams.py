@@ -532,9 +532,9 @@ INTEGER_ARGUMENTS = {
     ),
     "wilson_interval-successes": (lambda v: wilson_interval(v, 10), 3, "successes"),
     "wilson_interval-trials": (lambda v: wilson_interval(3, v), 10, "trials"),
-    "sweep_consumption-n": (lambda v: sweep_consumption("n", [v], SMALL).rows, 5, "n value"),
+    "sweep_consumption-n": (lambda v: sweep_consumption("n", [v], tag_len_bits=8).rows, 5, "n value"),
     "sweep_consumption-msg_len": (
-        lambda v: sweep_consumption("msg_len", [v], SMALL).rows, 16, "msg_len value",
+        lambda v: sweep_consumption("msg_len", [v], n_recipients=3, tag_len_bits=8).rows, 16, "msg_len value",
     ),
 }
 
@@ -561,7 +561,7 @@ def test_every_integer_argument_follows_one_rule(argument):
     (lambda: expected_mismatch_fraction("0.1", 8, 8), "q"),
     (lambda: sweep_error_tolerance([0.0], SMALL, margin="x", trials=1), "margin"),
     (lambda: sweep_error_tolerance([None], SMALL, trials=1), "q"),
-    (lambda: sweep_consumption("p_target", [None], SMALL), "p_target value"),
+    (lambda: sweep_consumption("p_target", [None], n_recipients=3), "p_target value"),
 ], ids=["eps1", "eps2", "p_target-solving-k", "p_target", "d_r-str", "d_r-bool-solving-k",
         "d_r-bool", "q", "margin", "q-sweep-value", "p_target-sweep-value"])
 def test_real_arguments_that_are_no_real_number_raise_value_error(call, name):

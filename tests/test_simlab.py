@@ -493,8 +493,7 @@ def test_sweep_result_csv_shape_and_roundtrip():
 
 
 def test_sweep_consumption_n_axis_tracks_level_bands():
-    params = ProtocolParams.build(7, 8, 8)
-    table = sweep_consumption("n", list(range(2, 13)), params)
+    table = sweep_consumption("n", list(range(2, 13)), msg_len_bits=8, tag_len_bits=8)
     header = dict(zip(table.columns, range(len(table.columns))))
     totals = []
     for row in table.rows:
@@ -508,7 +507,7 @@ def test_sweep_consumption_n_axis_tracks_level_bands():
 
 def test_sweep_consumption_p_target_row_matches_direct_build():
     params = ProtocolParams.build(7, 8, 8)
-    table = sweep_consumption("p_target", [1e-10], params)
+    table = sweep_consumption("p_target", [1e-10], n_recipients=7, msg_len_bits=8, tag_len_bits=8)
     header = dict(zip(table.columns, range(len(table.columns))))
     row = table.rows[0]
     assert row[header["k"]] == 900
@@ -518,21 +517,19 @@ def test_sweep_consumption_p_target_row_matches_direct_build():
 
 
 def test_sweep_consumption_msg_len_axis_caps_tag_length():
-    params = ProtocolParams.build(7, 16, 8, k=50)
-    table = sweep_consumption("msg_len", [4, 8, 24], params)
+    table = sweep_consumption("msg_len", [4, 8, 24], n_recipients=7, tag_len_bits=8)
     header = dict(zip(table.columns, range(len(table.columns))))
     assert [row[header["msg_len_bits"]] for row in table.rows] == [4, 8, 24]
     assert [row[header["tag_len_bits"]] for row in table.rows] == [4, 8, 8]
 
 
 def test_sweep_consumption_validation():
-    params = ProtocolParams.build(7, 8, 8, k=10)
     with pytest.raises(ValueError, match="axis"):
-        sweep_consumption("k", [1], params)
+        sweep_consumption("k", [1])
     with pytest.raises(ValueError, match="at least one"):
-        sweep_consumption("n", [], params)
+        sweep_consumption("n", [])
     with pytest.raises(ValueError, match="n value must be an int"):
-        sweep_consumption("n", [2.5], params)
+        sweep_consumption("n", [2.5])
 
 
 @pytest.mark.parametrize("axis, values, error", [
@@ -542,7 +539,7 @@ def test_sweep_consumption_validation():
 ])
 def test_sweep_consumption_names_the_point_that_cannot_be_built(axis, values, error):
     with pytest.raises(ValueError) as info:
-        sweep_consumption(axis, values, ProtocolParams.build(3, 8, 8))
+        sweep_consumption(axis, values, n_recipients=3, msg_len_bits=8, tag_len_bits=8)
     assert str(info.value) == error
 
 
