@@ -33,6 +33,7 @@ from .secparams import (
     TailMode,
     compute_delta,
     consumption,
+    default_tag_len,
     p_nontransfer,
 )
 from .simlab import (
@@ -384,8 +385,8 @@ def _cmd_sweep(args) -> int:
         extra = {"axis": args.axis, "step": step}
     # no base set is built: the rows share only these fields, which the header records
     fixed = _fixed_args(args)
-    if fixed["tag_len_bits"] is None:  # build's default, and the cap on axis msg_len
-        fixed["tag_len_bits"] = min(args.a, 8)
+    if fixed["tag_len_bits"] is None:  # build's default, or each row's cap on axis msg_len (no --a)
+        fixed["tag_len_bits"] = default_tag_len(None if args.axis == "msg_len" else args.a)
     table = sweep_consumption(args.axis, values, **fixed)
     header = argparse.Namespace(**fixed, k=None, l_max=None, d_r=None)
     swept = {"n": "n", "p_target": "p_target", "msg_len": "msg_len_bits"}[args.axis]

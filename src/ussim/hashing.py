@@ -22,13 +22,14 @@ algorithms in finite fields", FOCS 1981).
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from ._bitops import octets, packed_dtype
 from .secparams import as_int
 
-__all__ = ["find_irreducible", "tags_of_arrays"]
+__all__ = ["check_message", "find_irreducible", "tags_of_arrays"]
 
 
 def _degree(p: int) -> int:
@@ -87,51 +88,42 @@ def find_irreducible(msg_len_bits: int) -> int:
         candidate += 2
 
 
-def _mul_table(message: int, msg_len_bits: int) -> list[int]:
-    # table[j] = x^j * message in the field, so a product decomposes into
-    # XORs selected by the multiplier's bits
-    a = msg_len_bits
-    poly = find_irreducible(a)
-    high = 1 << (a - 1)
-    mask = (1 << a) - 1
-    table = []
-    cur = message
-    for _ in range(a):
-        table.append(cur)
-        carry = cur & high
-        cur = (cur << 1) & mask
-        if carry:
-            cur ^= poly & mask
-    return table
-
-
 # one entry at a = 4096, t = 255 is 512 * 256 * 32 bytes = 4 MiB
 @functools.lru_cache(maxsize=4)
 def _message_tables(message: int, msg_len_bits: int, tag_len_bits: int) -> np.ndarray:
     """Read-only tables[p, v]: low t bits of (v * x^(8p)) * message.
 
-    Shape (ceil(a/8), 256) of packed_dtype(t) for t <= 64, and (ceil(a/8),
-    256, ceil(t/8)) uint8 bytes, least significant first, above.
+    Shape (ceil(a/8), 256) of packed_dtype(t).
     """
     a, t = msg_len_bits, tag_len_bits
-    n_bytes = (a + 7) // 8
-    # low t bits of x^j * message as packed_dtype(t), or past 64 bits as bytes
-    # least significant first; col is zero past bit a, so high multiplier bits drop out
-    products = [v & ((1 << t) - 1) for v in _mul_table(message, a)]
-    if t <= 64:
-        products = np.array(products, dtype=packed_dtype(t))
-    else:
-        t_bytes = (t + 7) // 8
-        data = b"".join(v.to_bytes(t_bytes, "little") for v in products)
-        products = np.frombuffer(data, dtype=np.uint8).reshape(a, t_bytes)
-    col = np.zeros((8 * n_bytes, *products.shape[1:]), dtype=products.dtype)
-    col[:a] = products
-    # built by doubling over v's bits
-    tables = np.zeros((n_bytes, 256, *col.shape[1:]), dtype=col.dtype)
+    n_bytes, dtype = (a + 7) // 8, packed_dtype(t)
+    # col[j] = low t bits of x^j * message, so a product XORs the entries its
+    # multiplier's bits select; col is zero past bit a, so high multiplier bits drop out
+    rows, cur, modulus = [], message, find_irreducible(a)
+    for _ in range(a):
+        rows.append((cur & ((1 << t) - 1)).to_bytes(dtype.itemsize, "big"))
+        cur <<= 1
+        if cur >> a:
+            cur ^= modulus
+    col = np.zeros(8 * n_bytes, dtype=dtype)
+    col[:a] = np.frombuffer(b"".join(rows), dtype=dtype.newbyteorder(">"))  # big-endian on any host
+    # built by doubling over v's bits, XORing the values as the widest unsigned
+    # words that tile them: as rows of bytes, this broadcast XOR takes 2-3 times as long
+    word = f"u{math.gcd(dtype.itemsize, 8)}"
+    tables = np.zeros((n_bytes, 256), dtype=dtype)
+    table_words, col_words = tables[..., None].view(word), col[:, None].view(word)
     for j in range(8):
-        tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ col[j::8, None]
+        table_words[:, 1 << j : 2 << j] = table_words[:, : 1 << j] ^ col_words[j::8, None]
     tables.flags.writeable = False
     return tables
+
+
+def check_message(message: int, msg_len_bits: int) -> int:
+    """The message as an int, if it is one of msg_len_bits bits; else ValueError."""
+    message = as_int(message, "message")
+    if not 0 <= message < (1 << msg_len_bits):
+        raise ValueError(f"message must be in [0, 2**{msg_len_bits})")
+    return message
 
 
 def tags_of_arrays(
@@ -149,32 +141,29 @@ def tags_of_arrays(
     lookup and one XOR per byte over all rows. The tables come from a cache
     keyed by message, so a call does only the per-row work. Values are
     packed as in _bitops; tables, accumulator and tags are packed_dtype(t),
-    the smallest unsigned type holding t bits up to 64 and void byte rows
-    above, where the tables hold products as bytes. Multipliers and offsets
-    are packed arrays: any integer dtype, or void rows. Multiplier bits at
-    or above a are ignored, and tags take the multipliers' shape.
+    XORed as their bytes. Multipliers are any integer dtype or void rows;
+    offsets are any integer dtype up to 64 bits and packed_dtype(t) above.
+    Multiplier bits at or above a are ignored, and tags take the
+    multipliers' shape.
     """
     a = as_int(msg_len_bits, "msg_len_bits")  # its range is find_irreducible's
     t = as_int(tag_len_bits, "tag_len_bits", 1, a)
-    message = as_int(message, "message")
-    if message < 0 or message.bit_length() > a:
-        raise ValueError(f"message must fit in {a} bits, got {message}")
+    message = check_message(message, a)
     mults, offs = np.asarray(multipliers), np.asarray(offsets)
     if mults.dtype.kind not in "iuV" or offs.dtype.kind not in "iuV":
         raise ValueError("multipliers and offsets must be packed integer or void arrays, "
                          f"got {mults.dtype} and {offs.dtype}")
     tables = _message_tables(message, a, t)
+    dtype = tables.dtype
+    if offs.dtype != dtype and "V" in offs.dtype.kind + dtype.kind:
+        # a cast would reinterpret the bytes, not convert the values
+        raise ValueError(f"offsets of {t}-bit tags must be {dtype}, got {offs.dtype}")
     low_first = octets(mults.reshape(-1))
-    acc = np.zeros((len(low_first), *tables.shape[2:]), dtype=tables.dtype)
-    tmp = np.empty_like(acc)
-    axis = 0 if t > 64 else None  # a flat take is faster on 1-d tables
+    acc, tmp = np.zeros(mults.size, dtype=dtype), np.empty(mults.size, dtype=dtype)
+    acc_bytes, tmp_bytes = acc.view(np.uint8), tmp.view(np.uint8)
     for p in range(min(len(tables), low_first.shape[1])):
         # indices are bytes, always in range; "clip" lets take skip its buffer
-        tables[p].take(low_first[:, p], axis=axis, out=tmp, mode="clip")
-        acc ^= tmp
-    if t <= 64:
-        tags = acc.reshape(mults.shape)
-        tags ^= offs.astype(tags.dtype, copy=False)
-        return tags
-    acc ^= octets(offs.reshape(-1))
-    return np.ascontiguousarray(acc[:, ::-1]).view(f"V{acc.shape[1]}").reshape(mults.shape)
+        tables[p].take(low_first[:, p], out=tmp, mode="clip")
+        acc_bytes ^= tmp_bytes
+    acc_bytes ^= np.ascontiguousarray(offs, dtype=dtype).reshape(-1).view(np.uint8)
+    return acc.reshape(mults.shape)

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._bitops import flip_bits
-from .secparams import ProtocolParams, as_int, as_real, link_bits
+from .secparams import ProtocolParams, as_int, as_real, check_users, link_bits
 
 __all__ = [
     "STREAM_VERSION",
@@ -428,10 +428,7 @@ def time_to_ready(config: NetworkConfig, params: ProtocolParams) -> TimeToReady:
     link whose time is not finite.
     """
     n = params.n_recipients
-    if config.n_users != n + 1:
-        raise ValueError(
-            f"config has {config.n_users} users but params need {n + 1} (sender + {n})"
-        )
+    check_users(config.n_users, params)
     sender_link, recipient_link = link_bits(params)
     per_link = {
         (a, b): (recipient_link if a else sender_link) / config.rate(a, b)

@@ -33,9 +33,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._bitops import flip_bits, pack_rows, packed_dtype, unpack_rows
-from .hashing import tags_of_arrays
+from .hashing import check_message, tags_of_arrays
 from .keystore import LINK_STORE_BYTES, Network
-from .secparams import ProtocolParams, as_int, check_header_fields, id_bits, link_bits, share_widths
+from .secparams import (
+    ProtocolParams, as_int, check_header_fields, check_users, id_bits, link_bits, share_widths,
+)
 
 __all__ = [
     "OriginKeys",
@@ -49,7 +51,6 @@ __all__ = [
     "mismatch_counts",
     "forward_chain",
     "key_state_bytes",
-    "check_message",
 ]
 
 PARTITION_STREAM = 0x50415254  # seed-sequence tag for partition draws
@@ -69,9 +70,7 @@ class OriginKeys(NamedTuple):
     """One recipient's k-key share of the batch issued through one recipient.
 
     slots (id_bits), multipliers (a bits) and offsets (t bits) are each
-    packed as in _bitops, at packed_dtype of their width: the smallest of
-    uint8, uint16, uint32 and uint64 up to 64 bits, big-endian void byte
-    rows above.
+    packed as in _bitops, at packed_dtype of their width.
     """
 
     slots: np.ndarray
@@ -85,13 +84,11 @@ class Signature:
 
     tags has shape (n_recipients, n_recipients * k); tags[i, s]
     authenticates the message under slot s of the batch issued through
-    recipient i. Tags must be packed as in _bitops, as packed_dtype(t): the
-    smallest of uint8, uint16, uint32 and uint64 for t <= 64, big-endian
-    void byte rows (V<ceil(t/8)>) above. The wire layout is a fixed 18-byte
-    header (magic b"USS1", version, message bits, tag bits, recipient count,
-    keys per chunk, payload byte count) followed by the message and then the
-    tags in batch-major slot order, all MSB first and zero-padded to a whole
-    byte.
+    recipient i. Tags must be packed as in _bitops, as packed_dtype(t). The
+    wire layout is a fixed 18-byte header (magic b"USS1", version, message
+    bits, tag bits, recipient count, keys per chunk, payload byte count)
+    followed by the message and then the tags in batch-major slot order,
+    all MSB first and zero-padded to a whole byte.
     """
 
     message: int
@@ -192,23 +189,6 @@ class VerifyResult:
     mismatch_counts: tuple[int, ...]
     s_threshold: float
     delta_threshold: float
-
-
-def _check_network(network: Network, params: ProtocolParams) -> None:
-    want = params.n_recipients + 1
-    if network.n_users != want:
-        raise ValueError(
-            f"network has {network.n_users} users but the protocol needs "
-            f"{want} (one sender plus {params.n_recipients} recipients)"
-        )
-
-
-def check_message(message: int, msg_len_bits: int) -> int:
-    """The message as an int, if it is one of msg_len_bits bits; else ValueError."""
-    message = as_int(message, "message")
-    if not 0 <= message < (1 << msg_len_bits):
-        raise ValueError(f"message must be in [0, 2**{msg_len_bits})")
-    return message
 
 
 def _check_signature_match(signature: Signature, params: ProtocolParams) -> None:
@@ -318,7 +298,7 @@ class Sender:
     """The signing user. Issues key batches and publishes tag lists."""
 
     def __init__(self, network: Network, params: ProtocolParams) -> None:
-        _check_network(network, params)
+        check_users(network.n_users, params)
         self.network = network
         self.params = params
         self.user = 0
@@ -373,7 +353,7 @@ class Recipient:
     """
 
     def __init__(self, network: Network, params: ProtocolParams, index: int) -> None:
-        _check_network(network, params)
+        check_users(network.n_users, params)
         self.network = network
         self.params = params
         self.index = as_int(index, "recipient index", 0, params.n_recipients - 1)
@@ -537,7 +517,7 @@ def held_view(
     block's held rows, and the issued keys are gathered at the final slot
     ids, which relay flips may have changed.
     """
-    _check_network(network, params)
+    check_users(network.n_users, params)
     n, k, a, t = params.n_recipients, params.k, params.msg_len_bits, params.tag_len_bits
     h = as_int(recipient, "recipient index", 0, n - 1)
     widths, held = share_widths(params), _empty_held(params)

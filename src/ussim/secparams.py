@@ -439,7 +439,7 @@ class ProtocolParams:
         if d_r is None:
             d_r = compute_dr(l_max, n_recipients)
         if tag_len_bits is None:
-            tag_len_bits = min(as_int(msg_len_bits, "msg_len_bits"), 8)
+            tag_len_bits = default_tag_len(msg_len_bits)
         if k is None:
             k = solve_k(p_target, n_recipients, l_max, spec, mode, d_r=d_r)
         return cls(
@@ -453,6 +453,15 @@ class ProtocolParams:
             spec=spec,
             mode=mode,
         )
+
+
+def default_tag_len(msg_len_bits: int | None = None) -> int:
+    """The tag length build takes when given none: the message's, capped at 8 bits.
+
+    With no message length, the cap itself. Not exported.
+    """
+    cap = 8
+    return cap if msg_len_bits is None else min(as_int(msg_len_bits, "msg_len_bits"), cap)
 
 
 @dataclass(frozen=True)
@@ -552,6 +561,15 @@ def link_bits(params: ProtocolParams) -> tuple[int, int]:
     """
     n, k = params.n_recipients, params.k
     return n * k * (params.msg_len_bits + params.tag_len_bits), 2 * k * sum(share_widths(params))
+
+
+def check_users(n_users: int, params: ProtocolParams) -> None:
+    """ValueError unless n_users is the one sender plus n recipients of params; not exported."""
+    if n_users != params.n_recipients + 1:
+        raise ValueError(
+            f"network has {n_users} users but the protocol needs {params.n_recipients + 1} "
+            f"(one sender plus {params.n_recipients} recipients)"
+        )
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._bitops import octets, packed_dtype, unpack_rows
-from .hashing import tags_of_arrays
+from .hashing import check_message, tags_of_arrays
 from .keystore import Network, NetworkConfig
 from .protocol import (
     VerifyResult,
     block_tags,
-    check_message,
     forward_chain,
     held_view,
     level_rule,
@@ -374,7 +373,7 @@ def sweep_consumption(
     d_r, the s-levels and k with ProtocolParams.build from its fields
     alone, then prices the distribution stage in both cost conventions.
     On the msg_len axis each row's tag length is min(msg_len,
-    tag_len_bits); None takes build's default, min(msg_len, 8).
+    tag_len_bits); None takes build's default, secparams.default_tag_len.
     """
     if axis not in ("n", "p_target", "msg_len"):
         raise ValueError(f"axis must be one of n, p_target, msg_len, got {axis!r}")

@@ -416,6 +416,18 @@ def test_uss_seed_overrides_a_config_file_seed(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == explicit
 
 
+def test_run_and_time_to_ready_state_one_users_rule(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"users": 8}))
+    for command in ("run", "time-to-ready"):
+        assert cli.main([command, "--n", "6", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: network has 8 users but the protocol needs 7 (one sender plus 6 recipients)\n"
+        ), command
+        assert captured.out == ""
+
+
 def test_run_config_unknown_key_is_named(tmp_path):
     path = tmp_path / "net.json"
     path.write_text(json.dumps({"users": 3, "rate": 5}))
@@ -666,6 +678,17 @@ def test_consumption_sweep_header_keeps_only_what_its_rows_share(capsys, axis, s
     assert not {"k", "l_max", "d_r", swept} & set(keys)
     assert {"version", "msg_len_bits", "tag_len_bits", "p_target", "axis"} - {swept} <= set(keys)
     assert len(data) == 2 and swept in header
+
+
+def test_msg_len_sweep_reads_no_a(capsys):
+    # each row's message length is its own, so --a sets neither the rows nor their tag cap
+    argv = ["sweep", "--axis", "msg_len", "--from", "4", "--to", "12"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    assert cli.main([*argv, "--a", "4"]) == 0
+    assert capsys.readouterr().out == plain
+    _, header, data = csv_parts(plain)
+    assert [row[header.index("tag_len_bits")] for row in data] == ["4", "5", "6", "7"] + ["8"] * 5
 
 
 @pytest.mark.parametrize("axis, argv, flag, why", [

@@ -119,6 +119,38 @@ def test_make_tag_validation():
         tags_of_arrays(one, zero, 256, 8, 4)
 
 
+def test_tags_of_arrays_states_the_message_range_of_check_message():
+    one = np.array([1], dtype=np.uint8)
+    for message in (256, -1):
+        with pytest.raises(ValueError) as tagged:
+            tags_of_arrays(one, one, message, 8, 4)
+        with pytest.raises(ValueError) as checked:
+            hashing.check_message(message, 8)
+        assert str(tagged.value) == str(checked.value) == "message must be in [0, 2**8)"
+
+
+@pytest.mark.parametrize("t", [1, 8, 9, 32, 64, 65, 100, 255])
+def test_message_tables_are_packed_values_at_every_tag_width(t):
+    # one layout: a row of 256 packed_dtype(t) values per multiplier byte,
+    # the first holding the low t bits of v * message
+    a, message = 255, 0x5C
+    tables = hashing._message_tables(message, a, t)
+    assert tables.shape == (32, 256)
+    assert tables.dtype == packed_dtype(t)
+    modulus = find_irreducible(a)
+    want = [reference.make_tag(v, 0, message, modulus, t) for v in (0, 1, 2, 0x80, 0xFF)]
+    assert reference.row_ints(tables[0, [0, 1, 2, 0x80, 0xFF]]) == want
+
+
+@pytest.mark.parametrize("offsets", [np.ones(4, dtype=np.int64), np.zeros(4, dtype="V8")])
+def test_wide_tags_refuse_offsets_of_another_dtype(offsets):
+    # past 64 bits a cast would reinterpret an offset's bytes: an int64 1 would
+    # XOR in as 2**96 at t=100
+    mults = reference.packed([1, 2, 3, 4], 130)
+    with pytest.raises(ValueError, match="offsets"):
+        tags_of_arrays(mults, offsets, 5, 130, 100)
+
+
 @given(st.data())
 @settings(max_examples=40)
 def test_tags_of_arrays_matches_make_tag(data):
