@@ -84,7 +84,7 @@ def unpack_rows(
             f"do not fit in {8 * len(data)} bits"
         )
     n_bytes, dtype = (width + 7) // 8, packed_dtype(width)
-    big = dtype if width > 64 else dtype.newbyteorder(">")
+    big = dtype.newbyteorder(">")
     aligned = start % 8 == 0 and stride % 8 == 0 and width % 8 == 0
     if count and aligned and n_bytes == dtype.itemsize:
         # each field fills its dtype: read the bytes in place, and copy once

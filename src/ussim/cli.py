@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import __version__
-from .keystore import NetworkConfig, time_to_ready
+from .keystore import NetworkConfig
 from .protocol import key_state_bytes
 from .secparams import (
     CostMode,
@@ -35,11 +35,13 @@ from .secparams import (
     consumption,
     default_tag_len,
     p_nontransfer,
+    time_to_ready,
 )
 from .simlab import (
     SweepResult,
     attack_forge,
     attack_repudiation,
+    repudiation_bytes,
     run_honest,
     sweep_consumption,
     sweep_error_tolerance,
@@ -56,6 +58,10 @@ _MAX_SWEEP_POINTS = 10_000
 # MiB, mostly link stores), and 1.03 to 1.09 at six other shapes from n=7 to
 # n=60, so an admitted run peaks within 0.80 * 1.09 = 87% of memory. A
 # larger one would run out of memory partway through and is refused up front.
+# `attack --kind repudiation` is admitted by the same rule, with its
+# mismatch counts and level_rule's arrays over them as its estimate
+# (simlab.repudiation_bytes): peak RSS measured 1.005 to 1.03 times the
+# estimate plus INTERPRETER_BYTES from n=3 at 500000 trials to n=200 at 1000.
 KEY_STATE_MEMORY_FRACTION = 0.80
 INTERPRETER_BYTES = 33 << 20
 
@@ -212,17 +218,21 @@ def _cmd_params(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    params = _resolve_params(args)
-    state = key_state_bytes(params)
+def _admit(command: str, need: int, held: str) -> None:
+    """Raise unless need bytes of held and the interpreter fit the memory share above."""
     memory = _physical_memory_bytes()
-    if memory is not None and state + INTERPRETER_BYTES > KEY_STATE_MEMORY_FRACTION * memory:
+    if memory is not None and need + INTERPRETER_BYTES > KEY_STATE_MEMORY_FRACTION * memory:
         raise ValueError(
-            f"run would hold about {state / 2**20:.0f} MiB of packed key state and link stores "
-            f"(n={params.n_recipients}, k={params.k}) next to the interpreter's "
-            f"{INTERPRETER_BYTES >> 20} MiB, more than {KEY_STATE_MEMORY_FRACTION:.0%} "
+            f"{command} would hold about {need / 2**20:.0f} MiB of {held} next to the "
+            f"interpreter's {INTERPRETER_BYTES >> 20} MiB, more than {KEY_STATE_MEMORY_FRACTION:.0%} "
             f"of the {memory / 2**20:.0f} MiB of physical memory"
         )
+
+
+def _cmd_run(args) -> int:
+    params = _resolve_params(args)
+    held = f"packed key state and link stores (n={params.n_recipients}, k={params.k})"
+    _admit("run", key_state_bytes(params), held)
     seed = _resolve_seed(args, default=None)
     config = _load_config(args, params, seed)
     # the bounds are priced before the run, so unpriceable parameters fail fast
@@ -278,6 +288,8 @@ def _cmd_attack(args) -> int:
     params = _resolve_params(args)
     seed = _resolve_seed(args)
     if args.kind == "repudiation":
+        held = f"mismatch counts (n={params.n_recipients}, trials={args.trials})"
+        _admit("attack --kind repudiation", repudiation_bytes(params, args.trials), held)
         gamma = _parse_gamma(args.gamma) if args.gamma is not None else None
         result = attack_repudiation(gamma, params, trials=args.trials, seed=seed)
         # the parsed values, per-batch ones joined with ";" like colluders, in one cell

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._bitops import flip_bits
-from .secparams import ProtocolParams, as_int, as_real, check_users, link_bits
+from .secparams import as_int, as_real
 
 __all__ = [
     "STREAM_VERSION",
@@ -67,8 +67,6 @@ __all__ = [
     "LinkSettings",
     "NetworkConfig",
     "Network",
-    "TimeToReady",
-    "time_to_ready",
 ]
 
 STREAM_VERSION = 3
@@ -383,16 +381,12 @@ class Network:
         self.seed = config.seed
         self._stores: dict[tuple[int, int], LinkKeyStore] = {}
 
-    @property
-    def n_users(self) -> int:
-        return self.config.n_users
-
     def link(self, user_a: int, user_b: int) -> LinkKeyStore:
         # before the lookup, which would take 1.0 and True as 1
         a, b = sorted((as_int(user_a, "user_a"), as_int(user_b, "user_b")))
         store = self._stores.get((a, b))
         if store is None:
-            if not 0 <= a < b < self.n_users:
+            if not 0 <= a < b < self.config.n_users:
                 raise ValueError(f"no link between users {user_a} and {user_b}")
             store = self._stores[(a, b)] = LinkKeyStore(
                 a,
@@ -404,42 +398,10 @@ class Network:
 
     def total_consumed(self) -> dict[tuple[int, int], int]:
         """Bits consumed per link since construction; 0 for links never used."""
-        n = self.n_users
+        n = self.config.n_users
         return {
             (a, b): self._stores[(a, b)].consumed_bits() if (a, b) in self._stores else 0
             for a in range(n)
             for b in range(a + 1, n)
         }
 
-
-@dataclass(frozen=True)
-class TimeToReady:
-    seconds: float
-    binding_link: tuple[int, int]
-    per_link_seconds: dict[tuple[int, int], float]
-
-
-def time_to_ready(config: NetworkConfig, params: ProtocolParams) -> TimeToReady:
-    """Time until every link has delivered its distribution-stage bits.
-
-    User 0 is the sender; user r is recipient r - 1. Each link must deliver
-    the bits secparams.link_bits lays out for it. Links fill in parallel,
-    so readiness is set by the slowest link. Raises ValueError naming a
-    link whose time is not finite.
-    """
-    n = params.n_recipients
-    check_users(config.n_users, params)
-    sender_link, recipient_link = link_bits(params)
-    per_link = {
-        (a, b): (recipient_link if a else sender_link) / config.rate(a, b)
-        for a in range(n + 1)
-        for b in range(a + 1, n + 1)
-    }
-    binding = max(per_link, key=lambda pair: (per_link[pair], -pair[0], -pair[1]))
-    if not math.isfinite(per_link[binding]):  # a subnormal rate passes _check_rate
-        raise ValueError(f"link {binding} at rate {config.rate(*binding)!r} bps takes infinitely long")
-    return TimeToReady(
-        seconds=per_link[binding],
-        binding_link=binding,
-        per_link_seconds=per_link,
-    )

@@ -298,7 +298,7 @@ class Sender:
     """The signing user. Issues key batches and publishes tag lists."""
 
     def __init__(self, network: Network, params: ProtocolParams) -> None:
-        check_users(network.n_users, params)
+        check_users(network.config.n_users, params)
         self.network = network
         self.params = params
         self.user = 0
@@ -353,7 +353,7 @@ class Recipient:
     """
 
     def __init__(self, network: Network, params: ProtocolParams, index: int) -> None:
-        check_users(network.n_users, params)
+        check_users(network.config.n_users, params)
         self.network = network
         self.params = params
         self.index = as_int(index, "recipient index", 0, params.n_recipients - 1)
@@ -517,7 +517,7 @@ def held_view(
     block's held rows, and the issued keys are gathered at the final slot
     ids, which relay flips may have changed.
     """
-    check_users(network.n_users, params)
+    check_users(network.config.n_users, params)
     n, k, a, t = params.n_recipients, params.k, params.msg_len_bits, params.tag_len_bits
     h = as_int(recipient, "recipient index", 0, n - 1)
     widths, held = share_widths(params), _empty_held(params)

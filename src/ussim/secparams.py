@@ -16,7 +16,7 @@ This module computes everything static about that design:
   delta_l,
 * tail bounds on the per-level failure probabilities, and the smallest
   per-group key count k meeting a target failure probability,
-* the key-material cost of a protocol instance, in two counting modes.
+* the key-material cost of an instance, in two counting modes, and its fill time.
 
 Probability arithmetic that can underflow is done in log space.
 """
@@ -26,6 +26,10 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .keystore import NetworkConfig
 
 __all__ = [
     "TailMode",
@@ -44,6 +48,8 @@ __all__ = [
     "solve_k",
     "id_bits",
     "consumption",
+    "TimeToReady",
+    "time_to_ready",
     "uniform_guess_pass_prob",
 ]
 
@@ -352,8 +358,6 @@ def uniform_guess_pass_prob(k: int, tag_len_bits: int, s: float) -> float:
     worst = math.floor(s * k)
     if worst / k >= s:
         worst -= 1
-    if worst < 0:
-        return 0.0
     log2_mismatch = math.log1p(-(2.0 ** -tag_len_bits)) / math.log(2)
     if worst <= (k + 1) * (1 - 2.0 ** -tag_len_bits):
         return _lower_tail(k, worst, log2_mismatch, -tag_len_bits)
@@ -600,4 +604,36 @@ def consumption(params: ProtocolParams, mode: CostMode = CostMode.ACCOUNTING) ->
         raise ValueError(f"unknown cost mode {mode!r}")
     return ConsumptionReport(
         preparation_bits=prep, sharing_bits=shar, total_bits=prep + shar, id_bits=ib
+    )
+
+
+@dataclass(frozen=True)
+class TimeToReady:
+    seconds: float
+    binding_link: tuple[int, int]
+    per_link_seconds: dict[tuple[int, int], float]
+
+
+def time_to_ready(config: NetworkConfig, params: ProtocolParams) -> TimeToReady:
+    """Time until every link has delivered its distribution-stage bits.
+
+    User 0 is the sender; user r is recipient r - 1. Each link must deliver
+    the bits link_bits lays out for it. Links fill in parallel, so
+    readiness is set by the slowest link. Raises ValueError naming a link
+    whose time is not finite.
+    """
+    check_users(config.n_users, params)
+    sender_link, recipient_link = link_bits(params)
+    per_link = {
+        (a, b): (recipient_link if a else sender_link) / config.rate(a, b)
+        for a in range(config.n_users)
+        for b in range(a + 1, config.n_users)
+    }
+    binding = max(per_link, key=per_link.get)  # the first slowest link, in pair order
+    if not math.isfinite(per_link[binding]):  # a subnormal rate passes NetworkConfig's rate check
+        raise ValueError(f"link {binding} at rate {config.rate(*binding)!r} bps takes infinitely long")
+    return TimeToReady(
+        seconds=per_link[binding],
+        binding_link=binding,
+        per_link_seconds=per_link,
     )

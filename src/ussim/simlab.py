@@ -224,6 +224,17 @@ def attack_repudiation(
     return _attack_result(trials, int(success.sum()), bound, 0)
 
 
+def repudiation_bytes(params: ProtocolParams, trials: int) -> int:
+    """Bytes attack_repudiation holds at its peak; not exported.
+
+    Per trial and holder, its n int64 mismatch counts with the float64
+    fraction and bool pass that level_rule makes of each, and level_rule's
+    int64 passing count with its float64 share.
+    """
+    n = params.n_recipients
+    return trials * n * (n * (8 + 8 + 1) + 8 + 8)
+
+
 def _uniform_tags(rng: np.random.Generator, size: int, tag_len_bits: int) -> np.ndarray:
     if tag_len_bits <= 63:
         # drawn as uint64 whatever t is: a narrower dtype changes the stream

@@ -17,7 +17,7 @@ import pytest
 
 import reference
 from ussim.hashing import tags_of_arrays
-from ussim.keystore import Network, NetworkConfig, time_to_ready
+from ussim.keystore import Network, NetworkConfig
 from ussim.protocol import run_distribution
 from ussim.secparams import (
     CostMode,
@@ -32,6 +32,7 @@ from ussim.secparams import (
     p_forge,
     p_nontransfer,
     solve_k,
+    time_to_ready,
     uniform_guess_pass_prob,
 )
 from ussim.simlab import (

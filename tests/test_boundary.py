@@ -39,3 +39,22 @@ def test_the_package_exports_each_modules_names_and_nothing_else():
     for module in modules:
         for name in module.__all__:
             assert getattr(ussim, name) is getattr(module, name)
+
+
+def test_the_key_pools_know_no_parameter_set_and_the_fill_time_sits_with_its_layout():
+    import ussim
+    from ussim import keystore, secparams
+
+    for name in ("ProtocolParams", "check_users", "link_bits", "TimeToReady", "time_to_ready"):
+        assert not hasattr(keystore, name), name
+    assert ussim.time_to_ready is secparams.time_to_ready
+    assert ussim.TimeToReady is secparams.TimeToReady
+    imported = {
+        alias.name
+        for node in ast.parse((SRC / "keystore.py").read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.module == "secparams"
+        for alias in node.names
+    }
+    assert imported == {"as_int", "as_real"}
+    # secparams names NetworkConfig for type checkers only
+    assert "keystore" not in vars(secparams) and "NetworkConfig" not in vars(secparams)

@@ -278,6 +278,47 @@ def test_run_key_state_limit_follows_physical_memory(monkeypatch, capsys):
     assert len(runs) == 2
 
 
+def test_attack_repudiation_past_memory_exits_two_before_any_draw(monkeypatch, capsys):
+    # n=3000 at 1000 trials would hold about 143 GiB of mismatch counts and
+    # level_rule's arrays over them; it used to run out of memory drawing them
+    def never(*args, **kwargs):
+        raise AssertionError("attack_repudiation called")
+
+    monkeypatch.setattr(cli, "attack_repudiation", never)
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 16 << 30)
+    argv = ["attack", "--kind", "repudiation", "--k", "10", "--gamma", "0.1", "--trials", "1000"]
+    assert cli.main([*argv, "--n", "3000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: attack --kind repudiation would hold about 145958 MiB of mismatch counts "
+        "(n=3000, trials=1000) next to the interpreter's 33 MiB, more than 80% of the "
+        "16384 MiB of physical memory\n"
+    )
+    # n=800 needs about 10 GiB: past 80% of 8 GiB, within 80% of 16 GiB
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 8 << 30)
+    assert cli.main([*argv, "--n", "800"]) == 2
+    assert "about 10388 MiB of mismatch counts (n=800, trials=1000)" in capsys.readouterr().err
+
+
+def test_attack_repudiation_within_memory_goes_ahead(monkeypatch, capsys):
+    # n=200 at 1000 trials holds about 652 MiB; a machine that does not
+    # report its memory sets no limit
+    runs = []
+
+    def record(gamma, params, **kwargs):
+        runs.append((params.n_recipients, kwargs["trials"]))
+        raise RuntimeError("stopped after the memory check")
+
+    monkeypatch.setattr(cli, "attack_repudiation", record)
+    argv = ["attack", "--kind", "repudiation", "--k", "10", "--gamma", "0.1", "--trials", "1000"]
+    for n, memory in (("200", 16 << 30), ("800", 16 << 30), ("3000", None)):
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: memory)
+        assert cli.main([*argv, "--n", n]) == 1
+    assert runs == [(200, 1000), (800, 1000), (3000, 1000)]
+    assert "mismatch counts" not in capsys.readouterr().err
+
+
 def test_run_prints_a_vacuous_nontransfer_bound_as_one():
     # at k=100 the union bound exceeds 1 at both levels; like p_forge it is
     # reported clamped, never as a probability above 1

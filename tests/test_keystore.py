@@ -15,10 +15,9 @@ from ussim.keystore import (
     LinkSettings,
     Network,
     NetworkConfig,
-    time_to_ready,
 )
 from ussim.protocol import run_distribution
-from ussim.secparams import ProtocolParams
+from ussim.secparams import ProtocolParams, time_to_ready
 
 
 def _bits(packed, n_bits):

@@ -629,6 +629,15 @@ def test_signature_wire_format_carries_every_tag_bit_at_t64():
     assert Signature.from_bytes(signature.to_bytes()) == signature
 
 
+def test_signature_is_unequal_to_what_is_not_a_signature():
+    tags = np.array([[0, 1], [2, 3]], dtype=np.uint8)
+    signature = Signature(message=5, tags=tags, n_recipients=2, k=1,
+                          msg_len_bits=8, tag_len_bits=8)
+    assert signature.__eq__(signature.to_bytes()) is NotImplemented
+    for other in (signature.to_bytes(), 5, None):
+        assert signature != other and not signature == other
+
+
 def test_signature_rejects_payload_beyond_header_byte_count():
     # n=4, t=1, k=2**31 - 1: the tags fill 2**35 - 16 bits, so an 8-bit
     # message makes exactly 2**32 - 1 payload bytes and a 9-bit one a

@@ -214,6 +214,23 @@ def test_uniform_guess_pass_prob_above_half_threshold():
         assert math.isclose(uniform_guess_pass_prob(k, t, s), want, rel_tol=1e-11)
 
 
+@pytest.mark.parametrize("k, s", [(1500, 0.9985), (2000, 0.999), (20000, 0.999)])
+def test_uniform_guess_pass_prob_past_the_mode_above_k_1024(k, s):
+    # past the mismatch mode the other tail is summed, its terms in Loader's
+    # form with the match probability 2^-8 exact and the mismatch one 1 - 2^-8
+    worst = _worst_mismatches(k, s)
+    assert worst > (k + 1) * (1 - 2.0**-8) and k - worst - 1 > 0
+    want = reference.guess_pass_prob_exact(k, 8, worst)
+    got = uniform_guess_pass_prob(k, 8, s)
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (got, want)
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_uniform_guess_pass_prob_rejects_s_outside_zero_one(s):
+    with pytest.raises(ValueError, match=r"s must be in \(0, 1\), got"):
+        uniform_guess_pass_prob(10, 8, s)
+
+
 def test_uniform_guess_pass_prob_cost_does_not_grow_with_k():
     start = time.perf_counter()
     p = uniform_guess_pass_prob(2**31, 1, 0.499)
@@ -265,6 +282,13 @@ def test_solve_k_boundary_other_points():
         assert worst(k) <= p_target
         if k > 1:
             assert worst(k - 1) > p_target
+
+
+def test_solve_k_names_a_target_no_k_reaches():
+    # thresholds 2.5e-7 apart: each key lowers the log bound by about 3e-14
+    spec = SLevelSpec(0.25, 0.2499995)
+    with pytest.raises(ValueError, match=r"no k <= 2\^32 reaches p_target=1e-10"):
+        solve_k(1e-10, 7, 1, spec)
 
 
 def test_solve_k_rejects_bad_target():
@@ -434,7 +458,8 @@ def test_params_reject_spec_and_mode_of_the_wrong_type():
     (lambda: tail_bound_pm(1, 10, make_s_levels(1), "squared"), "mode must be a TailMode"),
     (lambda: make_s_levels(1, (0.005, 0.001)), "spec must be an SLevelSpec"),
     (lambda: ProtocolParams.build(7, 8, 8, spec=(0.005, 0.001)), "spec must be an SLevelSpec"),
-], ids=["solve_k", "tail_bound_pm", "make_s_levels", "build_solving_k"])
+    (lambda: consumption(ProtocolParams.build(7, 8, 8, k=10), "literal"), "unknown cost mode 'literal'"),
+], ids=["solve_k", "tail_bound_pm", "make_s_levels", "build_solving_k", "consumption"])
 def test_mistyped_mode_or_spec_is_rejected_where_it_enters(call, message):
     # a tail mode string used to be priced as LITERAL, and a spec tuple
     # raised AttributeError
