@@ -60,7 +60,7 @@ _MAX_SWEEP_POINTS = 10_000
 # larger one would run out of memory partway through and is refused up front.
 # `attack --kind repudiation` is admitted by the same rule, with its
 # mismatch counts and level_rule's arrays over them as its estimate
-# (simlab.repudiation_bytes): peak RSS measured 1.005 to 1.03 times the
+# (simlab.repudiation_bytes): peak RSS measured 0.95 to 1.04 times the
 # estimate plus INTERPRETER_BYTES from n=3 at 500000 trials to n=200 at 1000.
 KEY_STATE_MEMORY_FRACTION = 0.80
 INTERPRETER_BYTES = 33 << 20
@@ -142,7 +142,8 @@ def _refuse(flags: dict, where: str) -> None:
 
 def _load_config(args, params: ProtocolParams, seed: int | None) -> NetworkConfig:
     """The --config file's network, which refuses the uniform flags, or one from the flags given."""
-    uniform = {"--rate-bps": args.rate_bps, "--flip-prob": getattr(args, "flip_prob", None)}  # run only
+    uniform = {"--rate-bps": getattr(args, "rate_bps", None),  # time-to-ready's
+               "--flip-prob": getattr(args, "flip_prob", None)}  # run's
     if args.config is not None:
         _refuse(uniform, "with --config, whose file sets every link")
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -250,7 +251,7 @@ def _cmd_run(args) -> int:
         mism = ",".join(str(c) for c in res.mismatch_counts)
         print(
             f"recipient {res.recipient_index}: level={res.level} "
-            f"accepted={res.accepted} groups_passed={res.groups_passed}/{res.n_groups} "
+            f"accepted={res.accepted} groups_passed={res.groups_passed}/{len(res.mismatch_counts)} "
             f"mismatches={mism}"
         )
     for hop, res in enumerate(outcome.chain_results):
@@ -416,13 +417,10 @@ def _cmd_time_to_ready(args) -> int:
     return 0
 
 
-def _add_network_flags(parser: argparse.ArgumentParser):
+def _add_network_flags(parser: argparse.ArgumentParser, flag: str, text: str) -> None:
     group = parser.add_argument_group("network")
-    group.add_argument("--config", default=None,
-                       help="JSON network config path (refuses the uniform flags)")
-    group.add_argument("--rate-bps", type=float, default=None,
-                       help="uniform link rate when no config file is given (default 1000)")
-    return group
+    group.add_argument("--config", default=None, help=f"JSON network config path (refuses {flag})")
+    group.add_argument(flag, type=float, default=None, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="one honest distribute-sign-verify run")
     _add_param_flags(p_run)
-    _add_network_flags(p_run).add_argument(
-        "--flip-prob", type=float, default=None, help="uniform link flip probability q (default 0)")
+    _add_network_flags(p_run, "--flip-prob", "uniform link flip probability q (default 0)")
     _add_seed_flag(p_run)
     p_run.add_argument("--message", type=int, default=None,
                        help="message to sign (default: seed-derived random)")
@@ -487,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ttr = sub.add_parser("time-to-ready", help="distribution-stage fill time")
     _add_param_flags(p_ttr)
-    _add_network_flags(p_ttr)
+    _add_network_flags(p_ttr, "--rate-bps",
+                       "uniform link rate when no config file is given (default 1000)")
     p_ttr.set_defaults(func=_cmd_time_to_ready)
 
     return parser

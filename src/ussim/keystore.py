@@ -378,7 +378,6 @@ class Network:
 
     def __init__(self, config: NetworkConfig) -> None:
         self.config = config
-        self.seed = config.seed
         self._stores: dict[tuple[int, int], LinkKeyStore] = {}
 
     def link(self, user_a: int, user_b: int) -> LinkKeyStore:
@@ -391,7 +390,7 @@ class Network:
             store = self._stores[(a, b)] = LinkKeyStore(
                 a,
                 b,
-                seed=self.seed,
+                seed=self.config.seed,
                 flip_prob=self.config.flip_prob(a, b),
             )
         return store

@@ -36,7 +36,8 @@ from ._bitops import flip_bits, pack_rows, packed_dtype, unpack_rows
 from .hashing import check_message, tags_of_arrays
 from .keystore import LINK_STORE_BYTES, Network
 from .secparams import (
-    ProtocolParams, as_int, check_header_fields, check_users, id_bits, link_bits, share_widths,
+    ProtocolParams, as_int, check_header_fields, check_users, id_bits, link_bits, max_passing,
+    share_widths,
 )
 
 __all__ = [
@@ -185,7 +186,6 @@ class VerifyResult:
     level: int
     accepted: bool
     groups_passed: int
-    n_groups: int
     mismatch_counts: tuple[int, ...]
     s_threshold: float
     delta_threshold: float
@@ -301,7 +301,6 @@ class Sender:
         check_users(network.config.n_users, params)
         self.network = network
         self.params = params
-        self.user = 0
         # entry r is where the batch issued through recipient r starts, once prepared
         self._starts: list[int] | None = None
 
@@ -317,7 +316,7 @@ class Sender:
             raise RuntimeError("preparation already ran on this sender")
         n_bits = link_bits(self.params)[0]
         self._starts = [
-            self.network.link(self.user, r + 1).spend(n_bits, side=self.user)
+            self.network.link(0, r + 1).spend(n_bits, side=0)
             for r in range(self.params.n_recipients)
         ]
 
@@ -384,7 +383,7 @@ class Recipient:
             raise RuntimeError("receive_batch() must run before partitioning")
         if self.index in self._origins:
             raise RuntimeError("partition already drawn")
-        slots = _chunk_slots(self.network.seed, self.index, self.params, slice(None))
+        slots = _chunk_slots(self.network.config.seed, self.index, self.params, slice(None))
         index = slots.astype(np.intp)
         shares = OriginKeys(slots, *(keys[index] for keys in batch))
         _deliver(self.held, self.index, (block[self.index] for block in shares), self._widths)
@@ -437,7 +436,6 @@ class Recipient:
             level=level,
             accepted=bool(accepted),
             groups_passed=int(passed),
-            n_groups=self.params.n_recipients,
             mismatch_counts=tuple(counts.tolist()),
             s_threshold=s,
             delta_threshold=delta,
@@ -466,11 +464,11 @@ def mismatch_counts(slots: np.ndarray, published: np.ndarray, expected: np.ndarr
 def level_rule(counts: np.ndarray, k: int, s: float, delta: float):
     """Passing group count and verdict of mismatch counts over the last axis.
 
-    A group passes when strictly fewer than s*k of its k keys disagree;
-    the signature is accepted when the passing fraction strictly exceeds
-    delta.
+    A group passes when strictly fewer than s*k of its k keys disagree,
+    that is at most max_passing(k, s) of them; the signature is accepted
+    when the passing fraction strictly exceeds delta.
     """
-    passed = (counts / k < s).sum(axis=-1)
+    passed = (counts <= max_passing(k, s)).sum(axis=-1)
     return passed, passed / counts.shape[-1] > delta
 
 
@@ -527,7 +525,7 @@ def held_view(
     for rows, batches in _issued_blocks(network, params, (0,) * n):
         sent, relayed = [], []  # flip positions in the block's batches and in its shares
         for i, g in enumerate(range(rows.start, rows.stop)):
-            held.slots[g] = _chunk_slots(network.seed, g, params, h)
+            held.slots[g] = _chunk_slots(network.config.seed, g, params, h)
             sent.append(network.link(0, g + 1).flips(0, batch_bits) + i * batch_bits)
             if g != h:
                 flips = network.link(g + 1, h + 1).flips(0 if g < h else share, share)

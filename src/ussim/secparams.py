@@ -250,20 +250,25 @@ def p_forge(n: int, d_r: float, p_t: float) -> float:
     return min(1.0, n * n * (1 - d_r) * (1 - d_r) * p_t)
 
 
-def _honest_count(n: int, d_r: float) -> int:
-    """Honest recipients of n at d_r in [0, 0.5); every bound needs two, to pair."""
+def dishonest_count(n: int, d_r: float) -> int:
+    """The most recipients of n that may be dishonest at d_r, floor(d_r * n); not exported."""
+    return math.floor(d_r * n + 1e-9)  # guarded against float droop: (l / n) * n floors to l
+
+
+def max_passing(k: int, s: float) -> int:
+    """The largest m with m / k < s: how many of k keys may disagree in a passing group; not exported."""
+    m = math.floor(s * k)  # one too many where m / k still reaches s
+    return m - 1 if m / k >= s else m
+
+
+def _honest_pairs(n: int, d_r: float) -> int:
+    """Pairs of honest recipients of n at d_r in [0, 0.5); every bound needs one."""
     _check_dr(d_r)
-    # floor guarded against float droop: n*(1 - l/n) should floor to n - l
-    m = math.floor(n * (1 - d_r) + 1e-12)
+    m = n - dishonest_count(n, d_r)
     if m < 2:
         raise ValueError(
             f"d_r = {d_r} leaves {m} honest recipient(s) of n = {n}; the bounds need at least 2"
         )
-    return m
-
-
-def _honest_pairs(n: int, d_r: float) -> int:
-    m = _honest_count(n, d_r)
     return m * (m - 1) // 2
 
 
@@ -355,9 +360,7 @@ def uniform_guess_pass_prob(k: int, tag_len_bits: int, s: float) -> float:
     k, tag_len_bits = as_int(k, "k", 1), as_int(tag_len_bits, "tag_len_bits", 1)
     if not 0 < as_real(s, "s") < 1:
         raise ValueError(f"s must be in (0, 1), got {s}")
-    worst = math.floor(s * k)
-    if worst / k >= s:
-        worst -= 1
+    worst = max_passing(k, s)
     log2_mismatch = math.log1p(-(2.0 ** -tag_len_bits)) / math.log(2)
     if worst <= (k + 1) * (1 - 2.0 ** -tag_len_bits):
         return _lower_tail(k, worst, log2_mismatch, -tag_len_bits)
@@ -400,7 +403,7 @@ class ProtocolParams:
         }
         for name, value in ints.items():
             object.__setattr__(self, name, value)
-        _honest_count(self.n_recipients, self.d_r)
+        _honest_pairs(self.n_recipients, self.d_r)
         if (self.l_max + 1) * self.d_r >= 0.5:
             raise ValueError(
                 f"(l_max + 1) * d_r = {(self.l_max + 1) * self.d_r} must be below 1/2"
@@ -523,7 +526,7 @@ def solve_k(
     n = as_int(n, "n", 2)
     if d_r is None:
         d_r = compute_dr(l_max, n)
-    _honest_count(n, d_r)
+    _honest_pairs(n, d_r)
     s_levels = make_s_levels(l_max, spec)
     log_target = math.log(p_target)
 

@@ -36,6 +36,7 @@ from .secparams import (
     as_int,
     as_real,
     consumption,
+    dishonest_count,
     p_forge,
     p_nontransfer,
     solve_k,
@@ -215,9 +216,9 @@ def attack_repudiation(
     rng = np.random.default_rng([seed, _REPUDIATION_STREAM])
     # counts[trial, holder, g]: the holder's mismatches in batch g; the sampler
     # draws nothing at m = 0 or m = n * k, so edge batches leave the stream alone
-    counts = np.stack(
-        [rng.multivariate_hypergeometric([k] * n, m, size=trials) for m in corrupt], axis=2
-    )
+    counts = np.empty((trials, n, n), dtype=np.int64)
+    for g, m in enumerate(corrupt):
+        counts[:, :, g] = rng.multivariate_hypergeometric([k] * n, m, size=trials)
     _, accept_zero = level_rule(counts, k, *params.thresholds(0)[1:])
     _, accept_base = level_rule(counts, k, *params.thresholds(-1)[1:])
     success = accept_zero.any(axis=1) & ~accept_base.all(axis=1)
@@ -227,12 +228,13 @@ def attack_repudiation(
 def repudiation_bytes(params: ProtocolParams, trials: int) -> int:
     """Bytes attack_repudiation holds at its peak; not exported.
 
-    Per trial and holder, its n int64 mismatch counts with the float64
-    fraction and bool pass that level_rule makes of each, and level_rule's
-    int64 passing count with its float64 share.
+    Per trial and holder, its n int64 mismatch counts with the bool pass
+    that level_rule makes of each, and 32 bytes beside them, fitted to peak
+    RSS: about one batch's int64 draw, level_rule's int64 passing count and
+    float64 share, and the verdicts.
     """
     n = params.n_recipients
-    return trials * n * (n * (8 + 8 + 1) + 8 + 8)
+    return trials * n * (n * (8 + 1) + 32)
 
 
 def _uniform_tags(rng: np.random.Generator, size: int, tag_len_bits: int) -> np.ndarray:
@@ -267,8 +269,8 @@ def attack_forge(
     The target (default n - 1) judges each trial's mismatch counts by the
     real acceptance rule at the requested level (default l_max) over a
     noiseless network, and only its held_view is read. Colluder sets
-    larger than floor(d_r * n) are outside the security model and rejected
-    unless enforce_collusion_bound is off.
+    larger than floor(d_r * n), secparams.dishonest_count, are outside the
+    security model and rejected unless enforce_collusion_bound is off.
 
     One attack draws one network, one view and one message; its trials
     draw only the guesses at the target's held slots, judged in blocks of
@@ -287,7 +289,7 @@ def attack_forge(
     members = (forger, *colluders, target)
     if len(set(members)) != len(members):
         raise ValueError("forger, colluders and target must be distinct recipients")
-    allowed = math.floor(params.d_r * n + 1e-9)
+    allowed = dishonest_count(n, params.d_r)
     if enforce_collusion_bound and len(colluders) > allowed:
         raise ValueError(
             f"colluder set of size {len(colluders)} exceeds the model's "

@@ -159,9 +159,14 @@ def test_attack_repudiation_writes_the_parsed_gammas(capsys, text, cell):
 
 @pytest.mark.parametrize("n, d_r", [("2", "0.1"), ("3", "0.4")])
 def test_params_with_one_honest_recipient_exit_two_naming_d_r(capsys, n, d_r):
-    # they exited 2 with only "math domain error"
-    assert cli.main(["params", "--n", n, "--dr", d_r]) == 2
-    assert f"d_r = {d_r} leaves 1 honest recipient(s) of n = {n}" in capsys.readouterr().err
+    # floor(d_r * n) recipients may be dishonest, so these leave two honest
+    # ones, one verifier pair; they were priced with one and exited 2
+    assert cli.main(["params", "--n", n, "--dr", d_r]) == 0
+    assert "bound level=0: n_p=1 " in capsys.readouterr().out
+    # one honest recipient exited 2 with only "math domain error"; only n = 2
+    # with d_r within 5e-10 of 1/2 still leaves one
+    assert cli.main(["params", "--n", "2", "--dr", "0.4999999999"]) == 2
+    assert "d_r = 0.4999999999 leaves 1 honest recipient(s) of n = 2" in capsys.readouterr().err
 
 
 def test_params_the_wire_format_cannot_carry_exit_two():
@@ -279,7 +284,7 @@ def test_run_key_state_limit_follows_physical_memory(monkeypatch, capsys):
 
 
 def test_attack_repudiation_past_memory_exits_two_before_any_draw(monkeypatch, capsys):
-    # n=3000 at 1000 trials would hold about 143 GiB of mismatch counts and
+    # n=3000 at 1000 trials would hold about 76 GiB of mismatch counts and
     # level_rule's arrays over them; it used to run out of memory drawing them
     def never(*args, **kwargs):
         raise AssertionError("attack_repudiation called")
@@ -291,18 +296,18 @@ def test_attack_repudiation_past_memory_exits_two_before_any_draw(monkeypatch, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: attack --kind repudiation would hold about 145958 MiB of mismatch counts "
+        "error: attack --kind repudiation would hold about 77339 MiB of mismatch counts "
         "(n=3000, trials=1000) next to the interpreter's 33 MiB, more than 80% of the "
         "16384 MiB of physical memory\n"
     )
-    # n=800 needs about 10 GiB: past 80% of 8 GiB, within 80% of 16 GiB
+    # n=1000 needs about 8.4 GiB: past 80% of 8 GiB, within 80% of 16 GiB
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 8 << 30)
-    assert cli.main([*argv, "--n", "800"]) == 2
-    assert "about 10388 MiB of mismatch counts (n=800, trials=1000)" in capsys.readouterr().err
+    assert cli.main([*argv, "--n", "1000"]) == 2
+    assert "about 8614 MiB of mismatch counts (n=1000, trials=1000)" in capsys.readouterr().err
 
 
 def test_attack_repudiation_within_memory_goes_ahead(monkeypatch, capsys):
-    # n=200 at 1000 trials holds about 652 MiB; a machine that does not
+    # n=200 at 1000 trials holds about 349 MiB; a machine that does not
     # report its memory sets no limit
     runs = []
 
@@ -844,10 +849,17 @@ def test_config_refuses_the_uniform_network_flags(monkeypatch, capsys, tmp_path,
     path.write_text('{"users": 8}')
     monkeypatch.setattr(cli, "run_honest", started)
     monkeypatch.setattr(cli, "time_to_ready", started)
-    assert cli.main([*argv, "--config", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {flag} is not read with --config, whose file sets every link; omit it\n"
-    assert captured.out == ""
+    if argv[:2] == ["run", "--rate-bps"]:
+        # a run never reads a rate, so its parser takes none, file or not
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--config", str(path)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --rate-bps 5" in capsys.readouterr().err
+    else:
+        assert cli.main([*argv, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} is not read with --config, whose file sets every link; omit it\n"
+        assert captured.out == ""
     # fill time never reads a flip probability, so time-to-ready takes none
     with pytest.raises(SystemExit) as info:
         cli.main(["time-to-ready", "--flip-prob", "0.3"])

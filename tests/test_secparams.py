@@ -22,6 +22,7 @@ from ussim.secparams import (
     consumption,
     id_bits,
     make_s_levels,
+    max_passing,
     p_forge,
     p_nontransfer,
     solve_k,
@@ -231,6 +232,23 @@ def test_uniform_guess_pass_prob_rejects_s_outside_zero_one(s):
         uniform_guess_pass_prob(10, 8, s)
 
 
+def test_max_passing_is_the_largest_count_the_float_test_passes():
+    # the one group cutoff of level_rule and uniform_guess_pass_prob: the
+    # largest m with m / k < s, the test level_rule once made of every count
+    ladders = {s for n in range(2, 61) for s in ProtocolParams.build(n, 8, k=1).s_levels.values()}
+    for s in ladders:
+        for k in range(1, 2001):
+            m = max_passing(k, s)
+            assert (m < 0 or m / k < s) and (m + 1) / k >= s, (k, s, m)
+    # thresholds at m / k and the two doubles either side of it, up to k = 2^32
+    rng = np.random.default_rng(35)
+    for k in rng.integers(2, 2**32, size=20_000, endpoint=True).tolist():
+        m = int(rng.integers(1, k))
+        below, above = math.nextafter(m / k, 0), math.nextafter(m / k, 1)
+        for s in (math.nextafter(below, 0), below, m / k, above, math.nextafter(above, 1)):
+            assert max_passing(k, s) == max(c for c in (m - 1, m, m + 1) if c / k < s), (k, m, s)
+
+
 def test_uniform_guess_pass_prob_cost_does_not_grow_with_k():
     start = time.perf_counter()
     p = uniform_guess_pass_prob(2**31, 1, 0.499)
@@ -433,12 +451,17 @@ def test_params_validation_messages():
 
 @pytest.mark.parametrize("n, d_r", [(2, 0.1), (2, 0.49), (3, 0.4)])
 def test_fewer_than_two_honest_recipients_are_rejected(n, d_r):
-    # the bounds count honest verifier pairs; with none, p_nontransfer took log(0)
-    message = rf"^d_r = {d_r} leaves 1 honest recipient\(s\) of n = {n}; the bounds need at least 2$"
+    # floor(d_r * n) recipients may be dishonest, so these leave two honest
+    # ones, one verifier pair; they were priced with one and rejected
+    assert p_nontransfer(0, ProtocolParams.build(n, 8, 8, d_r=d_r, k=10)).n_p == 1
+    assert solve_k(1e-10, n, 0, d_r=d_r) >= 1
+    # the bounds count honest verifier pairs; with none, p_nontransfer took
+    # log(0). Only n = 2 with d_r within 5e-10 of 1/2 still leaves one.
+    message = r"^d_r = 0.4999999999 leaves 1 honest recipient\(s\) of n = 2; the bounds need at least 2$"
     with pytest.raises(ValueError, match=message):
-        ProtocolParams.build(n, 8, 8, d_r=d_r, k=10)
+        ProtocolParams.build(2, 8, 8, d_r=0.4999999999, k=10)
     with pytest.raises(ValueError, match=message):
-        solve_k(1e-10, n, 0, d_r=d_r)
+        solve_k(1e-10, 2, 0, d_r=0.4999999999)
     # two honest recipients are enough
     assert p_nontransfer(0, ProtocolParams.build(3, 8, 8, d_r=1 / 3, k=10)).n_p == 1
 

@@ -1,5 +1,6 @@
 """Experiments: honest runs, adversary Monte Carlo, parameter sweeps."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from ussim import simlab
 from ussim._bitops import pack_rows, packed_dtype
 from ussim.keystore import Network, NetworkConfig
 from ussim.protocol import Recipient, Signature, run_distribution
-from ussim.secparams import CostMode, ProtocolParams, TailMode, consumption, p_nontransfer
+from ussim.secparams import (
+    CostMode, ProtocolParams, TailMode, consumption, dishonest_count, p_nontransfer,
+)
 from ussim.simlab import (
     SweepResult,
     attack_forge,
@@ -285,6 +288,45 @@ def test_forge_checks_its_bound_before_any_trial(monkeypatch):
         attack_forge(params, trials=10**9, target=2)
 
 
+def test_repudiation_holds_one_array_of_counts_and_no_float_copy():
+    # the batches' draws fill one (trials, n, n) array, and level_rule judges
+    # it by count without a float fraction: under 10n + 32 bytes a trial and
+    # holder, where stacked draws and the fraction held about 17n
+    params = ProtocolParams.build(20, 8, 8, k=10)
+    tracemalloc.start()
+    try:
+        attack_repudiation(0.1, params, trials=5000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= simlab.repudiation_bytes(params, 5000)
+    assert peak <= 5000 * 20 * (10 * 20 + 32)
+
+
+def test_forge_caps_colluders_at_the_dishonest_count_the_bounds_price(monkeypatch):
+    # one count of dishonest recipients, floor(d_r * n): a forge admits that
+    # many colluders and refuses one more, and the bounds pair the others
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(simlab, "held_view", admitted)  # past every check, before any draw
+    for n in range(2, 61):
+        for i in range(500):
+            params = ProtocolParams(n, 8, 8, l_max=0, d_r=i / 1000, k=1)
+            dishonest = dishonest_count(n, params.d_r)
+            assert dishonest == i * n // 1000
+            honest = n - dishonest
+            assert p_nontransfer(0, params).n_p == honest * (honest - 1) // 2
+            with pytest.raises(Admitted):
+                attack_forge(params, trials=1, colluders=range(1, dishonest + 1))
+            if dishonest + 2 < n:  # room for one more beside the forger and target
+                with pytest.raises(ValueError, match=rf"floor\(d_r \* n\) = {dishonest};"):
+                    attack_forge(params, trials=1, colluders=range(1, dishonest + 2))
+
+
 def test_repudiation_prices_its_bound_before_any_trial(monkeypatch):
     # as the forge does: a bound that cannot be priced costs no trial
     def no_trials(*args, **kwargs):
@@ -382,7 +424,7 @@ def test_forge_reads_one_view_of_the_first_net_stream_seed(monkeypatch):
     real_view = simlab.held_view
 
     def recorded(network, *args):
-        seeds.append(network.seed)
+        seeds.append(network.config.seed)
         return real_view(network, *args)
 
     monkeypatch.setattr(simlab, "held_view", recorded)
